@@ -11,12 +11,18 @@ transfer coefficient is nonzero.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .quadrature import cell_points
+from .quadrature import (
+    cell_points,
+    composite_rule,
+    gauss_points_per_axis,
+    reference_rule,
+)
 
 
 class NodeKind(enum.Enum):
@@ -274,6 +280,7 @@ class CartesianGrid:
             np.unravel_index(flat, self.cells), axis=-1
         )  # (n_cells, dim)
 
+        self._centers = None
         self.cell_volume = float(np.prod(self.spacing))
         self.face_area = self.cell_volume / self.spacing  # per axis
 
@@ -315,7 +322,11 @@ class CartesianGrid:
         return dn, up
 
     def cell_centers(self) -> np.ndarray:
-        return self.origin + (self._active_multi + 0.5) * self.spacing
+        """(n_cells, dim) centres of the active cells, computed once, read-only."""
+        if self._centers is None:
+            self._centers = self.origin + (self._active_multi + 0.5) * self.spacing
+            self._centers.flags.writeable = False
+        return self._centers
 
     def face_centers(self) -> np.ndarray:
         lo_centers = self.cell_centers()[self.face_lo]
@@ -364,6 +375,115 @@ def transfer_profile(r, r0: float, r1: float, kT0: float):
     return out
 
 
+# Finest sub-cell count per radial axis when a support cell cut by a kink
+# circle is refined: h/32 with up to two radial axes, h/4 with three or more.
+SUPPORT_SUBDIV_PLANAR = 32
+SUPPORT_SUBDIV_SPATIAL = 4
+# Gauss points per radial axis on boxes where the profile is smooth.
+SMOOTH_POINTS = 6
+# Batch sizes that bound the memory of one call to a few tens of MB.
+_CHUNK_POINTS = 1 << 19
+_CHUNK_BOXES = 1 << 18
+
+
+def _distance_range(centers, half, anchor):
+    """Least and greatest distance from `anchor` to each box."""
+    delta = np.abs(centers - anchor)
+    nearest = np.maximum(delta - half, 0.0)
+    farthest = delta + half
+    return np.sqrt((nearest**2).sum(axis=1)), np.sqrt((farthest**2).sum(axis=1))
+
+
+def _crossed(dmin, dmax, radii):
+    """Boxes whose distance range contains one of `radii`."""
+    out = np.zeros(dmin.shape, dtype=bool)
+    for rb in radii:
+        out |= (dmin <= rb) & (rb <= dmax)
+    return out
+
+
+def _rule_average(centers, width, anchor, func, rule):
+    """Averages of func(|x - anchor|) over equal boxes under a reference rule."""
+    ref, w = rule
+    out = np.empty(len(centers))
+    step = max(1, _CHUNK_POINTS // w.size)
+    for s in range(0, len(centers), step):
+        r2 = 0.0
+        for k in range(centers.shape[1]):
+            d = centers[s : s + step, k, None] + ref[:, k] * width[k] - anchor[k]
+            r2 = r2 + d * d
+        out[s : s + step] = func(np.sqrt(r2)) @ w
+    return out
+
+
+@functools.lru_cache(maxsize=32)
+def _rule_table(dim: int, quad_order: int, subdiv: int):
+    """Read-only (base, smooth, per-span) reference rules for `_box_average`.
+
+    The rule for an uncrossed box between the kink circles, ``span``
+    finest sub-cells wide, is the base rule on every finest sub-cell or
+    the smooth rule, whichever needs fewer points.
+    """
+    base = reference_rule(dim, quad_order)
+    smooth = reference_rule(dim, 2 * SMOOTH_POINTS)
+    by_span = {}
+    span = subdiv
+    while span >= 1:
+        fewer = gauss_points_per_axis(quad_order) * span <= SMOOTH_POINTS
+        by_span[span] = composite_rule(dim, quad_order, span) if fewer else smooth
+        span //= 2
+    for rule in (base, smooth, *by_span.values()):
+        for arr in rule:
+            arr.flags.writeable = False
+    return base, smooth, by_span
+
+
+def _box_average(centers, width, anchor, func, breaks, quad_order, subdiv):
+    """`radial_cell_average` on boxes given in the radial subspace."""
+    if subdiv < 1 or subdiv & (subdiv - 1):
+        raise ValueError(f"subdiv must be a power of two, got {subdiv}")
+    n, dim = centers.shape
+    radii = sorted({float(x) for rb in breaks for x in np.atleast_1d(rb)})
+    base, smooth, by_span = _rule_table(dim, quad_order, subdiv)
+
+    dmin, dmax = _distance_range(centers, 0.5 * width, anchor)
+    cut = _crossed(dmin, dmax, radii)
+    in_band = np.zeros(n, dtype=bool)
+    for a, b in (rb for rb in breaks if np.ndim(rb)):
+        in_band |= (dmin <= b) & (a <= dmax)
+    out = np.empty(n)
+    for mask, rule in ((~cut & ~in_band, base), (~cut & in_band, smooth)):
+        out[mask] = _rule_average(centers[mask], width, anchor, func, rule)
+
+    # Inside a cut cell, a box a kink circle crosses splits in two along
+    # every axis until it is one finest sub-cell wide.  An uncrossed box
+    # inside the innermost or outside the outermost circle takes the base
+    # rule, as a whole cell there does; one between circles takes the
+    # rule for its width.
+    children = (np.indices((2,) * dim).reshape(dim, -1).T - 0.5) / 2
+    cut_cells = np.flatnonzero(cut)
+    step = max(1, _CHUNK_BOXES // (2**dim * subdiv ** (dim - 1)))
+    for s in range(0, cut_cells.size, step):
+        chunk = cut_cells[s : s + step]
+        acc = np.zeros(chunk.size)
+        owner = np.arange(chunk.size)
+        boxes = centers[chunk]
+        size, span, vol = width, subdiv, 1.0
+        while span > 1:
+            dmin, dmax = _distance_range(boxes, 0.5 * size, anchor)
+            split = _crossed(dmin, dmax, radii)
+            outer = ~split & ((dmax <= radii[0]) | (dmin >= radii[-1]))
+            for mask, rule in ((outer, base), (~split & ~outer, by_span[span])):
+                vals = _rule_average(boxes[mask], size, anchor, func, rule)
+                acc += vol * np.bincount(owner[mask], vals, minlength=chunk.size)
+            boxes = (boxes[split][:, None, :] + children * size).reshape(-1, dim)
+            owner = np.repeat(owner[split], 2**dim)
+            size, span, vol = 0.5 * size, span // 2, vol / 2**dim
+        vals = _rule_average(boxes, size, anchor, func, base)
+        out[chunk] = acc + vol * np.bincount(owner, vals, minlength=chunk.size)
+    return out
+
+
 def radial_cell_average(
     grid: "CartesianGrid",
     cells,
@@ -371,62 +491,42 @@ def radial_cell_average(
     axes,
     func,
     breaks=(),
-    restrict=None,
     quad_order: int = 4,
     subdiv: int = 8,
 ):
     """Quadrature cell averages of a radial profile over selected cells.
 
-    ``func`` maps the distance r to the anchor (measured over ``axes``)
-    to a value; ``restrict`` optionally multiplies by a 0/1 factor of
-    the full-dimensional point.  ``breaks`` entries are either a radius
-    (kink circle) or an (inner, outer) band; cells whose distance range
-    touches one get a composite rule subdivided ``subdiv``-fold along
-    the radial axes, so profile kinks, cutoffs, and strongly curved
-    annuli do not limit the accuracy of the averages.
+    ``func`` maps the distance r to the anchor, measured over ``axes``,
+    to a value; quadrature points span the radial axes only, since the
+    profile is constant along the others.  ``breaks`` entries are either
+    a radius (a kink circle) or an (inner, outer) band whose two edges
+    are kink circles and inside which the profile is smooth but curved.
+
+    - A cell a kink circle crosses is refined adaptively: a box splits
+      only where a circle crosses it, down to ``subdiv`` finest
+      sub-cells per radial axis (a power of two).  An uncrossed box
+      between two circles takes the ``SMOOTH_POINTS``-point Gauss rule
+      or the base rule on each of its finest sub-cells, whichever needs
+      fewer points; one inside the innermost or outside the outermost
+      circle takes the base rule.
+    - An uncut cell inside a band takes the ``SMOOTH_POINTS``-point
+      Gauss rule per radial axis.
+    - Every other cell takes the base rule of order ``quad_order``.
+
+    Points are evaluated in fixed-size batches, so memory stays bounded
+    whatever the number of cells.
     """
-    from .quadrature import composite_rule
-
     cells = np.asarray(cells, dtype=np.int64)
-    anchor = np.asarray(anchor, dtype=float)
     axes = list(axes)
-    centers = grid.cell_centers()[cells]
-    half = 0.5 * grid.spacing[axes]
-
-    delta = np.abs(centers[:, axes] - anchor)
-    nearest = np.maximum(delta - half, 0.0)
-    farthest = delta + half
-    dmin = np.sqrt((nearest**2).sum(axis=1))
-    dmax = np.sqrt((farthest**2).sum(axis=1))
-    straddle = np.zeros(cells.size, dtype=bool)
-    for rb in breaks:
-        a, b = rb if np.ndim(rb) else (rb, rb)
-        straddle |= (dmin <= b) & (a <= dmax)
-
-    out = np.zeros(cells.size)
-    sub_axes = np.ones(grid.dim, dtype=int)
-    sub_axes[axes] = subdiv
-    for mask, rule in (
-        (~straddle, None),
-        (straddle, composite_rule(grid.dim, quad_order, sub_axes)),
-    ):
-        if not np.any(mask):
-            continue
-        if rule is None:
-            pts, w = grid.quadrature(order=quad_order, cells=cells[mask])
-        else:
-            ref, w = rule
-            pts = (
-                grid.cell_centers()[cells[mask]][:, None, :]
-                + ref[None, :, :] * grid.spacing[None, None, :]
-            )
-        r = np.sqrt(((pts[:, :, axes] - anchor) ** 2).sum(axis=2))
-        vals = func(r)
-        if restrict is not None:
-            flat = pts.reshape(-1, grid.dim)
-            vals = vals * np.asarray(restrict(flat), dtype=float).reshape(vals.shape)
-        out[mask] = vals @ w
-    return out
+    return _box_average(
+        grid.cell_centers()[cells][:, axes],
+        grid.spacing[axes],
+        np.asarray(anchor, dtype=float),
+        func,
+        breaks,
+        quad_order,
+        subdiv,
+    )
 
 
 def _disc_strip_area(R: float, x0: float, x1: float, y0: float, y1: float) -> float:
@@ -467,20 +567,27 @@ def _disc_strip_area(R: float, x0: float, x1: float, y0: float, y1: float) -> fl
     return total
 
 
+def _disc_fractions(centers, width, center, radius: float):
+    """Covered-area fraction of a disc for 2D boxes; exact for cut boxes."""
+    dmin, dmax = _distance_range(centers, 0.5 * width, center)
+    out = (dmax <= radius).astype(float)
+    hx, hy = width
+    for i in np.flatnonzero((dmin < radius) & (radius < dmax)):
+        x, y = centers[i] - center
+        out[i] = _disc_strip_area(
+            radius, x - hx / 2, x + hx / 2, y - hy / 2, y + hy / 2
+        ) / (hx * hy)
+    return out
+
+
 def disc_cell_fractions(grid: "CartesianGrid", cells, center, radius: float):
     """Exact covered-area fraction of a 2D disc for each listed cell."""
     if grid.dim != 2:
         raise ValueError("exact disc overlap is implemented for 2D grids")
     cells = np.asarray(cells, dtype=np.int64)
-    centers = grid.cell_centers()[cells]
-    hx, hy = grid.spacing
-    out = np.empty(cells.size)
-    cx, cy = center
-    for i, (mx, my) in enumerate(centers):
-        out[i] = _disc_strip_area(
-            radius, mx - cx - hx / 2, mx - cx + hx / 2, my - cy - hy / 2, my - cy + hy / 2
-        )
-    return out / grid.cell_volume
+    return _disc_fractions(
+        grid.cell_centers()[cells], grid.spacing, np.asarray(center, dtype=float), radius
+    )
 
 
 @dataclass(frozen=True)
@@ -502,6 +609,21 @@ class SupportRegion:
         return float(self.ks.sum() * cell_volume)
 
 
+def _compartment_fraction(grid: CartesianGrid, axis: int, side: str):
+    """Per-cell fraction along `axis` on one side of the axis midpoint.
+
+    Index arithmetic: the midpoint lies at cells[axis]/2 in cell units,
+    so on a uniform axis every fraction is exactly 0, 1/2 or 1.
+    """
+    if not 0 <= axis < grid.dim:
+        raise ValueError(f"compartment axis {axis} outside 0..{grid.dim - 1}")
+    if side not in ("lower", "upper"):
+        raise ValueError(f"compartment side must be 'lower' or 'upper', got {side!r}")
+    n = grid.cells[axis]
+    below = np.clip(0.5 * n - np.arange(n), 0.0, 1.0)
+    return below if side == "lower" else 1.0 - below
+
+
 def build_support(
     grid: CartesianGrid,
     terminal_id: int,
@@ -509,75 +631,91 @@ def build_support(
     radii,
     kT0: float,
     radial_axes=None,
-    restrict=None,
+    compartment: tuple[int, str] | None = None,
     quad_order: int = 4,
-    quad_subdiv: int | None = None,
 ) -> SupportRegion:
     """Evaluate the scaled transfer coefficient around a terminal anchor.
 
     The distance to the anchor is measured over ``radial_axes`` only
     (default: all axes), so a 4D grid can carry supports that are radial
-    in space and constant through the extra axis.  ``restrict`` is an
-    optional predicate on quadrature points returning a 0/1 (or bool)
-    factor, used e.g. to confine a support to one compartment.
+    in space and constant through the extra axis.  ``compartment`` is an
+    optional (axis, 'lower' | 'upper') pair confining the support to one
+    side of that axis's midpoint; it enters as each cell's exact volume
+    fraction on that side.
 
-    The per-cell transfer coefficient is the quadrature average of
-    kT(x).  Cells touching the taper annulus [r0, r1], where the profile
-    has kinks and strong curvature, are refined ``quad_subdiv``-fold
-    (default 32 for up to 2 radial axes, else 4) so the coupling
-    conductance the scheme sees is resolved well below discretization
-    error.  The stored scaled coefficient is the cellwise square root of
-    the average; cells where it vanishes are excluded.  The support is
-    truncated at the domain boundary without renormalization.
+    The per-cell transfer coefficient is the average of kT(x) under
+    `radial_cell_average` with the taper annulus [r0, r1] as its band:
+    cells the kink circles r0 or r1 cut are refined adaptively towards
+    the circles, to ``SUPPORT_SUBDIV_PLANAR`` finest sub-cells per axis
+    for up to two radial axes and ``SUPPORT_SUBDIV_SPATIAL`` for more,
+    and uncut cells in the annulus take a 6-point Gauss rule, so the
+    coupling conductance the scheme sees is resolved well below
+    discretization error.  With two radial axes the sharp cutoff
+    (r0 == r1) uses exact disc overlaps instead.  The candidate cells
+    are the box of cells within r1 of the anchor along every radial
+    axis; the quadrature runs once per distinct radial cell and is
+    broadcast along the other axes.  The stored scaled coefficient is
+    the cellwise square root of the average; cells where it vanishes are
+    excluded.  The support is truncated at the domain boundary without
+    renormalization.
     """
     r0, r1 = radii
     anchor = np.asarray(anchor, dtype=float)
-    axes = tuple(range(grid.dim)) if radial_axes is None else tuple(radial_axes)
-    if anchor.shape != (len(axes),):
+    axes = np.arange(grid.dim) if radial_axes is None else np.asarray(radial_axes)
+    if anchor.shape != (axes.size,):
         raise ValueError(
-            f"anchor has {anchor.size} coordinates for {len(axes)} radial axes"
+            f"anchor has {anchor.size} coordinates for {axes.size} radial axes"
         )
-    lo = grid.origin[list(axes)]
-    hi = lo + np.asarray(grid.cells)[list(axes)] * grid.spacing[list(axes)]
-    if np.any(anchor < lo) or np.any(anchor > hi):
+    lo = grid.origin[axes]
+    h = grid.spacing[axes]
+    n = np.asarray(grid.cells)[axes]
+    if np.any(anchor < lo) or np.any(anchor > lo + n * h):
         raise ValueError(f"anchor {anchor.tolist()} lies outside the grid")
+    transfer_profile(0.0, r0, r1, kT0)  # validates the profile parameters
 
-    # Candidate cells: bounding box of the outer radius along the radial axes.
-    centers = grid.cell_centers()
-    half = 0.5 * grid.spacing[list(axes)]
-    near = np.all(
-        np.abs(centers[:, axes] - anchor) <= r1 + half + 1e-12, axis=1
-    )
-    cand = np.flatnonzero(near)
-    if cand.size == 0:
-        raise ValueError("empty support: no cells near the anchor")
+    # Candidate box: along each radial axis, the cells meeting
+    # [anchor - r1, anchor + r1].  Axes are taken in grid order so the
+    # box reshapes onto the grid.
+    order = np.argsort(axes)
+    axes, anchor, lo, h = axes[order], anchor[order], lo[order], h[order]
+    first = np.maximum(np.ceil((anchor - r1 - lo) / h) - 1, 0).astype(np.int64)
+    last = np.minimum(np.floor((anchor + r1 - lo) / h), n[order] - 1).astype(np.int64)
+    box = [slice(None)] * grid.dim
+    shape = [1] * grid.dim
+    for a, i0, i1 in zip(axes, first, last):
+        box[a] = slice(i0, i1 + 1)
+        shape[a] = i1 - i0 + 1
+    multi = np.indices(last - first + 1).reshape(axes.size, -1).T + first
+    centers = lo + (multi + 0.5) * h
 
-    if quad_subdiv is None:
-        quad_subdiv = 32 if len(axes) <= 2 else 4
-    if r0 == r1 and grid.dim == 2 and restrict is None:
+    if r0 == r1 and axes.size == 2:
         # sharp cutoff: quadrature of an indicator converges poorly, but
-        # the disc-cell overlap has a closed form in 2D
-        kt_cell = kT0 * disc_cell_fractions(grid, cand, anchor, r1)
+        # the disc-cell overlap has a closed form
+        kt = kT0 * _disc_fractions(centers, h, anchor, r1)
     else:
-        kt_cell = radial_cell_average(
-            grid,
-            cand,
+        subdiv = SUPPORT_SUBDIV_PLANAR if axes.size <= 2 else SUPPORT_SUBDIV_SPATIAL
+        kt = _box_average(
+            centers,
+            h,
             anchor,
-            axes,
             lambda r: transfer_profile(r, r0, r1, kT0),
-            breaks=((r0, r1),),
-            restrict=restrict,
-            quad_order=quad_order,
-            subdiv=quad_subdiv,
+            ((r0, r1),),
+            quad_order,
+            subdiv,
         )
-    keep = kt_cell > 0.0
+    kt = kt.reshape(shape)
+    if compartment is not None:
+        axis, side = compartment
+        frac = _compartment_fraction(grid, axis, side)[box[axis]]
+        kt = kt * np.expand_dims(frac, [a for a in range(grid.dim) if a != axis])
+    cells = grid.active_index[tuple(box)]
+    kt = np.broadcast_to(kt, cells.shape)
+    keep = (cells >= 0) & (kt > 0.0)
     if not np.any(keep):
         raise ValueError("empty support: transfer coefficient vanishes on all cells")
-    order = np.argsort(cand[keep])
+    # C order over the box keeps active indices ascending
     return SupportRegion(
-        terminal_id=terminal_id,
-        cell_idx=cand[keep][order],
-        ks=np.sqrt(kt_cell[keep][order]),
+        terminal_id=terminal_id, cell_idx=cells[keep], ks=np.sqrt(kt[keep])
     )
 
 

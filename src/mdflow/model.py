@@ -27,6 +27,10 @@ from .geometry import (
 )
 
 
+# Finest sub-cell count per axis near the ring source's kink circles.
+SOURCE_SUBDIV = 64
+
+
 def scale_transfer(kT):
     """Scaled transfer coefficient kS = sqrt(kT), cellwise.
 
@@ -155,39 +159,30 @@ class CaseSpec:
         )
         return CartesianGrid(cells, extent=self.extent, origin=self.origin)
 
-    def coefficients(
-        self, grid: CartesianGrid, quad_order: int = 4, quad_subdiv: int | None = None
-    ) -> CoefficientField:
+    def coefficients(self, grid: CartesianGrid, quad_order: int = 4) -> CoefficientField:
         kD = np.broadcast_to(np.asarray(self.kD), (grid.n_cells, grid.dim)).copy()
-        supports = []
-        for t in self.transfers:
-            restrict = None
-            if t.compartment is not None:
-                axis, side = t.compartment
-                mid = self.origin[axis] + 0.5 * self.extent[axis]
-                if side == "lower":
-                    restrict = lambda x, a=axis, m_=mid: x[:, a] < m_
-                else:
-                    restrict = lambda x, a=axis, m_=mid: x[:, a] > m_
-            supports.append(
-                build_support(
-                    grid,
-                    t.terminal_id,
-                    t.anchor,
-                    (t.r0, t.r1),
-                    t.kT0,
-                    radial_axes=t.radial_axes,
-                    restrict=restrict,
-                    quad_order=quad_order,
-                    quad_subdiv=quad_subdiv,
-                )
+        supports = [
+            build_support(
+                grid,
+                t.terminal_id,
+                t.anchor,
+                (t.r0, t.r1),
+                t.kT0,
+                radial_axes=t.radial_axes,
+                compartment=t.compartment,
+                quad_order=quad_order,
             )
+            for t in self.transfers
+        ]
         if self.source is None:
             rD = np.zeros(grid.n_cells)
         else:
-            # refine only the cells cut by the two source kink circles;
-            # within the ring the density is smooth and the base rule's
-            # fourth-order error is the intended accuracy signature
+            # refine only the cells cut by the two source kink circles, and
+            # there only towards the circles; every other cell keeps the
+            # base rule, whose fourth-order error within the ring is the
+            # intended accuracy signature (a higher-order rule there drives
+            # the node-pressure error to round-off and its rate below the
+            # criterion-1 band)
             s = self.source
             rD = radial_cell_average(
                 grid,
@@ -197,7 +192,7 @@ class CaseSpec:
                 lambda r: s.rD0 * np.maximum(r - s.r2, 0.0) * np.maximum(s.r3 - r, 0.0),
                 breaks=(s.r2, s.r3),
                 quad_order=quad_order,
-                subdiv=quad_subdiv if quad_subdiv is not None else 64,
+                subdiv=SOURCE_SUBDIV,
             )
         return CoefficientField(
             kD=kD, supports=tuple(supports), rD=rD, rN=dict(self.rN)

@@ -5,6 +5,8 @@ import pytest
 import scipy.integrate as si
 
 from mdflow.geometry import (
+    SUPPORT_SUBDIV_PLANAR,
+    SUPPORT_SUBDIV_SPATIAL,
     CartesianGrid,
     build_forest,
     build_support,
@@ -15,9 +17,11 @@ from mdflow.geometry import (
     incidence,
     interior,
     neumann_root,
+    radial_cell_average,
     terminal,
     transfer_profile,
 )
+from mdflow.model import case1, case2
 
 
 def two_node_forest(k=1.0, value=0.0):
@@ -254,6 +258,81 @@ class TestBuildSupport:
         assert sup.integral(g.cell_volume) > 0
         centers = g.cell_centers()[sup.cell_idx]
         assert centers[:, 0].max() < 0.5
+
+
+class TestSupportCandidates:
+    @staticmethod
+    def check_against_brute_force(grid, t):
+        """The support equals the quadrature evaluated at every cell.
+
+        The brute force evaluates `radial_cell_average` over all cells,
+        with no candidate box and no sharing of radial cells, and applies
+        the compartment by cell centre.  Its nonzero cells also all meet
+        the open ball of radius r1.
+        """
+        axes = list(range(grid.dim) if t.radial_axes is None else t.radial_axes)
+        sup = build_support(
+            grid, t.terminal_id, t.anchor, (t.r0, t.r1), t.kT0,
+            radial_axes=t.radial_axes, compartment=t.compartment,
+        )
+        every = np.arange(grid.n_cells)
+        subdiv = SUPPORT_SUBDIV_PLANAR if len(axes) <= 2 else SUPPORT_SUBDIV_SPATIAL
+        kt = radial_cell_average(
+            grid, every, t.anchor, axes,
+            lambda r: transfer_profile(r, t.r0, t.r1, t.kT0),
+            breaks=((t.r0, t.r1),), subdiv=subdiv,
+        )
+        centers = grid.cell_centers()
+        if t.compartment is not None:
+            axis, side = t.compartment
+            x = centers[:, axis]
+            kt[(x > 0.5) if side == "lower" else (x < 0.5)] = 0.0
+        expected = np.flatnonzero(kt > 0)
+        assert np.array_equal(sup.cell_idx, expected)
+        assert np.allclose(sup.ks**2, kt[expected], rtol=1e-13, atol=0.0)
+        delta = np.abs(centers[expected][:, axes] - np.asarray(t.anchor))
+        nearest = np.maximum(delta - 0.5 * grid.spacing[axes], 0.0)
+        assert np.all(np.sqrt((nearest**2).sum(axis=1)) < t.r1)
+
+    @pytest.mark.parametrize("m", [16, 64])
+    def test_case1a_matches_brute_force(self, m):
+        spec = case1("A")
+        self.check_against_brute_force(spec.grid(m), spec.transfers[0])
+
+    def test_case2_matches_brute_force(self):
+        spec = case2()
+        grid = spec.grid(8)
+        for t in spec.transfers:
+            self.check_against_brute_force(grid, t)
+
+    @pytest.mark.parametrize("side, layers", [("lower", (1.0, 0.5)), ("upper", (0.5, 1.0))])
+    def test_compartment_straddling_cell_gets_half(self, side, layers):
+        # three cells along the compartment axis: its midpoint is the
+        # centre of the middle cell, which lies half in each compartment
+        grid = CartesianGrid((8, 8, 3), extent=(1.0, 1.0, 1.0))
+        sup = build_support(
+            grid, 1, (0.5, 0.5), (0.1, 0.2), 1.0,
+            radial_axes=(0, 1), compartment=(2, side),
+        )
+        layer = grid.cell_multi_index[sup.cell_idx, 2]
+        kept = (0, 1) if side == "lower" else (1, 2)
+        assert set(layer.tolist()) == set(kept)
+        kt = {k: sup.ks[layer == k] ** 2 for k in kept}
+        full = kt[kept[layers.index(1.0)]]
+        half = kt[kept[layers.index(0.5)]]
+        assert np.allclose(half, 0.5 * full, rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize(
+        "compartment, match",
+        [((2, "middle"), "compartment side"), ((3, "lower"), "compartment axis")],
+    )
+    def test_bad_compartment(self, compartment, match):
+        grid = CartesianGrid((8, 8, 2), extent=(1.0, 1.0, 1.0))
+        with pytest.raises(ValueError, match=match):
+            build_support(
+                grid, 1, (0.5, 0.5), (0.1, 0.2), 1.0,
+                radial_axes=(0, 1), compartment=compartment,
+            )
 
 
 class TestDiscOverlap:
