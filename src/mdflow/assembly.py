@@ -1,21 +1,28 @@
 """Mass-lumped mixed assembly and its reduction to a cell/node pressure system.
 
-The mixed system couples face fluxes, scaled transfer fluxes, and edge
-fluxes to cell and node pressures through a block matrix
+The mixed system couples face fluxes, scaled transfer fluxes and edge
+fluxes q to cell and node pressures p through one sparse operator G:
 
-    [ D_D              G_DD       ] [qD]   [ 0  ]
-    [      D_S         G_SD  G_SN ] [qS]   [ 0  ]
-    [           D_N          G_NN ] [qN] = [ 0  ]
-    [ G_DD' G_SD'                 ] [pD]   [-rD ]
-    [       G_SN' G_NN'           ] [pN]   [-rN ]
+    [ D   G ] [q]   [ -lift ]
+    [ G'  0 ] [p] = [ -r    ]
 
-with diagonal flux blocks, so eliminating the fluxes yields the
-symmetric pressure system A p = b with A = G' D^{-1} G.  Flux unknowns
-use the face-integrated convention: the half-cell face weight is
-d_f / (k |f|), making the two-point transmissibility across an interior
-face the harmonic k |f| / d form.  Zero-Neumann boundary faces carry no
-unknowns, and Dirichlet root nodes are eliminated by column removal
-with their contribution moved to the right-hand side.
+D = diag(d) holds the lumped flux weights, r the integrated sources and
+lift the Dirichlet root pressures as each flux row sees them.  Rows of
+G are interior faces, then support rows (terminal by terminal), then
+edges; columns are active cells, then free nodes.  (G, d, lift) is the
+only representation of the scheme, and each consumer is one expression
+in it: the pressure system A = G' D^{-1} G, b = r - G' D^{-1} lift; the
+fluxes q = -(G p + lift) / d; the balance residual -(G' q + r); the
+global balance (G 1)' q + sum(r), as G 1 is nonzero exactly on rows
+that reach a Dirichlet root; the components, via shared rows of G.
+
+Flux unknowns use the face-integrated convention: the half-cell face
+weight is d_f / (k |f|), making the two-point transmissibility across
+an interior face the harmonic k |f| / d form.  A support row couples
+its cell and terminal with +-ks vol against the weight vol; edge rows
+are the negated network incidence with weight 1/k.  Zero-Neumann
+boundary faces carry no unknowns, and Dirichlet root columns are
+dropped from G, their values moving into lift.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from .geometry import CartesianGrid, Forest, NodeKind
+from .geometry import CartesianGrid, Forest, incidence
 from .model import CoefficientField
 
 
@@ -48,37 +55,27 @@ def face_weight(grid: CartesianGrid, axis, k_axis):
 
 @dataclass
 class LumpedBlocks:
-    """Assembled diagonal flux weights, coupling blocks, and right-hand side.
+    """The mixed operator (G, d, lift) of one grid/forest/coefficient triple.
 
-    Support rows are stacked over terminals in forest order; for row r,
-    ``sup_cell[r]`` is the coupled cell, ``sup_node[r]`` the free-node
-    column of the owning terminal, and ``sup_ks[r]`` the scaled
-    coefficient.  ``rhs_cells`` holds cell-integrated sources.
+    Flux rows are [interior faces; support rows; edges] and pressure
+    columns [active cells; free nodes].  Support rows run over the
+    terminals in forest order; row i couples cell ``sup_cell[i]`` to its
+    terminal with the scaled coefficient ``sup_ks[i]``.
     """
 
     grid: CartesianGrid
     forest: Forest | None
     coeffs: CoefficientField
 
-    d_D: np.ndarray  # (n_faces,) total face weights
-    omega_lo: np.ndarray
-    omega_hi: np.ndarray
+    G: sp.csr_matrix  # (n_flux, n_unknowns)
+    d: np.ndarray  # (n_flux,) lumped flux weights [d_D; d_S; d_N]
+    lift: np.ndarray  # (n_flux,) Dirichlet term, full product G p + lift
+    r: np.ndarray  # (n_unknowns,) integrated sources [cells; free nodes]
 
     sup_cell: np.ndarray  # (n_sup,)
-    sup_node: np.ndarray  # (n_sup,) free-node column index
     sup_ks: np.ndarray  # (n_sup,)
-    sup_offsets: np.ndarray  # terminal t occupies rows offsets[t]:offsets[t+1]
-    d_S: np.ndarray  # (n_sup,) cell volumes
-
-    d_N: np.ndarray  # (n_edges,) 1/k
-    edge_k: np.ndarray
-    edge_tail_col: np.ndarray  # free column or -1 when Dirichlet
-    edge_head_col: np.ndarray
-    edge_tail_value: np.ndarray  # Dirichlet value where tail_col == -1, else 0
-
+    edge_k: np.ndarray  # (n_edges,) conductivities, d_N = 1/k
     free_node_ids: tuple[int, ...]
-    rhs_cells: np.ndarray
-    rhs_nodes: np.ndarray
 
     component: np.ndarray  # component label per unknown [cells; free nodes]
     component_singular: np.ndarray  # bool per component label
@@ -96,16 +93,19 @@ class LumpedBlocks:
         return self.n_cells + self.n_free_nodes
 
     @property
+    def d_D(self) -> np.ndarray:
+        """Total face weights, the face rows of d."""
+        return self.d[: self.grid.n_faces]
+
+    @property
     def is_singular(self) -> bool:
         return bool(self.component_singular.any())
 
     def kernel(self) -> np.ndarray:
         """Orthonormal null-space basis of A (constants on singular components)."""
-        cols = []
-        for label in np.flatnonzero(self.component_singular):
-            v = (self.component == label).astype(float)
-            cols.append(v / np.linalg.norm(v))
-        return np.stack(cols, axis=1) if cols else np.zeros((self.n_unknowns, 0))
+        labels = np.flatnonzero(self.component_singular)
+        K = (self.component[:, None] == labels).astype(float)
+        return K / np.linalg.norm(K, axis=0)
 
     def node_index(self, node_id: int) -> int:
         """Position of a free node in the pressure vector (after the cells)."""
@@ -117,196 +117,129 @@ class MixedState:
     """Discrete solution: fluxes on faces/support cells/edges plus pressures."""
 
     qD: np.ndarray  # interior-face fluxes, face-integrated
-    qS: np.ndarray  # stacked support rows (see LumpedBlocks offsets)
+    qS: np.ndarray  # support rows (see LumpedBlocks)
     qN: np.ndarray  # per edge
     pD: np.ndarray  # per active cell
     pN: np.ndarray  # per non-Dirichlet node
+
+    @property
+    def q(self) -> np.ndarray:
+        """All fluxes in the row order of G."""
+        return np.concatenate([self.qD, self.qS, self.qN])
+
+
+def _pair_rows(col_a, col_b, val_a, val_b, n_cols):
+    """CSR block whose row i holds val_a[i] at col_a[i] and val_b[i] at col_b[i]."""
+    n_rows = len(col_a)
+    return sp.csr_matrix(
+        (
+            np.column_stack([val_a, val_b]).ravel(),
+            np.column_stack([col_a, col_b]).ravel(),
+            2 * np.arange(n_rows + 1),
+        ),
+        shape=(n_rows, n_cols),
+    )
 
 
 def assemble_blocks(
     grid: CartesianGrid, forest: Forest | None, coeffs: CoefficientField
 ) -> LumpedBlocks:
-    """Assemble all lumped blocks for a grid/forest/coefficient triple."""
+    """Build (G, d, lift) and the sources for a grid/forest/coefficient triple."""
     coeffs.validate(grid, forest)
+    nc = grid.n_cells
+    lo, hi, ax = grid.face_lo, grid.face_hi, grid.face_axis
+    d_D = face_weight(grid, ax, coeffs.kD[lo, ax]) + face_weight(
+        grid, ax, coeffs.kD[hi, ax]
+    )
 
-    ax = grid.face_axis
-    omega_lo = face_weight(grid, ax, coeffs.kD[grid.face_lo, ax])
-    omega_hi = face_weight(grid, ax, coeffs.kD[grid.face_hi, ax])
-    d_D = omega_lo + omega_hi
+    net = forest if forest is not None else Forest((), (), {})
+    inc = incidence(net)
+    free_ids = inc.node_ids
+    n = nc + len(free_ids)
 
-    free_nodes = forest.free_nodes if forest is not None else ()
-    free_ids = tuple(n.id for n in free_nodes)
-    free_col = {nid: j for j, nid in enumerate(free_ids)}
-
-    terminals = forest.terminals if forest is not None else ()
+    col = {nid: j for j, nid in enumerate(free_ids)}
     sup_by_id = {s.terminal_id: s for s in coeffs.supports}
-    cells_list, node_list, ks_list = [], [], []
-    offsets = [0]
-    for t in terminals:
-        s = sup_by_id[t.id]
+    sups = [sup_by_id[t.id] for t in net.terminals]
+    for s in sups:
         if s.cell_idx.size == 0:
-            raise ValueError(f"terminal {t.id} has an empty support")
-        cells_list.append(s.cell_idx)
-        ks_list.append(s.ks)
-        node_list.append(np.full(s.cell_idx.size, free_col[t.id], dtype=np.int64))
-        offsets.append(offsets[-1] + s.cell_idx.size)
-    sup_cell = np.concatenate(cells_list) if cells_list else np.zeros(0, np.int64)
-    sup_node = np.concatenate(node_list) if node_list else np.zeros(0, np.int64)
-    sup_ks = np.concatenate(ks_list) if ks_list else np.zeros(0)
-    d_S = np.full(sup_cell.size, grid.cell_volume)
+            raise ValueError(f"terminal {s.terminal_id} has an empty support")
+    sup_cell = np.concatenate([np.zeros(0, np.int64)] + [s.cell_idx for s in sups])
+    sup_ks = np.concatenate([np.zeros(0)] + [s.ks for s in sups])
+    sup_node = np.repeat(
+        [col[s.terminal_id] for s in sups], [s.cell_idx.size for s in sups]
+    ).astype(np.int64)
+    m = sup_ks * grid.cell_volume
 
-    edges = forest.edges if forest is not None else ()
-    n_edges = len(edges)
-    edge_k = np.array([e.k for e in edges], dtype=float)
-    d_N = 1.0 / edge_k if n_edges else np.zeros(0)
-    edge_tail_col = np.full(n_edges, -1, dtype=np.int64)
-    edge_head_col = np.full(n_edges, -1, dtype=np.int64)
-    edge_tail_value = np.zeros(n_edges)
-    if forest is not None:
-        by_id = {n.id: n for n in forest.nodes}
-        for i, e in enumerate(edges):
-            if e.tail in free_col:
-                edge_tail_col[i] = free_col[e.tail]
-            else:
-                edge_tail_value[i] = by_id[e.tail].value
-            if e.head in free_col:
-                edge_head_col[i] = free_col[e.head]
-            else:
-                raise ValueError(
-                    f"edge ({e.tail}, {e.head}) ends at a Dirichlet node"
-                )
-
-    rhs_cells = coeffs.rD * grid.cell_volume
-    rhs_nodes = np.array(
-        [coeffs.rN.get(nid, 0.0) for nid in free_ids], dtype=float
+    G = sp.vstack(
+        [
+            _pair_rows(lo, hi, np.full(lo.size, -1.0), np.ones(lo.size), n),
+            _pair_rows(sup_cell, nc + sup_node, m, -m, n),
+            sp.hstack([sp.csr_matrix((len(net.edges), nc)), -inc.matrix]),
+        ],
+        format="csr",
     )
-
-    component, singular = _connectivity(
-        grid, forest, free_col, sup_cell, sup_node
+    d = np.concatenate([d_D, np.full(m.size, grid.cell_volume), 1 / inc.edge_k])
+    lift = np.concatenate([np.zeros(lo.size + sup_cell.size), -inc.dirichlet])
+    r = np.concatenate(
+        [coeffs.rD * grid.cell_volume, [coeffs.rN.get(nid, 0.0) for nid in free_ids]]
     )
+    component, singular = _connectivity(G)
 
     return LumpedBlocks(
         grid=grid,
         forest=forest,
         coeffs=coeffs,
-        d_D=d_D,
-        omega_lo=omega_lo,
-        omega_hi=omega_hi,
+        G=G,
+        d=d,
+        lift=lift,
+        r=r,
         sup_cell=sup_cell,
-        sup_node=sup_node,
         sup_ks=sup_ks,
-        sup_offsets=np.asarray(offsets, dtype=np.int64),
-        d_S=d_S,
-        d_N=d_N,
-        edge_k=edge_k,
-        edge_tail_col=edge_tail_col,
-        edge_head_col=edge_head_col,
-        edge_tail_value=edge_tail_value,
+        edge_k=inc.edge_k,
         free_node_ids=free_ids,
-        rhs_cells=rhs_cells,
-        rhs_nodes=rhs_nodes,
         component=component,
         component_singular=singular,
     )
 
 
-def _connectivity(grid, forest, free_col, sup_cell, sup_node):
-    """Component labels of the coupled cell/node graph and singularity flags.
+def _connectivity(G):
+    """Component labels of the unknowns and a singularity flag per component.
 
-    A component of the pressure system is singular exactly when no
-    Dirichlet root reaches it; such components are permitted (the solver
-    handles the constant null space) but flagged here.
+    Unknowns are connected when they share a row of G.  A component of
+    the pressure system is singular exactly when none of its rows
+    reaches a Dirichlet root (G 1 != 0 only there); such components are
+    permitted (the solver handles the constant null space) but flagged
+    here.
     """
-    nc = grid.n_cells
-    nf = len(free_col)
-    all_nodes = forest.nodes if forest is not None else ()
-    nd_ids = [n.id for n in all_nodes if n.kind == NodeKind.DIRICHLET_ROOT]
-    dir_pos = {nid: nc + nf + j for j, nid in enumerate(nd_ids)}
-    n_tot = nc + nf + len(nd_ids)
-
-    rows = [grid.face_lo, sup_cell]
-    cols = [grid.face_hi, nc + sup_node]
-    if forest is not None:
-        er, ec = [], []
-        for e in forest.edges:
-            u = nc + free_col[e.tail] if e.tail in free_col else dir_pos[e.tail]
-            v = nc + free_col[e.head] if e.head in free_col else dir_pos[e.head]
-            er.append(u)
-            ec.append(v)
-        rows.append(np.asarray(er, dtype=np.int64))
-        cols.append(np.asarray(ec, dtype=np.int64))
-    r = np.concatenate(rows)
-    c = np.concatenate(cols)
-    adj = sp.csr_matrix((np.ones(r.size), (r, c)), shape=(n_tot, n_tot))
-    n_comp, labels = connected_components(adj, directed=False)
-    has_dirichlet = np.zeros(n_comp, dtype=bool)
-    for nid in nd_ids:
-        has_dirichlet[labels[dir_pos[nid]]] = True
-    unknown_labels = labels[: nc + nf]
-    present = np.unique(unknown_labels)
-    relabel = -np.ones(n_comp, dtype=np.int64)
-    relabel[present] = np.arange(present.size)
-    return relabel[unknown_labels], ~has_dirichlet[present]
+    n_rows, n = G.shape
+    # bipartite graph: vertices [unknowns; rows], row vertex n + i linked
+    # to the columns of row i; every row has a column, so every
+    # component holds an unknown and the labels of the unknowns are 0..k-1
+    indptr = np.concatenate([np.zeros(n, G.indptr.dtype), G.indptr])
+    graph = sp.csr_matrix(
+        (np.ones(G.nnz), G.indices, indptr), shape=(n + n_rows, n + n_rows)
+    )
+    n_comp, labels = connected_components(graph, directed=False)
+    singular = np.ones(n_comp, dtype=bool)
+    singular[labels[n + np.flatnonzero(G @ np.ones(n))]] = False
+    return labels[:n], singular
 
 
 def schur_tpfa(blocks: LumpedBlocks):
-    """Eliminate the diagonal flux blocks; return (A, b) over [pD; pN].
+    """Eliminate the diagonal flux block; return (A, b) over [pD; pN].
 
-    A is exactly symmetric by construction (each flux row contributes a
-    symmetric 2x2 stencil).  It is positive definite when every
+    A = G' D^{-1} G is exactly symmetric: every off-diagonal entry comes
+    from a single flux row.  It is positive definite when every
     component reaches a Dirichlet root and positive semidefinite
     otherwise, with constants per Dirichlet-free component in the
     kernel.
     """
-    if np.any(blocks.d_D <= 0) or np.any(blocks.d_S <= 0) or np.any(blocks.d_N <= 0):
+    if np.any(blocks.d <= 0):
         raise ValueError("zero or negative diagonal flux weight")
-    nc = blocks.n_cells
-    n = blocks.n_unknowns
-    rows, cols, vals = [], [], []
-
-    def add(r, c, v):
-        rows.append(np.asarray(r, dtype=np.int64))
-        cols.append(np.asarray(c, dtype=np.int64))
-        vals.append(np.asarray(v, dtype=float))
-
-    # domain faces: transmissibility stencil
-    T = 1.0 / blocks.d_D
-    lo, hi = blocks.grid.face_lo, blocks.grid.face_hi
-    add(lo, lo, T)
-    add(hi, hi, T)
-    add(lo, hi, -T)
-    add(hi, lo, -T)
-
-    # terminal transfer: ks^2 * vol coupling between cell and terminal node
-    w = blocks.sup_ks**2 * blocks.d_S
-    cell = blocks.sup_cell
-    node = nc + blocks.sup_node
-    add(cell, cell, w)
-    add(node, node, w)
-    add(cell, node, -w)
-    add(node, cell, -w)
-
-    # network edges: weighted graph Laplacian with Dirichlet columns folded
-    b = np.concatenate([blocks.rhs_cells, blocks.rhs_nodes])
-    k = blocks.edge_k
-    tcol, hcol = blocks.edge_tail_col, blocks.edge_head_col
-    both = tcol >= 0
-    u, v = nc + tcol[both], nc + hcol[both]
-    add(u, u, k[both])
-    add(v, v, k[both])
-    add(u, v, -k[both])
-    add(v, u, -k[both])
-    dirich = ~both
-    vd = nc + hcol[dirich]
-    add(vd, vd, k[dirich])
-    np.add.at(b, vd, k[dirich] * blocks.edge_tail_value[dirich])
-
-    A = sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    )
-    A.sum_duplicates()
+    G = blocks.G
+    A = (G.T @ (sp.diags(1.0 / blocks.d) @ G)).tocsr()
     A.sort_indices()
+    b = blocks.r - G.T @ (blocks.lift / blocks.d)
     return A, b
 
 
@@ -317,46 +250,20 @@ def recover_fluxes(blocks: LumpedBlocks, pressures: np.ndarray) -> MixedState:
         raise ValueError(
             f"pressure vector has length {p.size}, expected {blocks.n_unknowns}"
         )
-    nc = blocks.n_cells
-    pD = p[:nc]
-    pN = p[nc:]
-
-    qD = -(pD[blocks.grid.face_hi] - pD[blocks.grid.face_lo]) / blocks.d_D
-    qS = -blocks.sup_ks * (pD[blocks.sup_cell] - pN[blocks.sup_node])
-
-    p_tail = np.where(
-        blocks.edge_tail_col >= 0,
-        pN[np.maximum(blocks.edge_tail_col, 0)],
-        blocks.edge_tail_value,
-    )
-    p_head = pN[blocks.edge_head_col] if blocks.edge_k.size else np.zeros(0)
-    qN = -blocks.edge_k * (p_head - p_tail)
-    return MixedState(qD=qD, qS=qS, qN=qN, pD=pD, pN=pN)
+    q = -(blocks.G @ p + blocks.lift) / blocks.d
+    nc, nf = blocks.n_cells, blocks.grid.n_faces
+    qD, qS, qN = np.split(q, [nf, nf + blocks.sup_cell.size])
+    return MixedState(qD=qD, qS=qS, qN=qN, pD=p[:nc], pN=p[nc:])
 
 
 def conservation_residual(blocks: LumpedBlocks, state: MixedState):
-    """Cell and node balance residuals of a state (out-flux - transfer - source).
+    """Cell and node balance residuals -(G' q + r) of a state.
 
     Both vectors vanish for the exact solution of the pressure system;
     for an iterative solve they equal the solver residual up to sign.
     """
-    nc = blocks.n_cells
-    out = np.zeros(nc)
-    np.add.at(out, blocks.grid.face_lo, state.qD)
-    np.add.at(out, blocks.grid.face_hi, -state.qD)
-    transfer = np.zeros(nc)
-    np.add.at(transfer, blocks.sup_cell, blocks.sup_ks * blocks.d_S * state.qS)
-    res_cells = out - transfer - blocks.rhs_cells
-
-    # terminals: transfer integral minus incoming edge flow; other nodes:
-    # minus the net inflow; both balance the node source
-    res_nodes = -blocks.rhs_nodes.copy()
-    if blocks.n_free_nodes:
-        np.add.at(res_nodes, blocks.sup_node, blocks.sup_ks * blocks.d_S * state.qS)
-        np.add.at(res_nodes, blocks.edge_head_col, -state.qN)
-        free_tail = blocks.edge_tail_col >= 0
-        np.add.at(res_nodes, blocks.edge_tail_col[free_tail], state.qN[free_tail])
-    return res_cells, res_nodes
+    res = -(blocks.G.T @ state.q + blocks.r)
+    return res[: blocks.n_cells], res[blocks.n_cells :]
 
 
 def graph_stokes_check(blocks: LumpedBlocks, state: MixedState) -> float:
@@ -364,14 +271,12 @@ def graph_stokes_check(blocks: LumpedBlocks, state: MixedState) -> float:
 
     With zero-Neumann walls the discrete counterpart of the divergence
     theorem says the flow entering the Dirichlet roots equals the total
-    of all sources: sum of root-edge fluxes + sum(rN) + sum over cells
-    of the integrated rD is zero.  Returns the absolute defect.
+    of all sources.  The rows of G that reach a root are those where
+    G 1 is nonzero, so (G 1)' q + sum(r) is zero.  Returns the absolute
+    defect.
     """
-    dirich = blocks.edge_tail_col < 0
-    total = float(state.qN[dirich].sum()) if state.qN.size else 0.0
-    total += float(blocks.rhs_nodes.sum())
-    total += float(blocks.rhs_cells.sum())
-    return abs(total)
+    root_flow = (blocks.G @ np.ones(blocks.n_unknowns)) @ state.q
+    return abs(float(root_flow + blocks.r.sum()))
 
 
 def mixed_matrix(blocks: LumpedBlocks):
@@ -380,56 +285,9 @@ def mixed_matrix(blocks: LumpedBlocks):
     Unknown order: [qD; qS; qN; pD; pN].  Used for direct inspection of
     the saddle structure, e.g. singular-value stability checks.
     """
-    nf = blocks.grid.n_faces
-    ns = blocks.sup_cell.size
-    ne = blocks.edge_k.size
-    nc = blocks.n_cells
-    nn = blocks.n_free_nodes
-    n = nf + ns + ne + nc + nn
-
-    rows, cols, vals = [], [], []
-
-    def add(r, c, v):
-        rows.extend(np.atleast_1d(r).tolist())
-        cols.extend(np.atleast_1d(c).tolist())
-        vals.extend(np.atleast_1d(v).tolist())
-
-    iq = np.arange(nf)
-    add(iq, iq, blocks.d_D)
-    isup = nf + np.arange(ns)
-    add(isup, isup, blocks.d_S)
-    ie = nf + ns + np.arange(ne)
-    add(ie, ie, blocks.d_N)
-
-    icell = nf + ns + ne
-    inode = icell + nc
-    # G_DD and transpose
-    add(iq, icell + blocks.grid.face_lo, -np.ones(nf))
-    add(iq, icell + blocks.grid.face_hi, np.ones(nf))
-    add(icell + blocks.grid.face_lo, iq, -np.ones(nf))
-    add(icell + blocks.grid.face_hi, iq, np.ones(nf))
-    # G_SD / G_SN and transposes
-    m = blocks.sup_ks * blocks.d_S
-    add(isup, icell + blocks.sup_cell, m)
-    add(icell + blocks.sup_cell, isup, m)
-    add(isup, inode + blocks.sup_node, -m)
-    add(inode + blocks.sup_node, isup, -m)
-    # G_NN and transpose (free columns only)
-    rhs = np.zeros(n)
-    for i in range(ne):
-        if blocks.edge_tail_col[i] >= 0:
-            add(ie[i], inode + blocks.edge_tail_col[i], -1.0)
-            add(inode + blocks.edge_tail_col[i], ie[i], -1.0)
-        else:
-            rhs[ie[i]] += blocks.edge_tail_value[i]
-        add(ie[i], inode + blocks.edge_head_col[i], 1.0)
-        add(inode + blocks.edge_head_col[i], ie[i], 1.0)
-
-    rhs[icell : icell + nc] = -blocks.rhs_cells
-    rhs[inode:] = -blocks.rhs_nodes
-    M = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-    M.sum_duplicates()
-    return M, rhs
+    G = blocks.G
+    M = sp.bmat([[sp.diags(blocks.d), G], [G.T, None]], format="csr")
+    return M, -np.concatenate([blocks.lift, blocks.r])
 
 
 # ---------------------------------------------------------------------------

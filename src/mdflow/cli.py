@@ -77,8 +77,6 @@ def _add_common(p, default_meshes):
                    help="accuracy order of the cell quadrature")
     p.add_argument("--no-timings", action="store_true",
                    help="zero the timing columns (golden-file testing)")
-    p.add_argument("--threads", type=int, default=1,
-                   help="reserved; the solver currently runs single-threaded")
     p.add_argument("--export-states", action="store_true",
                    help="also write per-mesh state CSVs")
 
@@ -118,59 +116,52 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _run_study(args, spec, meshes, solver) -> int:
+    """Run a case with a reference, write its tables and optional states."""
+    outdir = _outdir(args)
+    result = run_case(
+        spec, meshes, solver=solver, quad_order=args.quad_order,
+        keep_states=args.export_states,
+    )
+    emit_tables(result, outdir, no_timings=args.no_timings)
+    for m, (blocks, state) in result.states.items():
+        export_state_csv(blocks, state, os.path.join(outdir, f"{spec.name}_m{m}"))
+    return 0 if result.all_converged else 2
+
+
 def _run_builtin(args) -> int:
-    require_pow2 = True
     if args.command == "case2":
         spec = builtin_case("case2", reference_resolution=args.reference_resolution)
     else:
         spec = builtin_case(args.command)
-    meshes = _parse_meshes(args.meshes, require_pow2)
-    outdir = _outdir(args)
-    result = run_case(
-        spec, meshes, solver=_solver_config(args), quad_order=args.quad_order,
-        keep_states=args.export_states,
-    )
-    emit_tables(result, outdir, no_timings=args.no_timings)
-    if args.export_states:
-        for m, (blocks, state) in result.states.items():
-            export_state_csv(blocks, state, os.path.join(outdir, f"{spec.name}_m{m}"))
-    return 0 if result.all_converged else 2
+    meshes = _parse_meshes(args.meshes, require_pow2=True)
+    return _run_study(args, spec, meshes, _solver_config(args))
 
 
 def _run_custom(args) -> int:
     with open(args.config) as f:
         spec = case_from_text(f.read())
     meshes = _parse_meshes(args.meshes, require_pow2=False)
-    outdir = _outdir(args)
     solver = _solver_config(args)
-    if spec.reference[0] == "none":
-        # no reference: solve each mesh and report solver performance only
-        lines = [SolveReport.CSV_HEADER]
-        worst = 0
-        for m in meshes:
-            blocks, state, report, _ = solve_case_mesh(
-                spec, m, solver, quad_order=args.quad_order
-            )
-            lines.append(report.csv_row(m, no_timings=args.no_timings))
-            if args.export_states:
-                export_state_csv(
-                    blocks, state, os.path.join(outdir, f"{spec.name}_m{m}")
-                )
-            worst = max(worst, 0 if report.converged else 2)
-        os.makedirs(outdir, exist_ok=True)
-        _atomic_write(
-            os.path.join(outdir, f"{spec.name}_solver.csv"), "\n".join(lines) + "\n"
+    if spec.reference[0] != "none":
+        return _run_study(args, spec, meshes, solver)
+    # no reference: solve each mesh and report solver performance only
+    outdir = _outdir(args)
+    os.makedirs(outdir, exist_ok=True)
+    lines = [SolveReport.CSV_HEADER]
+    worst = 0
+    for m in meshes:
+        blocks, state, report, _ = solve_case_mesh(
+            spec, m, solver, quad_order=args.quad_order
         )
-        return worst
-    result = run_case(
-        spec, meshes, solver=solver, quad_order=args.quad_order,
-        keep_states=args.export_states,
-    )
-    emit_tables(result, outdir, no_timings=args.no_timings)
-    if args.export_states:
-        for m, (blocks, state) in result.states.items():
+        lines.append(report.csv_row(m, no_timings=args.no_timings))
+        if args.export_states:
             export_state_csv(blocks, state, os.path.join(outdir, f"{spec.name}_m{m}"))
-    return 0 if result.all_converged else 2
+        worst = max(worst, 0 if report.converged else 2)
+    _atomic_write(
+        os.path.join(outdir, f"{spec.name}_solver.csv"), "\n".join(lines) + "\n"
+    )
+    return worst
 
 
 def _run_reference(args) -> int:
@@ -194,11 +185,7 @@ def _run_solve(args) -> int:
         raise _CliError(
             f"rhs length {b.size} does not match matrix dimension {A.shape[0]}"
         )
-    config = SolverConfig(
-        tol=args.tol, maxit=args.maxit,
-        amg=AmgConfig(theta=args.theta, coarse_size=args.coarse_size),
-    )
-    x, report = solve_pressure(A, b, config)
+    x, report = solve_pressure(A, b, _solver_config(args))
     outdir = _outdir(args)
     os.makedirs(outdir, exist_ok=True)
     _atomic_write(
@@ -217,8 +204,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "threads", 1) < 1:
-            raise _CliError("--threads must be >= 1")
         if args.command in ("case1a", "case1b", "case2"):
             return _run_builtin(args)
         if args.command == "custom":

@@ -207,33 +207,39 @@ class SignedIncidence:
 
     Row for an edge holds +1 at its tail column and -1 at its head
     column; columns of Dirichlet root nodes are omitted, so a row whose
-    tail is a Dirichlet root keeps only the -1 entry.  Acting on node
-    pressures the matrix is a discrete gradient; its transpose is a
-    discrete divergence.
+    tail is a Dirichlet root keeps only the -1 entry.  ``dirichlet``
+    holds what the dropped columns contribute against the prescribed
+    root pressures, so the full product is ``matrix @ p + dirichlet``.
+    Acting on node pressures the matrix is a discrete gradient; its
+    transpose is a discrete divergence.
     """
 
     matrix: sp.csr_matrix
     node_ids: tuple[int, ...]  # column order
     edge_list: tuple[Edge, ...]  # row order
+    dirichlet: np.ndarray  # (n_edges,) dropped columns times root values
+    edge_k: np.ndarray  # (n_edges,) conductivities
 
 
 def incidence(forest: Forest) -> SignedIncidence:
-    free = forest.free_nodes
-    col = {n.id: j for j, n in enumerate(free)}
-    rows, cols, vals = [], [], []
-    for i, e in enumerate(forest.edges):
-        if e.tail in col:
-            rows.append(i)
-            cols.append(col[e.tail])
-            vals.append(1.0)
-        if e.head in col:
-            rows.append(i)
-            cols.append(col[e.head])
-            vals.append(-1.0)
+    node_ids = tuple(n.id for n in forest.free_nodes)
+    col = {nid: j for j, nid in enumerate(node_ids)}
+    root_value = {n.id: n.value for n in forest.dirichlet_roots}
+    edges = forest.edges
+
+    # per edge end (tail, head): its free column, or -1 and the root value
+    ends = [i for e in edges for i in (e.tail, e.head)]
+    end_col = np.array([col.get(i, -1) for i in ends], dtype=np.int64).reshape(-1, 2)
+    end_value = np.array([root_value.get(i, 0.0) for i in ends]).reshape(-1, 2)
+    sign = np.broadcast_to([1.0, -1.0], end_col.shape)
+    rows = np.indices(end_col.shape)[0]
+    kept = end_col >= 0
     mat = sp.csr_matrix(
-        (vals, (rows, cols)), shape=(len(forest.edges), len(free))
+        (sign[kept], (rows[kept], end_col[kept])), shape=(len(edges), len(node_ids))
     )
-    return SignedIncidence(mat, tuple(n.id for n in free), forest.edges)
+    dirichlet = (sign * end_value).sum(axis=1)
+    k = np.array([e.k for e in edges], dtype=float)
+    return SignedIncidence(mat, node_ids, edges, dirichlet, k)
 
 
 class CartesianGrid:
@@ -327,13 +333,6 @@ class CartesianGrid:
             self._centers = self.origin + (self._active_multi + 0.5) * self.spacing
             self._centers.flags.writeable = False
         return self._centers
-
-    def face_centers(self) -> np.ndarray:
-        lo_centers = self.cell_centers()[self.face_lo]
-        shift = 0.5 * self.spacing[self.face_axis]
-        out = lo_centers.copy()
-        out[np.arange(self.n_faces), self.face_axis] += shift
-        return out
 
     def quadrature(self, order: int = 4, cells=None):
         """Quadrature points/weights for all (or selected) active cells."""

@@ -21,11 +21,13 @@ from mdflow.geometry import (
     build_forest,
     build_support,
     dirichlet_root,
+    interior,
+    neumann_root,
     terminal,
 )
 from mdflow.model import CoefficientField, case1
 
-from oracles import lumped_rt0_schur_dense
+from oracles import lumped_mixed_dense, lumped_rt0_schur_dense
 
 
 def plain_coeffs(grid, supports=(), rN=None):
@@ -178,6 +180,93 @@ class TestOracleEquivalence:
         A_ref, b_ref = lumped_rt0_schur_dense(g, forest, coeffs)
         assert np.abs(A.toarray() - A_ref).max() <= 1e-13
         assert np.abs(b - b_ref).max() <= 1e-13
+
+
+def two_tree_masked_case():
+    """Masked 4x4 grid split into two strips, one tree coupled to each.
+
+    The left strip (columns 0-1) meets a Dirichlet tree with an interior
+    node and two terminals; the right strip (column 3) meets a tree
+    whose only root is Neumann, so that strip and tree float.
+    """
+    mask = np.ones((4, 4), dtype=bool)
+    mask[:, 2] = False  # active cell (i, j) is 3 i + (0, 1, -, 2)[j]
+    g = CartesianGrid((4, 4), extent=(1, 1), mask=mask)
+    forest = build_forest(
+        [
+            dirichlet_root(0, 0.7),
+            interior(1),
+            terminal(2, (0.1, 0.1)),
+            terminal(3, (0.3, 0.6)),
+            neumann_root(10),
+            terminal(11, (0.9, 0.4)),
+        ],
+        [(0, 1, 2.0), (1, 2, 0.5), (3, 1, 1.5), (10, 11, 3.0)],
+    )
+    rng = np.random.default_rng(7)
+    supports = tuple(
+        SupportRegion(t, np.array(cells), rng.uniform(0.5, 2.0, len(cells)))
+        for t, cells in ((2, [0, 1, 3]), (3, [4, 7, 10]), (11, [2, 5]))
+    )
+    coeffs = CoefficientField(
+        kD=rng.uniform(0.5, 2.0, size=(g.n_cells, 2)),
+        supports=supports,
+        rD=rng.standard_normal(g.n_cells),
+        rN={1: 0.2, 11: -0.3},
+    )
+    return g, forest, coeffs
+
+
+class TestMixedOperatorMaskedForest:
+    def setup_method(self):
+        self.grid, self.forest, self.coeffs = two_tree_masked_case()
+        self.blocks = assemble_blocks(self.grid, self.forest, self.coeffs)
+
+    def test_mixed_matrix_matches_dense_oracle(self):
+        D, G, r_full, free_cols, dirichlet = lumped_mixed_dense(
+            self.grid, self.forest, self.coeffs
+        )
+        nq = D.size
+        G_free = G[:, free_cols]
+        expected = np.zeros((nq + len(free_cols),) * 2)
+        expected[:nq, :nq] = np.diag(D)
+        expected[:nq, nq:] = G_free
+        expected[nq:, :nq] = G_free.T
+        dir_cols = list(dirichlet)
+        lifted = G[:, dir_cols] @ np.array([dirichlet[c] for c in dir_cols])
+        expected_rhs = np.concatenate([-lifted, -r_full[free_cols]])
+
+        M, rhs = mixed_matrix(self.blocks)
+        assert M.shape == expected.shape
+        assert np.abs(M.toarray() - expected).max() <= 1e-13
+        assert np.abs(rhs - expected_rhs).max() <= 1e-13
+        assert np.count_nonzero(lifted) == 1  # only the root edge row
+
+    def test_balance_residual_is_pressure_residual(self):
+        A, b = schur_tpfa(self.blocks)
+        rng = np.random.default_rng(3)
+        for _ in range(3):
+            p = rng.standard_normal(self.blocks.n_unknowns)
+            rc, rn = conservation_residual(
+                self.blocks, recover_fluxes(self.blocks, p)
+            )
+            res = A @ p - b
+            scale = np.abs(A).sum(axis=1).max() * np.abs(p).max() + np.abs(b).max()
+            assert np.abs(np.concatenate([rc, rn]) - res).max() <= 1e-14 * scale
+
+    def test_kernel_spans_the_neumann_component(self):
+        blocks = self.blocks
+        K = blocks.kernel()
+        assert K.shape == (blocks.n_unknowns, 1)
+        floating = [2, 5, 8, 11] + [blocks.node_index(10), blocks.node_index(11)]
+        assert np.flatnonzero(K[:, 0]).tolist() == floating
+        assert np.allclose(K[floating, 0], 1 / np.sqrt(len(floating)))
+        A, _ = schur_tpfa(blocks)
+        assert np.abs(A @ K).max() <= 1e-14
+        # the Dirichlet strip and tree are nonsingular: removing the
+        # kernel leaves a definite system
+        lam = np.linalg.eigvalsh(A.toarray())
+        assert lam[0] == pytest.approx(0.0, abs=1e-13) and lam[1] > 1e-6
 
 
 class TestRecoverFluxes:

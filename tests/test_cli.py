@@ -115,3 +115,34 @@ class TestCaseCommands:
         assert rc == 0
         assert (tmp_path / "case1a_m8_cells.csv").exists()
         assert (tmp_path / "case1a_m8_edges.csv").exists()
+
+    def test_custom_export_states_with_reference(self, tmp_path):
+        cfg = tmp_path / "case.cfg"
+        cfg.write_text(case_to_text(case1("B")))
+        rc = main(["custom", "--config", str(cfg), "--meshes", "8,16",
+                   "--out", str(tmp_path), "--tol", "1e-8", "--export-states"])
+        assert rc == 0
+        assert (tmp_path / "case1b_convergence.csv").exists()
+        for m in (8, 16):
+            cells = (tmp_path / f"case1b_m{m}_cells.csv").read_text().splitlines()
+            assert cells[0] == "cell,x1,x2,pD"
+            assert len(cells) == 1 + m * m
+            edges = (tmp_path / f"case1b_m{m}_edges.csv").read_text().splitlines()
+            assert edges == ["edge,tail,head,qN", edges[1]]
+
+    def test_custom_export_states_without_reference(self, tmp_path):
+        spec = case1("A")
+        text = case_to_text(spec)
+        text = text[: text.index("[reference]")] + "[reference]\nkind = none\n"
+        cfg = tmp_path / "case.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "new_dir"  # created by the command
+        rc = main(["custom", "--config", str(cfg), "--meshes", "8",
+                   "--out", str(out), "--tol", "1e-8", "--export-states"])
+        assert rc == 0
+        assert (out / "case1a_solver.csv").exists()
+        assert not (out / "case1a_convergence.csv").exists()
+        for part in ("cells", "faces", "nodes", "edges"):
+            assert (out / f"case1a_m8_{part}.csv").exists()
+        nodes = (out / "case1a_m8_nodes.csv").read_text().splitlines()
+        assert nodes[0] == "node,pN" and len(nodes) == 2
