@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from .quadrature import (
     cell_points,
@@ -121,84 +122,65 @@ def build_forest(nodes, edges) -> Forest:
     ids = [n.id for n in nodes]
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate node ids")
-    by_id = {n.id: n for n in nodes}
+    index = {nid: j for j, nid in enumerate(ids)}
+    n = len(nodes)
 
-    raw_edges = []
+    ends, ks = [], []
     for e in edges:
         tail, head, k = (e.tail, e.head, e.k) if isinstance(e, Edge) else e
-        if tail not in by_id or head not in by_id:
+        if tail not in index or head not in index:
             raise ValueError(f"edge ({tail}, {head}) references unknown node")
         if tail == head:
             raise ValueError(f"self-loop at node {tail} forms a cycle")
         if not k > 0:
             raise ValueError(f"nonpositive conductivity {k} on edge ({tail}, {head})")
-        raw_edges.append((tail, head, float(k)))
+        ends.append((index[tail], index[head]))
+        ks.append(float(k))
+    ends = np.array(ends, dtype=np.int64).reshape(-1, 2)
 
-    # Connected components by union-find.
-    parent = {i: i for i in ids}
+    # adjacency of the nodes plus a virtual node n joined to every root
+    is_root = np.array([nd.is_root for nd in nodes], dtype=bool)
+    roots = np.flatnonzero(is_root)
+    a = np.concatenate([ends[:, 0], np.full(roots.size, n)])
+    b = np.concatenate([ends[:, 1], roots])
+    graph = sp.csr_matrix((np.ones(a.size), (a, b)), shape=(n + 1, n + 1))
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for tail, head, _ in raw_edges:
-        a, b = find(tail), find(head)
-        if a != b:
-            parent[a] = b
-    roots_of_comp: dict[int, int] = {}
-    tree_of = {}
-    for i in ids:
-        comp = find(i)
-        tree_of[i] = roots_of_comp.setdefault(comp, len(roots_of_comp))
-
-    n_trees = len(roots_of_comp)
-    if len(raw_edges) != len(nodes) - n_trees:
+    n_trees, label = connected_components(graph[:n, :n], directed=False)
+    # number the trees by their first node in node order
+    first = np.unique(label, return_index=True)[1]
+    tree = np.unique(first[label], return_inverse=True)[1]
+    if len(ends) != n - n_trees:
         raise ValueError(
-            f"cycle detected: {len(raw_edges)} edges for {len(nodes)} nodes "
-            f"in {n_trees} trees"
+            f"cycle detected: {len(ends)} edges for {n} nodes in {n_trees} trees"
         )
 
-    degree = {i: 0 for i in ids}
-    adjacency: dict[int, list[tuple[int, int]]] = {i: [] for i in ids}
-    for idx, (tail, head, _) in enumerate(raw_edges):
-        degree[tail] += 1
-        degree[head] += 1
-        adjacency[tail].append((head, idx))
-        adjacency[head].append((tail, idx))
+    roots_per_tree = np.bincount(tree[is_root], minlength=n_trees)
+    bad = np.flatnonzero(roots_per_tree != 1)
+    if bad.size:
+        in_tree = tree == bad[0]
+        if roots_per_tree[bad[0]] > 1:
+            roots = sorted(ids[j] for j in np.flatnonzero(in_tree & is_root))
+            raise ValueError(f"multiple roots in one tree: nodes {roots}")
+        raise ValueError(f"tree containing node {ids[np.argmax(in_tree)]} has no root")
 
-    for tree in range(n_trees):
-        members = [i for i in ids if tree_of[i] == tree]
-        roots = [i for i in members if by_id[i].is_root]
-        if len(roots) > 1:
-            raise ValueError(f"multiple roots in one tree: nodes {sorted(roots)}")
-        if len(roots) == 0:
-            raise ValueError(f"tree containing node {members[0]} has no root")
+    degree = np.bincount(ends.ravel(), minlength=n)
+    is_terminal = np.array([nd.kind == NodeKind.TERMINAL for nd in nodes], dtype=bool)
+    degree_one = is_root | is_terminal
+    bad = np.flatnonzero(degree_one & (degree != 1))
+    if bad.size:
+        j = bad[0]
+        raise ValueError(
+            f"{nodes[j].kind.value} node {ids[j]} has degree {degree[j]}, expected 1"
+        )
 
-    for i in ids:
-        n = by_id[i]
-        if (n.is_root or n.kind == NodeKind.TERMINAL) and degree[i] != 1:
-            raise ValueError(
-                f"{n.kind.value} node {i} has degree {degree[i]}, expected 1"
-            )
-
-    # Orient every edge away from its tree's root (BFS).
-    oriented: list[Edge | None] = [None] * len(raw_edges)
-    for root in (i for i in ids if by_id[i].is_root):
-        stack = [root]
-        seen = {root}
-        while stack:
-            u = stack.pop()
-            for v, eidx in adjacency[u]:
-                if v in seen:
-                    continue
-                seen.add(v)
-                k = raw_edges[eidx][2]
-                oriented[eidx] = Edge(u, v, k)
-                stack.append(v)
-
-    return Forest(nodes=nodes, edges=tuple(oriented), tree_of=tree_of)
+    # Orient every edge away from its tree's root: a breadth-first search
+    # from the virtual node yields each node's parent.
+    parent = breadth_first_order(graph, n, directed=False, return_predecessors=True)[1]
+    flip = parent[ends[:, 0]] == ends[:, 1]
+    tails = np.where(flip, ends[:, 1], ends[:, 0]).tolist()
+    heads = np.where(flip, ends[:, 0], ends[:, 1]).tolist()
+    oriented = tuple(Edge(ids[t], ids[h], k) for t, h, k in zip(tails, heads, ks))
+    return Forest(nodes=nodes, edges=oriented, tree_of=dict(zip(ids, tree.tolist())))
 
 
 @dataclass(frozen=True)

@@ -200,8 +200,8 @@ def restrict_cellwise(fine: CartesianGrid, coarse: CartesianGrid, values):
     coarse_ids = coarse.active_index[tuple(fm.T)]
     if np.any(coarse_ids < 0):
         raise ValueError("fine active cells fall outside coarse active region")
-    out = np.zeros(coarse.n_cells)
-    np.add.at(out, coarse_ids, np.asarray(values) * fine.cell_volume)
+    weights = np.asarray(values) * fine.cell_volume
+    out = np.bincount(coarse_ids, weights, minlength=coarse.n_cells)
     return out / coarse.cell_volume
 
 
@@ -224,16 +224,13 @@ def restrict_face_flux(fine: CartesianGrid, coarse: CartesianGrid, q_fine):
     fidx = lookup[axis_sel * coarse.n_cells + coarse_lo]
     if np.any(fidx < 0):
         raise ValueError("fine face without matching coarse face")
-    out = np.zeros(coarse.n_faces)
-    np.add.at(out, fidx, q_fine[on_plane])
-    return out
+    return np.bincount(fidx, q_fine[on_plane], minlength=coarse.n_faces)
 
 
 def transfer_density(blocks: LumpedBlocks, state: MixedState) -> np.ndarray:
     """Physical transfer flux density kS * qS summed per cell, dense."""
-    out = np.zeros(blocks.n_cells)
-    np.add.at(out, blocks.sup_cell, blocks.sup_ks * state.qS)
-    return out
+    weights = blocks.sup_ks * state.qS
+    return np.bincount(blocks.sup_cell, weights, minlength=blocks.n_cells)
 
 
 def error_norms(

@@ -112,9 +112,14 @@ class TransferSpec:
     compartment: tuple[int, str] | None = None
 
 
+def ring_profile(r, rD0: float, r2: float, r3: float):
+    """Ring source density rD0 * (r - r2)^+ * (r3 - r)^+ at radius r."""
+    return rD0 * np.maximum(r - r2, 0.0) * np.maximum(r3 - r, 0.0)
+
+
 @dataclass(frozen=True)
 class RingSourceSpec:
-    """Radial source density rD0 * (r - r2)^+ * (r3 - r)^+ around a center."""
+    """Radial source density `ring_profile` around a center."""
 
     rD0: float
     r2: float
@@ -123,11 +128,7 @@ class RingSourceSpec:
 
     def density(self, points: np.ndarray) -> np.ndarray:
         r = np.sqrt(((points - np.asarray(self.center)) ** 2).sum(axis=-1))
-        return (
-            self.rD0
-            * np.maximum(r - self.r2, 0.0)
-            * np.maximum(self.r3 - r, 0.0)
-        )
+        return ring_profile(r, self.rD0, self.r2, self.r3)
 
 
 @dataclass(frozen=True)
@@ -189,7 +190,7 @@ class CaseSpec:
                 np.arange(grid.n_cells),
                 np.asarray(s.center, dtype=float),
                 range(grid.dim),
-                lambda r: s.rD0 * np.maximum(r - s.r2, 0.0) * np.maximum(s.r3 - r, 0.0),
+                lambda r: ring_profile(r, s.rD0, s.r2, s.r3),
                 breaks=(s.r2, s.r3),
                 quad_order=quad_order,
                 subdiv=SOURCE_SUBDIV,

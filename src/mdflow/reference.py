@@ -14,110 +14,46 @@ five concentric regions:
 Region membership at an interface radius goes to the lower region.  The
 free constants are fixed by pressure continuity at r0 and flux
 continuity at r0 and r1; everything else chains analytically.  The
-Bessel functions are evaluated by their power series, which is accurate
-to ~1e-12 for the small arguments and orders this configuration
-produces (see `bessel`).
+Bessel functions come from scipy.special, which holds its accuracy for
+the large arguments and orders a large kT0 produces (see `bessel`).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import transfer_profile
-from .model import RadialParams
+from .model import RadialParams, ring_profile
 
-_MAX_SERIES_TERMS = 300
-_MAX_ARGUMENT = 30.0
+_SCIPY_NAMES = {"J": ("jv", "jvp"), "Y": ("yv", "yvp"), "I": ("iv", "ivp")}
 
 
-def _series_jv(nu: float, x: np.ndarray) -> np.ndarray:
-    """J_nu by power series; relies on x being modest (see bessel)."""
-    x = np.asarray(x, dtype=float)
-    q = -0.25 * x * x
-    with np.errstate(divide="ignore"):
-        lead = np.where(x > 0, np.exp(nu * np.log(np.where(x > 0, 0.5 * x, 1.0))), 0.0)
-    if nu == 0:
-        lead = np.ones_like(x)
-    elif np.any(x == 0):
-        lead = np.where(x == 0, 0.0 if nu > 0 else np.inf, lead)
-    term = np.ones_like(x) / math.gamma(nu + 1.0)
-    total = term.copy()
-    for m in range(1, _MAX_SERIES_TERMS):
-        # Gamma(m + nu + 1) = (m + nu) * Gamma(m + nu): build up recursively.
-        term = term * q / (m * (m + nu))
-        total += term
-        if np.max(np.abs(term)) <= 1e-18 * max(np.max(np.abs(total)), 1e-300):
-            break
-    return lead * total
+def _cylinder(kind: str, nu: float, x, derivative: bool):
+    if kind not in _SCIPY_NAMES:
+        raise ValueError(f"kind must be 'J', 'Y' or 'I', got {kind!r}")
+    import scipy.special  # deferred: keeps `import mdflow` light
+
+    out = getattr(scipy.special, _SCIPY_NAMES[kind][derivative])(nu, x)
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def bessel(kind: str, nu: float, x):
-    """Bessel function J, Y, or I of real order by power series.
+    """Bessel function J, Y or I of real order nu at x >= 0.
 
-    Supported parameter box: 0 <= x <= 30 (Y needs x > 0); J any real
-    order with Gamma(nu+1) finite; Y non-integer order (computed from
-    the reflection J_nu cos(nu pi) - J_{-nu} over sin(nu pi)); I only
-    integer orders 0 and 1.  Inside x <= 5, |nu| < 2 the series is
-    accurate to ~1e-12; cancellation grows slowly with x.
+    Evaluated by scipy.special (jv, yv, iv: D. E. Amos, ACM TOMS
+    Algorithm 644), with no cap on the argument or the order; Y is -inf
+    at x = 0.  Returns a float for scalar x, an array otherwise.
     """
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    if np.any(x < 0):
-        raise ValueError("negative argument")
-    if np.any(x > _MAX_ARGUMENT):
-        raise ValueError(
-            f"argument exceeds the supported power-series box (x <= {_MAX_ARGUMENT})"
-        )
-    if kind == "J":
-        if nu < 0 and float(nu).is_integer():
-            # J_{-n} = (-1)^n J_n
-            out = (-1.0) ** int(-nu) * _series_jv(-nu, x)
-        else:
-            out = _series_jv(nu, x)
-    elif kind == "Y":
-        if float(nu).is_integer():
-            raise ValueError("Y is only supported for non-integer orders")
-        if np.any(x == 0):
-            raise ValueError("Y is singular at x = 0")
-        s = math.sin(math.pi * nu)
-        if abs(s) < 1e-8:
-            raise ValueError(f"order {nu} too close to an integer for Y")
-        out = (_series_jv(nu, x) * math.cos(math.pi * nu) - _series_jv(-nu, x)) / s
-    elif kind == "I":
-        if nu == 0:
-            q = 0.25 * x * x
-            term = np.ones_like(x)
-            out = term.copy()
-            for m in range(1, _MAX_SERIES_TERMS):
-                term = term * q / (m * m)
-                out += term
-                if np.max(term) <= 1e-18 * np.max(out):
-                    break
-        elif nu == 1:
-            q = 0.25 * x * x
-            term = np.ones_like(x)
-            total = term.copy()
-            for m in range(1, _MAX_SERIES_TERMS):
-                term = term * q / (m * (m + 1))
-                total += term
-                if np.max(term) <= 1e-18 * np.max(total):
-                    break
-            out = 0.5 * x * total
-        else:
-            raise ValueError("I is only supported for orders 0 and 1")
-    else:
-        raise ValueError(f"kind must be 'J', 'Y' or 'I', got {kind!r}")
-    return float(out[0]) if scalar else out
+    return _cylinder(kind, nu, x, derivative=False)
 
 
 def bessel_deriv(kind: str, nu: float, x):
-    """d/dx of the cylinder function: C'_nu(x) = C_{nu-1}(x) - nu/x C_nu(x)."""
-    x = np.asarray(x, dtype=float)
-    return bessel(kind, nu - 1.0, x) - nu / x * bessel(kind, nu, x)
+    """d/dx of the cylinder function C_nu at x (scipy's jvp, yvp, ivp)."""
+    return _cylinder(kind, nu, x, derivative=True)
 
 
 def volume_balance_qN(params: RadialParams) -> float:
@@ -179,40 +115,35 @@ def solve_constants(params: RadialParams) -> RadialSolution:
         a0 = math.sqrt(p.r0**2 / (p.r1**2 - p.r0**2))
         kappa1 = a0 * kappa0
         nu = kappa1 * p.r1
-
-        def dJ(r):
-            return bessel("J", nu - 1.0, kappa1 * r) - (p.r1 / r) * bessel(
-                "J", nu, kappa1 * r
-            )
-
-        def dY(r):
-            return bessel("Y", nu - 1.0, kappa1 * r) - (p.r1 / r) * bessel(
-                "Y", nu, kappa1 * r
-            )
-
+        x0, x1 = kappa1 * p.r0, kappa1 * p.r1
         mat = np.array(
             [
                 [
                     bessel("I", 0, kappa0 * p.r0),
-                    -bessel("J", nu, kappa1 * p.r0),
-                    -bessel("Y", nu, kappa1 * p.r0),
+                    -bessel("J", nu, x0),
+                    -bessel("Y", nu, x0),
                 ],
                 [
                     kappa0 * bessel("I", 1, kappa0 * p.r0),
-                    -kappa1 * dJ(p.r0),
-                    -kappa1 * dY(p.r0),
+                    -kappa1 * bessel_deriv("J", nu, x0),
+                    -kappa1 * bessel_deriv("Y", nu, x0),
                 ],
-                [0.0, kD * kappa1 * dJ(p.r1), kD * kappa1 * dY(p.r1)],
+                [
+                    0.0,
+                    kD * kappa1 * bessel_deriv("J", nu, x1),
+                    kD * kappa1 * bessel_deriv("Y", nu, x1),
+                ],
             ]
         )
         rhs = np.array([0.0, 0.0, -qN / (2.0 * math.pi * p.r1)])
-        cond = np.linalg.cond(mat)
+        # The Bessel columns span tens of decades at large kT0: equilibrate
+        # them before judging the conditioning.
+        scale = np.linalg.norm(mat, axis=0)
+        cond = np.linalg.cond(mat / scale)
         if not np.isfinite(cond) or cond > 1e14:
             raise ValueError(f"singular matching system (condition number {cond:.3e})")
-        cI, cJ, cY = np.linalg.solve(mat, rhs)
-        p_r1 = pN1 + cJ * bessel("J", nu, kappa1 * p.r1) + cY * bessel(
-            "Y", nu, kappa1 * p.r1
-        )
+        cI, cJ, cY = np.linalg.solve(mat / scale, rhs) / scale
+        p_r1 = pN1 + cJ * bessel("J", nu, x1) + cY * bessel("Y", nu, x1)
     else:
         a0 = 0.0
         kappa1 = 0.0
@@ -282,8 +213,8 @@ def eval_solution(sol: RadialSolution, r):
             + sol.cJ * bessel("J", sol.nu, x)
             + sol.cY * bessel("Y", sol.nu, x)
         )
-        dJ = bessel("J", sol.nu - 1.0, x) - (p.r1 / rr) * bessel("J", sol.nu, x)
-        dY = bessel("Y", sol.nu - 1.0, x) - (p.r1 / rr) * bessel("Y", sol.nu, x)
+        dJ = bessel_deriv("J", sol.nu, x)
+        dY = bessel_deriv("Y", sol.nu, x)
         q[m2] = -p.kD * sol.kappa1 * (sol.cJ * dJ + sol.cY * dY)
 
     m3 = (r_arr > p.r1) & (r_arr <= p.r2)
@@ -348,9 +279,13 @@ def ode_residual_check(sol: RadialSolution, radii, step: float = 1e-4) -> float:
     kT = transfer_profile(radii, p.r0, p.r1, p.kT0)
     pD = eval_solution(sol, radii)[0]
     qT = -kT * (pD - sol.pN1)
-    rr = radii
-    rD = p.rD0 * np.maximum(rr - p.r2, 0.0) * np.maximum(p.r3 - rr, 0.0)
+    rD = ring_profile(radii, p.rD0, p.r2, p.r3)
     return float(np.max(np.abs(lap - qT - rD)))
+
+
+@functools.lru_cache(maxsize=4)
+def _gauss_legendre(n: int):
+    return np.polynomial.legendre.leggauss(n)  # an O(n^3) eigenproblem: reuse it
 
 
 def transfer_balance(sol: RadialSolution, n_quad: int = 2000) -> float:
@@ -360,8 +295,8 @@ def transfer_balance(sol: RadialSolution, n_quad: int = 2000) -> float:
     pieces = [(0.0, p.r0)]
     if p.r1 > p.r0:
         pieces.append((p.r0, p.r1))
+    x, w = _gauss_legendre(n_quad)
     for a, b in pieces:
-        x, w = np.polynomial.legendre.leggauss(n_quad)
         r = 0.5 * (b - a) * x + 0.5 * (a + b)
         wr = 0.5 * (b - a) * w
         kT = transfer_profile(r, p.r0, p.r1, p.kT0)

@@ -40,6 +40,64 @@ def y_forest():
     return build_forest(nodes, [(0, 1, 1.0), (1, 2, 2.0), (1, 3, 3.0)])
 
 
+def random_forest_spec(rng, n_trees, max_extra):
+    """Node and edge specs of a random valid forest, scrambled.
+
+    Node ids are shuffled distinct integers (some negative), nodes are
+    listed in random order, edges in random order and direction.
+    """
+    kinds, edges = [], []  # by position; edges root -> leaf here
+    for _ in range(n_trees):
+        root = len(kinds)
+        kinds += ["root", "node"]
+        members = [root + 1]
+        edges.append((root, root + 1))
+        for _ in range(rng.integers(0, max_extra + 1)):
+            edges.append((int(rng.choice(members)), len(kinds)))
+            members.append(len(kinds))
+            kinds.append("node")
+    degree = np.bincount(np.array(edges).ravel(), minlength=len(kinds))
+    ids = (rng.permutation(4 * len(kinds))[: len(kinds)] - len(kinds)).tolist()
+    nodes = []
+    for pos, kind in enumerate(kinds):
+        if kind == "root" and rng.uniform() < 0.5:
+            nodes.append(dirichlet_root(ids[pos], float(rng.uniform())))
+        elif kind == "root":
+            nodes.append(neumann_root(ids[pos]))
+        elif degree[pos] == 1:
+            nodes.append(terminal(ids[pos], (0.0, 0.0)))
+        else:
+            nodes.append(interior(ids[pos]))
+    specs = []
+    for a, b in edges:
+        a, b = (b, a) if rng.uniform() < 0.5 else (a, b)
+        specs.append((ids[a], ids[b], float(rng.uniform(0.5, 2.0))))
+    nodes = [nodes[i] for i in rng.permutation(len(nodes))]
+    return nodes, [specs[i] for i in rng.permutation(len(specs))]
+
+
+def brute_force_orientation(nodes, edges):
+    """(oriented edges, tree_of) by repeated relaxation over the edge list."""
+    ids = [n.id for n in nodes]
+    label = {i: pos for pos, i in enumerate(ids)}  # smallest node position
+    depth = {n.id: 0 if n.is_root else len(ids) for n in nodes}
+    changed = True
+    while changed:
+        changed = False
+        for a, b, _ in edges:
+            low = min(label[a], label[b])
+            if label[a] != low or label[b] != low:
+                label[a] = label[b] = low
+                changed = True
+            for u, v in ((a, b), (b, a)):
+                if depth[u] + 1 < depth[v]:
+                    depth[v] = depth[u] + 1
+                    changed = True
+    oriented = [(a, b, k) if depth[a] < depth[b] else (b, a, k) for a, b, k in edges]
+    rank = {low: t for t, low in enumerate(sorted(set(label.values())))}
+    return oriented, {i: rank[label[i]] for i in ids}
+
+
 class TestBuildForest:
     def test_two_node_tree(self):
         f = two_node_forest()
@@ -118,6 +176,19 @@ class TestBuildForest:
             nodes.append(terminal(i, (0.0, 0.0)) if degree[i] == 1 else interior(i))
         f = build_forest(nodes, edges)
         assert len(f.edges) == len(f.nodes) - f.n_trees
+
+    @pytest.mark.parametrize(
+        "seed,n_trees,max_extra", [(0, 1, 6), (1, 3, 8), (2, 7, 3), (3, 4096, 3)]
+    )
+    def test_matches_brute_force_orientation(self, seed, n_trees, max_extra):
+        nodes, edges = random_forest_spec(
+            np.random.default_rng(seed), n_trees, max_extra
+        )
+        oriented, tree_of = brute_force_orientation(nodes, edges)
+        f = build_forest(nodes, edges)
+        assert [(e.tail, e.head, e.k) for e in f.edges] == oriented
+        assert f.tree_of == tree_of
+        assert f.n_trees == n_trees
 
 
 class TestIncidence:

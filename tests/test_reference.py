@@ -1,6 +1,7 @@
 """Bessel evaluation and the radial reference solution."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -58,15 +59,24 @@ class TestBessel:
                 ) * bessel("Y", nu, x)
                 assert w == pytest.approx(2 / (math.pi * x), rel=1e-10)
 
-    def test_parameter_box(self):
-        with pytest.raises(ValueError):
-            bessel("J", 0.5, 40.0)
-        with pytest.raises(ValueError):
-            bessel("Y", 1.0, 0.5)  # integer order unsupported for Y
-        with pytest.raises(ValueError):
-            bessel("Y", 0.5, 0.0)
-        with pytest.raises(ValueError):
-            bessel("I", 2, 1.0)
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="kind"):
+            bessel("K", 0.5, 1.0)
+        with pytest.raises(ValueError, match="kind"):
+            bessel_deriv("K", 0.5, 1.0)
+
+    @pytest.mark.parametrize("x", [40.0, 100.0])
+    def test_large_arguments(self, x):
+        for nu in (0.1155, 0.5, 11.5):
+            assert bessel("J", nu, x) == pytest.approx(ss.jv(nu, x), rel=1e-13)
+            assert bessel("Y", nu, x) == pytest.approx(ss.yv(nu, x), rel=1e-13)
+        for nu in (0, 1):
+            assert bessel("I", nu, x) == pytest.approx(ss.iv(nu, x), rel=1e-13)
+        # half order in closed form: J, Y, I = sqrt(2/(pi x)) (sin, -cos, sinh)
+        amp = math.sqrt(2 / (math.pi * x))
+        assert bessel("J", 0.5, x) == pytest.approx(amp * math.sin(x), rel=1e-12)
+        assert bessel("Y", 0.5, x) == pytest.approx(-amp * math.cos(x), rel=1e-12)
+        assert bessel("I", 0.5, x) == pytest.approx(amp * math.sinh(x), rel=1e-12)
 
 
 class TestVolumeBalance:
@@ -133,6 +143,24 @@ class TestConstants:
         p = RadialParams(r0=0.2 * (1 - 1e-4), r1=0.2, r2=0.3, r3=0.4)
         sol = solve_constants(p)
         assert sol.cI == pytest.approx(sol_b.cI, rel=5e-3)
+
+
+class TestKT0Sweep:
+    """The matching system stays solvable as kT0 degenerates either way."""
+
+    @pytest.mark.parametrize("variant", ["A", "B"])
+    @pytest.mark.parametrize("kT0", [1e-6, 1e-3, 1.0, 1e3, 1e5, 1e6])
+    def test_continuity_and_balance(self, variant, kT0):
+        p = replace(CASE_A if variant == "A" else CASE_B, kT0=kT0)
+        sol = solve_constants(p)
+        scale = abs(sol.qN)
+        for r in (p.r0, p.r1, p.r2):
+            plo, qlo = eval_solution(sol, r * (1 - 1e-13))
+            phi, qhi = eval_solution(sol, r * (1 + 1e-13))
+            assert abs(plo - phi) <= 1e-12 * abs(plo)
+            if r != p.r2:
+                assert abs(qlo - qhi) <= 1e-9 * scale
+        assert abs(transfer_balance(sol) + sol.qN) <= 1e-9 * scale
 
 
 @pytest.fixture(params=["A", "B"])

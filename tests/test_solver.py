@@ -8,6 +8,7 @@ from mdflow.assembly import assemble_blocks, schur_tpfa
 from mdflow.geometry import CartesianGrid
 from mdflow.model import CoefficientField, case1
 from mdflow.solver import (
+    CONVERGED_SLACK,
     AmgConfig,
     SolverConfig,
     build_hierarchy,
@@ -213,6 +214,20 @@ class TestSolvePressure:
         res = np.linalg.norm(b - A @ x) / np.linalg.norm(b)
         assert report.true_residual == pytest.approx(res, rel=1e-12)
         assert res <= 1e-8 * 10
+
+    def test_converged_allows_slack_of_ten(self):
+        # stopped by maxit, the iterate is the same for every tol the
+        # residual estimate never crosses; only the verdict moves
+        spec = case1("A")
+        grid = spec.grid(16)
+        A, b = schur_tpfa(assemble_blocks(grid, spec.forest, spec.coefficients(grid)))
+        res = solve_pressure(A, b, SolverConfig(tol=1e-300, maxit=3))[1].true_residual
+        assert CONVERGED_SLACK == 10.0
+        within = solve_pressure(A, b, SolverConfig(tol=res / 3, maxit=3))[1]
+        beyond = solve_pressure(A, b, SolverConfig(tol=res / 30, maxit=3))[1]
+        assert within.true_residual == beyond.true_residual == res
+        assert within.converged
+        assert not beyond.converged
 
 
 class TestSolveReportCsv:
