@@ -73,8 +73,6 @@ def _add_common(p, default_meshes):
                    help="aggregation strength threshold")
     p.add_argument("--coarse-size", type=int, default=32,
                    help="direct-solve threshold for the coarsest level")
-    p.add_argument("--quad-order", type=int, default=4,
-                   help="accuracy order of the cell quadrature")
     p.add_argument("--no-timings", action="store_true",
                    help="zero the timing columns (golden-file testing)")
     p.add_argument("--export-states", action="store_true",
@@ -119,10 +117,7 @@ def _build_parser() -> _Parser:
 def _run_study(args, spec, meshes, solver) -> int:
     """Run a case with a reference, write its tables and optional states."""
     outdir = _outdir(args)
-    result = run_case(
-        spec, meshes, solver=solver, quad_order=args.quad_order,
-        keep_states=args.export_states,
-    )
+    result = run_case(spec, meshes, solver=solver, keep_states=args.export_states)
     emit_tables(result, outdir, no_timings=args.no_timings)
     for m, (blocks, state) in result.states.items():
         export_state_csv(blocks, state, os.path.join(outdir, f"{spec.name}_m{m}"))
@@ -151,9 +146,7 @@ def _run_custom(args) -> int:
     lines = [SolveReport.CSV_HEADER]
     worst = 0
     for m in meshes:
-        blocks, state, report, _ = solve_case_mesh(
-            spec, m, solver, quad_order=args.quad_order
-        )
+        blocks, state, report, _ = solve_case_mesh(spec, m, solver)
         lines.append(report.csv_row(m, no_timings=args.no_timings))
         if args.export_states:
             export_state_csv(blocks, state, os.path.join(outdir, f"{spec.name}_m{m}"))

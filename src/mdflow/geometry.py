@@ -18,12 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import breadth_first_order, connected_components
 
-from .quadrature import (
-    cell_points,
-    composite_rule,
-    gauss_points_per_axis,
-    reference_rule,
-)
+from .quadrature import BASE_POINTS, cell_points, composite_rule, reference_rule
 
 
 class NodeKind(enum.Enum):
@@ -316,12 +311,12 @@ class CartesianGrid:
             self._centers.flags.writeable = False
         return self._centers
 
-    def quadrature(self, order: int = 4, cells=None):
-        """Quadrature points/weights for all (or selected) active cells."""
+    def quadrature(self, cells=None):
+        """Base-rule points/weights for all (or selected) active cells."""
         centers = self.cell_centers()
         if cells is not None:
             centers = centers[cells]
-        return cell_points(centers, self.spacing, order)
+        return cell_points(centers, self.spacing)
 
     def locate(self, point) -> int:
         """Active index of the cell containing `point`; -1 if outside/inactive."""
@@ -398,20 +393,20 @@ def _rule_average(centers, width, anchor, func, rule):
 
 
 @functools.lru_cache(maxsize=32)
-def _rule_table(dim: int, quad_order: int, subdiv: int):
+def _rule_table(dim: int, subdiv: int):
     """Read-only (base, smooth, per-span) reference rules for `_box_average`.
 
     The rule for an uncrossed box between the kink circles, ``span``
     finest sub-cells wide, is the base rule on every finest sub-cell or
     the smooth rule, whichever needs fewer points.
     """
-    base = reference_rule(dim, quad_order)
-    smooth = reference_rule(dim, 2 * SMOOTH_POINTS)
+    base = reference_rule(dim, BASE_POINTS)
+    smooth = reference_rule(dim, SMOOTH_POINTS)
     by_span = {}
     span = subdiv
     while span >= 1:
-        fewer = gauss_points_per_axis(quad_order) * span <= SMOOTH_POINTS
-        by_span[span] = composite_rule(dim, quad_order, span) if fewer else smooth
+        fewer = BASE_POINTS * span <= SMOOTH_POINTS
+        by_span[span] = composite_rule(dim, BASE_POINTS, span) if fewer else smooth
         span //= 2
     for rule in (base, smooth, *by_span.values()):
         for arr in rule:
@@ -419,13 +414,13 @@ def _rule_table(dim: int, quad_order: int, subdiv: int):
     return base, smooth, by_span
 
 
-def _box_average(centers, width, anchor, func, breaks, quad_order, subdiv):
+def _box_average(centers, width, anchor, func, breaks, subdiv):
     """`radial_cell_average` on boxes given in the radial subspace."""
     if subdiv < 1 or subdiv & (subdiv - 1):
         raise ValueError(f"subdiv must be a power of two, got {subdiv}")
     n, dim = centers.shape
     radii = sorted({float(x) for rb in breaks for x in np.atleast_1d(rb)})
-    base, smooth, by_span = _rule_table(dim, quad_order, subdiv)
+    base, smooth, by_span = _rule_table(dim, subdiv)
 
     dmin, dmax = _distance_range(centers, 0.5 * width, anchor)
     cut = _crossed(dmin, dmax, radii)
@@ -472,7 +467,6 @@ def radial_cell_average(
     axes,
     func,
     breaks=(),
-    quad_order: int = 4,
     subdiv: int = 8,
 ):
     """Quadrature cell averages of a radial profile over selected cells.
@@ -492,7 +486,7 @@ def radial_cell_average(
       circle takes the base rule.
     - An uncut cell inside a band takes the ``SMOOTH_POINTS``-point
       Gauss rule per radial axis.
-    - Every other cell takes the base rule of order ``quad_order``.
+    - Every other cell takes the 2-point Gauss base rule per radial axis.
 
     Points are evaluated in fixed-size batches, so memory stays bounded
     whatever the number of cells.
@@ -505,7 +499,6 @@ def radial_cell_average(
         np.asarray(anchor, dtype=float),
         func,
         breaks,
-        quad_order,
         subdiv,
     )
 
@@ -613,7 +606,6 @@ def build_support(
     kT0: float,
     radial_axes=None,
     compartment: tuple[int, str] | None = None,
-    quad_order: int = 4,
 ) -> SupportRegion:
     """Evaluate the scaled transfer coefficient around a terminal anchor.
 
@@ -681,7 +673,6 @@ def build_support(
             anchor,
             lambda r: transfer_profile(r, r0, r1, kT0),
             ((r0, r1),),
-            quad_order,
             subdiv,
         )
     kt = kt.reshape(shape)

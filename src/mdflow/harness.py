@@ -96,9 +96,7 @@ class FineReference:
     report: SolveReport
 
 
-def project_series_reference(
-    ref: SeriesReference, blocks: LumpedBlocks, quad_order: int = 4, face_quad: int = 4
-) -> MixedState:
+def project_series_reference(ref: SeriesReference, blocks: LumpedBlocks) -> MixedState:
     """Sample the radial solution in the discrete layout of `blocks`.
 
     Cell pressures at cell centers, node pressure and edge flux from the
@@ -122,7 +120,7 @@ def project_series_reference(
     lo_corner = grid.origin + grid.cell_multi_index[grid.face_lo] * grid.spacing
     x_face = lo_corner[np.arange(grid.n_faces), ax] + grid.spacing[ax]
     t_start = lo_corner[np.arange(grid.n_faces), t_axis]
-    gx, gw = segment_rule(0.0, 1.0, face_quad)
+    gx, gw = segment_rule(0.0, 1.0)
     pts_t = t_start[:, None] + gx[None, :] * grid.spacing[t_axis][:, None]
     xn = x_face[:, None] - center[ax][:, None]
     xt = pts_t - center[t_axis][:, None]
@@ -136,7 +134,7 @@ def project_series_reference(
     # average of the exact pressure drop
     qS = np.zeros(blocks.sup_cell.size)
     if qS.size:
-        pts, w = grid.quadrature(order=quad_order, cells=blocks.sup_cell)
+        pts, w = grid.quadrature(cells=blocks.sup_cell)
         rq = np.linalg.norm(pts - center, axis=2)
         pref = eval_solution(sol, rq.ravel())[0].reshape(rq.shape)
         qS = -blocks.sup_ks * ((pref - sol.pN1) @ w)
@@ -147,7 +145,7 @@ def project_series_reference(
 
 
 def flux_field_error(
-    state: MixedState, blocks: LumpedBlocks, ref: SeriesReference, quad_order: int = 4
+    state: MixedState, blocks: LumpedBlocks, ref: SeriesReference
 ) -> float:
     """Inverse-permeability-weighted L2 error of the reconstructed flux field.
 
@@ -164,7 +162,7 @@ def flux_field_error(
     dn, up = grid.cell_face_maps()
     area = grid.face_area
     centers = grid.cell_centers()
-    pts, w = grid.quadrature(order=quad_order)
+    pts, w = grid.quadrature()
     r = np.linalg.norm(pts - center, axis=2)
     qr = eval_solution(sol, r.ravel())[1].reshape(r.shape)
     total = 0.0
@@ -238,14 +236,13 @@ def error_norms(
     blocks: LumpedBlocks,
     reference,
     inv_h: int,
-    quad_order: int = 4,
 ) -> ErrorRecord:
     """Weighted error norms of a state against a reference."""
     grid = blocks.grid
     vol = grid.cell_volume
 
     if isinstance(reference, SeriesReference):
-        ref = project_series_reference(reference, blocks, quad_order=quad_order)
+        ref = project_series_reference(reference, blocks)
         ref_pD = ref.pD
         ref_qD = None  # flux scored as a field error below
         err_qS = math.sqrt(float(vol * ((state.qS - ref.qS) ** 2).sum()))
@@ -266,7 +263,7 @@ def error_norms(
     err_pD = math.sqrt(float(vol * ((state.pD - ref_pD) ** 2).sum()))
     err_pN = math.sqrt(float(((state.pN - ref_pN) ** 2).sum()))
     if ref_qD is None:
-        err_qD = flux_field_error(state, blocks, reference, quad_order)
+        err_qD = flux_field_error(state, blocks, reference)
         err_qP = None
     else:
         dq = state.qD - ref_qD
@@ -315,10 +312,10 @@ class CaseResult:
         return ok
 
 
-def solve_case_mesh(spec: CaseSpec, m: int, solver: SolverConfig, quad_order: int = 4):
+def solve_case_mesh(spec: CaseSpec, m: int, solver: SolverConfig):
     """Assemble and solve one mesh of a case; returns (blocks, state, report, b)."""
     grid = spec.grid(m)
-    coeffs = spec.coefficients(grid, quad_order=quad_order)
+    coeffs = spec.coefficients(grid)
     blocks = assemble_blocks(grid, spec.forest, coeffs)
     A, b = schur_tpfa(blocks)
     kernel = blocks.kernel() if blocks.is_singular else None
@@ -331,7 +328,6 @@ def run_case(
     spec: CaseSpec,
     meshes,
     solver: SolverConfig | None = None,
-    quad_order: int = 4,
     keep_states: bool = False,
 ) -> CaseResult:
     """Run a case over a doubling mesh sequence and collect errors.
@@ -364,9 +360,7 @@ def run_case(
         fine_solver = SolverConfig(
             tol=min(solver.tol, 1e-10), maxit=solver.maxit, amg=solver.amg
         )
-        fb, fstate, freport, _ = solve_case_mesh(
-            spec, resolution, fine_solver, quad_order
-        )
+        fb, fstate, freport, _ = solve_case_mesh(spec, resolution, fine_solver)
         reference = FineReference(blocks=fb, state=fstate, report=freport)
         reference_report = freport
     else:
@@ -375,7 +369,7 @@ def run_case(
     records, reports, check_list = [], [], []
     states = {}
     for m in meshes:
-        blocks, state, report, b = solve_case_mesh(spec, m, solver, quad_order)
+        blocks, state, report, b = solve_case_mesh(spec, m, solver)
         res_c, res_n = conservation_residual(blocks, state)
         check_list.append(
             MeshCheck(
@@ -387,7 +381,7 @@ def run_case(
                 rhs_l2=float(np.linalg.norm(b)),
             )
         )
-        records.append(error_norms(state, blocks, reference, m, quad_order))
+        records.append(error_norms(state, blocks, reference, m))
         reports.append(report)
         if keep_states:
             states[m] = (blocks, state)

@@ -160,7 +160,7 @@ class CaseSpec:
         )
         return CartesianGrid(cells, extent=self.extent, origin=self.origin)
 
-    def coefficients(self, grid: CartesianGrid, quad_order: int = 4) -> CoefficientField:
+    def coefficients(self, grid: CartesianGrid) -> CoefficientField:
         kD = np.broadcast_to(np.asarray(self.kD), (grid.n_cells, grid.dim)).copy()
         supports = [
             build_support(
@@ -171,7 +171,6 @@ class CaseSpec:
                 t.kT0,
                 radial_axes=t.radial_axes,
                 compartment=t.compartment,
-                quad_order=quad_order,
             )
             for t in self.transfers
         ]
@@ -192,7 +191,6 @@ class CaseSpec:
                 range(grid.dim),
                 lambda r: ring_profile(r, s.rD0, s.r2, s.r3),
                 breaks=(s.r2, s.r3),
-                quad_order=quad_order,
                 subdiv=SOURCE_SUBDIV,
             )
         return CoefficientField(

@@ -1,30 +1,24 @@
 """Tensor-product Gauss-Legendre quadrature on Cartesian cells.
 
 Cell data (transfer coefficients, source densities) are represented by
-cell averages computed with a fixed-order rule.  An accuracy order of
-``2m`` maps to ``m`` Gauss points per axis, so the default order 4 uses
-2 points per axis.
+cell averages computed with the fourth-order base rule, ``BASE_POINTS``
+= 2 Gauss points per axis.  Rules are given by their Gauss points per
+axis.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-
-def gauss_points_per_axis(order: int) -> int:
-    """Number of Gauss points per axis for a requested accuracy order."""
-    if order < 1:
-        raise ValueError(f"quadrature order must be >= 1, got {order}")
-    return max(1, (order + 1) // 2)
+BASE_POINTS = 2
 
 
-def reference_rule(dim: int, order: int = 4):
-    """Tensor-product rule on the reference cell [-1/2, 1/2]^dim.
+def reference_rule(dim: int, npts: int):
+    """Tensor-product rule of ``npts`` Gauss points per axis on [-1/2, 1/2]^dim.
 
     Returns (points, weights) with points of shape (npts, dim) and
     weights summing to 1, so that cell averages are plain weighted sums.
     """
-    npts = gauss_points_per_axis(order)
     x1, w1 = np.polynomial.legendre.leggauss(npts)
     x1 = 0.5 * x1  # map [-1, 1] -> [-1/2, 1/2]
     w1 = 0.5 * w1  # unit total weight per axis
@@ -37,7 +31,7 @@ def reference_rule(dim: int, order: int = 4):
     return points, weights
 
 
-def composite_rule(dim: int, order: int = 4, subdiv=1):
+def composite_rule(dim: int, npts: int, subdiv=1):
     """Reference rule applied on a per-axis subdivision of the cell.
 
     ``subdiv`` is an int or per-axis tuple of subcell counts.  Weights
@@ -45,7 +39,7 @@ def composite_rule(dim: int, order: int = 4, subdiv=1):
     cutoffs) crossing a cell, where a single fixed-order rule stalls.
     """
     subdiv = np.broadcast_to(np.asarray(subdiv, dtype=int), (dim,))
-    base_pts, base_w = reference_rule(dim, order)
+    base_pts, base_w = reference_rule(dim, npts)
     axes = []
     for a in range(dim):
         s = subdiv[a]
@@ -57,14 +51,13 @@ def composite_rule(dim: int, order: int = 4, subdiv=1):
     return pts.reshape(-1, dim), w
 
 
-def cell_points(centers: np.ndarray, spacing, order: int = 4):
-    """Quadrature points and weights for a batch of cells.
+def cell_points(centers: np.ndarray, spacing):
+    """Base-rule quadrature points and weights for a batch of cells.
 
     Parameters
     ----------
     centers : (ncells, dim) array of cell centers
     spacing : per-axis cell widths
-    order : accuracy order of the tensor-product rule
 
     Returns
     -------
@@ -73,7 +66,7 @@ def cell_points(centers: np.ndarray, spacing, order: int = 4):
     """
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     spacing = np.asarray(spacing, dtype=float)
-    ref, w = reference_rule(centers.shape[1], order)
+    ref, w = reference_rule(centers.shape[1], BASE_POINTS)
     pts = centers[:, None, :] + ref[None, :, :] * spacing[None, None, :]
     return pts, w
 

@@ -103,7 +103,9 @@ def solve_constants(params: RadialParams) -> RadialSolution:
     For r0 < r1 the three matching conditions (pressure continuity at
     r0, flux continuity at r0 and at r1) form a 3x3 linear system for
     (cI, cJ, cY).  For r0 == r1 the middle region is empty and cI
-    follows from flux continuity alone.
+    follows from flux continuity alone.  A kT0 so large that the
+    modified Bessel terms at kappa0*r0 overflow double precision (above
+    about 1.2e7 for case 1) raises ValueError.
     """
     p = params
     kD, kN, rD0 = p.kD, p.kN, p.rD0
@@ -137,8 +139,12 @@ def solve_constants(params: RadialParams) -> RadialSolution:
         )
         rhs = np.array([0.0, 0.0, -qN / (2.0 * math.pi * p.r1)])
         # The Bessel columns span tens of decades at large kT0: equilibrate
-        # them before judging the conditioning.
-        scale = np.linalg.norm(mat, axis=0)
+        # them before judging the conditioning.  Past the double range the
+        # column norms overflow, and the system is refused.
+        with np.errstate(over="ignore"):
+            scale = np.linalg.norm(mat, axis=0)
+        if not np.all(np.isfinite(scale)):
+            raise _overflow_error(p, kappa0)
         cond = np.linalg.cond(mat / scale)
         if not np.isfinite(cond) or cond > 1e14:
             raise ValueError(f"singular matching system (condition number {cond:.3e})")
@@ -149,8 +155,12 @@ def solve_constants(params: RadialParams) -> RadialSolution:
         kappa1 = 0.0
         nu = 0.0
         cJ = cY = 0.0
-        cI = -qN / (2.0 * math.pi * p.r1 * kD * kappa0 * bessel("I", 1, kappa0 * p.r1))
-        p_r1 = pN1 + cI * bessel("I", 0, kappa0 * p.r1)
+        flux = 2.0 * math.pi * p.r1 * kD * kappa0 * bessel("I", 1, kappa0 * p.r1)
+        i0 = bessel("I", 0, kappa0 * p.r1)
+        if not (math.isfinite(flux) and math.isfinite(i0)):
+            raise _overflow_error(p, kappa0)
+        cI = -qN / flux
+        p_r1 = pN1 + cI * i0
 
     c4 = (rD0 / kD) * (p.r3**4 / 12.0 - p.r2 * p.r3**3 / 6.0)
     p_r2 = p_r1 - qN / (2.0 * math.pi * kD) * math.log(p.r2 / p.r1)
@@ -171,6 +181,13 @@ def solve_constants(params: RadialParams) -> RadialSolution:
         p_r1=p_r1,
         p_r2=p_r2,
         p_r3=p_r3,
+    )
+
+
+def _overflow_error(p: RadialParams, kappa0: float) -> ValueError:
+    return ValueError(
+        f"kT0 = {p.kT0:.3g} is too large for the radial reference: the "
+        f"modified Bessel terms at kappa0*r0 = {kappa0 * p.r0:.4g} overflow"
     )
 
 

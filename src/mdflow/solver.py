@@ -9,7 +9,9 @@ aggregates built by greedy pairwise matching on the strength graph
 reach size ~4; leftovers join their strongest aggregated neighbor.
 Everything is deterministic: aggregation seeds scan unknowns in their
 natural (lexicographic) order and Gauss-Seidel sweeps forward in that
-order before correction and backward after it.
+order before correction and backward after it.  Each level factors
+tril(A) once; since the operator is symmetric, triu(A) = tril(A)^T and
+the backward sweep is the transposed solve with that forward factor.
 """
 
 from __future__ import annotations
@@ -29,12 +31,15 @@ class AggregationStallError(RuntimeError):
     """Coarsening made essentially no progress on two consecutive levels."""
 
 
+# pairwise matching passes per level (aggregates of ~2^NPASSES unknowns)
+NPASSES = 2
+MAX_LEVELS = 30
+
+
 @dataclass
 class AmgConfig:
     theta: float = 0.08
     coarse_size: int = 32
-    max_levels: int = 30
-    npasses: int = 2  # pairwise matching passes per level
 
 
 @dataclass
@@ -45,7 +50,7 @@ class SolverConfig:
 
 
 class _Level:
-    """One multigrid level: operator, smoother factors, optional transfer."""
+    """One multigrid level: operator, smoother factor, optional transfer."""
 
     def __init__(self, A: sp.csr_matrix):
         self.A = A
@@ -57,16 +62,13 @@ class _Level:
         self._lower = spla.splu(
             sp.tril(A, 0).tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0
         )
-        self._upper = spla.splu(
-            sp.triu(A, 0).tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0
-        )
         self._dense = None  # (eigvals, eigvecs) kernel-aware coarse factorization
 
     def gs_forward(self, b, x):
         return x + self._lower.solve(b - self.A @ x)
 
     def gs_backward(self, b, x):
-        return x + self._upper.solve(b - self.A @ x)
+        return x + self._lower.solve(b - self.A @ x, trans="T")
 
     def factor_dense(self):
         lam, V = np.linalg.eigh(self.A.toarray())
@@ -93,14 +95,13 @@ class AmgHierarchy:
 
 def _strength_graph(A: sp.csr_matrix, theta: float) -> sp.csr_matrix:
     """Off-diagonal entries passing |a_ij| >= theta sqrt(a_ii a_jj), as |a_ij|."""
-    coo = A.tocoo()
-    d = np.abs(A.diagonal())
-    off = coo.row != coo.col
-    mag = np.abs(coo.data)
-    strong = off & (mag > 0) & (mag >= theta * np.sqrt(d[coo.row] * d[coo.col]))
-    S = sp.csr_matrix(
-        (mag[strong], (coo.row[strong], coo.col[strong])), shape=A.shape
-    )
+    S = abs(A)
+    d = S.diagonal()
+    rows = np.repeat(np.arange(S.shape[0]), np.diff(S.indptr))
+    cols = S.indices
+    weak = (rows == cols) | (S.data < theta * np.sqrt(d[rows] * d[cols]))
+    S.data[weak] = 0.0
+    S.eliminate_zeros()
     S.sort_indices()
     return S
 
@@ -165,23 +166,23 @@ def _piecewise_constant(agg: np.ndarray) -> sp.csr_matrix:
 
 
 def _aggregate(A: sp.csr_matrix, config: AmgConfig):
-    """Compose pairwise passes into one level's aggregation map."""
-    n = A.shape[0]
-    agg = np.arange(n, dtype=np.int64)
+    """Compose pairwise passes into one level's aggregation map.
+
+    Returns (agg, Ac): the fine-to-coarse map, or None if nothing
+    aggregated, and the Galerkin coarse operator the passes formed.
+    """
+    agg = None
     Ac = A
-    progressed = False
-    for _ in range(config.npasses):
-        S = _strength_graph(Ac, config.theta)
-        sub = _match_pass(S)
+    for _ in range(NPASSES):
+        sub = _match_pass(_strength_graph(Ac, config.theta))
         if sub is None:
             break
-        agg = sub[agg]
+        agg = sub if agg is None else sub[agg]
         P = _piecewise_constant(sub)
         Ac = (P.T @ (Ac @ P)).tocsr()
-        progressed = True
         if Ac.shape[0] <= config.coarse_size:
             break
-    return (agg if progressed else None)
+    return agg, Ac
 
 
 def build_hierarchy(A, config: AmgConfig | None = None) -> AmgHierarchy:
@@ -189,29 +190,30 @@ def build_hierarchy(A, config: AmgConfig | None = None) -> AmgHierarchy:
 
     Coarsening stops at ``coarse_size`` unknowns (then solved by a dense
     kernel-aware eigendecomposition) or when aggregation stalls.  A
-    one-level hierarchy degenerates to pre/post smoothing around the
-    dense solve when the matrix is already small, and to the two
-    smoothing sweeps alone when nothing aggregates (e.g. a diagonal
-    matrix, for which Gauss-Seidel is exact anyway).
+    matrix already that small is solved by the dense factorization
+    alone; one where nothing aggregates (e.g. a diagonal matrix, for
+    which Gauss-Seidel is exact anyway) gets the two smoothing sweeps
+    alone.  A nonsymmetric matrix is rejected: the backward sweep
+    relies on triu(A) = tril(A)^T.
     """
     config = config or AmgConfig()
     A = sp.csr_matrix(A)
     if A.shape[0] != A.shape[1]:
         raise ValueError(f"non-square input {A.shape}")
+    if abs(A - A.T).max() > 1e-12 * abs(A).max():
+        raise ValueError(
+            "matrix is not symmetric: the backward Gauss-Seidel sweep "
+            "needs triu(A) = tril(A)^T"
+        )
     levels = [_Level(A)]
     poor_streak = 0
-    while (
-        levels[-1].A.shape[0] > config.coarse_size
-        and len(levels) < config.max_levels
-    ):
+    while levels[-1].A.shape[0] > config.coarse_size and len(levels) < MAX_LEVELS:
         fine = levels[-1]
         n = fine.A.shape[0]
-        agg = _aggregate(fine.A, config)
+        agg, Ac = _aggregate(fine.A, config)
         if agg is None:
             break
-        nc = int(agg.max()) + 1
-        if nc == n:
-            break
+        nc = Ac.shape[0]
         if nc > 0.95 * n:
             poor_streak += 1
             if poor_streak >= 2:
@@ -220,12 +222,10 @@ def build_hierarchy(A, config: AmgConfig | None = None) -> AmgHierarchy:
                 )
         else:
             poor_streak = 0
-        P = _piecewise_constant(agg)
-        Ac = (P.T @ (fine.A @ P)).tocsr()
         Ac.sort_indices()
         if np.any(Ac.diagonal() <= 0):
             break
-        fine.P = P
+        fine.P = _piecewise_constant(agg)
         fine.aggregates = agg
         levels.append(_Level(Ac))
     if levels[-1].A.shape[0] <= config.coarse_size:
@@ -250,20 +250,13 @@ def vcycle(hierarchy: AmgHierarchy, b: np.ndarray, x: np.ndarray | None = None):
 
 def _cycle(levels, l, b, x):
     lev = levels[l]
-    if l == len(levels) - 1:
-        if lev._dense is not None:
-            if l == 0:
-                # degenerate one-level form: smoothing around the direct solve
-                x = lev.gs_forward(b, x)
-                x = x + lev.coarse_solve(b - lev.A @ x)
-                return lev.gs_backward(b, x)
-            return lev.coarse_solve(b)
-        x = lev.gs_forward(b, x)
-        return lev.gs_backward(b, x)
+    if lev._dense is not None:
+        return lev.coarse_solve(b)
     x = lev.gs_forward(b, x)
-    r = b - lev.A @ x
-    ec = _cycle(levels, l + 1, lev.P.T @ r, np.zeros(lev.P.shape[1]))
-    x = x + lev.P @ ec
+    if l + 1 < len(levels):
+        r = b - lev.A @ x
+        ec = _cycle(levels, l + 1, lev.P.T @ r, np.zeros(lev.P.shape[1]))
+        x = x + lev.P @ ec
     return lev.gs_backward(b, x)
 
 

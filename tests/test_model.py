@@ -158,9 +158,9 @@ class TestCaseConfigText:
             case_from_text("[case]\nname = x\n")
 
 
-def _composite_average(centers, width, anchor, func, order, subdiv):
+def _composite_average(centers, width, anchor, func, npts, subdiv):
     """Per-box average of func(|x - anchor|) under a uniform composite rule."""
-    ref, w = composite_rule(centers.shape[1], order, subdiv)
+    ref, w = composite_rule(centers.shape[1], npts, subdiv)
     return np.array(
         [func(np.linalg.norm(c + ref * width - anchor, axis=1)) @ w for c in centers]
     )
@@ -176,7 +176,7 @@ def _distance_range(centers, width, anchor):
 
 
 def _check_refined_cells(values, centers, width, anchor, func, subdiv, fmax, sample=16):
-    """Refined cells agree with an independent order-8 reference.
+    """Refined cells agree with an independent 4-point Gauss reference.
 
     The reference subdivides every cell 4x finer than the finest
     sub-cell.  Each value may differ from it by 1e-6 of the field maximum
@@ -188,8 +188,8 @@ def _check_refined_cells(values, centers, width, anchor, func, subdiv, fmax, sam
     """
     pick = np.unique(np.linspace(0, len(values) - 1, sample).astype(int))
     centers, values = centers[pick], values[pick]
-    ref = _composite_average(centers, width, anchor, func, 8, 4 * subdiv)
-    uniform = _composite_average(centers, width, anchor, func, 4, subdiv)
+    ref = _composite_average(centers, width, anchor, func, 4, 4 * subdiv)
+    uniform = _composite_average(centers, width, anchor, func, 2, subdiv)
     assert np.all(np.abs(values - ref) <= np.abs(uniform - ref) + 1e-6 * fmax)
 
 
@@ -231,7 +231,7 @@ class TestCoefficientQuadrature:
             rD[cut], centers[cut], grid.spacing, anchor, func, SOURCE_SUBDIV, fmax
         )
         # uncut cells keep the base rule bit for bit
-        pts, w = grid.quadrature(order=4, cells=np.flatnonzero(~cut))
+        pts, w = grid.quadrature(cells=np.flatnonzero(~cut))
         base = func(np.sqrt(((pts - anchor) ** 2).sum(axis=2))) @ w
         assert np.array_equal(rD[~cut], base)
 

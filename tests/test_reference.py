@@ -163,6 +163,23 @@ class TestKT0Sweep:
         assert abs(transfer_balance(sol) + sol.qN) <= 1e-9 * scale
 
 
+class TestKT0Overflow:
+    """Past the double range of the Bessel terms the reference refuses loudly."""
+
+    @pytest.mark.parametrize("variant", ["A", "B"])
+    def test_largest_accepted(self, variant):
+        p = replace(CASE_A if variant == "A" else CASE_B, kT0=1.2e7)
+        sol = solve_constants(p)
+        assert abs(transfer_balance(sol) + sol.qN) <= 1e-9 * abs(sol.qN)
+
+    @pytest.mark.parametrize("variant", ["A", "B"])
+    @pytest.mark.parametrize("kT0", [1.3e7, 1e8])
+    def test_overflow_raises(self, variant, kT0):
+        p = replace(CASE_A if variant == "A" else CASE_B, kT0=kT0)
+        with pytest.raises(ValueError, match=r"kT0 = .*kappa0\*r0 = .* overflow"):
+            solve_constants(p)
+
+
 @pytest.fixture(params=["A", "B"])
 def sol(request):
     return solve_constants(CASE_A if request.param == "A" else CASE_B)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import spsolve_triangular
 
 from mdflow.assembly import assemble_blocks, schur_tpfa
 from mdflow.geometry import CartesianGrid
@@ -11,6 +12,9 @@ from mdflow.solver import (
     CONVERGED_SLACK,
     AmgConfig,
     SolverConfig,
+    _match_pass,
+    _piecewise_constant,
+    _strength_graph,
     build_hierarchy,
     fgmres,
     solve_pressure,
@@ -40,16 +44,14 @@ def poisson2d(m):
 class TestHierarchy:
     def test_path_graph_single_pass_by_hand(self):
         # greedy matching in natural order pairs (0,1)(2,3)(4,5)(6,7) on
-        # the fine level and (0,1)(2,3) on the next
-        hier = build_hierarchy(
-            path_laplacian(8), AmgConfig(coarse_size=2, npasses=1)
-        )
-        assert hier.nlevels == 3
-        assert hier.levels[0].aggregates.tolist() == [0, 0, 1, 1, 2, 2, 3, 3]
-        assert hier.levels[1].aggregates.tolist() == [0, 0, 1, 1]
-        assert [l.A.shape[0] for l in hier.levels] == [8, 4, 2]
-        assert hier.grid_complexity == pytest.approx(14 / 8)
-        assert hier.grid_complexity < 2
+        # the path and (0,1)(2,3) on its 4x4 Galerkin coarse operator
+        A = path_laplacian(8)
+        agg = _match_pass(_strength_graph(A, 0.08))
+        assert agg.tolist() == [0, 0, 1, 1, 2, 2, 3, 3]
+        P = _piecewise_constant(agg)
+        Ac = (P.T @ A @ P).tocsr()
+        assert Ac.shape == (4, 4)
+        assert _match_pass(_strength_graph(Ac, 0.08)).tolist() == [0, 0, 1, 1]
 
     def test_path_graph_double_pass_quadruplets(self):
         # two pairwise passes build quadruplets; the singular 2x2 coarse
@@ -79,6 +81,32 @@ class TestHierarchy:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError, match="non-square"):
             build_hierarchy(sp.csr_matrix(np.ones((3, 4))))
+
+    def test_nonsymmetric_rejected(self):
+        A = np.array([[2.0, -1.0, 0.0], [0.0, 2.0, -1.0], [0.0, -0.5, 2.0]])
+        with pytest.raises(ValueError, match="not symmetric"):
+            build_hierarchy(sp.csr_matrix(A))
+        # rounding-level asymmetry is accepted
+        S = 0.5 * (A + A.T)
+        S[0, 1] += 1e-15
+        assert build_hierarchy(sp.csr_matrix(S)).nlevels == 1
+
+    def test_backward_sweep_is_upper_gauss_seidel(self):
+        # the transposed solve with the tril factor is Gauss-Seidel on
+        # triu(A) on every level
+        spec = case1("A")
+        grid = spec.grid(32)
+        A, _ = schur_tpfa(assemble_blocks(grid, spec.forest, spec.coefficients(grid)))
+        hier = build_hierarchy(A)
+        assert hier.nlevels > 2
+        rng = np.random.default_rng(0)
+        for lev in hier.levels:
+            n = lev.A.shape[0]
+            b, x = rng.standard_normal(n), rng.standard_normal(n)
+            upper = sp.triu(lev.A, format="csr")
+            expected = x + spsolve_triangular(upper, b - lev.A @ x, lower=False)
+            got = lev.gs_backward(b, x)
+            assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
 
     def test_zero_diagonal_rejected(self):
         A = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
