@@ -26,7 +26,7 @@ from .assembly import export_state_csv, read_matrix_market
 from .harness import _atomic_write, emit_tables, run_case, solve_case_mesh
 from .model import builtin_case, case_from_text
 from .reference import profile_table, solve_constants
-from .solver import AmgConfig, SolveReport, SolverConfig, solve_pressure
+from .solver import CYCLES, AmgConfig, SolveReport, SolverConfig, solve_pressure
 
 
 class _CliError(Exception):
@@ -42,7 +42,9 @@ def _solver_config(args) -> SolverConfig:
     return SolverConfig(
         tol=args.tol,
         maxit=args.maxit,
-        amg=AmgConfig(theta=args.theta, coarse_size=args.coarse_size),
+        amg=AmgConfig(
+            theta=args.theta, coarse_size=args.coarse_size, cycle=args.cycle
+        ),
     )
 
 
@@ -62,6 +64,11 @@ def _outdir(args) -> str:
     return args.out or os.environ.get("MDFLOW_OUT") or "."
 
 
+def _add_cycle(p):
+    p.add_argument("--cycle", default="K", choices=CYCLES,
+                   help="multigrid cycle: K (default) or V, the paper's V(1,1)")
+
+
 def _add_common(p, default_meshes):
     p.add_argument("--meshes", default=default_meshes,
                    help=f"comma-separated 1/h values (default {default_meshes})")
@@ -73,6 +80,7 @@ def _add_common(p, default_meshes):
                    help="aggregation strength threshold")
     p.add_argument("--coarse-size", type=int, default=32,
                    help="direct-solve threshold for the coarsest level")
+    _add_cycle(p)
     p.add_argument("--no-timings", action="store_true",
                    help="zero the timing columns (golden-file testing)")
     p.add_argument("--export-states", action="store_true",
@@ -105,6 +113,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--maxit", type=int, default=500)
     p.add_argument("--theta", type=float, default=0.08)
     p.add_argument("--coarse-size", type=int, default=32)
+    _add_cycle(p)
     p.add_argument("--no-timings", action="store_true")
     p.add_argument("--out", default=None)
 

@@ -26,6 +26,14 @@ class TestValidation:
     def test_missing_config_file(self, capsys, tmp_path):
         assert main(["custom", "--config", str(tmp_path / "nope.cfg")]) == 1
 
+    def test_unknown_cycle_exits_1(self, capsys, tmp_path):
+        for argv in (["case1a", "--meshes", "8"],
+                     ["solve", "--matrix", "A.mtx", "--rhs", "b.txt"]):
+            assert main([*argv, "--cycle", "W", "--out", str(tmp_path)]) == 1
+            err = capsys.readouterr().err
+            assert "--cycle: invalid choice" in err and "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+
 
 class TestReferenceCommand:
     def test_writes_profile_csv(self, tmp_path):
@@ -93,6 +101,15 @@ class TestCaseCommands:
         assert conv.startswith("variable,inv_h,errD,rateD")
         solver = (tmp_path / "case1a_solver.csv").read_text().splitlines()
         assert len(solver) == 3
+
+    def test_cycle_flag_reaches_solver(self, tmp_path):
+        niter = {}
+        for cycle in ("V", "K"):
+            assert main(["case1a", "--meshes", "16", "--cycle", cycle,
+                         "--no-timings", "--out", str(tmp_path / cycle)]) == 0
+            row = (tmp_path / cycle / "case1a_solver.csv").read_text().splitlines()[1]
+            niter[cycle] = int(row.split(",")[4])
+        assert niter == {"V": 17, "K": 14}
 
     def test_byte_identical_rerun_with_no_timings(self, tmp_path):
         args = ["case1b", "--meshes", "8,16", "--tol", "1e-8", "--no-timings"]
