@@ -351,10 +351,11 @@ def transfer_profile(r, r0: float, r1: float, kT0: float):
     return out
 
 
-# Finest sub-cell count per radial axis when a support cell cut by a kink
-# circle is refined: h/32 with up to two radial axes, h/4 with three or more.
-SUPPORT_SUBDIV_PLANAR = 32
+# Finest sub-cell count per radial axis when a support cell with three or
+# more radial axes is cut by a kink circle and refined.
 SUPPORT_SUBDIV_SPATIAL = 4
+# Gauss points per piece of the r-integral of `taper_cell_average`.
+PIECE_POINTS = 12
 # Gauss points per radial axis on boxes where the profile is smooth.
 SMOOTH_POINTS = 6
 # Batch sizes that bound the memory of one call to a few tens of MB.
@@ -489,7 +490,9 @@ def radial_cell_average(
     - Every other cell takes the 2-point Gauss base rule per radial axis.
 
     Points are evaluated in fixed-size batches, so memory stays bounded
-    whatever the number of cells.
+    whatever the number of cells.  This rule serves the ring source and
+    supports with three or more radial axes; supports with one or two
+    radial axes use the exact-in-r `taper_cell_average` instead.
     """
     cells = np.asarray(cells, dtype=np.int64)
     axes = list(axes)
@@ -503,55 +506,140 @@ def radial_cell_average(
     )
 
 
-def _disc_strip_area(R: float, x0: float, x1: float, y0: float, y1: float) -> float:
-    """Exact area of {x^2 + y^2 <= R^2} within the box [x0,x1] x [y0,y1].
+def _arc(t, r):
+    """Integral of sqrt(r^2 - s^2) over s in [0, t], for |t| <= r."""
+    root = np.sqrt(np.maximum(r * r - t * t, 0.0))
+    return 0.5 * (t * root + r * r * np.arcsin(t / r))
 
-    Integrates the clipped vertical extent of the disc in closed form,
-    splitting at the abscissae where the circle crosses the horizontal
-    box edges so every piece is analytic.
+
+# Inclusion-exclusion signs of the box corners, indexed (upper y, upper x).
+_CORNER_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])[:, :, None, None]
+
+
+def _ball_measure(lo, hi, r):
+    """Measure of the ball of radius r about 0 within the boxes [lo, hi].
+
+    ``lo`` and ``hi`` have shape (p, 1, dim) and ``r`` shape (p, q): q
+    radii per box.  With one axis this is the clipped overlap length.
+    With two it is the inclusion-exclusion sum over the box corners
+    (X, Y) of the disc area within [0, X] x [0, Y], which is odd in X
+    and in Y: with x = min(|X|, r) and m = min(sqrt(r^2 - Y^2), x), that
+    area is sign(XY) (|Y| m + arc(x) - arc(m)).  The arc(x) terms cancel
+    unless the box straddles Y = 0.  Round-off below 0 is clamped.
     """
-    lo, hi = max(x0, -R), min(x1, R)
-    if lo >= hi:
-        return 0.0
+    if lo.shape[-1] == 1:
+        return np.clip(hi[..., 0], -r, r) - np.clip(lo[..., 0], -r, r)
+    X = np.stack([lo[..., 0], hi[..., 0]])
+    Y = np.stack([lo[..., 1], hi[..., 1]])
+    x = np.clip(X, -r, r)
+    m = np.minimum(np.abs(x), np.sqrt(np.maximum(r * r - Y * Y, 0.0))[:, None])
+    sy = np.sign(Y)
+    sign = sy[:, None] * np.sign(X) * _CORNER_SIGNS
+    area = (sign * (np.abs(Y)[:, None] * m - _arc(m, r))).sum(axis=(0, 1))
+    k = np.flatnonzero(sy[0] != sy[1])
+    ends = _arc(x[:, k], r[k])
+    area[k] += (ends[1] - ends[0]) * (sy[1, k] - sy[0, k])
+    return np.maximum(area, 0.0)
 
-    def F(x):
-        x = min(max(x, -R), R)
-        return 0.5 * (x * np.sqrt(max(R * R - x * x, 0.0)) + R * R * np.arcsin(x / R))
 
-    cuts = {lo, hi}
-    for yy in (y0, y1):
-        if abs(yy) < R:
-            xc = np.sqrt(R * R - yy * yy)
-            for t in (-xc, xc):
-                if lo < t < hi:
-                    cuts.add(t)
-    xs = sorted(cuts)
-    total = 0.0
-    for a, b in zip(xs, xs[1:]):
-        xm = 0.5 * (a + b)
-        s = np.sqrt(max(R * R - xm * xm, 0.0))
-        top_is_cap = s < y1
-        bot_is_cap = -s > y0
-        top_mid = s if top_is_cap else y1
-        bot_mid = -s if bot_is_cap else y0
-        if top_mid <= bot_mid:
+def _breakpoints(lo, hi):
+    """Radii at which `_ball_measure` of each box is not smooth, one row per box.
+
+    The distances to the edge lines (entries where the circle touches a
+    line outside the box read 0) and, with two axes, to the corners.
+    """
+    ends = np.abs(np.hstack([lo, hi]))
+    if lo.shape[1] == 1:
+        return ends
+    # a circle touches the line x = X at (X, 0), which is on the box's
+    # edge only if the box straddles y = 0, and likewise for y = Y
+    tangent = np.tile(((lo < 0.0) & (hi > 0.0))[:, ::-1], 2)
+    corners = np.hypot(ends[:, [0, 0, 2, 2]], ends[:, [1, 3, 1, 3]])
+    return np.hstack([np.where(tangent, ends, 0.0), corners])
+
+
+@functools.lru_cache(maxsize=1)
+def _piece_rule():
+    """Gauss rule in t on [0, 1] under the substitution u = 3t^2 - 2t^3.
+
+    Returns u at the nodes and du/dt times the weights, read-only.  The
+    substitution flattens both ends of a piece, where the ball measure
+    behaves like (r - d)^(3/2).
+    """
+    t, w = np.polynomial.legendre.leggauss(PIECE_POINTS)
+    t, w = 0.5 * (t + 1.0), 0.5 * w
+    rule = (t * t * (3.0 - 2.0 * t), 6.0 * t * (1.0 - t) * w)
+    for arr in rule:
+        arr.flags.writeable = False
+    return rule
+
+
+def _taper_average(centers, width, anchor, r0: float, r1: float, kT0: float):
+    """`taper_cell_average` on boxes given in the radial subspace."""
+    n, dim = centers.shape
+    vol = float(np.prod(width))
+    u, du = _piece_rule()
+    out = np.empty(n)
+    # a box has at most 9 pieces between its breakpoints, and each point
+    # is evaluated at the box's 4 corners
+    step = max(1, _CHUNK_POINTS // (9 * 4 * PIECE_POINTS))
+    for s in range(0, n, step):
+        lo = centers[s : s + step] - 0.5 * width - anchor
+        hi = lo + width
+        dmin, dmax = _distance_range(centers[s : s + step], 0.5 * width, anchor)
+        if r0 == r1:
+            area = _ball_measure(lo[:, None], hi[:, None], np.full((len(lo), 1), r0))
+            frac = np.where(dmax <= r0, 1.0, area[:, 0] / vol)
+            out[s : s + step] = np.where(dmin < r0, kT0 * frac, 0.0)
             continue
-        total += (F(b) - F(a)) if top_is_cap else y1 * (b - a)
-        total -= -(F(b) - F(a)) if bot_is_cap else y0 * (b - a)
-    return total
-
-
-def _disc_fractions(centers, width, center, radius: float):
-    """Covered-area fraction of a disc for 2D boxes; exact for cut boxes."""
-    dmin, dmax = _distance_range(centers, 0.5 * width, center)
-    out = (dmax <= radius).astype(float)
-    hx, hy = width
-    for i in np.flatnonzero((dmin < radius) & (radius < dmax)):
-        x, y = centers[i] - center
-        out[i] = _disc_strip_area(
-            radius, x - hx / 2, x + hx / 2, y - hy / 2, y + hy / 2
-        ) / (hx * hy)
+        a = np.maximum(r0, dmin)[:, None]
+        b = np.minimum(r1, dmax)[:, None]
+        knots = np.log(np.sort(np.clip(np.hstack([_breakpoints(lo, hi), a, b]), a, b)))
+        own, k = np.nonzero(knots[:, 1:] > knots[:, :-1])
+        la, lb = knots[own, k], knots[own, k + 1]
+        # int A r^-3 dr = int A r^-2 d(log r), whose integrand is smooth
+        # over wide pieces and constant where A = pi r^2
+        r = np.exp(la[:, None] + (lb - la)[:, None] * u)
+        f = _ball_measure(lo[own, None], hi[own, None], r) / (r * r) @ du
+        inner = np.bincount(own, f * (lb - la), minlength=len(lo)) / vol
+        tail = np.where(dmax < r1, 0.5 / np.maximum(r0, dmax) ** 2 - 0.5 / r1**2, 0.0)
+        scale = 2.0 * kT0 * (r0 * r1) ** 2 / (r1**2 - r0**2)  # 2 kT0 a0^2 r1^2
+        out[s : s + step] = scale * (inner + tail)
     return out
+
+
+def taper_cell_average(grid: "CartesianGrid", cells, anchor, axes, radii, kT0: float):
+    """Cell averages of `transfer_profile` over one or two radial axes.
+
+    The average is exact in r: integrating by parts,
+
+        int_cell kT = -int_{r0}^{r1} kT'(r) A(r) dr
+                    = 2 kT0 a0^2 r1^2 int_{r0}^{r1} A(r) r^-3 dr,
+
+    where A(r) is the measure of the ball of radius r about the anchor
+    inside the cell, in closed form (`_ball_measure`).  The r-integral
+    runs up to the cell's farthest point, where A reaches the cell
+    volume and the rest is analytic; it is split at the radii where A
+    is not smooth (`_breakpoints`) and each piece takes a
+    ``PIECE_POINTS``-point Gauss rule in log r under a substitution that
+    flattens both ends.
+    The sharp cutoff (r0 == r1) is kT0 A(r0) / |cell|.  Cells are
+    evaluated in fixed-size batches, so memory stays bounded.
+    """
+    cells = np.asarray(cells, dtype=np.int64)
+    axes = list(axes)
+    if not 1 <= len(axes) <= 2:
+        raise ValueError(f"exact-in-r averages need one or two radial axes, got {axes}")
+    r0, r1 = radii
+    transfer_profile(0.0, r0, r1, kT0)  # validates the profile parameters
+    return _taper_average(
+        grid.cell_centers()[cells][:, axes],
+        grid.spacing[axes],
+        np.asarray(anchor, dtype=float),
+        r0,
+        r1,
+        kT0,
+    )
 
 
 def disc_cell_fractions(grid: "CartesianGrid", cells, center, radius: float):
@@ -559,8 +647,9 @@ def disc_cell_fractions(grid: "CartesianGrid", cells, center, radius: float):
     if grid.dim != 2:
         raise ValueError("exact disc overlap is implemented for 2D grids")
     cells = np.asarray(cells, dtype=np.int64)
-    return _disc_fractions(
-        grid.cell_centers()[cells], grid.spacing, np.asarray(center, dtype=float), radius
+    return _taper_average(
+        grid.cell_centers()[cells], grid.spacing, np.asarray(center, dtype=float),
+        radius, radius, 1.0,
     )
 
 
@@ -610,31 +699,44 @@ def build_support(
     """Evaluate the scaled transfer coefficient around a terminal anchor.
 
     The distance to the anchor is measured over ``radial_axes`` only
-    (default: all axes), so a 4D grid can carry supports that are radial
-    in space and constant through the extra axis.  ``compartment`` is an
-    optional (axis, 'lower' | 'upper') pair confining the support to one
-    side of that axis's midpoint; it enters as each cell's exact volume
-    fraction on that side.
+    (default: all axes; distinct axes of the grid), so a 4D grid can
+    carry supports that are radial in space and constant through the
+    extra axis.  ``compartment`` is an optional (axis, 'lower' | 'upper')
+    pair confining the support to one side of that axis's midpoint; it
+    enters as each cell's exact volume fraction on that side.
 
-    The per-cell transfer coefficient is the average of kT(x) under
-    `radial_cell_average` with the taper annulus [r0, r1] as its band:
-    cells the kink circles r0 or r1 cut are refined adaptively towards
-    the circles, to ``SUPPORT_SUBDIV_PLANAR`` finest sub-cells per axis
-    for up to two radial axes and ``SUPPORT_SUBDIV_SPATIAL`` for more,
-    and uncut cells in the annulus take a 6-point Gauss rule, so the
-    coupling conductance the scheme sees is resolved well below
-    discretization error.  With two radial axes the sharp cutoff
-    (r0 == r1) uses exact disc overlaps instead.  The candidate cells
-    are the box of cells within r1 of the anchor along every radial
-    axis; the quadrature runs once per distinct radial cell and is
-    broadcast along the other axes.  The stored scaled coefficient is
-    the cellwise square root of the average; cells where it vanishes are
-    excluded.  The support is truncated at the domain boundary without
+    The per-cell transfer coefficient is the cell average of kT(x).
+    With one or two radial axes it comes from `taper_cell_average`,
+    which is exact in r: an integration by parts turns the cell integral
+    into a one-dimensional integral over the cell's disc (or interval)
+    measure, evaluated piecewise to round-off level, and the sharp
+    cutoff (r0 == r1) is the exact disc or interval overlap.  With three
+    or more radial axes it comes from `radial_cell_average` with the
+    taper annulus [r0, r1] as its band: cells the kink circles cut are
+    refined towards them to ``SUPPORT_SUBDIV_SPATIAL`` finest sub-cells
+    per axis, and uncut annulus cells take a 6-point Gauss rule.  Either
+    way the coupling conductance the scheme sees is resolved well below
+    discretization error.  The candidate cells are the box of cells
+    within r1 of the anchor along every radial axis; the average is
+    computed once per distinct radial cell and broadcast along the
+    other axes.  The stored scaled coefficient is the cellwise square
+    root of the average; cells where it vanishes are excluded.  The
+    support is truncated at the domain boundary without
     renormalization.
     """
     r0, r1 = radii
     anchor = np.asarray(anchor, dtype=float)
     axes = np.arange(grid.dim) if radial_axes is None else np.asarray(radial_axes)
+    if not (
+        axes.dtype.kind in "iu"
+        and axes.ndim == 1
+        and 0 < axes.size == np.unique(axes).size
+        and 0 <= axes.min()
+        and axes.max() < grid.dim
+    ):
+        raise ValueError(
+            f"radial_axes {radial_axes!r} must be distinct axes in 0..{grid.dim - 1}"
+        )
     if anchor.shape != (axes.size,):
         raise ValueError(
             f"anchor has {anchor.size} coordinates for {axes.size} radial axes"
@@ -661,19 +763,16 @@ def build_support(
     multi = np.indices(last - first + 1).reshape(axes.size, -1).T + first
     centers = lo + (multi + 0.5) * h
 
-    if r0 == r1 and axes.size == 2:
-        # sharp cutoff: quadrature of an indicator converges poorly, but
-        # the disc-cell overlap has a closed form
-        kt = kT0 * _disc_fractions(centers, h, anchor, r1)
+    if axes.size <= 2:
+        kt = _taper_average(centers, h, anchor, r0, r1, kT0)
     else:
-        subdiv = SUPPORT_SUBDIV_PLANAR if axes.size <= 2 else SUPPORT_SUBDIV_SPATIAL
         kt = _box_average(
             centers,
             h,
             anchor,
             lambda r: transfer_profile(r, r0, r1, kT0),
             ((r0, r1),),
-            subdiv,
+            SUPPORT_SUBDIV_SPATIAL,
         )
     kt = kt.reshape(shape)
     if compartment is not None:

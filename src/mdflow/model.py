@@ -430,7 +430,8 @@ def case_from_text(text: str) -> CaseSpec:
                 comp = (int(axis), side.strip())
             axes = None
             if "radial_axes" in fields:
-                axes = tuple(int(x) for x in _parse_floats(fields["radial_axes"]))
+                axes = fields["radial_axes"].replace(",", " ").split()
+                axes = tuple(int(x) for x in axes)
             transfers.append(
                 TransferSpec(
                     terminal_id=int(fields["terminal"]),

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, outputs, determinism."""
 
 import numpy as np
+import pytest
 
 from mdflow.assembly import assemble_blocks, schur_tpfa, write_matrix_market
 from mdflow.cli import main
@@ -33,6 +34,24 @@ class TestValidation:
             err = capsys.readouterr().err
             assert "--cycle: invalid choice" in err and "Traceback" not in err
         assert not list(tmp_path.iterdir())
+
+
+    @pytest.mark.parametrize(
+        "axes, message",
+        [("5", "radial_axes (5,)"), ("0, 0", "radial_axes (0, 0)"), ("0.5", "'0.5'")],
+    )
+    def test_bad_radial_axes_exits_1(self, capsys, tmp_path, axes, message):
+        text = case_to_text(case1("A")).replace(
+            "kT0: 1.0\n", f"kT0: 1.0; radial_axes: {axes}\n", 1
+        )
+        cfg = tmp_path / "case.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert main(["custom", "--config", str(cfg), "--meshes", "8",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not out.exists() or not list(out.iterdir())
 
 
 class TestReferenceCommand:

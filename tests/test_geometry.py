@@ -1,11 +1,12 @@
 """Forest validation, incidence structure, grids, and support regions."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.integrate as si
 
 from mdflow.geometry import (
-    SUPPORT_SUBDIV_PLANAR,
     SUPPORT_SUBDIV_SPATIAL,
     CartesianGrid,
     build_forest,
@@ -18,6 +19,7 @@ from mdflow.geometry import (
     interior,
     neumann_root,
     radial_cell_average,
+    taper_cell_average,
     terminal,
     transfer_profile,
 )
@@ -300,6 +302,12 @@ class TestBuildSupport:
         with pytest.raises(ValueError, match="outside"):
             build_support(self.grid(), 1, (2.0, 0.0), (0.1, 0.2), 1.0)
 
+    @pytest.mark.parametrize("axes", [(5,), (0, 0), (-1,), ()])
+    def test_bad_radial_axes(self, axes):
+        anchor = (0.0,) * len(axes)
+        with pytest.raises(ValueError, match=r"radial_axes .* distinct axes in 0\.\.1"):
+            build_support(self.grid(), 1, anchor, (0.1, 0.2), 1.0, radial_axes=axes)
+
     def test_bad_radii(self):
         with pytest.raises(ValueError):
             build_support(self.grid(), 1, (0.0, 0.0), (0.3, 0.2), 1.0)
@@ -334,12 +342,13 @@ class TestBuildSupport:
 class TestSupportCandidates:
     @staticmethod
     def check_against_brute_force(grid, t):
-        """The support equals the quadrature evaluated at every cell.
+        """The support equals the cell averages evaluated at every cell.
 
-        The brute force evaluates `radial_cell_average` over all cells,
-        with no candidate box and no sharing of radial cells, and applies
-        the compartment by cell centre.  Its nonzero cells also all meet
-        the open ball of radius r1.
+        The brute force evaluates `taper_cell_average` (one or two radial
+        axes) or `radial_cell_average` (three) over all cells, with no
+        candidate box and no sharing of radial cells, and applies the
+        compartment by cell centre.  Its nonzero cells also all meet the
+        open ball of radius r1.
         """
         axes = list(range(grid.dim) if t.radial_axes is None else t.radial_axes)
         sup = build_support(
@@ -347,12 +356,14 @@ class TestSupportCandidates:
             radial_axes=t.radial_axes, compartment=t.compartment,
         )
         every = np.arange(grid.n_cells)
-        subdiv = SUPPORT_SUBDIV_PLANAR if len(axes) <= 2 else SUPPORT_SUBDIV_SPATIAL
-        kt = radial_cell_average(
-            grid, every, t.anchor, axes,
-            lambda r: transfer_profile(r, t.r0, t.r1, t.kT0),
-            breaks=((t.r0, t.r1),), subdiv=subdiv,
-        )
+        if len(axes) <= 2:
+            kt = taper_cell_average(grid, every, t.anchor, axes, (t.r0, t.r1), t.kT0)
+        else:
+            kt = radial_cell_average(
+                grid, every, t.anchor, axes,
+                lambda r: transfer_profile(r, t.r0, t.r1, t.kT0),
+                breaks=((t.r0, t.r1),), subdiv=SUPPORT_SUBDIV_SPATIAL,
+            )
         centers = grid.cell_centers()
         if t.compartment is not None:
             axis, side = t.compartment
@@ -404,6 +415,137 @@ class TestSupportCandidates:
                 grid, 1, (0.5, 0.5), (0.1, 0.2), 1.0,
                 radial_axes=(0, 1), compartment=compartment,
             )
+
+
+def _taper(r, r0, r1, kT0):
+    """transfer_profile at one radius, written out independently."""
+    if r <= r0:
+        return kT0
+    return kT0 * r0**2 / (r1**2 - r0**2) * (r1**2 - r**2) / r**2 if r <= r1 else 0.0
+
+
+def _circle_cuts(radii, c, lo, hi):
+    """Where the circles of `radii` about 0 meet the line through c, in (lo, hi)."""
+    cuts = (s * np.sqrt(R * R - c * c) for R in radii if abs(c) < R for s in (-1, 1))
+    return sorted(x for x in cuts if lo < x < hi)
+
+
+def _reference_average(box, anchor, r0, r1, kT0):
+    """Cell average of the taper profile by nested adaptive quadrature."""
+    (x0, x1), (y0, y1) = (np.asarray(box) - np.asarray(anchor)[:, None]).tolist()
+    radii = (r0, r1)
+    tol = dict(epsabs=1e-14 * kT0 * (y1 - y0), epsrel=1e-13, limit=200)
+
+    def column(x):
+        f = lambda y: _taper(np.hypot(x, y), r0, r1, kT0)
+        cuts = _circle_cuts(radii, x, y0, y1)
+        return si.quad(f, y0, y1, points=cuts or None, **tol)[0]
+
+    kinks = {x for y in (y0, y1) for x in _circle_cuts(radii, y, x0, x1)}
+    kinks |= {x for R in radii for x in (-R, R) if x0 < x < x1}
+    total = si.quad(column, x0, x1, points=sorted(kinks) or None, **tol)[0]
+    return total / ((x1 - x0) * (y1 - y0))
+
+
+def _taper_mass_2d(r0, r1, kT0):
+    a0sq = r0**2 / (r1**2 - r0**2)
+    return kT0 * np.pi * r0**2 + 2 * np.pi * kT0 * a0sq * (
+        r1**2 * np.log(r1 / r0) - (r1**2 - r0**2) / 2
+    )
+
+
+class TestTaperCellAverage:
+    """Exact-in-r cell averages of the taper profile over planar supports."""
+
+    @pytest.mark.parametrize(
+        "cells, extent, origin, anchor, radii",
+        [
+            ((128, 128), (1.0, 1.0), (0.0, 0.0), (0.3312, 0.5871), (0.01, 0.02)),
+            ((64, 64), (1.0, 1.0), (-0.5, -0.5), (0.0, 0.0), (0.1, 0.2)),  # case 1A
+            ((96, 40), (1.0, 1.0), (0.0, 0.0), (0.4713, 0.5189), (0.1, 0.2)),
+        ],
+    )
+    def test_total_mass_matches_closed_form(self, cells, extent, origin, anchor, radii):
+        kT0 = 2.5
+        g = CartesianGrid(cells, extent=extent, origin=origin)
+        sup = build_support(g, 1, anchor, radii, kT0)
+        mass = (sup.ks**2).sum() * g.cell_volume
+        assert mass == pytest.approx(_taper_mass_2d(*radii, kT0), rel=1e-11, abs=0.0)
+
+    def test_one_radial_axis_mass_matches_closed_form(self):
+        r0, r1, kT0 = 0.05, 0.15, 1.7
+        g = CartesianGrid((200, 3), extent=(1.0, 0.3))
+        sup = build_support(g, 1, (0.4813,), (r0, r1), kT0, radial_axes=(0,))
+        a0sq = r0**2 / (r1**2 - r0**2)
+        exact = 2 * kT0 * (r0 + a0sq * (r1**2 * (1 / r0 - 1 / r1) - (r1 - r0)))
+        mass = (sup.ks**2).sum() * g.cell_volume / 0.3
+        assert mass == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "cells, anchor, radii, pick",
+        [
+            # a support a few cells wide (r1/h = 2.6): the anchor cell and
+            # its neighbours
+            ((128, 128), (0.3312, 0.5871), (0.01, 0.02), "near"),
+            # anchor 1e-7 from a cell edge, r1 = 30 r0
+            ((64, 64), (0.5 + 1e-7, 0.4977), (0.01, 0.3), "near"),
+            # non-square cells, hy = 2.7 hx
+            ((128, 48), (0.3312, 0.5871), (0.01, 0.03), "near"),
+            # case 1A's support at 1/h = 512: cells at r/h >= 50, cut by r0,
+            # by r1 or by neither
+            ((512, 512), (0.5, 0.5), (0.1, 0.2), "far"),
+        ],
+    )
+    def test_cells_match_independent_reference(self, cells, anchor, radii, pick):
+        kT0 = 1.3
+        g = CartesianGrid(cells, extent=(1.0, 1.0))
+        centers = g.cell_centers()
+        dist = np.linalg.norm(centers - anchor, axis=1)
+        if pick == "near":
+            chosen = np.argsort(dist)[:9]
+        else:
+            h = g.spacing[0]
+            radii_at = (0.1, 0.1 + h / 3, 0.15, 0.2, 0.2 - h / 3)
+            chosen = [np.argmin(np.abs(dist - r)) for r in radii_at]
+            assert np.all(dist[chosen] >= 50 * h)
+        got = taper_cell_average(g, chosen, anchor, (0, 1), radii, kT0)
+        half = 0.5 * g.spacing
+        for value, c in zip(got, centers[chosen]):
+            box = np.stack([c - half, c + half], axis=1)
+            ref = _reference_average(box, anchor, *radii, kT0)
+            assert abs(value - ref) <= 1e-9 * kT0
+
+    def test_sharp_cutoff_matches_exact_overlap(self):
+        # case 1B at 1/h = 128 against the disc overlap by adaptive quadrature
+        spec = case1("B")
+        g = spec.grid(128)
+        (t,) = spec.transfers
+        (sup,) = spec.coefficients(g).supports
+        R, half = t.r1, 0.5 * g.spacing
+        for value, c in zip(sup.ks**2, g.cell_centers()[sup.cell_idx]):
+            (x0, y0), (x1, y1) = c - half, c + half
+            chord = lambda x: max(
+                0.0, min(y1, np.sqrt(max(R * R - x * x, 0.0)))
+                - max(y0, -np.sqrt(max(R * R - x * x, 0.0)))
+            )
+            kinks = {x for y in (y0, y1) for x in _circle_cuts((R,), y, x0, x1)}
+            kinks |= {x for x in (-R, R) if x0 < x < x1}
+            area = si.quad(chord, x0, x1, points=sorted(kinks) or None,
+                           epsabs=1e-16, epsrel=1e-14, limit=200)[0]
+            assert abs(value - t.kT0 * area / g.cell_volume) <= 1e-12 * t.kT0
+
+    def test_memory_bounded(self):
+        spec = case1("A")
+        g = spec.grid(1024)
+        (t,) = spec.transfers
+        tracemalloc.start()
+        try:
+            sup = build_support(g, 1, t.anchor, (t.r0, t.r1), t.kT0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sup.cell_idx.size > 130_000
+        assert peak < 32 * 2**20
 
 
 class TestDiscOverlap:

@@ -5,11 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mdflow.geometry import (
-    SUPPORT_SUBDIV_PLANAR,
-    SUPPORT_SUBDIV_SPATIAL,
-    transfer_profile,
-)
+from mdflow.geometry import SUPPORT_SUBDIV_SPATIAL, taper_cell_average, transfer_profile
 from mdflow.quadrature import composite_rule
 from mdflow.model import (
     SOURCE_SUBDIV,
@@ -178,13 +174,13 @@ def _distance_range(centers, width, anchor):
 def _check_refined_cells(values, centers, width, anchor, func, subdiv, fmax, sample=16):
     """Refined cells agree with an independent 4-point Gauss reference.
 
-    The reference subdivides every cell 4x finer than the finest
-    sub-cell.  Each value may differ from it by 1e-6 of the field maximum
-    more than the uniform rule at the finest sub-cell size does; that
-    allowance covers the kink error of the finest sub-cells, which both
-    rules share (up to 2.6e-6 of kT0 on case 1A at 1/h = 16 and 4.5e-4
-    on case 2 at 1/h = 8).  A fixed, evenly spread sample of cells keeps
-    the reference affordable.
+    The reference subdivides every cell 4x finer than ``subdiv``
+    sub-cells per axis.  Each value may differ from it by 1e-6 of the
+    field maximum more than the uniform 2-point rule on ``subdiv``
+    sub-cells does; that allowance covers the kink error of the finest
+    sub-cells, which a refined rule shares with the references (up to
+    4.5e-4 of kT0 on case 2 at 1/h = 8).  A fixed, evenly spread sample
+    of cells keeps the reference affordable.
     """
     pick = np.unique(np.linspace(0, len(values) - 1, sample).astype(int))
     centers, values = centers[pick], values[pick]
@@ -201,17 +197,18 @@ class TestCoefficientQuadrature:
         spec = case1("A")
         grid = spec.grid(m)
         (t,) = spec.transfers
-        (sup,) = spec.coefficients(grid).supports
-        centers = grid.cell_centers()[sup.cell_idx]
+        every = np.arange(grid.n_cells)
+        kt = taper_cell_average(grid, every, t.anchor, (0, 1), (t.r0, t.r1), t.kT0)
+        centers = grid.cell_centers()
         dmin, dmax = _distance_range(centers, grid.spacing, t.anchor)
         refined = (dmin <= t.r1) & (t.r0 <= dmax)
         _check_refined_cells(
-            sup.ks[refined] ** 2,
+            kt[refined],
             centers[refined],
             grid.spacing,
             np.asarray(t.anchor),
             lambda r: transfer_profile(r, t.r0, t.r1, t.kT0),
-            SUPPORT_SUBDIV_PLANAR,
+            32,
             t.kT0,
         )
 
