@@ -81,13 +81,6 @@ class Forest:
     def n_trees(self) -> int:
         return len(set(self.tree_of.values())) if self.tree_of else 0
 
-    def node(self, node_id: int) -> Node:
-        return self._by_id[node_id]
-
-    @property
-    def _by_id(self) -> dict[int, Node]:
-        return {n.id: n for n in self.nodes}
-
     def nodes_of_kind(self, kind: NodeKind) -> tuple[Node, ...]:
         return tuple(n for n in self.nodes if n.kind == kind)
 
@@ -228,19 +221,14 @@ class CartesianGrid:
     active region (zero-Neumann faces, eliminated from the system).
     """
 
-    def __init__(self, cells, extent=None, spacing=None, origin=None, mask=None):
+    def __init__(self, cells, extent, origin=None, mask=None):
         self.cells = tuple(int(c) for c in cells)
         self.dim = len(self.cells)
         if not 2 <= self.dim <= 4:
             raise ValueError(f"grid dimension must be in 2..4, got {self.dim}")
         if any(c < 1 for c in self.cells):
             raise ValueError("cell counts must be positive")
-        if (extent is None) == (spacing is None):
-            raise ValueError("give exactly one of extent or spacing")
-        if spacing is None:
-            self.spacing = np.asarray(extent, dtype=float) / np.asarray(self.cells)
-        else:
-            self.spacing = np.asarray(spacing, dtype=float)
+        self.spacing = np.asarray(extent, dtype=float) / np.asarray(self.cells)
         if np.any(self.spacing <= 0):
             raise ValueError("spacings must be positive")
         self.origin = (
@@ -467,8 +455,8 @@ def radial_cell_average(
     anchor,
     axes,
     func,
-    breaks=(),
-    subdiv: int = 8,
+    breaks,
+    subdiv: int,
 ):
     """Quadrature cell averages of a radial profile over selected cells.
 
@@ -834,6 +822,8 @@ def forest_from_text(text: str) -> Forest:
                 raise ValueError(f"bad header line: {raw!r}")
             header = (int(tok[1]), int(tok[3]))
         elif tok[0] == "node":
+            if len(tok) < 3 or (tok[2] == "dirichlet" and len(tok) < 4):
+                raise ValueError(f"short node line: {raw!r}")
             nid, kind = int(tok[1]), tok[2]
             if kind == "dirichlet":
                 nodes.append(dirichlet_root(nid, float(tok[3])))
@@ -846,6 +836,8 @@ def forest_from_text(text: str) -> Forest:
             else:
                 raise ValueError(f"unknown node kind {kind!r}")
         elif tok[0] == "edge":
+            if len(tok) < 4:
+                raise ValueError(f"short edge line: {raw!r}")
             edges.append((int(tok[1]), int(tok[2]), float(tok[3])))
         else:
             raise ValueError(f"unrecognized line: {raw!r}")

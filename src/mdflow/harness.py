@@ -33,12 +33,10 @@ from .assembly import (
     schur_tpfa,
 )
 from .geometry import CartesianGrid
-from .model import CaseSpec, RadialParams
+from .model import CaseSpec
 from .quadrature import segment_rule
 from .reference import RadialSolution, eval_solution, solve_constants
 from .solver import SolverConfig, SolveReport, solve_pressure
-
-VARIABLES = ("pD", "pN", "qD", "qS", "qN", "qP")
 
 
 @dataclass
@@ -83,10 +81,6 @@ class ConvergenceTable:
 class SeriesReference:
     solution: RadialSolution
     center: tuple[float, float]
-
-    @property
-    def params(self) -> RadialParams:
-        return self.solution.params
 
 
 @dataclass

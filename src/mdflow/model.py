@@ -8,7 +8,7 @@ case can be instantiated on any mesh of a refinement sequence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -374,11 +374,22 @@ def _parse_floats(value: str):
     return tuple(float(x) for x in value.replace(",", " ").split())
 
 
-def _parse_semicolons(value: str) -> dict[str, str]:
+def _require(kv: dict, where: str, *keys):
+    for key in keys:
+        if key not in kv:
+            raise ValueError(f"missing key {key!r} in {where}")
+
+
+def _parse_semicolons(value: str, where: str, spec) -> dict[str, str]:
+    """'key: value; ...' pairs whose keys name fields of the dataclass spec."""
     out = {}
-    for part in value.split(";"):
+    for part in filter(str.strip, value.split(";")):
         key, _, val = part.partition(":")
         out[key.strip()] = val.strip()
+    unknown = sorted(set(out) - {f.name for f in fields(spec)})
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r} in {where}")
+    _require(out, where, *(f.name for f in fields(spec) if f.default is MISSING))
     return out
 
 
@@ -406,6 +417,7 @@ def case_from_text(text: str) -> CaseSpec:
     name = kv_case.get("name", "custom")
 
     kv_grid = dict(_parse_kv(l) for l in sections["grid"])
+    _require(kv_grid, "[grid]", "dim", "origin", "extent", "refine_axes", "fixed_cells")
     dim = int(kv_grid["dim"])
     origin = _parse_floats(kv_grid["origin"])
     extent = _parse_floats(kv_grid["extent"])
@@ -423,33 +435,35 @@ def case_from_text(text: str) -> CaseSpec:
         if key == "kD":
             kD = _parse_floats(value)
         elif key == "transfer":
-            fields = _parse_semicolons("terminal: " + value)
+            kv = _parse_semicolons(
+                "terminal_id: " + value, "[coefficients] transfer", TransferSpec
+            )
             comp = None
-            if "compartment" in fields:
-                axis, _, side = fields["compartment"].partition(":")
+            if "compartment" in kv:
+                axis, _, side = kv["compartment"].partition(":")
                 comp = (int(axis), side.strip())
             axes = None
-            if "radial_axes" in fields:
-                axes = fields["radial_axes"].replace(",", " ").split()
+            if "radial_axes" in kv:
+                axes = kv["radial_axes"].replace(",", " ").split()
                 axes = tuple(int(x) for x in axes)
             transfers.append(
                 TransferSpec(
-                    terminal_id=int(fields["terminal"]),
-                    anchor=_parse_floats(fields["anchor"]),
-                    r0=float(fields["r0"]),
-                    r1=float(fields["r1"]),
-                    kT0=float(fields.get("kT0", 1.0)),
+                    terminal_id=int(kv["terminal_id"]),
+                    anchor=_parse_floats(kv["anchor"]),
+                    r0=float(kv["r0"]),
+                    r1=float(kv["r1"]),
+                    kT0=float(kv.get("kT0", 1.0)),
                     radial_axes=axes,
                     compartment=comp,
                 )
             )
         elif key == "source":
-            fields = _parse_semicolons(value)
+            kv = _parse_semicolons(value, "[coefficients] source", RingSourceSpec)
             source = RingSourceSpec(
-                rD0=float(fields["rD0"]),
-                r2=float(fields["r2"]),
-                r3=float(fields["r3"]),
-                center=_parse_floats(fields["center"]),
+                rD0=float(kv["rD0"]),
+                r2=float(kv["r2"]),
+                r3=float(kv["r3"]),
+                center=_parse_floats(kv["center"]),
             )
         elif key == "rN":
             nid, _, val = value.partition(":")
@@ -461,9 +475,11 @@ def case_from_text(text: str) -> CaseSpec:
     ref_lines = dict(_parse_kv(l) for l in sections.get("reference", []))
     kind = ref_lines.get("kind", "none")
     if kind == "series":
-        fields = _parse_semicolons(ref_lines["radial"])
-        reference = ("series", RadialParams(**{k: float(v) for k, v in fields.items()}))
+        _require(ref_lines, "[reference]", "radial")
+        kv = _parse_semicolons(ref_lines["radial"], "[reference] radial", RadialParams)
+        reference = ("series", RadialParams(**{k: float(v) for k, v in kv.items()}))
     elif kind == "finegrid":
+        _require(ref_lines, "[reference]", "resolution")
         reference = ("finegrid", int(ref_lines["resolution"]))
     elif kind != "none":
         raise ValueError(f"unknown reference kind {kind!r}")

@@ -29,6 +29,9 @@ import numpy as np
 from .geometry import transfer_profile
 from .model import RadialParams, ring_profile
 
+ODE_CHECK_STEP = 1e-4  # finite-difference step of `ode_residual_check`
+BALANCE_QUAD_POINTS = 2000  # Gauss-Legendre points per `transfer_balance` region
+
 _SCIPY_NAMES = {"J": ("jv", "jvp"), "Y": ("yv", "yvp"), "I": ("iv", "ivp")}
 
 
@@ -89,12 +92,6 @@ class RadialSolution:
     p_r1: float
     p_r2: float
     p_r3: float
-
-    def pressure(self, r):
-        return eval_solution(self, r)[0]
-
-    def radial_flux(self, r):
-        return eval_solution(self, r)[1]
 
 
 def solve_constants(params: RadialParams) -> RadialSolution:
@@ -261,14 +258,15 @@ def eval_solution(sol: RadialSolution, r):
     return pD, q
 
 
-def ode_residual_check(sol: RadialSolution, radii, step: float = 1e-4) -> float:
+def ode_residual_check(sol: RadialSolution, radii) -> float:
     """Max finite-difference residual of the radial balance law at the samples.
 
     Uses nested 5-point stencils for (1/r) d/dr(-r kD dp/dr) and
     subtracts the transfer and source terms.  Samples must keep a
-    distance of more than 10*step from every region interface so the
-    stencil never straddles a closed-form switch.
+    distance of more than 10*ODE_CHECK_STEP from every region interface
+    so the stencil never straddles a closed-form switch.
     """
+    step = ODE_CHECK_STEP
     p = sol.params
     radii = np.atleast_1d(np.asarray(radii, dtype=float))
     interfaces = np.array([p.r0, p.r1, p.r2, p.r3])
@@ -300,19 +298,20 @@ def ode_residual_check(sol: RadialSolution, radii, step: float = 1e-4) -> float:
     return float(np.max(np.abs(lap - qT - rD)))
 
 
-@functools.lru_cache(maxsize=4)
-def _gauss_legendre(n: int):
-    return np.polynomial.legendre.leggauss(n)  # an O(n^3) eigenproblem: reuse it
+@functools.cache
+def _gauss_legendre():
+    # an O(n^3) eigenproblem: reuse it
+    return np.polynomial.legendre.leggauss(BALANCE_QUAD_POINTS)
 
 
-def transfer_balance(sol: RadialSolution, n_quad: int = 2000) -> float:
+def transfer_balance(sol: RadialSolution) -> float:
     """Total transfer 2 pi Int kT (pD - pN1) r dr; equals -qN exactly."""
     p = sol.params
     total = 0.0
     pieces = [(0.0, p.r0)]
     if p.r1 > p.r0:
         pieces.append((p.r0, p.r1))
-    x, w = _gauss_legendre(n_quad)
+    x, w = _gauss_legendre()
     for a, b in pieces:
         r = 0.5 * (b - a) * x + 0.5 * (a + b)
         wr = 0.5 * (b - a) * w

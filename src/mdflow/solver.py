@@ -7,6 +7,8 @@ effective preconditioner.  Coarse spaces are piecewise constant over
 aggregates built by greedy pairwise matching on the strength graph
 (|a_ij| >= theta sqrt(a_ii a_jj)), two passes per level so aggregates
 reach size ~4; leftovers join their strongest aggregated neighbor.
+Levels keep only the aggregate map: restriction sums the residual over
+each aggregate and prolongation copies each coarse value to its members.
 Everything is deterministic: aggregation seeds scan unknowns in their
 natural (lexicographic) order and Gauss-Seidel sweeps forward in that
 order before correction and backward after it.  Each level factors
@@ -68,12 +70,11 @@ class SolverConfig:
 
 
 class _Level:
-    """One multigrid level: operator, smoother factor, optional transfer."""
+    """One multigrid level: operator, smoother factor, optional aggregates."""
 
     def __init__(self, A: sp.csr_matrix):
         self.A = A
-        self.P = None  # prolongation from the next-coarser level
-        self.aggregates = None  # fine index -> coarse index
+        self.aggregates = None  # fine index -> coarse index (the transfer)
         d = A.diagonal()
         if np.any(d <= 0):
             raise ValueError("zero diagonal entry: Gauss-Seidel is undefined")
@@ -107,14 +108,13 @@ class _Level:
 @dataclass
 class AmgHierarchy:
     levels: list
-    nlevels: int
     grid_complexity: float
     operator_complexity: float
     cycle: str
 
     @property
-    def shape(self):
-        return self.levels[0].A.shape
+    def nlevels(self):
+        return len(self.levels)
 
 
 def _strength_graph(A: sp.csr_matrix, theta: float) -> sp.csr_matrix:
@@ -250,7 +250,6 @@ def build_hierarchy(A, config: AmgConfig | None = None) -> AmgHierarchy:
         Ac.sort_indices()
         if np.any(Ac.diagonal() <= 0):
             break
-        fine.P = _piecewise_constant(agg)
         fine.aggregates = agg
         levels.append(_Level(Ac))
     if levels[-1].A.shape[0] <= config.coarse_size:
@@ -260,7 +259,6 @@ def build_hierarchy(A, config: AmgConfig | None = None) -> AmgHierarchy:
     nnz0 = levels[0].A.nnz
     return AmgHierarchy(
         levels=levels,
-        nlevels=len(levels),
         grid_complexity=sum(l.A.shape[0] for l in levels) / n0,
         operator_complexity=sum(l.A.nnz for l in levels) / nnz0,
         cycle=config.cycle,
@@ -283,11 +281,12 @@ def _cycle(levels, l, b, x, kcycle):
         return lev.coarse_solve(b)
     x = lev.gs_forward(b, x)
     if l + 1 < len(levels):
-        rc = lev.P.T @ (b - lev.A @ x)
+        coarse = levels[l + 1]
+        rc = np.bincount(lev.aggregates, b - lev.A @ x, minlength=coarse.A.shape[0])
         ec = _cycle(levels, l + 1, rc, None, kcycle)
-        if kcycle and levels[l + 1]._dense is None:
+        if kcycle and coarse._dense is None:
             ec = _krylov_correction(levels, l + 1, rc, ec)
-        x = x + lev.P @ ec
+        x = x + ec[lev.aggregates]
     return lev.gs_backward(b, x)
 
 
@@ -355,12 +354,12 @@ class SolveReport:
         )
 
 
-def fgmres(A, b, preconditioner=None, tol=1e-6, maxit=500, x0=None):
+def fgmres(A, b, preconditioner=None, tol=1e-6, maxit=500):
     """Flexible GMRES without restart.
 
     The preconditioner is a callable applied to each Arnoldi vector and
     may change between iterations.  Convergence means the l2 residual
-    dropped below tol times the initial residual (x0 defaults to zero):
+    dropped below tol times the initial residual |b| (from x = 0):
     once the Givens estimate crosses tol the true residual is verified
     explicitly, and iteration continues (up to a stagnation cutoff) if
     rounding has detached the estimate from it.  A zero Arnoldi norm is
@@ -369,14 +368,12 @@ def fgmres(A, b, preconditioner=None, tol=1e-6, maxit=500, x0=None):
     Returns (x, iterations, relative residual history, breakdown index).
     """
     n = b.size
-    x0 = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float)
-    r0 = b - A @ x0
-    beta = np.linalg.norm(r0)
+    beta = np.linalg.norm(b)
     history = [1.0]
     if beta == 0.0:
-        return x0, 0, history, None
+        return np.zeros(n), 0, history, None
 
-    V = [r0 / beta]
+    V = [b / beta]
     Z = []
     H = []  # rotated Hessenberg columns (upper triangular part)
     cs, sn = [], []
@@ -387,7 +384,7 @@ def fgmres(A, b, preconditioner=None, tol=1e-6, maxit=500, x0=None):
         y = np.zeros(m)
         for i in range(m - 1, -1, -1):
             y[i] = (g[i] - sum(H[k][i] * y[k] for k in range(i + 1, m))) / H[i][i]
-        x = x0.copy()
+        x = np.zeros(n)
         for yk, zk in zip(y, Z[:m]):
             x += yk * zk
         return x
@@ -444,7 +441,7 @@ def fgmres(A, b, preconditioner=None, tol=1e-6, maxit=500, x0=None):
 
     m = len(H)
     if m == 0:
-        return x0, 0, history, breakdown
+        return np.zeros(n), 0, history, breakdown
     x = form_solution(m)
     if best is not None:
         true_rel = float(np.linalg.norm(b - A @ x)) / beta

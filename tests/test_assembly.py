@@ -289,7 +289,7 @@ class TestRecoverFluxes:
         lo, hi = blocks.grid.face_lo[i], blocks.grid.face_hi[i]
         assert state.qD[i] == pytest.approx((p[lo] - p[hi]) / blocks.d_D[i])
         # edge flux reinserts the Dirichlet root value
-        root_val = spec.forest.node(0).value
+        root_val = spec.forest.nodes[0].value
         pN1 = p[blocks.node_index(1)]
         assert state.qN[0] == pytest.approx(-1.0 * (pN1 - root_val))
 

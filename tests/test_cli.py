@@ -53,6 +53,28 @@ class TestValidation:
         assert message in err and "Traceback" not in err
         assert not out.exists() or not list(out.iterdir())
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("dim = 2\n", "", "missing key 'dim' in [grid]"),
+            ("anchor: 0.0, 0.0; ", "", "missing key 'anchor' in [coefficients] transfer"),
+            ("kind = series\n", "kind = finegrid\n", "missing key 'resolution' in [reference]"),
+            ("pN0: 0.0\n", "pN0: 0.0; bogus: 1\n", "unknown key 'bogus' in [reference] radial"),
+            ("edge 0 1 1.0", "edge 0 1", "short edge line: 'edge 0 1'"),
+        ],
+    )
+    def test_malformed_config_exits_1(self, capsys, tmp_path, old, new, message):
+        text = case_to_text(case1("A"))
+        assert old in text
+        cfg = tmp_path / "case.cfg"
+        cfg.write_text(text.replace(old, new, 1))
+        out = tmp_path / "out"
+        assert main(["custom", "--config", str(cfg), "--meshes", "8",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not out.exists() or not list(out.iterdir())
+
 
 class TestReferenceCommand:
     def test_writes_profile_csv(self, tmp_path):

@@ -583,7 +583,7 @@ class TestForestText:
         edge 0 1 2.0
         """
         f = forest_from_text(text)
-        assert f.node(0).value == 0.5
+        assert f.nodes[0].id == 0 and f.nodes[0].value == 0.5
         assert f.edges[0].k == 2.0
 
     def test_header_mismatch_raises(self):

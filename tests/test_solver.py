@@ -76,7 +76,8 @@ class TestHierarchy:
         _, A = poisson2d(12)
         hier = build_hierarchy(A, AmgConfig(coarse_size=4))
         for fine, coarse in zip(hier.levels, hier.levels[1:]):
-            expected = (fine.P.T @ fine.A @ fine.P).toarray()
+            P = _piecewise_constant(fine.aggregates)
+            expected = (P.T @ fine.A @ P).toarray()
             assert np.abs(coarse.A.toarray() - expected).max() <= 1e-13
 
     def test_non_square_rejected(self):
@@ -164,8 +165,8 @@ class TestVcycle:
         assert a1 < 0.9999 * a0
 
     def test_single_level_small_matrix_is_direct(self):
-        # one level with a dense factorization: smoothing wrapped around
-        # an exact defect correction returns the exact solution
+        # one level, solved by the dense factorization alone (the dense
+        # level does not smooth), returns the exact solution
         rng = np.random.default_rng(2)
         B = rng.standard_normal((10, 10))
         A = sp.csr_matrix(B @ B.T + 10 * np.eye(10))
@@ -174,6 +175,22 @@ class TestVcycle:
         b = rng.standard_normal(10)
         x = vcycle(hier, b)
         assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
+
+
+    def test_index_transfers_match_prolongation_matrix(self):
+        # restriction by bincount over the aggregates and prolongation by
+        # indexing give the bits of P^T r and P e, P the 0/1 aggregate
+        # matrix; the only coarse level is the dense solve
+        _, A = poisson2d(8)
+        hier = build_hierarchy(A, AmgConfig(cycle="V"))
+        fine, coarse = hier.levels
+        assert coarse._dense is not None
+        P = _piecewise_constant(fine.aggregates)
+        b = np.random.default_rng(4).standard_normal(A.shape[0])
+        x = fine.gs_forward(b)
+        x = x + P @ coarse.coarse_solve(P.T @ (b - A @ x))
+        expected = fine.gs_backward(b, x)
+        assert np.array_equal(vcycle(hier, b), expected)
 
 
 class TestKcycle:
