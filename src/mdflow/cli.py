@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .assembly import export_state_csv, read_matrix_market
-from .harness import _atomic_write, emit_tables, run_case, solve_case_mesh
+from .harness import _atomic_write, emit_tables, run_case
 from .model import builtin_case, case_from_text
 from .reference import profile_table, solve_constants
 from .solver import CYCLES, AmgConfig, SolveReport, SolverConfig, solve_pressure
@@ -64,25 +64,26 @@ def _outdir(args) -> str:
     return args.out or os.environ.get("MDFLOW_OUT") or "."
 
 
-def _add_cycle(p):
-    p.add_argument("--cycle", default="K", choices=CYCLES,
-                   help="multigrid cycle: K (default) or V, the paper's V(1,1)")
-
-
-def _add_common(p, default_meshes):
-    p.add_argument("--meshes", default=default_meshes,
-                   help=f"comma-separated 1/h values (default {default_meshes})")
+def _add_solver_flags(p, tol):
+    """Flags the case commands and `solve` share; tol is the --tol default."""
     p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("--tol", type=float, default=1e-10,
-                   help="relative residual tolerance (default 1e-10)")
+    p.add_argument("--tol", type=float, default=tol,
+                   help="relative residual tolerance (default %(default)g)")
     p.add_argument("--maxit", type=int, default=500)
     p.add_argument("--theta", type=float, default=0.08,
                    help="aggregation strength threshold")
     p.add_argument("--coarse-size", type=int, default=32,
                    help="direct-solve threshold for the coarsest level")
-    _add_cycle(p)
+    p.add_argument("--cycle", default="K", choices=CYCLES,
+                   help="multigrid cycle: K (default) or V, the paper's V(1,1)")
     p.add_argument("--no-timings", action="store_true",
                    help="zero the timing columns (golden-file testing)")
+
+
+def _add_study_flags(p, default_meshes):
+    p.add_argument("--meshes", default=default_meshes,
+                   help=f"comma-separated 1/h values (default {default_meshes})")
+    _add_solver_flags(p, tol=1e-10)
     p.add_argument("--export-states", action="store_true",
                    help="also write per-mesh state CSVs")
 
@@ -96,7 +97,7 @@ def _build_parser() -> _Parser:
                          ("case1b", "16,32,64,128"),
                          ("case2", "8,16,32")):
         p = sub.add_parser(name, help=f"run {name}")
-        _add_common(p, meshes)
+        _add_study_flags(p, meshes)
         if name == "case2":
             p.add_argument("--reference-resolution", type=int, default=64)
 
@@ -109,22 +110,16 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("solve", help="solve an exported linear system")
     p.add_argument("--matrix", required=True, help="Matrix Market file")
     p.add_argument("--rhs", required=True, help="plain-text right-hand side")
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--maxit", type=int, default=500)
-    p.add_argument("--theta", type=float, default=0.08)
-    p.add_argument("--coarse-size", type=int, default=32)
-    _add_cycle(p)
-    p.add_argument("--no-timings", action="store_true")
-    p.add_argument("--out", default=None)
+    _add_solver_flags(p, tol=1e-6)
 
     p = sub.add_parser("custom", help="run a case from a config file")
     p.add_argument("--config", required=True)
-    _add_common(p, "16,32")
+    _add_study_flags(p, "16,32")
     return parser
 
 
 def _run_study(args, spec, meshes, solver) -> int:
-    """Run a case with a reference, write its tables and optional states."""
+    """Run a case, write its tables and optional states."""
     outdir = _outdir(args)
     result = run_case(spec, meshes, solver=solver, keep_states=args.export_states)
     emit_tables(result, outdir, no_timings=args.no_timings)
@@ -146,24 +141,7 @@ def _run_custom(args) -> int:
     with open(args.config) as f:
         spec = case_from_text(f.read())
     meshes = _parse_meshes(args.meshes, require_pow2=False)
-    solver = _solver_config(args)
-    if spec.reference[0] != "none":
-        return _run_study(args, spec, meshes, solver)
-    # no reference: solve each mesh and report solver performance only
-    outdir = _outdir(args)
-    os.makedirs(outdir, exist_ok=True)
-    lines = [SolveReport.CSV_HEADER]
-    worst = 0
-    for m in meshes:
-        blocks, state, report, _ = solve_case_mesh(spec, m, solver)
-        lines.append(report.csv_row(m, no_timings=args.no_timings))
-        if args.export_states:
-            export_state_csv(blocks, state, os.path.join(outdir, f"{spec.name}_m{m}"))
-        worst = max(worst, 0 if report.converged else 2)
-    _atomic_write(
-        os.path.join(outdir, f"{spec.name}_solver.csv"), "\n".join(lines) + "\n"
-    )
-    return worst
+    return _run_study(args, spec, meshes, _solver_config(args))
 
 
 def _run_reference(args) -> int:

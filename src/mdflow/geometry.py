@@ -186,7 +186,6 @@ class SignedIncidence:
 
     matrix: sp.csr_matrix
     node_ids: tuple[int, ...]  # column order
-    edge_list: tuple[Edge, ...]  # row order
     dirichlet: np.ndarray  # (n_edges,) dropped columns times root values
     edge_k: np.ndarray  # (n_edges,) conductivities
 
@@ -209,7 +208,7 @@ def incidence(forest: Forest) -> SignedIncidence:
     )
     dirichlet = (sign * end_value).sum(axis=1)
     k = np.array([e.k for e in edges], dtype=float)
-    return SignedIncidence(mat, node_ids, edges, dirichlet, k)
+    return SignedIncidence(mat, node_ids, dirichlet, k)
 
 
 class CartesianGrid:

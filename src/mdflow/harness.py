@@ -11,7 +11,9 @@ the closed-form radial solution, with face fluxes integrated by Gauss
 quadrature over each face.  A fine-grid reference restricts a fine
 solve conservatively: cell quantities by volume averaging, face fluxes
 by summing the fine fluxes across each coarse face, and the transfer
-exchange by volume-averaging the physical transfer flux density.
+exchange by volume-averaging the physical transfer flux density.  A
+case without a reference yields solver reports and conservation checks
+with an empty error table.
 """
 
 from __future__ import annotations
@@ -324,22 +326,26 @@ def run_case(
     solver: SolverConfig | None = None,
     keep_states: bool = False,
 ) -> CaseResult:
-    """Run a case over a doubling mesh sequence and collect errors.
+    """Run a case over a mesh sequence and collect errors.
 
     The default solver tolerance (1e-10) is deliberately far below the
     discretization error at these scales so that measured rates show
     the scheme, not the iterative solver.  A fine-grid reference is
-    solved once, at the tighter of that tolerance and 1e-10.
+    solved once, at the tighter of that tolerance and 1e-10.  Rates
+    need the meshes of a case with a reference to double; a case
+    without one ("none") takes any mesh list and yields its reports and
+    checks with an empty table.
     """
     meshes = tuple(int(m) for m in meshes)
-    for coarse, fine in zip(meshes, meshes[1:]):
-        if fine != 2 * coarse:
-            raise ValueError(f"mesh sequence must double: {meshes}")
+    kind = spec.reference[0]
+    if kind != "none":
+        for coarse, fine in zip(meshes, meshes[1:]):
+            if fine != 2 * coarse:
+                raise ValueError(f"mesh sequence must double: {meshes}")
     solver = solver or SolverConfig(tol=1e-10)
 
     t_start = time.perf_counter()
-    kind = spec.reference[0]
-    reference_report = None
+    reference = reference_report = None
     if kind == "series":
         sol = solve_constants(spec.reference[1])
         center = spec.transfers[0].anchor if spec.transfers else (0.0, 0.0)
@@ -357,8 +363,8 @@ def run_case(
         fb, fstate, freport, _ = solve_case_mesh(spec, resolution, fine_solver)
         reference = FineReference(blocks=fb, state=fstate, report=freport)
         reference_report = freport
-    else:
-        raise ValueError(f"case {spec.name} declares no reference to compare against")
+    elif kind != "none":
+        raise ValueError(f"unknown reference kind {kind!r}")
 
     records, reports, check_list = [], [], []
     states = {}
@@ -375,7 +381,8 @@ def run_case(
                 rhs_l2=float(np.linalg.norm(b)),
             )
         )
-        records.append(error_norms(state, blocks, reference, m))
+        if reference is not None:
+            records.append(error_norms(state, blocks, reference, m))
         reports.append(report)
         if keep_states:
             states[m] = (blocks, state)
@@ -416,62 +423,42 @@ def emit_tables(result: CaseResult, outdir, no_timings: bool = False):
 
     The convergence table mirrors the two-row-group layout (pressure
     variables, then flux variables); 4D cases get extra transfer and
-    perfusion columns.  Unconverged meshes are annotated with a trailing
-    comment line.
+    perfusion columns, and each unconverged mesh a trailing comment
+    line.  A case without a reference gets the solver table alone.
     """
     os.makedirs(outdir, exist_ok=True)
     name = result.spec.name
     table = result.table
-    fourdim = result.spec.dim == 4
-    mid = "errT,rateT" if fourdim else "errS,rateS"
-    header = f"variable,inv_h,errD,rateD,{mid},errN,rateN"
-    if fourdim:
-        header += ",errP,rateP"
-
-    lines = [header]
-    spec_rows = [
-        ("p", "pD", None, "pN", None),
-        ("q", "qD", "qS", "qN", "qP" if fourdim else None),
-    ]
-    if not table.records:
-        spec_rows = []
-    for label, vd, vs, vn, vp in spec_rows:
-        rates = {v: table.rates(v) for v in (vd, vs, vn, vp) if v is not None}
-
-        def cell(var, i, kind):
-            if var is None:
-                return ""
-            if kind == "err":
-                return _fmt_err(table.records[i].get(var))
-            return _fmt_rate(rates[var][i - 1]) if i > 0 else ""
-
+    # (suffix, pressure variable, flux variable) of each err/rate column pair
+    columns = [("D", "pD", "qD"), ("S", None, "qS"), ("N", "pN", "qN")]
+    if result.spec.dim == 4:
+        columns[1:] = [("T", None, "qS"), ("N", "pN", "qN"), ("P", None, "qP")]
+    lines = ["variable,inv_h," + ",".join(f"err{c},rate{c}" for c, _, _ in columns)]
+    for label, pos in (("p", 1), ("q", 2)) if table.records else ():
+        variables = [col[pos] for col in columns]
+        rates = {v: [None] + table.rates(v) for v in variables if v}
         for i, rec in enumerate(table.records):
             row = [label, str(rec.inv_h)]
-            row += [cell(vd, i, "err"), cell(vd, i, "rate")]
-            row += [cell(vs, i, "err"), cell(vs, i, "rate")]
-            row += [cell(vn, i, "err"), cell(vn, i, "rate")]
-            if fourdim:
-                row += [cell(vp, i, "err"), cell(vp, i, "rate")]
+            for v in variables:
+                row += [_fmt_err(rec.get(v)), _fmt_rate(rates[v][i])] if v else ["", ""]
             lines.append(",".join(row))
         avg = [label, "average"]
-        for var in (vd, vs, vn) + ((vp,) if fourdim else ()):
-            avg += ["", _fmt_rate(table.average_rate(var)) if var else ""]
+        for v in variables:
+            avg += ["", _fmt_rate(table.average_rate(v)) if v else ""]
         lines.append(",".join(avg))
     for rec, rep in zip(table.records, result.reports):
         if not rep.converged:
             lines.append(f"# mesh {rec.inv_h}: solver did not converge")
-    conv_path = os.path.join(outdir, f"{name}_convergence.csv")
-    _atomic_write(conv_path, "\n".join(lines) + "\n")
+    paths = []
+    if result.spec.reference[0] != "none":
+        paths.append(os.path.join(outdir, f"{name}_convergence.csv"))
+        _atomic_write(paths[-1], "\n".join(lines) + "\n")
 
-    solver_lines = [SolveReport.CSV_HEADER]
-    for m, rep in zip(result.meshes, result.reports):
-        solver_lines.append(rep.csv_row(m, no_timings=no_timings))
+    solver_rows = list(zip(result.meshes, result.reports))
     if result.reference_report is not None:
-        solver_lines.append(
-            result.reference_report.csv_row(
-                result.spec.reference[1], no_timings=no_timings
-            )
-        )
-    solver_path = os.path.join(outdir, f"{name}_solver.csv")
-    _atomic_write(solver_path, "\n".join(solver_lines) + "\n")
-    return [conv_path, solver_path]
+        solver_rows.append((result.spec.reference[1], result.reference_report))
+    solver_lines = [SolveReport.CSV_HEADER]
+    solver_lines += [rep.csv_row(m, no_timings=no_timings) for m, rep in solver_rows]
+    paths.append(os.path.join(outdir, f"{name}_solver.csv"))
+    _atomic_write(paths[-1], "\n".join(solver_lines) + "\n")
+    return paths

@@ -393,6 +393,41 @@ def _parse_semicolons(value: str, where: str, spec) -> dict[str, str]:
     return out
 
 
+def _require_dim(values, dim: int, where: str):
+    if len(values) != dim:
+        raise ValueError(f"{where} has {len(values)} entries for dim = {dim}")
+
+
+def _check_radial(params: RadialParams, dim, transfers, source, kD, forest: Forest):
+    """Reject a series reference whose radial parameters are not the case's.
+
+    The closed form holds on a 2D grid for one terminal fed by one edge
+    from one Dirichlet root, with isotropic kD and a ring source centred
+    on the transfer anchor; each parameter is read back from those parts.
+    """
+    roots = forest.dirichlet_roots
+    if (dim != 2 or len(transfers) != 1 or source is None or len(forest.edges) != 1
+            or len(roots) != 1 or len(set(kD)) != 1):
+        raise ValueError(
+            "a series reference needs a 2D grid, one transfer, one edge, one "
+            "Dirichlet root, a source and isotropic kD"
+        )
+    (t,) = transfers
+    implied = dict(r0=t.r0, r1=t.r1, kT0=t.kT0, r2=source.r2, r3=source.r3,
+                   rD0=source.rD0, kD=kD[0], kN=forest.edges[0].k, pN0=roots[0].value)
+    bad = [f"{k} ({getattr(params, k)!r}, case has {v!r})"
+           for k, v in implied.items() if getattr(params, k) != v]
+    if bad:
+        raise ValueError(
+            f"[reference] radial disagrees with the case: {', '.join(bad)}"
+        )
+    if source.center != t.anchor:
+        raise ValueError(
+            f"series reference needs the source centre {source.center} "
+            f"at the transfer anchor {t.anchor}"
+        )
+
+
 def case_from_text(text: str) -> CaseSpec:
     """Parse the plain-text case configuration."""
     sections: dict[str, list[str]] = {}
@@ -423,6 +458,10 @@ def case_from_text(text: str) -> CaseSpec:
     extent = _parse_floats(kv_grid["extent"])
     refine = tuple(bool(int(x)) for x in _parse_floats(kv_grid["refine_axes"]))
     fixed = tuple(int(x) for x in _parse_floats(kv_grid["fixed_cells"]))
+
+    for key, value in (("origin", origin), ("extent", extent),
+                       ("refine_axes", refine), ("fixed_cells", fixed)):
+        _require_dim(value, dim, f"[grid] {key}")
 
     forest = forest_from_text("\n".join(sections["forest"]))
 
@@ -470,6 +509,14 @@ def case_from_text(text: str) -> CaseSpec:
             rN[int(nid)] = float(val)
         else:
             raise ValueError(f"unknown coefficients key {key!r}")
+    _require_dim(kD, dim, "[coefficients] kD")
+    anchors = {n.id: n.anchor for n in forest.terminals}
+    for t in transfers:
+        if t.terminal_id in anchors and anchors[t.terminal_id] != t.anchor:
+            raise ValueError(
+                f"terminal {t.terminal_id} is anchored at {anchors[t.terminal_id]} "
+                f"in [forest] but at {t.anchor} by its transfer"
+            )
 
     reference: tuple = ("none",)
     ref_lines = dict(_parse_kv(l) for l in sections.get("reference", []))
@@ -477,7 +524,9 @@ def case_from_text(text: str) -> CaseSpec:
     if kind == "series":
         _require(ref_lines, "[reference]", "radial")
         kv = _parse_semicolons(ref_lines["radial"], "[reference] radial", RadialParams)
-        reference = ("series", RadialParams(**{k: float(v) for k, v in kv.items()}))
+        params = RadialParams(**{k: float(v) for k, v in kv.items()})
+        _check_radial(params, dim, transfers, source, kD, forest)
+        reference = ("series", params)
     elif kind == "finegrid":
         _require(ref_lines, "[reference]", "resolution")
         reference = ("finegrid", int(ref_lines["resolution"]))

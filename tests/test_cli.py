@@ -61,6 +61,19 @@ class TestValidation:
             ("kind = series\n", "kind = finegrid\n", "missing key 'resolution' in [reference]"),
             ("pN0: 0.0\n", "pN0: 0.0; bogus: 1\n", "unknown key 'bogus' in [reference] radial"),
             ("edge 0 1 1.0", "edge 0 1", "short edge line: 'edge 0 1'"),
+            ("node 1 terminal 0.0 0.0", "node 1 terminal", "terminal 1 is anchored at ()"),
+            ("node 1 terminal 0.0 0.0", "node 1 terminal 0.3 0.3",
+             "terminal 1 is anchored at (0.3, 0.3)"),
+            ("radial = r0: 0.1;", "radial = r0: 0.15;", "r0 (0.15, case has 0.1)"),
+            ("kD: 1.0; kN", "kD: 2.0; kN", "kD (2.0, case has 1.0)"),
+            ("center: 0.0, 0.0", "center: 0.1, 0.0", "source centre (0.1, 0.0)"),
+            ("kD = 1.0, 1.0\n", "kD = 1.0, 2.0\n", "isotropic kD"),
+            ("dim = 2\n", "dim = 3\n", "[grid] origin has 2 entries for dim = 3"),
+            ("dim = 2\n", "dim = 4\n", "[grid] origin has 2 entries for dim = 4"),
+            ("kD = 1.0, 1.0\n", "kD = 1.0, 1.0, 1.0\n",
+             "[coefficients] kD has 3 entries for dim = 2"),
+            ("origin = -0.5, -0.5\n", "origin = -0.5, -0.5, 0.0\n",
+             "[grid] origin has 3 entries for dim = 2"),
         ],
     )
     def test_malformed_config_exits_1(self, capsys, tmp_path, old, new, message):
@@ -167,10 +180,12 @@ class TestCaseCommands:
         text = text[: text.index("[reference]")] + "[reference]\nkind = none\n"
         cfg = tmp_path / "case.cfg"
         cfg.write_text(text)
-        rc = main(["custom", "--config", str(cfg), "--meshes", "8",
-                   "--out", str(tmp_path), "--tol", "1e-8"])
+        # any mesh list: without a reference nothing needs the meshes to double
+        rc = main(["custom", "--config", str(cfg), "--meshes", "8,24",
+                   "--out", str(tmp_path), "--no-timings"])
         assert rc == 0
-        assert (tmp_path / "case1a_solver.csv").exists()
+        assert len((tmp_path / "case1a_solver.csv").read_text().splitlines()) == 3
+        assert not (tmp_path / "case1a_convergence.csv").exists()
 
     def test_custom_config_with_series_reference(self, tmp_path):
         cfg = tmp_path / "case.cfg"

@@ -1,5 +1,8 @@
 """Error norms, restriction operators, convergence tables, and CSV output."""
 
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -126,6 +129,16 @@ class TestConvergenceTable:
     def test_mesh_sequence_must_double(self):
         with pytest.raises(ValueError, match="double"):
             run_case(case1("A"), [16, 48])
+
+    def test_case_without_reference_solves_any_meshes(self, tmp_path):
+        spec = replace(case1("A"), reference=("none",))
+        result = run_case(spec, (8, 24))
+        assert len(result.reports) == 2
+        assert [c.inv_h for c in result.checks] == [8, 24]
+        assert result.table.records == []
+        paths = emit_tables(result, tmp_path, no_timings=True)
+        assert [p.name for p in map(Path, paths)] == ["case1a_solver.csv"]
+        assert len(Path(paths[0]).read_text().splitlines()) == 3
 
 
 class TestCase1Properties:

@@ -153,6 +153,20 @@ class TestCaseConfigText:
         with pytest.raises(ValueError, match="missing"):
             case_from_text("[case]\nname = x\n")
 
+    def test_series_reference_needs_2d_grid(self):
+        # case 1A lifted to a 3D grid: every tuple has three entries
+        text = case_to_text(case1("A"))
+        for old, new in [("dim = 2", "dim = 3"), ("-0.5, -0.5", "-0.5, -0.5, -0.5"),
+                         ("1.0, 1.0\n", "1.0, 1.0, 1.0\n"), ("1, 1\n", "1, 1, 1\n"),
+                         ("0, 0\n", "0, 0, 0\n"), ("0.0, 0.0;", "0.0, 0.0, 0.0;"),
+                         ("terminal 0.0 0.0", "terminal 0.0 0.0 0.0"),
+                         ("center: 0.0, 0.0\n", "center: 0.0, 0.0, 0.0\n")]:
+            text = text.replace(old, new)
+        with pytest.raises(ValueError, match="series reference needs a 2D grid"):
+            case_from_text(text)
+        text = text.replace("kind = series", "kind = none")
+        assert case_from_text(text).dim == 3
+
 
 def _composite_average(centers, width, anchor, func, npts, subdiv):
     """Per-box average of func(|x - anchor|) under a uniform composite rule."""
