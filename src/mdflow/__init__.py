@@ -56,7 +56,6 @@ from .assembly import (
     write_matrix_market,
 )
 from .solver import (
-    AggregationStallError,
     AmgConfig,
     AmgHierarchy,
     SolveReport,

@@ -305,16 +305,6 @@ class CartesianGrid:
             centers = centers[cells]
         return cell_points(centers, self.spacing)
 
-    def locate(self, point) -> int:
-        """Active index of the cell containing `point`; -1 if outside/inactive."""
-        point = np.asarray(point, dtype=float)
-        upper = self.origin + np.asarray(self.cells) * self.spacing
-        if np.any(point < self.origin) or np.any(point > upper):
-            return -1
-        ijk = np.floor((point - self.origin) / self.spacing).astype(int)
-        ijk = np.clip(ijk, 0, np.asarray(self.cells) - 1)
-        return int(self.active_index[tuple(ijk)])
-
 
 def transfer_profile(r, r0: float, r1: float, kT0: float):
     """Radial transfer permeability: kT0 inside r0, tapering to 0 at r1.
@@ -626,17 +616,6 @@ def taper_cell_average(grid: "CartesianGrid", cells, anchor, axes, radii, kT0: f
         r0,
         r1,
         kT0,
-    )
-
-
-def disc_cell_fractions(grid: "CartesianGrid", cells, center, radius: float):
-    """Exact covered-area fraction of a 2D disc for each listed cell."""
-    if grid.dim != 2:
-        raise ValueError("exact disc overlap is implemented for 2D grids")
-    cells = np.asarray(cells, dtype=np.int64)
-    return _taper_average(
-        grid.cell_centers()[cells], grid.spacing, np.asarray(center, dtype=float),
-        radius, radius, 1.0,
     )
 
 

@@ -35,6 +35,18 @@ class TestValidation:
             assert "--cycle: invalid choice" in err and "Traceback" not in err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--tol", "-1"), ("--tol", "0"), ("--tol", "nan"),
+                        ("--maxit", "0"), ("--maxit", "-5")],
+    )
+    def test_bad_solver_setting_exits_1(self, capsys, tmp_path, flag, value):
+        out = tmp_path / "out"
+        assert main(["case1a", "--meshes", "8,16", flag, value,
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "need a finite tol > 0 and maxit >= 1" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "axes, message",

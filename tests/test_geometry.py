@@ -12,7 +12,6 @@ from mdflow.geometry import (
     build_forest,
     build_support,
     dirichlet_root,
-    disc_cell_fractions,
     forest_from_text,
     forest_to_text,
     incidence,
@@ -248,11 +247,6 @@ class TestCartesianGrid:
     def test_dimension_limits(self):
         with pytest.raises(ValueError):
             CartesianGrid((4,), extent=(1.0,))
-
-    def test_locate(self):
-        g = CartesianGrid((4, 4), extent=(1, 1), origin=(-0.5, -0.5))
-        assert g.locate((-0.49, -0.49)) == 0
-        assert g.locate((0.6, 0.0)) == -1
 
 
 class TestTransferProfile:
@@ -551,7 +545,8 @@ class TestTaperCellAverage:
 class TestDiscOverlap:
     def test_full_and_empty_cells(self):
         g = CartesianGrid((8, 8), extent=(1, 1), origin=(-0.5, -0.5))
-        frac = disc_cell_fractions(g, np.arange(g.n_cells), (0.0, 0.0), 0.3)
+        cells = np.arange(g.n_cells)
+        frac = taper_cell_average(g, cells, (0.0, 0.0), (0, 1), (0.3, 0.3), 1.0)
         centers = g.cell_centers()
         r = np.linalg.norm(centers, axis=1)
         assert np.allclose(frac[r < 0.3 - 0.1], 1.0)
@@ -559,7 +554,8 @@ class TestDiscOverlap:
 
     def test_total_area(self):
         g = CartesianGrid((64, 64), extent=(1, 1), origin=(-0.5, -0.5))
-        frac = disc_cell_fractions(g, np.arange(g.n_cells), (0.013, -0.007), 0.2)
+        cells = np.arange(g.n_cells)
+        frac = taper_cell_average(g, cells, (0.013, -0.007), (0, 1), (0.2, 0.2), 1.0)
         area = frac.sum() * g.cell_volume
         assert area == pytest.approx(np.pi * 0.04, rel=1e-12)
 
