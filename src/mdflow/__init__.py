@@ -84,7 +84,6 @@ from .harness import (
     SeriesReference,
     emit_tables,
     error_norms,
-    project_series_reference,
     restrict_cellwise,
     restrict_face_flux,
     run_case,

@@ -749,7 +749,8 @@ def build_support(
     kt = np.broadcast_to(kt, cells.shape)
     keep = (cells >= 0) & (kt > 0.0)
     if not np.any(keep):
-        raise ValueError("empty support: transfer coefficient vanishes on all cells")
+        raise ValueError(f"empty support for terminal {terminal_id}: "
+                         "transfer coefficient vanishes on all active cells")
     # C order over the box keeps active indices ascending
     return SupportRegion(
         terminal_id=terminal_id, cell_idx=cells[keep], ks=np.sqrt(kt[keep])

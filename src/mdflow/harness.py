@@ -7,13 +7,15 @@ fluxes).  On 4D grids the flux along the last axis is reported
 separately as the perfusion flux.
 
 Two reference kinds are supported.  A series reference compares against
-the closed-form radial solution, with face fluxes integrated by Gauss
-quadrature over each face.  A fine-grid reference restricts a fine
-solve conservatively: cell quantities by volume averaging, face fluxes
-by summing the fine fluxes across each coarse face, and the transfer
-exchange by volume-averaging the physical transfer flux density.  A
-case without a reference yields solver reports and conservation checks
-with an empty error table.
+the closed-form radial solution: pressures sampled at cell centres,
+transfer fluxes by the assembly's cell quadrature, and face fluxes
+scored as a field error of the reconstructed flux field.  A fine-grid
+reference restricts a fine solve on a nested unmasked grid
+conservatively: cell quantities by volume averaging over blocks of
+fine cells, face fluxes by summing the fine fluxes across each coarse
+face, and the transfer exchange by volume-averaging the physical
+transfer flux density.  A case without a reference yields solver
+reports and conservation checks with an empty error table.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from .assembly import (
 )
 from .geometry import CartesianGrid
 from .model import CaseSpec
-from .quadrature import segment_rule
 from .reference import RadialSolution, eval_solution, solve_constants
 from .solver import SolverConfig, SolveReport, solve_pressure
 
@@ -92,54 +93,6 @@ class FineReference:
     report: SolveReport
 
 
-def project_series_reference(ref: SeriesReference, blocks: LumpedBlocks) -> MixedState:
-    """Sample the radial solution in the discrete layout of `blocks`.
-
-    Cell pressures at cell centers, node pressure and edge flux from the
-    series constants, face fluxes integrated over each face by Gauss
-    quadrature of the exact normal flux, and transfer fluxes by the same
-    cell quadrature the assembly uses.
-    """
-    grid = blocks.grid
-    if grid.dim != 2:
-        raise ValueError("series reference requires a 2D grid")
-    sol = ref.solution
-    center = np.asarray(ref.center, dtype=float)
-
-    centers = grid.cell_centers()
-    r_cells = np.linalg.norm(centers - center, axis=1)
-    pD = eval_solution(sol, r_cells)[0]
-
-    # face-integrated exact normal flux: q_r(r) * (x_axis - c_axis)/r
-    ax = grid.face_axis
-    t_axis = 1 - ax
-    lo_corner = grid.origin + grid.cell_multi_index[grid.face_lo] * grid.spacing
-    x_face = lo_corner[np.arange(grid.n_faces), ax] + grid.spacing[ax]
-    t_start = lo_corner[np.arange(grid.n_faces), t_axis]
-    gx, gw = segment_rule(0.0, 1.0)
-    pts_t = t_start[:, None] + gx[None, :] * grid.spacing[t_axis][:, None]
-    xn = x_face[:, None] - center[ax][:, None]
-    xt = pts_t - center[t_axis][:, None]
-    r = np.hypot(xn, xt)
-    qr = eval_solution(sol, r.ravel())[1].reshape(r.shape)
-    with np.errstate(invalid="ignore"):
-        qn = np.where(r > 0, qr * xn / np.where(r > 0, r, 1.0), 0.0)
-    qD = (qn * gw[None, :]).sum(axis=1) * grid.spacing[t_axis]
-
-    # transfer flux: the scheme's cell coefficient times the quadrature
-    # average of the exact pressure drop
-    qS = np.zeros(blocks.sup_cell.size)
-    if qS.size:
-        pts, w = grid.quadrature(cells=blocks.sup_cell)
-        rq = np.linalg.norm(pts - center, axis=2)
-        pref = eval_solution(sol, rq.ravel())[0].reshape(rq.shape)
-        qS = -blocks.sup_ks * ((pref - sol.pN1) @ w)
-
-    pN = np.full(blocks.n_free_nodes, sol.pN1)
-    qN = np.full(blocks.edge_k.size, sol.qN)
-    return MixedState(qD=qD, qS=qS, qN=qN, pD=pD, pN=pN)
-
-
 def flux_field_error(
     state: MixedState, blocks: LumpedBlocks, ref: SeriesReference
 ) -> float:
@@ -181,44 +134,54 @@ def _grid_ratio(fine: CartesianGrid, coarse: CartesianGrid) -> np.ndarray:
         raise ValueError("grid dimensions differ")
     if not np.allclose(fine.origin, coarse.origin):
         raise ValueError("grid origins differ")
+    if not (fine.mask.all() and coarse.mask.all()):
+        raise ValueError("restriction needs unmasked grids")
     ratio = np.asarray(fine.cells) // np.asarray(coarse.cells)
     if np.any(ratio * np.asarray(coarse.cells) != np.asarray(fine.cells)):
         raise ValueError(f"grids do not nest: {fine.cells} vs {coarse.cells}")
     return ratio
 
 
+def _block_sum(values: np.ndarray, ratio) -> np.ndarray:
+    """Sums of blocks of ratio[k] entries along each axis k, C order, flat.
+
+    Reshaped to (c0, r0, c1, r1, ...), the block axes are moved in front
+    and summed one block entry after another in C order, so every sum
+    is rounded the same whatever the array's shape.
+    """
+    shape = [n for size, r in zip(values.shape, ratio) for n in (size // r, r)]
+    order = [*range(1, len(shape), 2), *range(0, len(shape), 2)]
+    blocks = values.reshape(shape).transpose(order)
+    return blocks.reshape(math.prod(ratio), -1).sum(axis=0)
+
+
 def restrict_cellwise(fine: CartesianGrid, coarse: CartesianGrid, values):
     """Volume-average a fine cell field into coarse cells (conservative)."""
     ratio = _grid_ratio(fine, coarse)
-    fm = fine.cell_multi_index // ratio
-    coarse_ids = coarse.active_index[tuple(fm.T)]
-    if np.any(coarse_ids < 0):
-        raise ValueError("fine active cells fall outside coarse active region")
-    weights = np.asarray(values) * fine.cell_volume
-    out = np.bincount(coarse_ids, weights, minlength=coarse.n_cells)
-    return out / coarse.cell_volume
+    weights = (np.asarray(values) * fine.cell_volume).reshape(fine.cells)
+    return _block_sum(weights, ratio) / coarse.cell_volume
 
 
 def restrict_face_flux(fine: CartesianGrid, coarse: CartesianGrid, q_fine):
-    """Sum fine face-integrated fluxes across each coarse interior face."""
+    """Sum fine face-integrated fluxes across each coarse interior face.
+
+    The faces of axis a are the interior faces of an unmasked grid in C
+    order over a brick one cell shorter along a; the coarse faces are
+    every ratio[a]-th plane of them, summed in blocks along the others.
+    """
     ratio = _grid_ratio(fine, coarse)
-    ax = fine.face_axis
-    lo_multi = fine.cell_multi_index[fine.face_lo]
-    pos = lo_multi[np.arange(fine.n_faces), ax]
-    on_plane = (pos + 1) % ratio[ax] == 0
-
-    coarse_lo_multi = lo_multi[on_plane] // ratio
-    axis_sel = ax[on_plane]
-    coarse_lo = coarse.active_index[tuple(coarse_lo_multi.T)]
-
-    # coarse face lookup keyed by (axis, lo cell)
-    key = coarse.face_axis * coarse.n_cells + coarse.face_lo
-    lookup = -np.ones(coarse.dim * coarse.n_cells, dtype=np.int64)
-    lookup[key] = np.arange(coarse.n_faces)
-    fidx = lookup[axis_sel * coarse.n_cells + coarse_lo]
-    if np.any(fidx < 0):
-        raise ValueError("fine face without matching coarse face")
-    return np.bincount(fidx, q_fine[on_plane], minlength=coarse.n_faces)
+    out, start = [], 0
+    for a in range(fine.dim):
+        shape = list(fine.cells)
+        shape[a] -= 1
+        q = q_fine[start : start + math.prod(shape)].reshape(shape)
+        start += q.size
+        planes = [slice(None)] * fine.dim
+        planes[a] = slice(ratio[a] - 1, None, ratio[a])
+        across = ratio.copy()
+        across[a] = 1
+        out.append(_block_sum(q[tuple(planes)], across))
+    return np.concatenate(out)
 
 
 def transfer_density(blocks: LumpedBlocks, state: MixedState) -> np.ndarray:
@@ -238,11 +201,19 @@ def error_norms(
     vol = grid.cell_volume
 
     if isinstance(reference, SeriesReference):
-        ref = project_series_reference(reference, blocks)
-        ref_pD = ref.pD
+        # pressure sampled at cell centres; transfer flux from the
+        # assembly's cell quadrature of the exact pressure drop
+        sol = reference.solution
+        center = np.asarray(reference.center, dtype=float)
+        r_cells = np.linalg.norm(grid.cell_centers() - center, axis=1)
+        ref_pD = eval_solution(sol, r_cells)[0]
         ref_qD = None  # flux scored as a field error below
-        err_qS = math.sqrt(float(vol * ((state.qS - ref.qS) ** 2).sum()))
-        ref_pN, ref_qN = ref.pN, ref.qN
+        pts, w = grid.quadrature(cells=blocks.sup_cell)
+        r = np.linalg.norm(pts - center, axis=2)
+        p_exact = eval_solution(sol, r.ravel())[0].reshape(r.shape)
+        ref_qS = -blocks.sup_ks * ((p_exact - sol.pN1) @ w)
+        err_qS = math.sqrt(float(vol * ((state.qS - ref_qS) ** 2).sum()))
+        ref_pN, ref_qN = sol.pN1, sol.qN
     elif isinstance(reference, FineReference):
         fine_grid = reference.blocks.grid
         ref_pD = restrict_cellwise(fine_grid, grid, reference.state.pD)

@@ -70,9 +70,3 @@ def cell_points(centers: np.ndarray, spacing):
     pts = centers[:, None, :] + ref[None, :, :] * spacing[None, None, :]
     return pts, w
 
-
-def segment_rule(a: float, b: float, npts: int = 4):
-    """Gauss-Legendre points/weights on the interval [a, b]."""
-    x, w = np.polynomial.legendre.leggauss(npts)
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return mid + half * x, half * w

@@ -56,6 +56,9 @@ class AmgConfig:
     def __post_init__(self):
         if self.cycle not in CYCLES:
             raise ValueError(f"unknown cycle {self.cycle!r}: expected one of {CYCLES}")
+        if not 0 <= self.theta < 1 or self.coarse_size < 1:
+            raise ValueError(f"need 0 <= theta < 1 and coarse_size >= 1, "
+                             f"got theta={self.theta}, coarse_size={self.coarse_size}")
 
 
 @dataclass

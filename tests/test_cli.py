@@ -49,6 +49,20 @@ class TestValidation:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "flag, value", [("--theta", "nan"), ("--theta", "-1"), ("--theta", "1"),
+                        ("--theta", "1e9"), ("--coarse-size", "0"),
+                        ("--coarse-size", "-5")],
+    )
+    def test_bad_amg_setting_exits_1(self, capsys, tmp_path, flag, value):
+        out = tmp_path / "out"
+        assert main(["case1a", "--meshes", "8,16", flag, value,
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "need 0 <= theta < 1 and coarse_size >= 1" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "axes, message",
         [("5", "radial_axes (5,)"), ("0, 0", "radial_axes (0, 0)"), ("0.5", "'0.5'")],
     )

@@ -288,9 +288,12 @@ class TestBuildSupport:
         assert kt[0] == pytest.approx(kt[1], abs=1e-6)
 
     def test_empty_support_raises(self):
-        g = self.grid(4)
-        with pytest.raises(ValueError, match="empty support|outside"):
-            build_support(g, 1, (0.6, 0.6), (0.01, 0.01), 1.0)
+        # the support box around the anchor is the inactive corner
+        mask = np.ones((4, 4), dtype=bool)
+        mask[:2, :2] = False
+        g = CartesianGrid((4, 4), extent=(1, 1), origin=(-0.5, -0.5), mask=mask)
+        with pytest.raises(ValueError, match="empty support for terminal 7"):
+            build_support(g, 7, (-0.3, -0.3), (0.1, 0.2), 1.0)
 
     def test_anchor_outside_raises(self):
         with pytest.raises(ValueError, match="outside"):

@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mdflow.assembly import assemble_blocks, recover_fluxes, schur_tpfa
+from mdflow.assembly import MixedState, assemble_blocks, recover_fluxes, schur_tpfa
+from mdflow.geometry import CartesianGrid
 from mdflow.harness import (
     ConvergenceTable,
     ErrorRecord,
@@ -14,35 +15,39 @@ from mdflow.harness import (
     SeriesReference,
     emit_tables,
     error_norms,
-    project_series_reference,
     restrict_cellwise,
     restrict_face_flux,
     run_case,
     transfer_density,
 )
 from mdflow.model import case1, case2
-from mdflow.reference import solve_constants
+from mdflow.reference import eval_solution, solve_constants
 
 
 class TestSeriesProjection:
-    def test_projected_state_scores_zero_on_dof_norms(self, case1a_result):
-        # the projected reference is its own reference for everything
-        # sampled at the discrete unknowns
+    def test_projected_state_scores_zero_on_dof_norms(self):
+        # the series solution sampled as the error norms sample it is its
+        # own reference for everything scored at the discrete unknowns
         spec = case1("A")
         grid = spec.grid(16)
         blocks = assemble_blocks(grid, spec.forest, spec.coefficients(grid))
         sol = solve_constants(spec.reference[1])
-        ref = SeriesReference(sol, (0.0, 0.0))
-        proj = project_series_reference(ref, blocks)
-        rec = error_norms(proj, blocks, ref, 16)
+        pD = eval_solution(sol, np.linalg.norm(grid.cell_centers(), axis=1))[0]
+        pts, w = grid.quadrature(cells=blocks.sup_cell)
+        r = np.linalg.norm(pts, axis=2)
+        p_exact = eval_solution(sol, r.ravel())[0].reshape(r.shape)
+        state = MixedState(
+            qD=np.zeros(grid.n_faces),
+            qS=-blocks.sup_ks * ((p_exact - sol.pN1) @ w),
+            qN=np.full(blocks.edge_k.size, sol.qN),
+            pD=pD,
+            pN=np.full(blocks.n_free_nodes, sol.pN1),
+        )
+        rec = error_norms(state, blocks, SeriesReference(sol, (0.0, 0.0)), 16)
         assert rec.pD == 0.0
         assert rec.pN == 0.0
         assert rec.qS == 0.0
         assert rec.qN == 0.0
-        # the flux field error measures the per-face-constant
-        # reconstruction against the exact field, so it is the (nonzero)
-        # interpolation residual even for the projected state
-        assert 0 < rec.qD < 1e-3
 
 
 class TestFineRestriction:
@@ -78,6 +83,59 @@ class TestFineRestriction:
         on_axis = cb.grid.face_axis == 0
         assert np.allclose(qc1[on_axis], 4.0)  # 2x2 spatial x 1 compartment
         assert np.allclose(qc1[~on_axis], 0.0)
+
+    @staticmethod
+    def brute_force(fine, coarse, values, q):
+        """Loop over fine cells and faces, mapping cells by multi_index // ratio."""
+        ratio = np.asarray(fine.cells) // np.asarray(coarse.cells)
+        cells = np.zeros(coarse.n_cells)
+        for i, multi in enumerate(fine.cell_multi_index):
+            c = coarse.active_index[tuple(multi // ratio)]
+            cells[c] += values[i] * fine.cell_volume / coarse.cell_volume
+        faces = np.zeros(coarse.n_faces)
+        coarse_face = {
+            (a, lo): f
+            for f, (a, lo) in enumerate(zip(coarse.face_axis, coarse.face_lo))
+        }
+        for f in range(fine.n_faces):
+            a = fine.face_axis[f]
+            lo = fine.cell_multi_index[fine.face_lo[f]]
+            if (lo[a] + 1) % ratio[a] == 0:
+                c_lo = coarse.active_index[tuple(lo // ratio)]
+                faces[coarse_face[a, c_lo]] += q[f]
+        return cells, faces
+
+    @pytest.mark.parametrize("case", ["case2", "planar"])
+    def test_matches_brute_force(self, case):
+        if case == "case2":
+            _, fb, cb = self.setup_pair()
+            fine, coarse = fb.grid, cb.grid
+        else:  # unequal per-axis ratios (3, 2)
+            fine = CartesianGrid((12, 8), extent=(1.0, 1.0))
+            coarse = CartesianGrid((4, 4), extent=(1.0, 1.0))
+        rng = np.random.default_rng(3)
+        values = rng.standard_normal(fine.n_cells)
+        q = rng.standard_normal(fine.n_faces)
+        cells, faces = self.brute_force(fine, coarse, values, q)
+        np.testing.assert_allclose(
+            restrict_cellwise(fine, coarse, values), cells, rtol=1e-13, atol=1e-13
+        )
+        np.testing.assert_allclose(
+            restrict_face_flux(fine, coarse, q), faces, rtol=1e-13, atol=1e-13
+        )
+
+    @pytest.mark.parametrize("masked", ["fine", "coarse"])
+    def test_masked_grid_rejected(self, masked):
+        grids = {}
+        for name, m in (("fine", 8), ("coarse", 4)):
+            mask = np.ones((m, m), dtype=bool)
+            mask[0, 0] = name != masked
+            grids[name] = CartesianGrid((m, m), extent=(1.0, 1.0), mask=mask)
+        fine, coarse = grids["fine"], grids["coarse"]
+        with pytest.raises(ValueError, match="unmasked"):
+            restrict_cellwise(fine, coarse, np.ones(fine.n_cells))
+        with pytest.raises(ValueError, match="unmasked"):
+            restrict_face_flux(fine, coarse, np.ones(fine.n_faces))
 
     def test_transfer_density_conservative(self):
         _, fb, cb = self.setup_pair()
