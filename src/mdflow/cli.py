@@ -130,6 +130,9 @@ def _run_study(args, spec, meshes, solver) -> int:
 
 def _run_builtin(args) -> int:
     if args.command == "case2":
+        if args.reference_resolution <= 0:
+            raise _CliError("--reference-resolution must be positive, "
+                            f"got {args.reference_resolution}")
         spec = builtin_case("case2", reference_resolution=args.reference_resolution)
     else:
         spec = builtin_case(args.command)

@@ -302,8 +302,9 @@ def run_case(
     The default solver tolerance (1e-10) is deliberately far below the
     discretization error at these scales so that measured rates show
     the scheme, not the iterative solver.  A fine-grid reference is
-    solved once, at the tighter of that tolerance and 1e-10.  Rates
-    need the meshes of a case with a reference to double; a case
+    solved once, at the tighter of that tolerance and 1e-10, at a
+    resolution that every mesh divides and none reaches.  Rates need
+    the meshes of a case with a reference to double; a case
     without one ("none") takes any mesh list and yields its reports and
     checks with an empty table.
     """
@@ -323,6 +324,12 @@ def run_case(
         reference = SeriesReference(solution=sol, center=tuple(center))
     elif kind == "finegrid":
         resolution = spec.reference[1]
+        finest = max(meshes, default=0)
+        if resolution <= finest:
+            # a reference no finer than a mesh scores that mesh against itself
+            raise ValueError(
+                f"reference resolution {resolution} is not finer than mesh {finest}"
+            )
         for m in meshes:
             if resolution % m:
                 raise ValueError(

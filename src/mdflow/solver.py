@@ -7,6 +7,12 @@ effective preconditioner.  Coarse spaces are piecewise constant over
 aggregates built by greedy pairwise matching on the strength graph
 (|a_ij| >= theta sqrt(a_ii a_jj)), two passes per level so aggregates
 reach size ~4; leftovers join their strongest aggregated neighbor.
+The matching is exactly the paper's lexicographic greedy scan, computed
+by numpy: Jacobi sweeps of the greedy rule converge to it from any
+start, since each decision depends only on those below it; a candidate
+built from row maxima is already the answer on the studies' grids, and
+after MATCH_SWEEPS sweeps' worth of work the scan itself finishes
+whatever is left (see _match_pass).
 Levels keep only the aggregate map: restriction sums the residual over
 each aggregate and prolongation copies each coarse value to its members.
 Everything is deterministic: aggregation seeds scan unknowns in their
@@ -40,6 +46,9 @@ CONVERGED_SLACK = 10.0
 
 # pairwise matching passes per level (aggregates of ~2^NPASSES unknowns)
 NPASSES = 2
+# work of the Jacobi sweeps of the greedy matching, in full sweeps over
+# the upper edges, before the scan finishes it (see _match_pass)
+MATCH_SWEEPS = 4
 MAX_LEVELS = 30
 # K-cycle: the coarse residual reduction after the first flexible-CG
 # step that makes the second unnecessary
@@ -141,53 +150,168 @@ def _strength_graph(A: sp.csr_matrix, theta: float) -> sp.csr_matrix:
     return S
 
 
+def _run_starts(r: np.ndarray) -> np.ndarray:
+    """Positions where a new value starts in the grouped array r."""
+    return np.flatnonzero(np.r_[r.size > 0, r[1:] != r[:-1]])
+
+
+def _at_row_max(w: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Mask of the positive entries of w equal to their row's maximum.
+
+    Rows are nonempty and begin at ``starts``, the last one ending with
+    w.  NaN is never a maximum, as in a scan testing w > best.
+    """
+    hit = w == np.repeat(np.fmax.reduceat(w, starts), np.diff(np.r_[starts, w.size]))
+    hit &= w > 0
+    return hit
+
+
+def _claims(choice: np.ndarray) -> np.ndarray:
+    """The smallest unknown choosing each unknown (n if none)."""
+    n = choice.size
+    claim = np.full(n, n, dtype=np.int32)
+    i = np.flatnonzero(choice >= 0).astype(np.int32)
+    np.minimum.at(claim, choice[i], i)
+    return claim
+
+
 def _match_pass(S: sp.csr_matrix):
     """One greedy pairwise matching sweep in natural order.
 
-    Returns the fine-to-coarse map, or None if nothing aggregated.
-    Unmatched nodes with an aggregated strong neighbor join the
-    strongest such aggregate; isolated nodes stay singletons.
+    S is a strength graph (no diagonal).  Returns the fine-to-coarse
+    map, or None if nothing aggregated.  The map is that of the
+    lexicographic scan: each unknown still free at its turn pairs with
+    its strongest free neighbor (the first in column order on ties),
+    pairs numbered by their seed; then every unmatched unknown with an
+    aggregated neighbor joins the strongest such aggregate, and isolated
+    unknowns become singletons numbered after the pairs.  It is computed
+    without a loop over unknowns:
+
+    1. Candidate: each row points to its heaviest neighbor, ties going
+       to the smallest index distance d, then to the pair whose
+       min(i, j) // d is even (which pins the neighbor, as i - d and
+       i + d differ in that parity); mutual pointers pair.  On the
+       studies' grids this is already the scan's matching.
+    2. Jacobi sweeps of the scan's rule from the candidate.  A free
+       unknown has only matched neighbors below it, so upper edges
+       suffice: claim[j] is the smallest seed choosing j, i is a seed
+       iff nobody claims it, and edge (i, j > i) is usable iff
+       claim[j] >= i; each seed takes its first usable maximum.  A
+       decision depends only on decisions below it, so the scan's
+       matching is the unique fixpoint whatever the start, the unknowns
+       up to the first one a sweep changes are final, and later sweeps
+       skip them.
+    3. Fallback.  Once the sweeps have covered MATCH_SWEEPS times the
+       upper edges, the scan itself finishes from the first unsettled
+       unknown.  A path graded so each unknown prefers the next needs a
+       sweep per unknown, grids with rows of odd length defeat the
+       candidate's parity, and lexicographically first maximal matching
+       is P-complete in general (Anderson & Mayr, 1987).  The scan also takes over below the first
+       seed with an unmatched lower neighbor, which the sweeps do not
+       see and only an unsymmetric pattern produces.
+    4. Leftovers: unmatched unknowns are then independent (two adjacent
+       ones would have paired), so every neighbor of one is aggregated
+       and it joins its row's first maximum.
     """
     n = S.shape[0]
-    indptr, indices, data = S.indptr, S.indices, S.data
+    indptr, cols, w = S.indptr, S.indices, S.data
+    size = np.diff(indptr)
+    rows = np.repeat(np.arange(n, dtype=np.int32), size)
+
+    # the candidate ranks row maxima by the uint32 key 2 d + parity
+    top = _at_row_max(w, indptr[np.flatnonzero(size)])
+    r, k = rows[top], cols[top]
+    del size, top
+    starts = _run_starts(r)
+    heaviest = np.full(n, -1, dtype=np.int32)
+    heaviest[r[starts]] = k[starts]
+    key = np.abs(r - k).view(np.uint32)
+    parity = np.minimum(r, k).view(np.uint32)
+    parity //= key
+    parity &= 1
+    key <<= 1
+    key |= parity
+    del parity
+    best = key == np.repeat(np.minimum.reduceat(key, starts), np.diff(np.r_[starts, r.size]))
+    del key
+    r, k = r[best], k[best]
+    del best
+    point = np.full(n, -1, dtype=np.int32)
+    point[r] = k  # one per row: (d, parity) pins the neighbor
+    seeds = np.flatnonzero(point > np.arange(n))
+    seeds = seeds[point[point[seeds]] == seeds]
+    choice = np.full(n, -1, dtype=np.int32)
+    choice[seeds] = point[seeds]
+    del r, k, point
+
+    upper = cols > rows
+    ur, uc, uw = rows[upper], cols[upper], w[upper]
+    del rows, upper
+    starts = _run_starts(ur)
+    srows = ur[starts]
+    # Jacobi sweeps; choices below `settled` are final
+    settled, budget = 0, MATCH_SWEEPS * ur.size
+    while True:
+        claim = _claims(choice)
+        new = choice.copy()
+        new[settled:] = -1
+        s0 = np.searchsorted(srows, settled)
+        e0 = starts[s0] if s0 < starts.size else ur.size
+        r, k = ur[e0:], uc[e0:]
+        usable = claim[r] > r
+        usable &= claim[k] >= r
+        wt = np.where(usable, uw[e0:], 0.0)
+        del usable
+        hit = np.flatnonzero(_at_row_max(wt, starts[s0:] - e0))
+        del wt
+        hit = hit[_run_starts(r[hit])]
+        new[r[hit]] = k[hit]
+        moved = np.flatnonzero(new[settled:] != choice[settled:])
+        choice = new
+        if moved.size == 0:
+            settled = n
+            break
+        settled += int(moved[0]) + 1
+        budget -= r.size
+        if budget <= 0:
+            break
+    del ur, uc, uw, r, k
+
+    seeds = np.flatnonzero(choice[:settled] >= 0)
+    free = np.ones(n, dtype=bool)
+    free[seeds] = free[choice[seeds]] = False
+    # a seed (unmatched, or paired by its own choice) with an unmatched
+    # lower neighbor: build_hierarchy admits a_ij != a_ji up to rounding,
+    # so the strength threshold can keep one of the two and not the other
+    edge = np.flatnonzero(free[cols[: indptr[settled]]])
+    row = np.searchsorted(indptr, edge, side="right") - 1
+    bad = row[(cols[edge] < row) & (free[row] | (choice[row] >= 0))]
+    if bad.size:
+        settled = int(bad[0])
+        seeds = seeds[seeds < settled]
     agg = np.full(n, -1, dtype=np.int64)
-    n_agg = 0
-    paired = False
-    for i in range(n):
+    agg[seeds] = agg[choice[seeds]] = np.arange(seeds.size)
+    n_agg = seeds.size
+    for i in range(settled, n):  # the scan, where the sweeps stopped
         if agg[i] >= 0:
             continue
-        best = -1
-        best_w = 0.0
+        pick, pick_w = -1, 0.0
         for pos in range(indptr[i], indptr[i + 1]):
-            j = indices[pos]
-            if agg[j] < 0:
-                w = data[pos]
-                if w > best_w:
-                    best_w = w
-                    best = j
-        if best >= 0:
-            agg[i] = agg[best] = n_agg
+            j = cols[pos]
+            if agg[j] < 0 and w[pos] > pick_w:
+                pick, pick_w = j, w[pos]
+        if pick >= 0:
+            agg[i] = agg[pick] = n_agg
             n_agg += 1
-            paired = True
-    for i in range(n):
-        if agg[i] >= 0:
-            continue
-        best = -1
-        best_w = 0.0
-        for pos in range(indptr[i], indptr[i + 1]):
-            j = indices[pos]
-            if agg[j] >= 0:
-                w = data[pos]
-                if w > best_w:
-                    best_w = w
-                    best = j
-        if best >= 0:
-            agg[i] = agg[best]
-            paired = True
-        else:
-            agg[i] = n_agg
-            n_agg += 1
-    return agg if paired else None
+    if n_agg == 0:
+        return None
+
+    left = np.flatnonzero(agg < 0)
+    join = heaviest[left]
+    agg[left[join >= 0]] = agg[join[join >= 0]]
+    lone = left[join < 0]
+    agg[lone] = n_agg + np.arange(lone.size)
+    return agg
 
 
 def _piecewise_constant(agg: np.ndarray) -> sp.csr_matrix:

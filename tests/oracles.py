@@ -4,7 +4,9 @@ The mixed lumped system is rebuilt here from basis principles (trapezoid
 lumping of the lowest-order face-element mass matrix, divergence from
 the flux of each basis function, piecewise-constant coupling integrals)
 and reduced by dense linear algebra, without reusing any assembly code
-paths from the package.
+paths from the package.  The greedy pairwise matching is kept here as
+the plain two-loop scan in natural order that the solver's vectorised
+matching must reproduce exactly.
 """
 
 import numpy as np
@@ -97,3 +99,52 @@ def lumped_rt0_schur_dense(grid, forest, coeffs):
 def dense_pseudo_solve(A, b):
     """Minimum-norm least-squares solve (kernel-aware reference)."""
     return np.linalg.lstsq(A, b, rcond=None)[0]
+
+
+def greedy_match_pass(S):
+    """One greedy pairwise matching sweep in natural order.
+
+    Returns the fine-to-coarse map, or None if nothing aggregated.
+    Unmatched nodes with an aggregated strong neighbor join the
+    strongest such aggregate; isolated nodes stay singletons.
+    """
+    n = S.shape[0]
+    indptr, indices, data = S.indptr, S.indices, S.data
+    agg = np.full(n, -1, dtype=np.int64)
+    n_agg = 0
+    paired = False
+    for i in range(n):
+        if agg[i] >= 0:
+            continue
+        best = -1
+        best_w = 0.0
+        for pos in range(indptr[i], indptr[i + 1]):
+            j = indices[pos]
+            if agg[j] < 0:
+                w = data[pos]
+                if w > best_w:
+                    best_w = w
+                    best = j
+        if best >= 0:
+            agg[i] = agg[best] = n_agg
+            n_agg += 1
+            paired = True
+    for i in range(n):
+        if agg[i] >= 0:
+            continue
+        best = -1
+        best_w = 0.0
+        for pos in range(indptr[i], indptr[i + 1]):
+            j = indices[pos]
+            if agg[j] >= 0:
+                w = data[pos]
+                if w > best_w:
+                    best_w = w
+                    best = j
+        if best >= 0:
+            agg[i] = agg[best]
+            paired = True
+        else:
+            agg[i] = n_agg
+            n_agg += 1
+    return agg if paired else None

@@ -62,6 +62,26 @@ class TestValidation:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["0", "-8"])
+    def test_nonpositive_reference_resolution_exits_1(self, capsys, tmp_path, value):
+        out = tmp_path / "out"
+        assert main(["case2", "--meshes", "4,8", "--reference-resolution", value,
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"--reference-resolution must be positive, got {value}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_reference_no_finer_than_a_mesh_exits_1(self, capsys, tmp_path):
+        # a 1/h=8 reference would score the 1/h=8 mesh against itself
+        out = tmp_path / "out"
+        assert main(["case2", "--meshes", "4,8", "--reference-resolution", "8",
+                     "--no-timings", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "reference resolution 8 is not finer than mesh 8" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "axes, message",
         [("5", "radial_axes (5,)"), ("0, 0", "radial_axes (0, 0)"), ("0.5", "'0.5'")],

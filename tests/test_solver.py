@@ -1,16 +1,28 @@
 """Aggregation hierarchy, V- and K-cycles, and flexible GMRES."""
 
+import itertools
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve_triangular
 
 from mdflow.assembly import assemble_blocks, schur_tpfa
-from mdflow.geometry import CartesianGrid
+from mdflow.geometry import (
+    CartesianGrid,
+    build_forest,
+    dirichlet_root,
+    interior,
+    terminal,
+)
 from mdflow.harness import solve_case_mesh
-from mdflow.model import CoefficientField, case1
+from mdflow.model import CaseSpec, CoefficientField, TransferSpec, case1, case2
+from mdflow import solver as solver_module
 from mdflow.solver import (
     CONVERGED_SLACK,
+    MATCH_SWEEPS,
     AmgConfig,
     SolverConfig,
     _match_pass,
@@ -22,7 +34,7 @@ from mdflow.solver import (
     vcycle,
 )
 
-from oracles import dense_pseudo_solve
+from oracles import dense_pseudo_solve, greedy_match_pass
 
 
 def path_laplacian(n):
@@ -141,6 +153,146 @@ class TestHierarchy:
             hier = build_hierarchy(A)
             assert hier.grid_complexity <= 2.2
             assert hier.operator_complexity <= 2.2
+
+
+def schur_operator(spec, m):
+    grid = spec.grid(m)
+    return schur_tpfa(assemble_blocks(grid, spec.forest, spec.coefficients(grid)))[0]
+
+
+def binary_forest_case(k=5, seed=0):
+    """Two binary trees with 2^k terminals in all, anchored at random."""
+    anchors = iter(np.random.default_rng(seed).uniform(0.1, 0.9, size=(2**k, 2)))
+    nodes, edges, ids = [], [], itertools.count()
+    for pressure in (1.0, 0.0):
+        level = [next(ids)]
+        nodes.append(dirichlet_root(level[0], pressure))
+        for d in range(k):
+            below = [next(ids) for _ in range(len(level) * (1 if d == 0 else 2))]
+            for n, child in enumerate(below):
+                nodes.append(terminal(child, next(anchors)) if d == k - 1 else interior(child))
+                edges.append((level[n * len(level) // len(below)], child, 2.0**-d))
+            level = below
+    forest = build_forest(nodes, edges)
+    return CaseSpec(
+        name="forest", dim=2, origin=(0.0, 0.0), extent=(1.0, 1.0),
+        refine_axes=(True, True), fixed_cells=(0, 0), forest=forest,
+        kD=(1.0, 1.0), source=None,
+        transfers=tuple(TransferSpec(n.id, n.anchor, 0.04, 0.08, 1.0)
+                        for n in forest.terminals),
+    )
+
+
+def random_strength_graph(rng, ties):
+    n = int(rng.integers(1, 120))
+    upper = sp.triu(sp.random(n, n, density=rng.uniform(0.01, 0.3), random_state=rng), 1)
+    if ties:
+        upper.data = rng.integers(1, 4, upper.nnz).astype(float)
+    S = sp.csr_matrix(upper + upper.T)
+    S.sort_indices()
+    return S
+
+
+def assert_same_matching(S):
+    got, want = _match_pass(S), greedy_match_pass(S)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert np.array_equal(got, want)
+    return got
+
+
+class TestMatching:
+    """The vectorised matching against the two-loop greedy scan."""
+
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_random_symmetric_graphs(self, ties):
+        rng = np.random.default_rng(7 + ties)
+        for _ in range(150):
+            assert_same_matching(random_strength_graph(rng, ties))
+
+    def test_unsymmetric_patterns(self):
+        # one-sided lower edges: a seed can see an unmatched lower
+        # neighbor, and the scan takes over below it
+        rng = np.random.default_rng(3)
+        for _ in range(100):
+            S = random_strength_graph(rng, ties=True)
+            n = S.shape[0]
+            extra = sp.tril(sp.random(n, n, density=0.03, random_state=rng), -1)
+            S = sp.csr_matrix(S + extra)
+            S.sort_indices()
+            assert_same_matching(S)
+
+    @pytest.mark.parametrize(
+        "spec, m", [(case1("A"), 64), (case2(), 16), (binary_forest_case(), 32)],
+        ids=["case1a-64", "case2-16", "forest-32"],
+    )
+    def test_every_level_of_a_study_operator(self, monkeypatch, spec, m):
+        calls = []
+
+        def checked(S):
+            calls.append(S.shape[0])
+            return assert_same_matching(S)
+
+        monkeypatch.setattr(solver_module, "_match_pass", checked)
+        hierarchy = build_hierarchy(schur_operator(spec, m))
+        assert hierarchy.nlevels >= 4
+        # every level that was coarsened was matched
+        assert {l.A.shape[0] for l in hierarchy.levels[:-1]} <= set(calls)
+
+    @pytest.mark.parametrize("spec, m", [(case1("A"), 64), (case2(), 16)],
+                             ids=["case1a-64", "case2-16"])
+    def test_grid_candidate_needs_one_sweep(self, monkeypatch, spec, m):
+        # on the studies' grids the candidate is already the greedy
+        # matching, so one sweep per pass confirms it
+        passes, sweeps = [], []
+        match, claims = solver_module._match_pass, solver_module._claims
+        monkeypatch.setattr(solver_module, "_match_pass",
+                            lambda S: passes.append(1) or match(S))
+        monkeypatch.setattr(solver_module, "_claims",
+                            lambda choice: sweeps.append(1) or claims(choice))
+        build_hierarchy(schur_operator(spec, m))
+        assert len(passes) >= 6
+        assert len(sweeps) == len(passes)
+
+    def test_graded_path_exceeds_the_sweep_cap(self, monkeypatch):
+        # each unknown prefers the next, so the sweeps settle about one
+        # unknown each; the scan has to finish the matching
+        n = 20000
+        i = np.arange(n - 1)
+        upper = sp.csr_matrix((1.0 + i, (i, i + 1)), shape=(n, n))
+        S = sp.csr_matrix(upper + upper.T)
+        sweeps = []
+        claims = solver_module._claims
+        monkeypatch.setattr(solver_module, "_claims",
+                            lambda choice: sweeps.append(1) or claims(choice))
+        t0 = time.perf_counter()
+        agg = _match_pass(S)
+        assert time.perf_counter() - t0 < 2.0
+        assert MATCH_SWEEPS <= len(sweeps) <= 2 * MATCH_SWEEPS
+        assert np.array_equal(agg, greedy_match_pass(S))
+        assert np.array_equal(agg, np.arange(n) // 2)
+
+    def test_edgeless_graph(self):
+        assert _match_pass(sp.csr_matrix((5, 5))) is None
+        assert greedy_match_pass(sp.csr_matrix((5, 5))) is None
+
+    def test_matching_never_sets_the_setup_peak(self):
+        # Python-heap peak above the start, on the finest case 2 1/h=16
+        # strength graph: the matching stays below the strength graph
+        A = sp.csr_matrix(schur_operator(case2(), 16))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            S = _strength_graph(A, 0.08)
+            strength = tracemalloc.get_traced_memory()[1] - start
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            _match_pass(S)
+            matching = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert 0 < matching <= strength
 
 
 class TestVcycle:
