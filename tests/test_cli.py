@@ -191,6 +191,18 @@ class TestSolveCommand:
         assert "Traceback" not in err
         assert not (tmp_path / "solution.txt").exists()
 
+    def test_negative_diagonal_exits_1(self, tmp_path, capsys):
+        A = np.array([[2.0, -1.0, 0.0], [-1.0, -3.0, 0.0], [0.0, 0.0, 1.0]])
+        write_matrix_market(A, tmp_path / "A.mtx")
+        np.savetxt(tmp_path / "b.txt", np.ones(3))
+        rc = main(["solve", "--matrix", str(tmp_path / "A.mtx"),
+                   "--rhs", str(tmp_path / "b.txt"), "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "non-positive diagonal in row 1: a_ii = -3" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "solution.txt").exists()
+
 
 class TestCaseCommands:
     def test_case1a_small_run(self, tmp_path):

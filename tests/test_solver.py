@@ -1,8 +1,12 @@
 """Aggregation hierarchy, V- and K-cycles, and flexible GMRES."""
 
 import itertools
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -107,29 +111,26 @@ class TestHierarchy:
 
     def test_backward_sweep_is_upper_gauss_seidel(self):
         # the plain solve with the triu factor is Gauss-Seidel on triu(A)
-        # on every level
-        spec = case1("A")
-        grid = spec.grid(32)
-        A, _ = schur_tpfa(assemble_blocks(grid, spec.forest, spec.coefficients(grid)))
-        hier = build_hierarchy(A)
-        assert hier.nlevels > 2
+        # on every level, graph levels (case 2's coarse ones) included
         rng = np.random.default_rng(0)
-        for lev in hier.levels:
-            n = lev.A.shape[0]
-            b, x = rng.standard_normal(n), rng.standard_normal(n)
-            upper = sp.triu(lev.A, format="csr")
-            expected = x + spsolve_triangular(upper, b - lev.A @ x, lower=False)
-            got = lev.gs_backward(b, x)
-            assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
+        for spec, m in [(case1("A"), 32), (case2(), 16)]:
+            hier = build_hierarchy(schur_operator(spec, m))
+            assert hier.nlevels > 2
+            for lev in hier.levels:
+                n = lev.A.shape[0]
+                b, x = rng.standard_normal(n), rng.standard_normal(n)
+                upper = sp.triu(lev.A, format="csr")
+                expected = x + spsolve_triangular(upper, b - lev.A @ x, lower=False)
+                got = lev.gs_backward(b, x)
+                assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
 
     def test_forward_sweep_is_lower_gauss_seidel(self):
         # the transposed solve with the triu factor is Gauss-Seidel on
         # tril(A), from x or from zero without the residual product
-        spec = case1("A")
-        grid = spec.grid(16)
-        A, _ = schur_tpfa(assemble_blocks(grid, spec.forest, spec.coefficients(grid)))
         rng = np.random.default_rng(1)
-        for lev in build_hierarchy(A).levels:
+        levels = [lev for spec, m in [(case1("A"), 16), (case2(), 16)]
+                  for lev in build_hierarchy(schur_operator(spec, m)).levels]
+        for lev in levels:
             n = lev.A.shape[0]
             b, x = rng.standard_normal(n), rng.standard_normal(n)
             lower = sp.tril(lev.A, format="csr")
@@ -141,6 +142,11 @@ class TestHierarchy:
     def test_zero_diagonal_rejected(self):
         A = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
         with pytest.raises(ValueError, match="diagonal"):
+            build_hierarchy(A)
+
+    def test_negative_diagonal_rejected_with_its_row(self):
+        A = sp.csr_matrix(np.array([[2.0, -1.0, 0.0], [-1.0, -3.0, 0.0], [0.0, 0.0, -1.0]]))
+        with pytest.raises(ValueError, match=r"non-positive diagonal in row 1: a_ii = -3"):
             build_hierarchy(A)
 
     def test_complexities_bounded_on_case1(self):
@@ -293,6 +299,38 @@ class TestMatching:
         finally:
             tracemalloc.stop()
         assert 0 < matching <= strength
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+class TestSetupMemory:
+    def test_hierarchy_peak_is_a_small_multiple_of_the_operator(self, tmp_path):
+        # SuperLU allocates with malloc, which tracemalloc does not see, so
+        # a fresh process reads its peak resident set (VmHWM) around
+        # build_hierarchy on the case 2 1/h=32 operator.  Not ru_maxrss:
+        # exec carries the spawning process's high-water mark into it
+        A = sp.csr_matrix(schur_operator(case2(), 32))
+        sp.save_npz(tmp_path / "A.npz", A, compressed=False)
+        script = (
+            "import sys\n"
+            "import scipy.sparse as sp\n"
+            "from mdflow.solver import build_hierarchy\n"
+            "def peak_kib():\n"
+            "    with open('/proc/self/status') as f:\n"
+            "        return next(int(l.split()[1]) for l in f if l.startswith('VmHWM:'))\n"
+            "A = sp.load_npz(sys.argv[1])\n"
+            "before = peak_kib()\n"
+            "build_hierarchy(A)\n"
+            "print(peak_kib() - before)\n"
+        )
+        src = str(Path(solver_module.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", script, str(tmp_path / "A.npz")],
+                             env=env, capture_output=True, text=True, check=True)
+        rise = int(out.stdout) * 1024
+        nbytes = A.data.nbytes + A.indices.nbytes + A.indptr.nbytes
+        # 5.8x with SuperLU's default 20-column panels, 4.0x with 2
+        assert rise <= 5 * nbytes, f"{rise / nbytes:.2f} x the operator"
 
 
 class TestVcycle:
@@ -494,6 +532,16 @@ class TestSolvePressure:
             history = np.asarray(r.residuals)
             assert history[-1] <= config.tol
             assert np.all(history[:-1] > config.tol)
+
+    def test_case2_iterations_match_solver_table(self, case2_result):
+        # case2_solver.csv at tol 1e-10: rounding in the smoother that
+        # moves a count must show here
+        config = SolverConfig(tol=1e-10, amg=AmgConfig(cycle="V"))
+        v_reports = [solve_case_mesh(case2(), m, config)[2] for m in (8, 16, 32)]
+        assert [r.iterations for r in v_reports] == [11, 15, 19]
+        assert [r.iterations for r in case2_result.reports] == [10, 10, 10]
+        for reports in (v_reports, case2_result.reports):
+            assert [r.nlevels for r in reports] == [4, 6, 7]
 
     def test_case1a_kcycle_iterations_stay_flat(self):
         # 1/h = 32..128 at tol 1e-10 take 15/15/15, where the V-cycle
