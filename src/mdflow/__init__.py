@@ -16,7 +16,7 @@ from .geometry import (
     Node,
     NodeKind,
     SignedIncidence,
-    SupportRegion,
+    SupportTable,
     build_forest,
     build_support,
     dirichlet_root,

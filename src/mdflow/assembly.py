@@ -8,13 +8,14 @@ fluxes q to cell and node pressures p through one sparse operator G:
 
 D = diag(d) holds the lumped flux weights, r the integrated sources and
 lift the Dirichlet root pressures as each flux row sees them.  Rows of
-G are interior faces, then support rows (terminal by terminal), then
-edges; columns are active cells, then free nodes.  (G, d, lift) is the
-only representation of the scheme, and each consumer is one expression
-in it: the pressure system A = G' D^{-1} G, b = r - G' D^{-1} lift; the
-fluxes q = -(G p + lift) / d; the balance residual -(G' q + r); the
-global balance (G 1)' q + sum(r), as G 1 is nonzero exactly on rows
-that reach a Dirichlet root; the components, via shared rows of G.
+G are interior faces, then support rows (the support table's rows,
+terminal by terminal), then edges; columns are active cells, then free
+nodes.  (G, d, lift) is the only representation of the scheme, and each
+consumer is one expression in it: the pressure system A = G' D^{-1} G,
+b = r - G' D^{-1} lift; the fluxes q = -(G p + lift) / d; the balance
+residual -(G' q + r); the global balance (G 1)' q + sum(r), as G 1 is
+nonzero exactly on rows that reach a Dirichlet root; the components,
+via shared rows of G.
 
 Flux unknowns use the face-integrated convention: the half-cell face
 weight is d_f / (k |f|), making the two-point transmissibility across
@@ -58,9 +59,10 @@ class LumpedBlocks:
     """The mixed operator (G, d, lift) of one grid/forest/coefficient triple.
 
     Flux rows are [interior faces; support rows; edges] and pressure
-    columns [active cells; free nodes].  Support rows run over the
-    terminals in forest order; row i couples cell ``sup_cell[i]`` to its
-    terminal with the scaled coefficient ``sup_ks[i]``.
+    columns [active cells; free nodes].  Support rows are the rows of
+    the coefficients' support table, grouped by terminal in forest
+    order; row i couples cell ``sup_cell[i]`` to its terminal with the
+    scaled coefficient ``sup_ks[i]``.
     """
 
     grid: CartesianGrid
@@ -157,17 +159,12 @@ def assemble_blocks(
     free_ids = inc.node_ids
     n = nc + len(free_ids)
 
+    # validate() checked that the table's terminals are in forest order
     col = {nid: j for j, nid in enumerate(free_ids)}
-    sup_by_id = {s.terminal_id: s for s in coeffs.supports}
-    sups = [sup_by_id[t.id] for t in net.terminals]
-    for s in sups:
-        if s.cell_idx.size == 0:
-            raise ValueError(f"terminal {s.terminal_id} has an empty support")
-    sup_cell = np.concatenate([np.zeros(0, np.int64)] + [s.cell_idx for s in sups])
-    sup_ks = np.concatenate([np.zeros(0)] + [s.ks for s in sups])
-    sup_node = np.repeat(
-        [col[s.terminal_id] for s in sups], [s.cell_idx.size for s in sups]
-    ).astype(np.int64)
+    sup = coeffs.supports
+    sup_cell, sup_ks = sup.cell_idx, sup.ks
+    terminal_col = np.array([col[i] for i in sup.terminal_ids], dtype=np.int64)
+    sup_node = terminal_col[sup.terminal]
     m = sup_ks * grid.cell_volume
 
     G = sp.vstack(

@@ -306,6 +306,13 @@ class CartesianGrid:
         return cell_points(centers, self.spacing)
 
 
+def _check_profile(r0: float, r1: float, kT0: float):
+    if not 0 < r0 <= r1:
+        raise ValueError(f"need 0 < r0 <= r1, got r0={r0}, r1={r1}")
+    if not kT0 > 0:
+        raise ValueError(f"need kT0 > 0, got {kT0}")
+
+
 def transfer_profile(r, r0: float, r1: float, kT0: float):
     """Radial transfer permeability: kT0 inside r0, tapering to 0 at r1.
 
@@ -313,10 +320,7 @@ def transfer_profile(r, r0: float, r1: float, kT0: float):
     a0^2 = r0^2 / (r1^2 - r0^2), which is continuous at r0.  For
     r0 == r1 the profile is the sharp cutoff kT0 * 1_{r <= r0}.
     """
-    if not 0 < r0 <= r1:
-        raise ValueError(f"need 0 < r0 <= r1, got r0={r0}, r1={r1}")
-    if not kT0 > 0:
-        raise ValueError(f"need kT0 > 0, got {kT0}")
+    _check_profile(r0, r1, kT0)
     r = np.asarray(r, dtype=float)
     out = np.zeros_like(r)
     out[r <= r0] = kT0
@@ -551,8 +555,12 @@ def _piece_rule():
     return rule
 
 
-def _taper_average(centers, width, anchor, r0: float, r1: float, kT0: float):
-    """`taper_cell_average` on boxes given in the radial subspace."""
+def _taper_average(centers, width, anchors, r0: float, r1: float, kT0: float):
+    """`taper_cell_average` on boxes given in the radial subspace.
+
+    ``anchors`` holds one anchor per box, shape (n, dim), so one call can
+    serve the supports of many terminals.
+    """
     n, dim = centers.shape
     vol = float(np.prod(width))
     u, du = _piece_rule()
@@ -561,6 +569,7 @@ def _taper_average(centers, width, anchor, r0: float, r1: float, kT0: float):
     # is evaluated at the box's 4 corners
     step = max(1, _CHUNK_POINTS // (9 * 4 * PIECE_POINTS))
     for s in range(0, n, step):
+        anchor = anchors[s : s + step]
         lo = centers[s : s + step] - 0.5 * width - anchor
         hi = lo + width
         dmin, dmax = _distance_range(centers[s : s + step], 0.5 * width, anchor)
@@ -608,34 +617,55 @@ def taper_cell_average(grid: "CartesianGrid", cells, anchor, axes, radii, kT0: f
     if not 1 <= len(axes) <= 2:
         raise ValueError(f"exact-in-r averages need one or two radial axes, got {axes}")
     r0, r1 = radii
-    transfer_profile(0.0, r0, r1, kT0)  # validates the profile parameters
-    return _taper_average(
-        grid.cell_centers()[cells][:, axes],
-        grid.spacing[axes],
-        np.asarray(anchor, dtype=float),
-        r0,
-        r1,
-        kT0,
-    )
+    _check_profile(r0, r1, kT0)
+    centers = grid.cell_centers()[cells][:, axes]
+    anchors = np.broadcast_to(np.asarray(anchor, dtype=float), centers.shape)
+    return _taper_average(centers, grid.spacing[axes], anchors, r0, r1, kT0)
 
 
 @dataclass(frozen=True)
-class SupportRegion:
-    """Cells coupled to one terminal, with the scaled coefficient per cell.
-
-    ``ks`` holds the cellwise square root of the quadrature-averaged
-    transfer coefficient, so ks^2 * volume reproduces the cell integral
-    of kT; the represented region is exactly the cells where that value
-    is positive.
-    """
+class TransferSpec:
+    """Radial transfer coupling for one terminal."""
 
     terminal_id: int
-    cell_idx: np.ndarray  # active cell indices, sorted
-    ks: np.ndarray  # per-cell scaled transfer coefficient, > 0
+    anchor: tuple[float, ...]
+    r0: float
+    r1: float
+    kT0: float = 1.0
+    radial_axes: tuple[int, ...] | None = None
+    # (axis, 'lower'|'upper'): confine the support to one side of the
+    # axis midpoint, e.g. one compartment of a two-compartment model.
+    compartment: tuple[int, str] | None = None
 
-    def integral(self, cell_volume: float) -> float:
-        """Total scaled coupling mass, sum(ks * vol)."""
-        return float(self.ks.sum() * cell_volume)
+
+@dataclass(frozen=True)
+class SupportTable:
+    """The cells coupled to every terminal, one row per (terminal, cell) pair.
+
+    Rows are grouped by terminal in the order of ``terminal_ids``, and
+    each terminal's cells ascend.  ``ks`` holds the cellwise square root
+    of the quadrature-averaged transfer coefficient, so ks^2 * volume
+    reproduces the cell integral of kT; a terminal's rows are exactly
+    the cells where that value is positive.
+    """
+
+    terminal_ids: tuple[int, ...]  # one per terminal, in row order
+    terminal: np.ndarray  # (n_rows,) position in terminal_ids of the row's terminal
+    cell_idx: np.ndarray  # (n_rows,) active cell indices
+    ks: np.ndarray  # (n_rows,) scaled transfer coefficient, > 0
+
+    def ordered(self, ids) -> "SupportTable":
+        """The same rows regrouped by terminal in the order of ``ids``."""
+        ids = tuple(ids)
+        if ids == self.terminal_ids:
+            return self
+        if sorted(ids) != sorted(self.terminal_ids):
+            raise ValueError("need exactly one support per terminal node")
+        pos = {tid: j for j, tid in enumerate(ids)}
+        rank = np.array([pos[tid] for tid in self.terminal_ids], dtype=np.int64)
+        rank = rank[self.terminal]
+        order = np.argsort(rank, kind="stable")
+        return SupportTable(ids, rank[order], self.cell_idx[order], self.ks[order])
 
 
 def _compartment_fraction(grid: CartesianGrid, axis: int, side: str):
@@ -653,23 +683,119 @@ def _compartment_fraction(grid: CartesianGrid, axis: int, side: str):
     return below if side == "lower" else 1.0 - below
 
 
-def build_support(
-    grid: CartesianGrid,
-    terminal_id: int,
-    anchor,
-    radii,
-    kT0: float,
-    radial_axes=None,
-    compartment: tuple[int, str] | None = None,
-) -> SupportRegion:
-    """Evaluate the scaled transfer coefficient around a terminal anchor.
+def _checked_transfer(grid: CartesianGrid, t: TransferSpec):
+    """Sorted radial axes, the anchor along them and the compartment of a transfer.
 
-    The distance to the anchor is measured over ``radial_axes`` only
-    (default: all axes; distinct axes of the grid), so a 4D grid can
-    carry supports that are radial in space and constant through the
-    extra axis.  ``compartment`` is an optional (axis, 'lower' | 'upper')
-    pair confining the support to one side of that axis's midpoint; it
-    enters as each cell's exact volume fraction on that side.
+    Raises ValueError on the first invalid parameter.
+    """
+    axes = np.arange(grid.dim) if t.radial_axes is None else np.asarray(t.radial_axes)
+    if not (
+        axes.dtype.kind in "iu"
+        and axes.ndim == 1
+        and 0 < axes.size == np.unique(axes).size
+        and 0 <= axes.min()
+        and axes.max() < grid.dim
+    ):
+        raise ValueError(
+            f"radial_axes {t.radial_axes!r} must be distinct axes in 0..{grid.dim - 1}"
+        )
+    anchor = np.asarray(t.anchor, dtype=float)
+    if anchor.shape != (axes.size,):
+        raise ValueError(
+            f"anchor has {anchor.size} coordinates for {axes.size} radial axes"
+        )
+    lo = grid.origin[axes]
+    hi = lo + np.asarray(grid.cells)[axes] * grid.spacing[axes]
+    if np.any(anchor < lo) or np.any(anchor > hi):
+        raise ValueError(f"anchor {anchor.tolist()} lies outside the grid")
+    _check_profile(t.r0, t.r1, t.kT0)
+    compartment = None
+    if t.compartment is not None:
+        axis, side = compartment = tuple(t.compartment)
+        _compartment_fraction(grid, axis, side)  # validates the compartment
+    order = np.argsort(axes)
+    return tuple(axes[order].tolist()), anchor[order], compartment
+
+
+def _ragged_boxes(first, count):
+    """Multi-indices of the cells of many boxes, box after box, each in C order.
+
+    ``first`` and ``count`` (m, k) hold each box's first cell and cell
+    count per axis.  Returns each row's box, the rows' multi-indices
+    (n_rows, k) and each box's first row.  The rows are built one axis
+    at a time, every partial row repeated once per cell along the next
+    axis.
+    """
+    owner = np.arange(len(count))
+    cols = []
+    for j in range(count.shape[1]):
+        c = count[owner, j]
+        parent = np.repeat(np.arange(owner.size), c)
+        local = np.arange(parent.size) - (np.cumsum(c) - c)[parent]
+        owner = owner[parent]
+        cols = [col[parent] for col in cols] + [local + first[owner, j]]
+    sizes = count.prod(axis=1)
+    return owner, np.stack(cols, axis=1), np.cumsum(sizes) - sizes
+
+
+def _group_rows(grid, axes, r0, r1, kT0, anchors, compartments):
+    """(owner, cell, kt) over the candidate boxes of transfers sharing a profile.
+
+    ``anchors`` (m, len(axes)) and ``compartments`` (m,) belong to the m
+    transfers whose radial ``axes`` and profile (r0, r1, kT0) agree.
+    Rows run over the transfers in order, each box in C order over the
+    grid; only active cells with kt > 0 are kept.
+    """
+    axes = np.asarray(axes)
+    lo = grid.origin[axes]
+    h = grid.spacing[axes]
+    n = np.asarray(grid.cells)[axes]
+    # Candidate box: along each radial axis, the cells meeting
+    # [anchor - r1, anchor + r1]; along the other axes, every cell.
+    first = np.maximum(np.ceil((anchors - r1 - lo) / h) - 1, 0).astype(np.int64)
+    last = np.minimum(np.floor((anchors + r1 - lo) / h), n - 1).astype(np.int64)
+    owner, multi, start = _ragged_boxes(first, last - first + 1)
+    centers = lo + (multi + 0.5) * h
+    if axes.size <= 2:
+        kt = _taper_average(centers, h, anchors[owner], r0, r1, kT0)
+    else:  # a single transfer
+        profile = lambda r: transfer_profile(r, r0, r1, kT0)
+        kt = _box_average(
+            centers, h, anchors[0], profile, ((r0, r1),), SUPPORT_SUBDIV_SPATIAL
+        )
+
+    # The average is computed once per radial cell and broadcast along
+    # the other axes of the grid.
+    if axes.size < grid.dim:
+        m = len(anchors)
+        full_first = np.zeros((m, grid.dim), dtype=np.int64)
+        full_count = np.tile(np.asarray(grid.cells, dtype=np.int64), (m, 1))
+        full_first[:, axes] = first
+        full_count[:, axes] = last - first + 1
+        owner, full, _ = _ragged_boxes(full_first, full_count)
+        local = np.zeros(owner.size, dtype=np.int64)
+        for j, a in enumerate(axes):
+            local = local * (last - first + 1)[owner, j] + full[:, a] - first[owner, j]
+        kt = kt[start[owner] + local]
+        multi = full
+    for key in {c for c in compartments if c is not None}:
+        rows = np.array([c == key for c in compartments])[owner]
+        kt[rows] *= _compartment_fraction(grid, *key)[multi[rows, key[0]]]
+    cells = grid.active_index[tuple(multi.T)]
+    keep = (cells >= 0) & (kt > 0.0)
+    return owner[keep], cells[keep], kt[keep]
+
+
+def build_support(grid: CartesianGrid, transfers) -> SupportTable:
+    """Evaluate the scaled transfer coefficients around all terminal anchors.
+
+    Each `TransferSpec` measures the distance to its anchor over its
+    ``radial_axes`` only (default: all axes; distinct axes of the grid),
+    so a 4D grid can carry supports that are radial in space and
+    constant through the extra axis.  Its optional ``compartment``, an
+    (axis, 'lower' | 'upper') pair, confines the support to one side of
+    that axis's midpoint; it enters as each cell's exact volume fraction
+    on that side.
 
     The per-cell transfer coefficient is the cell average of kT(x).
     With one or two radial axes it comes from `taper_cell_average`,
@@ -689,71 +815,56 @@ def build_support(
     root of the average; cells where it vanishes are excluded.  The
     support is truncated at the domain boundary without
     renormalization.
+
+    All planar supports that share their radial axes and profile are
+    evaluated in one batch; supports with three or more radial axes
+    take one call each.  The table's terminals are the transfers' in
+    the order given.  A ValueError names the first transfer, in that
+    order, with an invalid parameter or an empty support.
     """
-    r0, r1 = radii
-    anchor = np.asarray(anchor, dtype=float)
-    axes = np.arange(grid.dim) if radial_axes is None else np.asarray(radial_axes)
-    if not (
-        axes.dtype.kind in "iu"
-        and axes.ndim == 1
-        and 0 < axes.size == np.unique(axes).size
-        and 0 <= axes.min()
-        and axes.max() < grid.dim
-    ):
-        raise ValueError(
-            f"radial_axes {radial_axes!r} must be distinct axes in 0..{grid.dim - 1}"
-        )
-    if anchor.shape != (axes.size,):
-        raise ValueError(
-            f"anchor has {anchor.size} coordinates for {axes.size} radial axes"
-        )
-    lo = grid.origin[axes]
-    h = grid.spacing[axes]
-    n = np.asarray(grid.cells)[axes]
-    if np.any(anchor < lo) or np.any(anchor > lo + n * h):
-        raise ValueError(f"anchor {anchor.tolist()} lies outside the grid")
-    transfer_profile(0.0, r0, r1, kT0)  # validates the profile parameters
+    transfers = tuple(transfers)
+    groups: dict[tuple, list[int]] = {}
+    anchors, compartments = [], []
+    failure = None
+    for j, t in enumerate(transfers):
+        try:
+            axes, anchor, compartment = _checked_transfer(grid, t)
+        except ValueError as exc:
+            failure = exc
+            break
+        # supports with three or more radial axes are evaluated one by one
+        key = (axes, t.r0, t.r1, t.kT0) + ((j,) if len(axes) > 2 else ())
+        groups.setdefault(key, []).append(j)
+        anchors.append(anchor)
+        compartments.append(compartment)
 
-    # Candidate box: along each radial axis, the cells meeting
-    # [anchor - r1, anchor + r1].  Axes are taken in grid order so the
-    # box reshapes onto the grid.
-    order = np.argsort(axes)
-    axes, anchor, lo, h = axes[order], anchor[order], lo[order], h[order]
-    first = np.maximum(np.ceil((anchor - r1 - lo) / h) - 1, 0).astype(np.int64)
-    last = np.minimum(np.floor((anchor + r1 - lo) / h), n[order] - 1).astype(np.int64)
-    box = [slice(None)] * grid.dim
-    shape = [1] * grid.dim
-    for a, i0, i1 in zip(axes, first, last):
-        box[a] = slice(i0, i1 + 1)
-        shape[a] = i1 - i0 + 1
-    multi = np.indices(last - first + 1).reshape(axes.size, -1).T + first
-    centers = lo + (multi + 0.5) * h
-
-    if axes.size <= 2:
-        kt = _taper_average(centers, h, anchor, r0, r1, kT0)
-    else:
-        kt = _box_average(
-            centers,
-            h,
-            anchor,
-            lambda r: transfer_profile(r, r0, r1, kT0),
-            ((r0, r1),),
-            SUPPORT_SUBDIV_SPATIAL,
+    owner, cells, kt = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], [np.zeros(0)]
+    for (axes, r0, r1, kT0, *_), members in groups.items():
+        o, c, k = _group_rows(
+            grid, axes, r0, r1, kT0,
+            np.array([anchors[j] for j in members]),
+            [compartments[j] for j in members],
         )
-    kt = kt.reshape(shape)
-    if compartment is not None:
-        axis, side = compartment
-        frac = _compartment_fraction(grid, axis, side)[box[axis]]
-        kt = kt * np.expand_dims(frac, [a for a in range(grid.dim) if a != axis])
-    cells = grid.active_index[tuple(box)]
-    kt = np.broadcast_to(kt, cells.shape)
-    keep = (cells >= 0) & (kt > 0.0)
-    if not np.any(keep):
-        raise ValueError(f"empty support for terminal {terminal_id}: "
-                         "transfer coefficient vanishes on all active cells")
-    # C order over the box keeps active indices ascending
-    return SupportRegion(
-        terminal_id=terminal_id, cell_idx=cells[keep], ks=np.sqrt(kt[keep])
+        owner.append(np.asarray(members, dtype=np.int64)[o])
+        cells.append(c)
+        kt.append(k)
+    owner, cells, kt = (np.concatenate(x) for x in (owner, cells, kt))
+    empty = np.flatnonzero(np.bincount(owner, minlength=len(anchors)) == 0)
+    if empty.size:
+        raise ValueError(
+            f"empty support for terminal {transfers[empty[0]].terminal_id}: "
+            "transfer coefficient vanishes on all active cells"
+        )
+    if failure is not None:
+        raise failure
+    if np.any(owner[1:] < owner[:-1]):  # groups interleave in transfer order
+        order = np.argsort(owner, kind="stable")
+        owner, cells, kt = owner[order], cells[order], kt[order]
+    return SupportTable(
+        terminal_ids=tuple(t.terminal_id for t in transfers),
+        terminal=owner,
+        cell_idx=cells,
+        ks=np.sqrt(kt),
     )
 
 

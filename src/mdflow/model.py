@@ -1,9 +1,10 @@
 """Coefficient fields, scaling, and the built-in test cases.
 
 Coefficients live cell-by-cell on the grid: a per-axis permeability, one
-support region per terminal (holding the scaled transfer coefficient),
-and source densities.  Case specifications are declarative so the same
-case can be instantiated on any mesh of a refinement sequence.
+support table for all terminals (holding the scaled transfer
+coefficient per terminal and cell), and source densities.  Case
+specifications are declarative so the same case can be instantiated on
+any mesh of a refinement sequence.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ import numpy as np
 from .geometry import (
     CartesianGrid,
     Forest,
-    SupportRegion,
+    SupportTable,
+    TransferSpec,
     build_forest,
     build_support,
     dirichlet_root,
@@ -47,13 +49,15 @@ class CoefficientField:
     """All material data and sources for one grid/forest pair.
 
     kD has shape (n_cells, dim); the entry for the last axis of a 4D
-    grid is the inter-compartment ("perfusion") coefficient.  rD is a
-    per-cell source density (quadrature average).  rN maps node ids of
-    non-Dirichlet nodes to point sources; missing ids mean zero.
+    grid is the inter-compartment ("perfusion") coefficient.  supports
+    is one table for all terminals, its rows grouped by terminal in the
+    forest's terminal order.  rD is a per-cell source density
+    (quadrature average).  rN maps node ids of non-Dirichlet nodes to
+    point sources; missing ids mean zero.
     """
 
     kD: np.ndarray
-    supports: tuple[SupportRegion, ...]
+    supports: SupportTable
     rD: np.ndarray
     rN: dict[int, float] = field(default_factory=dict)
 
@@ -65,9 +69,12 @@ class CoefficientField:
         if self.rD.shape != (grid.n_cells,):
             raise ValueError("rD must have one value per active cell")
         terminals = forest.terminals if forest is not None else ()
-        sup_ids = [s.terminal_id for s in self.supports]
-        if sorted(sup_ids) != sorted(n.id for n in terminals):
+        ids = tuple(n.id for n in terminals)
+        sup_ids = self.supports.terminal_ids
+        if sorted(sup_ids) != sorted(ids):
             raise ValueError("need exactly one support per terminal node")
+        if sup_ids != ids:
+            raise ValueError("supports must follow the forest's terminal order")
         return self
 
 
@@ -95,21 +102,6 @@ class RadialParams:
     @property
     def radii(self):
         return (self.r0, self.r1, self.r2, self.r3)
-
-
-@dataclass(frozen=True)
-class TransferSpec:
-    """Radial transfer coupling for one terminal."""
-
-    terminal_id: int
-    anchor: tuple[float, ...]
-    r0: float
-    r1: float
-    kT0: float = 1.0
-    radial_axes: tuple[int, ...] | None = None
-    # (axis, 'lower'|'upper'): confine the support to one side of the
-    # axis midpoint, e.g. one compartment of a two-compartment model.
-    compartment: tuple[int, str] | None = None
 
 
 def ring_profile(r, rD0: float, r2: float, r3: float):
@@ -162,18 +154,7 @@ class CaseSpec:
 
     def coefficients(self, grid: CartesianGrid) -> CoefficientField:
         kD = np.broadcast_to(np.asarray(self.kD), (grid.n_cells, grid.dim)).copy()
-        supports = [
-            build_support(
-                grid,
-                t.terminal_id,
-                t.anchor,
-                (t.r0, t.r1),
-                t.kT0,
-                radial_axes=t.radial_axes,
-                compartment=t.compartment,
-            )
-            for t in self.transfers
-        ]
+        supports = build_support(grid, self.transfers)
         if self.source is None:
             rD = np.zeros(grid.n_cells)
         else:
@@ -193,8 +174,9 @@ class CaseSpec:
                 breaks=(s.r2, s.r3),
                 subdiv=SOURCE_SUBDIV,
             )
+        supports = supports.ordered(n.id for n in self.forest.terminals)
         return CoefficientField(
-            kD=kD, supports=tuple(supports), rD=rD, rN=dict(self.rN)
+            kD=kD, supports=supports, rD=rD, rN=dict(self.rN)
         ).validate(grid, self.forest)
 
 

@@ -373,14 +373,24 @@ def build_hierarchy(A, config: AmgConfig | None = None) -> AmgHierarchy:
     first level whose aggregation keeps more than 95% of its unknowns
     or where nothing aggregates (e.g. a diagonal matrix, for which
     Gauss-Seidel is exact anyway): that level is the coarsest and gets
-    the two smoothing sweeps alone.  A nonsymmetric matrix is rejected:
-    the forward sweep relies on tril(A) = triu(A)^T.  The hierarchy
-    applies the cycle ``config.cycle`` names.
+    the two smoothing sweeps alone.  A matrix with a NaN or infinite
+    entry is rejected, naming the first one in row order, and so is a
+    nonsymmetric one: the forward sweep relies on tril(A) = triu(A)^T.
+    The hierarchy applies the cycle ``config.cycle`` names.
     """
     config = config or AmgConfig()
     A = sp.csr_matrix(A)
     if A.shape[0] != A.shape[1]:
         raise ValueError(f"non-square input {A.shape}")
+    # NaN compares false in the symmetry and diagonal checks below
+    bad = np.flatnonzero(~np.isfinite(A.data))
+    if bad.size:
+        rows = np.searchsorted(A.indptr, bad, side="right") - 1
+        first = np.lexsort((A.indices[bad], rows))[0]
+        raise ValueError(
+            f"non-finite entry in row {rows[first]}, column "
+            f"{A.indices[bad[first]]}: a_ij = {A.data[bad[first]]}"
+        )
     if abs(A - A.T).max() > 1e-12 * abs(A).max():
         raise ValueError(
             "matrix is not symmetric: the forward Gauss-Seidel sweep "

@@ -6,12 +6,20 @@ the flux of each basis function, piecewise-constant coupling integrals)
 and reduced by dense linear algebra, without reusing any assembly code
 paths from the package.  The greedy pairwise matching is kept here as
 the plain two-loop scan in natural order that the solver's vectorised
-matching must reproduce exactly.
+matching must reproduce exactly, and the support of one terminal as the
+per-terminal evaluation that the batched support table must reproduce.
 """
 
 import numpy as np
 
-from mdflow.geometry import NodeKind
+from mdflow.geometry import (
+    SUPPORT_SUBDIV_SPATIAL,
+    NodeKind,
+    _box_average,
+    _compartment_fraction,
+    _taper_average,
+    transfer_profile,
+)
 
 
 def lumped_mixed_dense(grid, forest, coeffs):
@@ -43,10 +51,11 @@ def lumped_mixed_dense(grid, forest, coeffs):
             D_faces[i] += (grid.cell_volume / 2.0) / k * phi_own**2
             D_faces[i] += (grid.cell_volume / 2.0) / k * phi_opp**2
 
-    sup_rows = []
-    for s in coeffs.supports:
-        for c, ks in zip(s.cell_idx, s.ks):
-            sup_rows.append((int(c), node_col[s.terminal_id], ks * grid.cell_volume))
+    sup = coeffs.supports
+    sup_rows = [
+        (int(c), node_col[sup.terminal_ids[t]], ks * grid.cell_volume)
+        for t, c, ks in zip(sup.terminal, sup.cell_idx, sup.ks)
+    ]
     ns = len(sup_rows)
 
     edges = forest.edges if forest is not None else ()
@@ -148,3 +157,51 @@ def greedy_match_pass(S):
             agg[i] = n_agg
             n_agg += 1
     return agg if paired else None
+
+
+def support_rows(table, terminal_id):
+    """(cell_idx, ks) of one terminal's rows of a support table."""
+    rows = table.terminal == table.terminal_ids.index(terminal_id)
+    return table.cell_idx[rows], table.ks[rows]
+
+
+def terminal_support(grid, t):
+    """(cell_idx, ks) of one transfer's support, evaluated on its own.
+
+    The candidate box is built with `np.indices` and the radial average
+    is broadcast over the other axes by reshaping, one transfer at a
+    time; parameters are assumed valid.
+    """
+    r0, r1, kT0 = t.r0, t.r1, t.kT0
+    anchor = np.asarray(t.anchor, dtype=float)
+    axes = np.arange(grid.dim) if t.radial_axes is None else np.asarray(t.radial_axes)
+    order = np.argsort(axes)
+    axes, anchor = axes[order], anchor[order]
+    lo, h = grid.origin[axes], grid.spacing[axes]
+    n = np.asarray(grid.cells)[axes]
+    first = np.maximum(np.ceil((anchor - r1 - lo) / h) - 1, 0).astype(np.int64)
+    last = np.minimum(np.floor((anchor + r1 - lo) / h), n - 1).astype(np.int64)
+    box = [slice(None)] * grid.dim
+    shape = [1] * grid.dim
+    for a, i0, i1 in zip(axes, first, last):
+        box[a] = slice(i0, i1 + 1)
+        shape[a] = i1 - i0 + 1
+    multi = np.indices(last - first + 1).reshape(axes.size, -1).T + first
+    centers = lo + (multi + 0.5) * h
+    if axes.size <= 2:
+        anchors = np.broadcast_to(anchor, centers.shape)
+        kt = _taper_average(centers, h, anchors, r0, r1, kT0)
+    else:
+        kt = _box_average(
+            centers, h, anchor, lambda r: transfer_profile(r, r0, r1, kT0),
+            ((r0, r1),), SUPPORT_SUBDIV_SPATIAL,
+        )
+    kt = kt.reshape(shape)
+    if t.compartment is not None:
+        axis, side = t.compartment
+        frac = _compartment_fraction(grid, axis, side)[box[axis]]
+        kt = kt * np.expand_dims(frac, [a for a in range(grid.dim) if a != axis])
+    cells = grid.active_index[tuple(box)]
+    kt = np.broadcast_to(kt, cells.shape)
+    keep = (cells >= 0) & (kt > 0.0)
+    return cells[keep], np.sqrt(kt[keep])

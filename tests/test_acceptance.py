@@ -13,7 +13,13 @@ from mdflow.assembly import (
     mixed_matrix,
     schur_tpfa,
 )
-from mdflow.geometry import build_forest, build_support, dirichlet_root, terminal
+from mdflow.geometry import (
+    TransferSpec,
+    build_forest,
+    build_support,
+    dirichlet_root,
+    terminal,
+)
 from mdflow.harness import solve_case_mesh
 from mdflow.model import CoefficientField, case1, case2
 from mdflow.reference import (
@@ -131,9 +137,10 @@ def test_criterion_6_oracle_equivalence():
                     [dirichlet_root(0, 0.7), terminal(1, (0.0, 0.0))],
                     [(0, 1, 1.4)],
                 )
-                supports = (build_support(g, 1, (0.0, 0.0), (0.2, 0.3), 1.0),)
+                transfer = TransferSpec(1, (0.0, 0.0), 0.2, 0.3, 1.0)
+                supports = build_support(g, [transfer])
             else:
-                forest, supports = None, ()
+                forest, supports = None, build_support(g, ())
             coeffs = CoefficientField(
                 kD=rng.uniform(0.5, 2.0, size=(g.n_cells, 2)),
                 supports=supports,

@@ -1,5 +1,7 @@
 """Block assembly, the reduced pressure system, and flux recovery."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,8 @@ from mdflow.assembly import (
 )
 from mdflow.geometry import (
     CartesianGrid,
-    SupportRegion,
+    SupportTable,
+    TransferSpec,
     build_forest,
     build_support,
     dirichlet_root,
@@ -30,10 +33,10 @@ from mdflow.model import CoefficientField, case1
 from oracles import lumped_mixed_dense, lumped_rt0_schur_dense
 
 
-def plain_coeffs(grid, supports=(), rN=None):
+def plain_coeffs(grid, rN=None):
     return CoefficientField(
         kD=np.ones((grid.n_cells, grid.dim)),
-        supports=tuple(supports),
+        supports=build_support(grid, ()),
         rD=np.zeros(grid.n_cells),
         rN=rN or {},
     )
@@ -47,7 +50,7 @@ def tree_on_cell(grid, cell=0, ks=0.7):
     forest = build_forest(
         [dirichlet_root(0, 0.0), terminal(1, (0.0, 0.0))], [(0, 1, 1.0)]
     )
-    sup = SupportRegion(1, np.array([cell]), np.array([ks]))
+    sup = SupportTable((1,), np.array([0]), np.array([cell]), np.array([ks]))
     return forest, sup
 
 
@@ -133,7 +136,7 @@ class TestSchurStructure:
         forest, sup = tree_on_cell(g, ks=0.7)
         coeffs = CoefficientField(
             kD=np.ones((1, 2)),
-            supports=(sup,),
+            supports=sup,
             rD=np.array([2.0]),
             rN={1: 0.5},
         )
@@ -166,10 +169,10 @@ class TestOracleEquivalence:
             forest = build_forest(
                 [dirichlet_root(0, 0.8), terminal(1, (0.0, 0.0))], [(0, 1, 2.0)]
             )
-            sup = build_support(g, 1, (0.0, 0.0), (0.2, 0.3), 1.5)
-            supports = (sup,)
+            transfer = TransferSpec(1, (0.0, 0.0), 0.2, 0.3, 1.5)
+            supports = build_support(g, [transfer])
         else:
-            forest, supports = None, ()
+            forest, supports = None, build_support(g, ())
         coeffs = CoefficientField(
             kD=rng.uniform(0.5, 2.0, size=(g.n_cells, 2)),
             supports=supports,
@@ -204,9 +207,12 @@ def two_tree_masked_case():
         [(0, 1, 2.0), (1, 2, 0.5), (3, 1, 1.5), (10, 11, 3.0)],
     )
     rng = np.random.default_rng(7)
-    supports = tuple(
-        SupportRegion(t, np.array(cells), rng.uniform(0.5, 2.0, len(cells)))
-        for t, cells in ((2, [0, 1, 3]), (3, [4, 7, 10]), (11, [2, 5]))
+    cells = [[0, 1, 3], [4, 7, 10], [2, 5]]
+    supports = SupportTable(
+        (2, 3, 11),
+        np.repeat([0, 1, 2], [len(c) for c in cells]),
+        np.concatenate(cells),
+        np.concatenate([rng.uniform(0.5, 2.0, len(c)) for c in cells]),
     )
     coeffs = CoefficientField(
         kD=rng.uniform(0.5, 2.0, size=(g.n_cells, 2)),
@@ -241,6 +247,15 @@ class TestMixedOperatorMaskedForest:
         assert np.abs(M.toarray() - expected).max() <= 1e-13
         assert np.abs(rhs - expected_rhs).max() <= 1e-13
         assert np.count_nonzero(lifted) == 1  # only the root edge row
+
+    def test_supports_out_of_forest_order_rejected(self):
+        swapped = self.coeffs.supports.ordered((3, 2, 11))
+        assert swapped.terminal_ids == (3, 2, 11)
+        assert swapped.cell_idx.tolist() == [4, 7, 10, 0, 1, 3, 2, 5]
+        assert swapped.terminal.tolist() == [0, 0, 0, 1, 1, 1, 2, 2]
+        coeffs = replace(self.coeffs, supports=swapped)
+        with pytest.raises(ValueError, match="follow the forest's terminal order"):
+            assemble_blocks(self.grid, self.forest, coeffs)
 
     def test_balance_residual_is_pressure_residual(self):
         A, b = schur_tpfa(self.blocks)

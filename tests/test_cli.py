@@ -204,6 +204,27 @@ class TestSolveCommand:
         assert not (tmp_path / "solution.txt").exists()
 
 
+    @pytest.mark.parametrize(
+        "entry, value, message",
+        [
+            ((1, 1), np.nan, "non-finite entry in row 1, column 1: a_ij = nan"),
+            ((0, 2), np.inf, "non-finite entry in row 0, column 2: a_ij = inf"),
+        ],
+    )
+    def test_non_finite_entry_exits_1(self, tmp_path, capsys, entry, value, message):
+        A = np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
+        A[entry] = A[entry[::-1]] = value
+        write_matrix_market(A, tmp_path / "A.mtx")
+        np.savetxt(tmp_path / "b.txt", np.ones(3))
+        rc = main(["solve", "--matrix", str(tmp_path / "A.mtx"),
+                   "--rhs", str(tmp_path / "b.txt"), "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "solution.txt").exists()
+
+
 class TestCaseCommands:
     def test_case1a_small_run(self, tmp_path):
         rc = main(["case1a", "--meshes", "8,16", "--out", str(tmp_path),

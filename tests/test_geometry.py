@@ -1,6 +1,9 @@
-"""Forest validation, incidence structure, grids, and support regions."""
+"""Forest validation, incidence structure, grids, and the support table."""
 
+import collections
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ import scipy.integrate as si
 from mdflow.geometry import (
     SUPPORT_SUBDIV_SPATIAL,
     CartesianGrid,
+    TransferSpec,
     build_forest,
     build_support,
     dirichlet_root,
@@ -22,7 +26,12 @@ from mdflow.geometry import (
     terminal,
     transfer_profile,
 )
-from mdflow.model import case1, case2
+from mdflow.model import CaseSpec, case1, case2
+
+from oracles import terminal_support
+
+sys.path.insert(0, str(Path(__file__).parents[1] / "perfbench"))
+import forest_gen  # noqa: E402
 
 
 def two_node_forest(k=1.0, value=0.0):
@@ -271,13 +280,19 @@ class TestTransferProfile:
         assert kt.tolist() == [1.0, 1.0, 0.0]
 
 
+def one_support(grid, terminal_id, anchor, radii, kT0, **kwargs):
+    """The support table of a single transfer."""
+    transfer = TransferSpec(terminal_id, anchor, *radii, kT0, **kwargs)
+    return build_support(grid, [transfer])
+
+
 class TestBuildSupport:
     def grid(self, m=16):
         return CartesianGrid((m, m), extent=(1, 1), origin=(-0.5, -0.5))
 
     def test_heaviside_interior_cells_equal_kT0(self):
         g = self.grid()
-        sup = build_support(g, 1, (0.0, 0.0), (0.2, 0.2), 3.0)
+        sup = one_support(g, 1, (0.0, 0.0), (0.2, 0.2), 3.0)
         centers = g.cell_centers()[sup.cell_idx]
         r = np.linalg.norm(centers, axis=1)
         inside = r <= 0.2 - g.spacing[0]  # fully covered cells
@@ -293,21 +308,21 @@ class TestBuildSupport:
         mask[:2, :2] = False
         g = CartesianGrid((4, 4), extent=(1, 1), origin=(-0.5, -0.5), mask=mask)
         with pytest.raises(ValueError, match="empty support for terminal 7"):
-            build_support(g, 7, (-0.3, -0.3), (0.1, 0.2), 1.0)
+            one_support(g, 7, (-0.3, -0.3), (0.1, 0.2), 1.0)
 
     def test_anchor_outside_raises(self):
         with pytest.raises(ValueError, match="outside"):
-            build_support(self.grid(), 1, (2.0, 0.0), (0.1, 0.2), 1.0)
+            one_support(self.grid(), 1, (2.0, 0.0), (0.1, 0.2), 1.0)
 
     @pytest.mark.parametrize("axes", [(5,), (0, 0), (-1,), ()])
     def test_bad_radial_axes(self, axes):
         anchor = (0.0,) * len(axes)
         with pytest.raises(ValueError, match=r"radial_axes .* distinct axes in 0\.\.1"):
-            build_support(self.grid(), 1, anchor, (0.1, 0.2), 1.0, radial_axes=axes)
+            one_support(self.grid(), 1, anchor, (0.1, 0.2), 1.0, radial_axes=axes)
 
     def test_bad_radii(self):
         with pytest.raises(ValueError):
-            build_support(self.grid(), 1, (0.0, 0.0), (0.3, 0.2), 1.0)
+            one_support(self.grid(), 1, (0.0, 0.0), (0.3, 0.2), 1.0)
 
     def test_integral_converges_to_analytic(self):
         # closed form of the scaled-coefficient mass for the taper profile
@@ -322,16 +337,16 @@ class TestBuildSupport:
         errs = []
         for m in (16, 32, 64):
             g = self.grid(m)
-            sup = build_support(g, 1, (0.0, 0.0), (r0, r1), kT0)
-            errs.append(abs(sup.integral(g.cell_volume) - exact))
+            sup = one_support(g, 1, (0.0, 0.0), (r0, r1), kT0)
+            errs.append(abs(sup.ks.sum() * g.cell_volume - exact))
         rate = np.log2(errs[0] / errs[-1]) / 2
         assert rate >= 1.0
 
     def test_truncation_at_boundary(self):
         # anchor near the wall: support clipped, integral still positive
         g = self.grid(16)
-        sup = build_support(g, 1, (0.45, 0.0), (0.1, 0.2), 1.0)
-        assert sup.integral(g.cell_volume) > 0
+        sup = one_support(g, 1, (0.45, 0.0), (0.1, 0.2), 1.0)
+        assert sup.ks.sum() * g.cell_volume > 0
         centers = g.cell_centers()[sup.cell_idx]
         assert centers[:, 0].max() < 0.5
 
@@ -348,10 +363,7 @@ class TestSupportCandidates:
         open ball of radius r1.
         """
         axes = list(range(grid.dim) if t.radial_axes is None else t.radial_axes)
-        sup = build_support(
-            grid, t.terminal_id, t.anchor, (t.r0, t.r1), t.kT0,
-            radial_axes=t.radial_axes, compartment=t.compartment,
-        )
+        sup = build_support(grid, [t])
         every = np.arange(grid.n_cells)
         if len(axes) <= 2:
             kt = taper_cell_average(grid, every, t.anchor, axes, (t.r0, t.r1), t.kT0)
@@ -389,7 +401,7 @@ class TestSupportCandidates:
         # three cells along the compartment axis: its midpoint is the
         # centre of the middle cell, which lies half in each compartment
         grid = CartesianGrid((8, 8, 3), extent=(1.0, 1.0, 1.0))
-        sup = build_support(
+        sup = one_support(
             grid, 1, (0.5, 0.5), (0.1, 0.2), 1.0,
             radial_axes=(0, 1), compartment=(2, side),
         )
@@ -408,10 +420,155 @@ class TestSupportCandidates:
     def test_bad_compartment(self, compartment, match):
         grid = CartesianGrid((8, 8, 2), extent=(1.0, 1.0, 1.0))
         with pytest.raises(ValueError, match=match):
-            build_support(
+            one_support(
                 grid, 1, (0.5, 0.5), (0.1, 0.2), 1.0,
                 radial_axes=(0, 1), compartment=compartment,
             )
+
+
+def star_case(cells, transfers, terminal_order):
+    """A case whose terminals hang from one Dirichlet tree in `terminal_order`."""
+    anchors = {t.terminal_id: t.anchor for t in transfers}
+    nodes = [dirichlet_root(0, 0.0), interior(1000)]
+    nodes += [terminal(tid, anchors[tid]) for tid in terminal_order]
+    edges = [(0, 1000, 1.0)] + [(1000, tid, 1.0) for tid in terminal_order]
+    dim = len(cells)
+    return CaseSpec(
+        name="star", dim=dim, origin=(0.0,) * dim, extent=(1.0,) * dim,
+        refine_axes=(False,) * dim, fixed_cells=cells,
+        forest=build_forest(nodes, edges), kD=(1.0,) * dim,
+        transfers=tuple(transfers), source=None,
+    )
+
+
+def masked_support_case():
+    """Planar supports on a 3D grid with an inactive slab and compartments.
+
+    One group shares radial axes (0, 1), given in either order, and its
+    transfers confine themselves to either compartment or to neither.
+    """
+    c = lambda tid, anchor, comp, axes=(0, 1): TransferSpec(
+        tid, anchor, 0.06, 0.12, 1.3, radial_axes=axes, compartment=comp
+    )
+    transfers = [
+        c(4, (0.55, 0.3), (2, "lower")),
+        c(2, (0.31, 0.62), None),
+        c(9, (0.8, 0.58), (2, "upper"), axes=(1, 0)),
+        c(5, (0.04, 0.97), (2, "lower")),
+    ]
+    spec = star_case((24, 24, 3), transfers, (2, 4, 5, 9))
+    mask = np.ones((24, 24, 3), dtype=bool)
+    mask[12:15, :, 1:] = False
+    grid = CartesianGrid(spec.fixed_cells, extent=spec.extent, mask=mask)
+    return spec, grid
+
+
+def custom_support_case():
+    """Two radius groups interleaved, plus supports radial along one axis."""
+    transfers = [
+        TransferSpec(1, (0.5, 0.5), 0.05, 0.1),
+        TransferSpec(2, (0.03, 0.41), 0.03, 0.07, 2.0),
+        TransferSpec(3, (0.97, 0.99), 0.05, 0.1),
+        TransferSpec(4, (0.2131,), 0.02, 0.06, radial_axes=(0,)),
+        TransferSpec(5, (0.77, 0.12), 0.03, 0.07, 2.0),
+        TransferSpec(6, (0.6, 0.58), 0.05, 0.1),
+        TransferSpec(7, (0.905,), 0.02, 0.06, radial_axes=(1,)),
+    ]
+    spec = star_case((64, 48), transfers, (3, 7, 1, 5, 2, 6, 4))
+    return spec, spec.grid(0)
+
+
+SUPPORT_CASES = {
+    **{
+        f"w3_k{k}_seed{seed}_m{m}": (
+            lambda k=k, seed=seed, m=m: (forest_gen.forest_case(k, seed), m)
+        )
+        for k in (6, 8) for seed in (0, 1) for m in (128, 32)
+    },
+    "case1b_m64": lambda: (case1("B"), 64),
+    "case2_m8": lambda: (case2(), 8),
+    "masked": masked_support_case,
+    "custom": custom_support_case,
+}
+
+
+class TestSupportTable:
+    @staticmethod
+    def profile_group(grid, t):
+        axes = range(grid.dim) if t.radial_axes is None else t.radial_axes
+        return tuple(sorted(axes)), t.r0, t.r1, t.kT0
+
+    @pytest.mark.parametrize("case", SUPPORT_CASES)
+    def test_matches_per_terminal_oracle(self, case):
+        spec, grid = SUPPORT_CASES[case]()
+        if isinstance(grid, int):
+            grid = spec.grid(grid)
+        table = spec.coefficients(grid).supports
+        order = tuple(n.id for n in spec.forest.terminals)
+        assert table.terminal_ids == order
+        assert np.all(np.diff(table.terminal) >= 0)
+        by_id = {t.terminal_id: t for t in spec.transfers}
+        groups = collections.Counter(self.profile_group(grid, t) for t in spec.transfers)
+        for j, tid in enumerate(order):
+            t = by_id[tid]
+            cells, ks = terminal_support(grid, t)
+            rows = table.terminal == j
+            assert np.array_equal(table.cell_idx[rows], cells)
+            assert np.allclose(table.ks[rows], ks, rtol=1e-15, atol=0.0)
+            axes, *_ = key = self.profile_group(grid, t)
+            if groups[key] == 1 or len(axes) >= 3:
+                assert np.array_equal(table.ks[rows], ks)
+
+    def test_transfer_order_kept(self):
+        spec, grid = custom_support_case()
+        table = build_support(grid, spec.transfers)
+        assert table.terminal_ids == tuple(t.terminal_id for t in spec.transfers)
+        assert np.all(np.diff(table.terminal) >= 0)
+        with pytest.raises(ValueError, match="exactly one support per terminal"):
+            table.ordered((1, 2, 3))
+
+    def test_no_transfers(self):
+        table = build_support(CartesianGrid((4, 4), extent=(1, 1)), ())
+        assert table.terminal_ids == ()
+        assert table.cell_idx.size == table.ks.size == table.terminal.size == 0
+
+    @staticmethod
+    def masked_grid():
+        mask = np.ones((4, 4), dtype=bool)
+        mask[:2, :2] = False
+        return CartesianGrid((4, 4), extent=(1, 1), origin=(-0.5, -0.5), mask=mask)
+
+    def test_empty_support_of_second_terminal(self):
+        transfers = [
+            TransferSpec(3, (0.3, 0.3), 0.1, 0.2),
+            TransferSpec(7, (-0.3, -0.3), 0.1, 0.2),
+            TransferSpec(9, (0.3, -0.3), 0.1, 0.2),
+        ]
+        with pytest.raises(ValueError, match="empty support for terminal 7"):
+            build_support(self.masked_grid(), transfers)
+
+    @pytest.mark.parametrize(
+        "bad, match",
+        [
+            (dict(radial_axes=(0, 0)), r"radial_axes \(0, 0\) must be distinct axes"),
+            (dict(anchor=(0.3, 0.3, 0.3)), "anchor has 3 coordinates for 2 radial"),
+            (dict(anchor=(0.3, 0.7)), "lies outside the grid"),
+            (dict(r0=0.3), "need 0 < r0 <= r1"),
+            (dict(kT0=0.0), "need kT0 > 0"),
+            (dict(compartment=(2, "lower")), "compartment axis 2 outside 0..1"),
+        ],
+    )
+    @pytest.mark.parametrize("bad_first", [True, False])
+    def test_first_offending_transfer_raises(self, bad, match, bad_first):
+        fields = dict(terminal_id=5, anchor=(0.3, 0.3), r0=0.1, r1=0.2)
+        invalid = TransferSpec(**{**fields, **bad})
+        empty = TransferSpec(7, (-0.3, -0.3), 0.1, 0.2)
+        later = [invalid, empty] if bad_first else [empty, invalid]
+        transfers = [TransferSpec(3, (0.3, -0.3), 0.1, 0.2), *later]
+        if not bad_first:
+            match = "empty support for terminal 7"
+        with pytest.raises(ValueError, match=match):
+            build_support(self.masked_grid(), transfers)
 
 
 def _taper(r, r0, r1, kT0):
@@ -465,14 +622,14 @@ class TestTaperCellAverage:
     def test_total_mass_matches_closed_form(self, cells, extent, origin, anchor, radii):
         kT0 = 2.5
         g = CartesianGrid(cells, extent=extent, origin=origin)
-        sup = build_support(g, 1, anchor, radii, kT0)
+        sup = one_support(g, 1, anchor, radii, kT0)
         mass = (sup.ks**2).sum() * g.cell_volume
         assert mass == pytest.approx(_taper_mass_2d(*radii, kT0), rel=1e-11, abs=0.0)
 
     def test_one_radial_axis_mass_matches_closed_form(self):
         r0, r1, kT0 = 0.05, 0.15, 1.7
         g = CartesianGrid((200, 3), extent=(1.0, 0.3))
-        sup = build_support(g, 1, (0.4813,), (r0, r1), kT0, radial_axes=(0,))
+        sup = one_support(g, 1, (0.4813,), (r0, r1), kT0, radial_axes=(0,))
         a0sq = r0**2 / (r1**2 - r0**2)
         exact = 2 * kT0 * (r0 + a0sq * (r1**2 * (1 / r0 - 1 / r1) - (r1 - r0)))
         mass = (sup.ks**2).sum() * g.cell_volume / 0.3
@@ -517,7 +674,7 @@ class TestTaperCellAverage:
         spec = case1("B")
         g = spec.grid(128)
         (t,) = spec.transfers
-        (sup,) = spec.coefficients(g).supports
+        sup = spec.coefficients(g).supports
         R, half = t.r1, 0.5 * g.spacing
         for value, c in zip(sup.ks**2, g.cell_centers()[sup.cell_idx]):
             (x0, y0), (x1, y1) = c - half, c + half
@@ -537,7 +694,7 @@ class TestTaperCellAverage:
         (t,) = spec.transfers
         tracemalloc.start()
         try:
-            sup = build_support(g, 1, t.anchor, (t.r0, t.r1), t.kT0)
+            sup = one_support(g, 1, t.anchor, (t.r0, t.r1), t.kT0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

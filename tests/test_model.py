@@ -17,6 +17,8 @@ from mdflow.model import (
     scale_transfer,
 )
 
+from oracles import support_rows
+
 
 class TestCase1:
     def test_variant_a_radii(self):
@@ -49,7 +51,7 @@ class TestCase1:
         grid = spec.grid(16)
         assert grid.cells == (16, 16)
         coeffs = spec.coefficients(grid)
-        assert len(coeffs.supports) == 1
+        assert len(coeffs.supports.terminal_ids) == 1
         assert np.all(coeffs.kD == 1.0)
         total = coeffs.rD.sum() * grid.cell_volume
         assert total == pytest.approx(3.6651914291881e-4, rel=1e-4)
@@ -84,12 +86,12 @@ class TestCase2:
         grid = spec.grid(8)
         coeffs = spec.coefficients(grid)
         x4 = grid.cell_centers()[:, 3]
-        sup = {s.terminal_id: s for s in coeffs.supports}
+        cells = {t: support_rows(coeffs.supports, t)[0] for t in (2, 3, 6, 7)}
         # arterial supports live at x4 < 1/2, venous at x4 > 1/2
-        assert np.all(x4[sup[2].cell_idx] < 0.5)
-        assert np.all(x4[sup[3].cell_idx] < 0.5)
-        assert np.all(x4[sup[6].cell_idx] > 0.5)
-        assert np.all(x4[sup[7].cell_idx] > 0.5)
+        assert np.all(x4[cells[2]] < 0.5)
+        assert np.all(x4[cells[3]] < 0.5)
+        assert np.all(x4[cells[6]] > 0.5)
+        assert np.all(x4[cells[7]] > 0.5)
 
     def test_compartments_partition_cells(self):
         grid = case2().grid(4)
@@ -250,11 +252,12 @@ class TestCoefficientQuadrature:
         spec = case2()
         grid = spec.grid(8)
         coeffs = spec.coefficients(grid)
-        for t, sup in zip(spec.transfers, coeffs.supports):
+        for t in spec.transfers:
+            cell_idx, ks = support_rows(coeffs.supports, t.terminal_id)
             axes = list(t.radial_axes)
-            centers = grid.cell_centers()[sup.cell_idx][:, axes]
+            centers = grid.cell_centers()[cell_idx][:, axes]
             _check_refined_cells(
-                sup.ks**2,
+                ks**2,
                 centers,
                 grid.spacing[axes],
                 np.asarray(t.anchor),

@@ -17,6 +17,7 @@ from mdflow.assembly import assemble_blocks, schur_tpfa
 from mdflow.geometry import (
     CartesianGrid,
     build_forest,
+    build_support,
     dirichlet_root,
     interior,
     terminal,
@@ -52,7 +53,9 @@ def path_laplacian(n):
 def poisson2d(m):
     g = CartesianGrid((m, m), extent=(1, 1))
     coeffs = CoefficientField(
-        kD=np.ones((g.n_cells, 2)), supports=(), rD=np.zeros(g.n_cells)
+        kD=np.ones((g.n_cells, 2)),
+        supports=build_support(g, ()),
+        rD=np.zeros(g.n_cells),
     )
     blocks = assemble_blocks(g, None, coeffs)
     return blocks, schur_tpfa(blocks)[0]
@@ -148,6 +151,19 @@ class TestHierarchy:
         A = sp.csr_matrix(np.array([[2.0, -1.0, 0.0], [-1.0, -3.0, 0.0], [0.0, 0.0, -1.0]]))
         with pytest.raises(ValueError, match=r"non-positive diagonal in row 1: a_ii = -3"):
             build_hierarchy(A)
+
+    @pytest.mark.parametrize(
+        "entry, value, match",
+        [
+            ((1, 1), np.nan, r"non-finite entry in row 1, column 1: a_ij = nan"),
+            ((0, 2), np.inf, r"non-finite entry in row 0, column 2: a_ij = inf"),
+        ],
+    )
+    def test_non_finite_entry_rejected_with_its_position(self, entry, value, match):
+        A = np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
+        A[entry] = A[entry[::-1]] = value
+        with pytest.raises(ValueError, match=match):
+            build_hierarchy(sp.csr_matrix(A))
 
     def test_complexities_bounded_on_case1(self):
         spec = case1("A")
