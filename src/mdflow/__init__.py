@@ -39,7 +39,6 @@ from .model import (
     case2,
     case_from_text,
     case_to_text,
-    scale_transfer,
 )
 from .assembly import (
     LumpedBlocks,

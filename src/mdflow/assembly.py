@@ -8,9 +8,9 @@ fluxes q to cell and node pressures p through one sparse operator G:
 
 D = diag(d) holds the lumped flux weights, r the integrated sources and
 lift the Dirichlet root pressures as each flux row sees them.  Rows of
-G are interior faces, then support rows (the support table's rows,
-terminal by terminal), then edges; columns are active cells, then free
-nodes.  (G, d, lift) is the only representation of the scheme, and each
+G are interior faces, then support rows (the support table's rows, in
+its order), then edges; columns are active cells, then free nodes.
+(G, d, lift) is the only representation of the scheme, and each
 consumer is one expression in it: the pressure system A = G' D^{-1} G,
 b = r - G' D^{-1} lift; the fluxes q = -(G p + lift) / d; the balance
 residual -(G' q + r); the global balance (G 1)' q + sum(r), as G 1 is
@@ -60,9 +60,9 @@ class LumpedBlocks:
 
     Flux rows are [interior faces; support rows; edges] and pressure
     columns [active cells; free nodes].  Support rows are the rows of
-    the coefficients' support table, grouped by terminal in forest
-    order; row i couples cell ``sup_cell[i]`` to its terminal with the
-    scaled coefficient ``sup_ks[i]``.
+    the coefficients' support table, in its order; row i couples cell
+    ``sup_cell[i]`` to its terminal with the scaled coefficient
+    ``sup_ks[i]``.
     """
 
     grid: CartesianGrid
@@ -159,7 +159,6 @@ def assemble_blocks(
     free_ids = inc.node_ids
     n = nc + len(free_ids)
 
-    # validate() checked that the table's terminals are in forest order
     col = {nid: j for j, nid in enumerate(free_ids)}
     sup = coeffs.supports
     sup_cell, sup_ks = sup.cell_idx, sup.ks

@@ -335,18 +335,23 @@ def transfer_profile(r, r0: float, r1: float, kT0: float):
 # Finest sub-cell count per radial axis when a support cell with three or
 # more radial axes is cut by a kink circle and refined.
 SUPPORT_SUBDIV_SPATIAL = 4
-# Gauss points per piece of the r-integral of `taper_cell_average`.
+# Gauss points per piece of the r-integral of `_taper_average`.
 PIECE_POINTS = 12
 # Gauss points per radial axis on boxes where the profile is smooth.
 SMOOTH_POINTS = 6
-# Batch sizes that bound the memory of one call to a few tens of MB.
-_CHUNK_POINTS = 1 << 19
+# Batch sizes that bound the memory of one call.  `_rule_average` takes
+# 2^16 points at a time, so its temporaries stay in cache (2^19 made
+# case 2's supports at 1/h = 32 twice as slow); `_taper_average` takes 2^19
+# point evaluations' worth of boxes (1,213), since 2^16 made case 1A's
+# support at 1/h = 1024 about 25% slower.
+_CHUNK_POINTS = 1 << 16
+_TAPER_POINTS = 1 << 19
 _CHUNK_BOXES = 1 << 18
 
 
-def _distance_range(centers, half, anchor):
-    """Least and greatest distance from `anchor` to each box."""
-    delta = np.abs(centers - anchor)
+def _distance_range(rel, half):
+    """Least and greatest distance from the anchor to boxes centred at `rel` from it."""
+    delta = np.abs(rel)
     nearest = np.maximum(delta - half, 0.0)
     farthest = delta + half
     return np.sqrt((nearest**2).sum(axis=1)), np.sqrt((farthest**2).sum(axis=1))
@@ -360,15 +365,15 @@ def _crossed(dmin, dmax, radii):
     return out
 
 
-def _rule_average(centers, width, anchor, func, rule):
-    """Averages of func(|x - anchor|) over equal boxes under a reference rule."""
+def _rule_average(rel, width, func, rule):
+    """Reference-rule averages of func(|x|) over equal boxes centred at `rel`."""
     ref, w = rule
-    out = np.empty(len(centers))
+    out = np.empty(len(rel))
     step = max(1, _CHUNK_POINTS // w.size)
-    for s in range(0, len(centers), step):
+    for s in range(0, len(rel), step):
         r2 = 0.0
-        for k in range(centers.shape[1]):
-            d = centers[s : s + step, k, None] + ref[:, k] * width[k] - anchor[k]
+        for k in range(rel.shape[1]):
+            d = rel[s : s + step, k, None] + ref[:, k] * width[k]
             r2 = r2 + d * d
         out[s : s + step] = func(np.sqrt(r2)) @ w
     return out
@@ -396,22 +401,22 @@ def _rule_table(dim: int, subdiv: int):
     return base, smooth, by_span
 
 
-def _box_average(centers, width, anchor, func, breaks, subdiv):
-    """`radial_cell_average` on boxes given in the radial subspace."""
+def _box_average(rel, width, func, breaks, subdiv):
+    """`radial_cell_average` on boxes centred at `rel` from the anchor."""
     if subdiv < 1 or subdiv & (subdiv - 1):
         raise ValueError(f"subdiv must be a power of two, got {subdiv}")
-    n, dim = centers.shape
+    n, dim = rel.shape
     radii = sorted({float(x) for rb in breaks for x in np.atleast_1d(rb)})
     base, smooth, by_span = _rule_table(dim, subdiv)
 
-    dmin, dmax = _distance_range(centers, 0.5 * width, anchor)
+    dmin, dmax = _distance_range(rel, 0.5 * width)
     cut = _crossed(dmin, dmax, radii)
     in_band = np.zeros(n, dtype=bool)
     for a, b in (rb for rb in breaks if np.ndim(rb)):
         in_band |= (dmin <= b) & (a <= dmax)
     out = np.empty(n)
     for mask, rule in ((~cut & ~in_band, base), (~cut & in_band, smooth)):
-        out[mask] = _rule_average(centers[mask], width, anchor, func, rule)
+        out[mask] = _rule_average(rel[mask], width, func, rule)
 
     # Inside a cut cell, a box a kink circle crosses splits in two along
     # every axis until it is one finest sub-cell wide.  An uncrossed box
@@ -425,19 +430,19 @@ def _box_average(centers, width, anchor, func, breaks, subdiv):
         chunk = cut_cells[s : s + step]
         acc = np.zeros(chunk.size)
         owner = np.arange(chunk.size)
-        boxes = centers[chunk]
+        boxes = rel[chunk]
         size, span, vol = width, subdiv, 1.0
         while span > 1:
-            dmin, dmax = _distance_range(boxes, 0.5 * size, anchor)
+            dmin, dmax = _distance_range(boxes, 0.5 * size)
             split = _crossed(dmin, dmax, radii)
             outer = ~split & ((dmax <= radii[0]) | (dmin >= radii[-1]))
             for mask, rule in ((outer, base), (~split & ~outer, by_span[span])):
-                vals = _rule_average(boxes[mask], size, anchor, func, rule)
+                vals = _rule_average(boxes[mask], size, func, rule)
                 acc += vol * np.bincount(owner[mask], vals, minlength=chunk.size)
             boxes = (boxes[split][:, None, :] + children * size).reshape(-1, dim)
             owner = np.repeat(owner[split], 2**dim)
             size, span, vol = 0.5 * size, span // 2, vol / 2**dim
-        vals = _rule_average(boxes, size, anchor, func, base)
+        vals = _rule_average(boxes, size, func, base)
         out[chunk] = acc + vol * np.bincount(owner, vals, minlength=chunk.size)
     return out
 
@@ -471,20 +476,15 @@ def radial_cell_average(
     - Every other cell takes the 2-point Gauss base rule per radial axis.
 
     Points are evaluated in fixed-size batches, so memory stays bounded
-    whatever the number of cells.  This rule serves the ring source and
-    supports with three or more radial axes; supports with one or two
-    radial axes use the exact-in-r `taper_cell_average` instead.
+    whatever the number of cells.  This rule serves the ring source;
+    `build_support` applies the same rule to supports with three or more
+    radial axes and the exact-in-r `_taper_average` to those with one or
+    two.
     """
     cells = np.asarray(cells, dtype=np.int64)
     axes = list(axes)
-    return _box_average(
-        grid.cell_centers()[cells][:, axes],
-        grid.spacing[axes],
-        np.asarray(anchor, dtype=float),
-        func,
-        breaks,
-        subdiv,
-    )
+    rel = grid.cell_centers()[np.ix_(cells, axes)] - np.asarray(anchor, dtype=float)
+    return _box_average(rel, grid.spacing[axes], func, breaks, subdiv)
 
 
 def _arc(t, r):
@@ -555,24 +555,35 @@ def _piece_rule():
     return rule
 
 
-def _taper_average(centers, width, anchors, r0: float, r1: float, kT0: float):
-    """`taper_cell_average` on boxes given in the radial subspace.
+def _taper_average(rel, width, r0: float, r1: float, kT0: float):
+    """Averages of `transfer_profile` over boxes centred at `rel` from the anchor.
 
-    ``anchors`` holds one anchor per box, shape (n, dim), so one call can
-    serve the supports of many terminals.
+    The boxes span one or two radial axes, and the average is exact in
+    r: integrating by parts,
+
+        int_box kT = -int_{r0}^{r1} kT'(r) A(r) dr
+                   = 2 kT0 a0^2 r1^2 int_{r0}^{r1} A(r) r^-3 dr,
+
+    where A(r) is the measure of the ball of radius r about the anchor
+    inside the box, in closed form (`_ball_measure`).  The r-integral
+    runs up to the box's farthest point, where A reaches the box volume
+    and the rest is analytic; it is split at the radii where A is not
+    smooth (`_breakpoints`) and each piece takes a ``PIECE_POINTS``-point
+    Gauss rule in log r under a substitution that flattens both ends.
+    The sharp cutoff (r0 == r1) is kT0 A(r0) / |box|.  Boxes are
+    evaluated in fixed-size batches, so memory stays bounded.
     """
-    n, dim = centers.shape
+    n, dim = rel.shape
     vol = float(np.prod(width))
     u, du = _piece_rule()
     out = np.empty(n)
     # a box has at most 9 pieces between its breakpoints, and each point
     # is evaluated at the box's 4 corners
-    step = max(1, _CHUNK_POINTS // (9 * 4 * PIECE_POINTS))
+    step = max(1, _TAPER_POINTS // (9 * 4 * PIECE_POINTS))
     for s in range(0, n, step):
-        anchor = anchors[s : s + step]
-        lo = centers[s : s + step] - 0.5 * width - anchor
+        lo = rel[s : s + step] - 0.5 * width
         hi = lo + width
-        dmin, dmax = _distance_range(centers[s : s + step], 0.5 * width, anchor)
+        dmin, dmax = _distance_range(rel[s : s + step], 0.5 * width)
         if r0 == r1:
             area = _ball_measure(lo[:, None], hi[:, None], np.full((len(lo), 1), r0))
             frac = np.where(dmax <= r0, 1.0, area[:, 0] / vol)
@@ -594,35 +605,6 @@ def _taper_average(centers, width, anchors, r0: float, r1: float, kT0: float):
     return out
 
 
-def taper_cell_average(grid: "CartesianGrid", cells, anchor, axes, radii, kT0: float):
-    """Cell averages of `transfer_profile` over one or two radial axes.
-
-    The average is exact in r: integrating by parts,
-
-        int_cell kT = -int_{r0}^{r1} kT'(r) A(r) dr
-                    = 2 kT0 a0^2 r1^2 int_{r0}^{r1} A(r) r^-3 dr,
-
-    where A(r) is the measure of the ball of radius r about the anchor
-    inside the cell, in closed form (`_ball_measure`).  The r-integral
-    runs up to the cell's farthest point, where A reaches the cell
-    volume and the rest is analytic; it is split at the radii where A
-    is not smooth (`_breakpoints`) and each piece takes a
-    ``PIECE_POINTS``-point Gauss rule in log r under a substitution that
-    flattens both ends.
-    The sharp cutoff (r0 == r1) is kT0 A(r0) / |cell|.  Cells are
-    evaluated in fixed-size batches, so memory stays bounded.
-    """
-    cells = np.asarray(cells, dtype=np.int64)
-    axes = list(axes)
-    if not 1 <= len(axes) <= 2:
-        raise ValueError(f"exact-in-r averages need one or two radial axes, got {axes}")
-    r0, r1 = radii
-    _check_profile(r0, r1, kT0)
-    centers = grid.cell_centers()[cells][:, axes]
-    anchors = np.broadcast_to(np.asarray(anchor, dtype=float), centers.shape)
-    return _taper_average(centers, grid.spacing[axes], anchors, r0, r1, kT0)
-
-
 @dataclass(frozen=True)
 class TransferSpec:
     """Radial transfer coupling for one terminal."""
@@ -642,30 +624,20 @@ class TransferSpec:
 class SupportTable:
     """The cells coupled to every terminal, one row per (terminal, cell) pair.
 
-    Rows are grouped by terminal in the order of ``terminal_ids``, and
-    each terminal's cells ascend.  ``ks`` holds the cellwise square root
+    Each row is one support row of the mixed operator, which names its
+    terminal by id, so no consumer depends on the order of the rows.
+    `build_support` groups them by terminal in the order of
+    ``terminal_ids``, which is the order of its transfers, each
+    terminal's cells ascending.  ``ks`` holds the cellwise square root
     of the quadrature-averaged transfer coefficient, so ks^2 * volume
     reproduces the cell integral of kT; a terminal's rows are exactly
     the cells where that value is positive.
     """
 
-    terminal_ids: tuple[int, ...]  # one per terminal, in row order
+    terminal_ids: tuple[int, ...]  # one per terminal
     terminal: np.ndarray  # (n_rows,) position in terminal_ids of the row's terminal
     cell_idx: np.ndarray  # (n_rows,) active cell indices
     ks: np.ndarray  # (n_rows,) scaled transfer coefficient, > 0
-
-    def ordered(self, ids) -> "SupportTable":
-        """The same rows regrouped by terminal in the order of ``ids``."""
-        ids = tuple(ids)
-        if ids == self.terminal_ids:
-            return self
-        if sorted(ids) != sorted(self.terminal_ids):
-            raise ValueError("need exactly one support per terminal node")
-        pos = {tid: j for j, tid in enumerate(ids)}
-        rank = np.array([pos[tid] for tid in self.terminal_ids], dtype=np.int64)
-        rank = rank[self.terminal]
-        order = np.argsort(rank, kind="stable")
-        return SupportTable(ids, rank[order], self.cell_idx[order], self.ks[order])
 
 
 def _compartment_fraction(grid: CartesianGrid, axis: int, side: str):
@@ -742,9 +714,10 @@ def _group_rows(grid, axes, r0, r1, kT0, anchors, compartments):
     """(owner, cell, kt) over the candidate boxes of transfers sharing a profile.
 
     ``anchors`` (m, len(axes)) and ``compartments`` (m,) belong to the m
-    transfers whose radial ``axes`` and profile (r0, r1, kT0) agree.
-    Rows run over the transfers in order, each box in C order over the
-    grid; only active cells with kt > 0 are kept.
+    transfers whose radial ``axes`` and profile (r0, r1, kT0) agree;
+    each candidate cell's centre is taken relative to its transfer's
+    anchor once, here.  Rows run over the transfers in order, each box
+    in C order over the grid; only active cells with kt > 0 are kept.
     """
     axes = np.asarray(axes)
     lo = grid.origin[axes]
@@ -755,14 +728,12 @@ def _group_rows(grid, axes, r0, r1, kT0, anchors, compartments):
     first = np.maximum(np.ceil((anchors - r1 - lo) / h) - 1, 0).astype(np.int64)
     last = np.minimum(np.floor((anchors + r1 - lo) / h), n - 1).astype(np.int64)
     owner, multi, start = _ragged_boxes(first, last - first + 1)
-    centers = lo + (multi + 0.5) * h
+    rel = lo + (multi + 0.5) * h - anchors[owner]
     if axes.size <= 2:
-        kt = _taper_average(centers, h, anchors[owner], r0, r1, kT0)
-    else:  # a single transfer
+        kt = _taper_average(rel, h, r0, r1, kT0)
+    else:
         profile = lambda r: transfer_profile(r, r0, r1, kT0)
-        kt = _box_average(
-            centers, h, anchors[0], profile, ((r0, r1),), SUPPORT_SUBDIV_SPATIAL
-        )
+        kt = _box_average(rel, h, profile, ((r0, r1),), SUPPORT_SUBDIV_SPATIAL)
 
     # The average is computed once per radial cell and broadcast along
     # the other axes of the grid.
@@ -798,29 +769,29 @@ def build_support(grid: CartesianGrid, transfers) -> SupportTable:
     on that side.
 
     The per-cell transfer coefficient is the cell average of kT(x).
-    With one or two radial axes it comes from `taper_cell_average`,
-    which is exact in r: an integration by parts turns the cell integral
-    into a one-dimensional integral over the cell's disc (or interval)
+    With one or two radial axes it comes from `_taper_average`, which
+    is exact in r: an integration by parts turns the cell integral into
+    a one-dimensional integral over the cell's disc (or interval)
     measure, evaluated piecewise to round-off level, and the sharp
-    cutoff (r0 == r1) is the exact disc or interval overlap.  With three
-    or more radial axes it comes from `radial_cell_average` with the
-    taper annulus [r0, r1] as its band: cells the kink circles cut are
-    refined towards them to ``SUPPORT_SUBDIV_SPATIAL`` finest sub-cells
-    per axis, and uncut annulus cells take a 6-point Gauss rule.  Either
-    way the coupling conductance the scheme sees is resolved well below
-    discretization error.  The candidate cells are the box of cells
-    within r1 of the anchor along every radial axis; the average is
-    computed once per distinct radial cell and broadcast along the
-    other axes.  The stored scaled coefficient is the cellwise square
-    root of the average; cells where it vanishes are excluded.  The
-    support is truncated at the domain boundary without
-    renormalization.
+    cutoff (r0 == r1) is the exact disc or interval overlap.  With
+    three or more radial axes it comes from the rule of
+    `radial_cell_average` with the taper annulus [r0, r1] as its band:
+    cells the kink circles cut are refined towards them to
+    ``SUPPORT_SUBDIV_SPATIAL`` finest sub-cells per axis, and uncut
+    annulus cells take a 6-point Gauss rule.  Either way the coupling
+    conductance the scheme sees is resolved well below discretization
+    error.  The candidate cells are the box of cells within r1 of the
+    anchor along every radial axis; the average is computed once per
+    distinct radial cell and broadcast along the other axes.  The
+    stored scaled coefficient is the cellwise square root of the
+    average; cells where it vanishes are excluded.  The support is
+    truncated at the domain boundary without renormalization.
 
-    All planar supports that share their radial axes and profile are
-    evaluated in one batch; supports with three or more radial axes
-    take one call each.  The table's terminals are the transfers' in
-    the order given.  A ValueError names the first transfer, in that
-    order, with an invalid parameter or an empty support.
+    All supports that share their radial axes and profile (r0, r1, kT0)
+    are evaluated in one batch, on box centres taken relative to each
+    box's own anchor.  The table's terminals are the transfers' in the
+    order given.  A ValueError names the first transfer, in that order,
+    with an invalid parameter or an empty support.
     """
     transfers = tuple(transfers)
     groups: dict[tuple, list[int]] = {}
@@ -832,14 +803,12 @@ def build_support(grid: CartesianGrid, transfers) -> SupportTable:
         except ValueError as exc:
             failure = exc
             break
-        # supports with three or more radial axes are evaluated one by one
-        key = (axes, t.r0, t.r1, t.kT0) + ((j,) if len(axes) > 2 else ())
-        groups.setdefault(key, []).append(j)
+        groups.setdefault((axes, t.r0, t.r1, t.kT0), []).append(j)
         anchors.append(anchor)
         compartments.append(compartment)
 
     owner, cells, kt = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], [np.zeros(0)]
-    for (axes, r0, r1, kT0, *_), members in groups.items():
+    for (axes, r0, r1, kT0), members in groups.items():
         o, c, k = _group_rows(
             grid, axes, r0, r1, kT0,
             np.array([anchors[j] for j in members]),

@@ -33,27 +33,16 @@ from .geometry import (
 SOURCE_SUBDIV = 64
 
 
-def scale_transfer(kT):
-    """Scaled transfer coefficient kS = sqrt(kT), cellwise.
-
-    Degenerate entries (kT == 0) are allowed; negative entries are not.
-    """
-    kT = np.asarray(kT, dtype=float)
-    if np.any(kT < 0):
-        raise ValueError("negative transfer coefficient")
-    return np.sqrt(kT)
-
-
 @dataclass(frozen=True)
 class CoefficientField:
     """All material data and sources for one grid/forest pair.
 
     kD has shape (n_cells, dim); the entry for the last axis of a 4D
     grid is the inter-compartment ("perfusion") coefficient.  supports
-    is one table for all terminals, its rows grouped by terminal in the
-    forest's terminal order.  rD is a per-cell source density
-    (quadrature average).  rN maps node ids of non-Dirichlet nodes to
-    point sources; missing ids mean zero.
+    is one table for all terminals, with exactly one support per
+    terminal node of the forest, its rows in any order.  rD is a
+    per-cell source density (quadrature average).  rN maps node ids of
+    non-Dirichlet nodes to point sources; missing ids mean zero.
     """
 
     kD: np.ndarray
@@ -69,12 +58,9 @@ class CoefficientField:
         if self.rD.shape != (grid.n_cells,):
             raise ValueError("rD must have one value per active cell")
         terminals = forest.terminals if forest is not None else ()
-        ids = tuple(n.id for n in terminals)
-        sup_ids = self.supports.terminal_ids
-        if sorted(sup_ids) != sorted(ids):
+        ids = sorted(n.id for n in terminals)
+        if sorted(self.supports.terminal_ids) != ids:
             raise ValueError("need exactly one support per terminal node")
-        if sup_ids != ids:
-            raise ValueError("supports must follow the forest's terminal order")
         return self
 
 
@@ -174,7 +160,6 @@ class CaseSpec:
                 breaks=(s.r2, s.r3),
                 subdiv=SOURCE_SUBDIV,
             )
-        supports = supports.ordered(n.id for n in self.forest.terminals)
         return CoefficientField(
             kD=kD, supports=supports, rD=rD, rN=dict(self.rN)
         ).validate(grid, self.forest)

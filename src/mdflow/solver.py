@@ -595,17 +595,6 @@ def solve_pressure(A, b, config: SolverConfig | None = None, kernel=None):
             )
         b = b - kernel @ (kernel.T @ b)
 
-    if not np.any(b):
-        report = SolveReport(
-            iterations=0,
-            residuals=(1.0,),
-            converged=True,
-            tol=config.tol,
-            true_residual=0.0,
-            dof=dof,
-        )
-        return np.zeros(dof), report
-
     t0 = time.perf_counter()
     hierarchy = build_hierarchy(A, config.amg)
     t1 = time.perf_counter()
@@ -623,7 +612,9 @@ def solve_pressure(A, b, config: SolverConfig | None = None, kernel=None):
         x = x - kernel @ (kernel.T @ x)
     t2 = time.perf_counter()
 
-    true_rel = np.linalg.norm(b - A @ x) / np.linalg.norm(b)
+    # fgmres returns x = 0 for b = 0, which solves the system exactly
+    b_norm = np.linalg.norm(b)
+    true_rel = np.linalg.norm(b - A @ x) / b_norm if b_norm else 0.0
     report = SolveReport(
         iterations=iters,
         residuals=tuple(history),

@@ -187,13 +187,12 @@ def terminal_support(grid, t):
         box[a] = slice(i0, i1 + 1)
         shape[a] = i1 - i0 + 1
     multi = np.indices(last - first + 1).reshape(axes.size, -1).T + first
-    centers = lo + (multi + 0.5) * h
+    rel = lo + (multi + 0.5) * h - anchor
     if axes.size <= 2:
-        anchors = np.broadcast_to(anchor, centers.shape)
-        kt = _taper_average(centers, h, anchors, r0, r1, kT0)
+        kt = _taper_average(rel, h, r0, r1, kT0)
     else:
         kt = _box_average(
-            centers, h, anchor, lambda r: transfer_profile(r, r0, r1, kT0),
+            rel, h, lambda r: transfer_profile(r, r0, r1, kT0),
             ((r0, r1),), SUPPORT_SUBDIV_SPATIAL,
         )
     kt = kt.reshape(shape)
@@ -205,3 +204,14 @@ def terminal_support(grid, t):
     kt = np.broadcast_to(kt, cells.shape)
     keep = (cells >= 0) & (kt > 0.0)
     return cells[keep], np.sqrt(kt[keep])
+
+
+def taper_cell_average(grid, cells, anchor, axes, radii, kT0):
+    """Exact-in-r averages of `transfer_profile` over selected cells.
+
+    The profile is radial about ``anchor`` over one or two ``axes``;
+    ``radii`` is (r0, r1).
+    """
+    axes = list(axes)
+    rel = grid.cell_centers()[np.ix_(cells, axes)] - np.asarray(anchor, dtype=float)
+    return _taper_average(rel, grid.spacing[axes], *radii, kT0)

@@ -223,39 +223,50 @@ def two_tree_masked_case():
     return g, forest, coeffs
 
 
+def check_mixed_matrix(grid, forest, coeffs):
+    """The assembled mixed matrix equals the dense oracle; returns the lift."""
+    D, G, r_full, free_cols, dirichlet = lumped_mixed_dense(grid, forest, coeffs)
+    nq = D.size
+    G_free = G[:, free_cols]
+    expected = np.zeros((nq + len(free_cols),) * 2)
+    expected[:nq, :nq] = np.diag(D)
+    expected[:nq, nq:] = G_free
+    expected[nq:, :nq] = G_free.T
+    dir_cols = list(dirichlet)
+    lifted = G[:, dir_cols] @ np.array([dirichlet[c] for c in dir_cols])
+    expected_rhs = np.concatenate([-lifted, -r_full[free_cols]])
+
+    M, rhs = mixed_matrix(assemble_blocks(grid, forest, coeffs))
+    assert M.shape == expected.shape
+    assert np.abs(M.toarray() - expected).max() <= 1e-13
+    assert np.abs(rhs - expected_rhs).max() <= 1e-13
+    return lifted
+
+
 class TestMixedOperatorMaskedForest:
     def setup_method(self):
         self.grid, self.forest, self.coeffs = two_tree_masked_case()
         self.blocks = assemble_blocks(self.grid, self.forest, self.coeffs)
 
     def test_mixed_matrix_matches_dense_oracle(self):
-        D, G, r_full, free_cols, dirichlet = lumped_mixed_dense(
-            self.grid, self.forest, self.coeffs
-        )
-        nq = D.size
-        G_free = G[:, free_cols]
-        expected = np.zeros((nq + len(free_cols),) * 2)
-        expected[:nq, :nq] = np.diag(D)
-        expected[:nq, nq:] = G_free
-        expected[nq:, :nq] = G_free.T
-        dir_cols = list(dirichlet)
-        lifted = G[:, dir_cols] @ np.array([dirichlet[c] for c in dir_cols])
-        expected_rhs = np.concatenate([-lifted, -r_full[free_cols]])
-
-        M, rhs = mixed_matrix(self.blocks)
-        assert M.shape == expected.shape
-        assert np.abs(M.toarray() - expected).max() <= 1e-13
-        assert np.abs(rhs - expected_rhs).max() <= 1e-13
+        lifted = check_mixed_matrix(self.grid, self.forest, self.coeffs)
         assert np.count_nonzero(lifted) == 1  # only the root edge row
 
-    def test_supports_out_of_forest_order_rejected(self):
-        swapped = self.coeffs.supports.ordered((3, 2, 11))
-        assert swapped.terminal_ids == (3, 2, 11)
-        assert swapped.cell_idx.tolist() == [4, 7, 10, 0, 1, 3, 2, 5]
-        assert swapped.terminal.tolist() == [0, 0, 0, 1, 1, 1, 2, 2]
-        coeffs = replace(self.coeffs, supports=swapped)
-        with pytest.raises(ValueError, match="follow the forest's terminal order"):
-            assemble_blocks(self.grid, self.forest, coeffs)
+    def test_supports_out_of_forest_order(self):
+        # each support row names its terminal, so any row order assembles
+        transfers = [
+            TransferSpec(n.id, n.anchor, 0.15, 0.3) for n in self.forest.terminals
+        ]
+        systems = []
+        for given in (transfers, transfers[::-1]):
+            coeffs = replace(self.coeffs, supports=build_support(self.grid, given))
+            check_mixed_matrix(self.grid, self.forest, coeffs)
+            systems.append(schur_tpfa(assemble_blocks(self.grid, self.forest, coeffs)))
+        assert coeffs.supports.terminal_ids == (11, 3, 2)
+        (A, b), (A_rev, b_rev) = systems
+        scale = abs(A).max()
+        assert abs(A_rev - A).max() <= 1e-14 * scale
+        assert np.abs(b_rev - b).max() <= 1e-14 * np.abs(b).max()
 
     def test_balance_residual_is_pressure_residual(self):
         A, b = schur_tpfa(self.blocks)

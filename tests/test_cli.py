@@ -224,6 +224,19 @@ class TestSolveCommand:
         assert "Traceback" not in err
         assert not (tmp_path / "solution.txt").exists()
 
+    def test_non_finite_entry_with_zero_rhs_exits_1(self, tmp_path, capsys):
+        # x = 0 solves any system with b = 0, but A is still checked
+        A = np.array([[2.0, -1.0, 0.0], [-1.0, np.nan, -1.0], [0.0, -1.0, 2.0]])
+        write_matrix_market(A, tmp_path / "A.mtx")
+        np.savetxt(tmp_path / "b.txt", np.zeros(3))
+        rc = main(["solve", "--matrix", str(tmp_path / "A.mtx"),
+                   "--rhs", str(tmp_path / "b.txt"), "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "non-finite entry in row 1, column 1" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "solution.txt").exists()
+
 
 class TestCaseCommands:
     def test_case1a_small_run(self, tmp_path):

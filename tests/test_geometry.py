@@ -22,13 +22,12 @@ from mdflow.geometry import (
     interior,
     neumann_root,
     radial_cell_average,
-    taper_cell_average,
     terminal,
     transfer_profile,
 )
 from mdflow.model import CaseSpec, case1, case2
 
-from oracles import terminal_support
+from oracles import taper_cell_average, terminal_support
 
 sys.path.insert(0, str(Path(__file__).parents[1] / "perfbench"))
 import forest_gen  # noqa: E402
@@ -504,13 +503,10 @@ class TestSupportTable:
         if isinstance(grid, int):
             grid = spec.grid(grid)
         table = spec.coefficients(grid).supports
-        order = tuple(n.id for n in spec.forest.terminals)
-        assert table.terminal_ids == order
+        assert table.terminal_ids == tuple(t.terminal_id for t in spec.transfers)
         assert np.all(np.diff(table.terminal) >= 0)
-        by_id = {t.terminal_id: t for t in spec.transfers}
         groups = collections.Counter(self.profile_group(grid, t) for t in spec.transfers)
-        for j, tid in enumerate(order):
-            t = by_id[tid]
+        for j, t in enumerate(spec.transfers):
             cells, ks = terminal_support(grid, t)
             rows = table.terminal == j
             assert np.array_equal(table.cell_idx[rows], cells)
@@ -521,11 +517,10 @@ class TestSupportTable:
 
     def test_transfer_order_kept(self):
         spec, grid = custom_support_case()
-        table = build_support(grid, spec.transfers)
+        table = spec.coefficients(grid).supports
         assert table.terminal_ids == tuple(t.terminal_id for t in spec.transfers)
+        assert table.terminal_ids != tuple(n.id for n in spec.forest.terminals)
         assert np.all(np.diff(table.terminal) >= 0)
-        with pytest.raises(ValueError, match="exactly one support per terminal"):
-            table.ordered((1, 2, 3))
 
     def test_no_transfers(self):
         table = build_support(CartesianGrid((4, 4), extent=(1, 1)), ())

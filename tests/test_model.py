@@ -1,11 +1,11 @@
-"""Built-in cases, coefficient fields, scaling, and the config format."""
+"""Built-in cases, coefficient fields, and the config format."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from mdflow.geometry import SUPPORT_SUBDIV_SPATIAL, taper_cell_average, transfer_profile
+from mdflow.geometry import SUPPORT_SUBDIV_SPATIAL, transfer_profile
 from mdflow.quadrature import composite_rule
 from mdflow.model import (
     SOURCE_SUBDIV,
@@ -14,10 +14,9 @@ from mdflow.model import (
     case2,
     case_from_text,
     case_to_text,
-    scale_transfer,
 )
 
-from oracles import support_rows
+from oracles import support_rows, taper_cell_average
 
 
 class TestCase1:
@@ -100,26 +99,6 @@ class TestCase2:
 
     def test_fourth_axis_two_cells(self):
         assert case2().grid(16).cells == (16, 16, 16, 2)
-
-
-class TestScaleTransfer:
-    def test_values(self):
-        assert scale_transfer(4.0) == pytest.approx(2.0)
-        assert scale_transfer(0.0) == 0.0
-
-    def test_case1a_taper_value(self):
-        # sqrt of the taper value at r=0.15, i.e. sqrt(7/27)
-        ks = scale_transfer(7.0 / 27.0)
-        assert ks == pytest.approx(0.5091750772173156, rel=1e-12)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            scale_transfer(np.array([1.0, -0.5]))
-
-    def test_round_trip(self):
-        rng = np.random.default_rng(3)
-        kt = rng.uniform(0.0, 5.0, size=50)
-        assert np.allclose(scale_transfer(kt) ** 2, kt, rtol=0, atol=1e-15)
 
 
 class TestRadialParams:
