@@ -10,7 +10,7 @@ steps, holds them nearly flat.
 """
 
 from mdflow import assemble_blocks, case1, schur_tpfa, solve_pressure
-from mdflow.solver import AmgConfig, SolverConfig
+from mdflow.solver import SolverConfig
 
 spec = case1("A")
 print(f"{'1/h':>5} {'dof':>7} {'levels':>6} {'grid':>6} {'oper':>6} "
@@ -21,7 +21,7 @@ for m in (16, 32, 64, 128, 256):
     A, b = schur_tpfa(blocks)
     reps = {}
     for cycle in ("V", "K"):
-        config = SolverConfig(tol=1e-6, amg=AmgConfig(cycle=cycle))
+        config = SolverConfig(tol=1e-6, cycle=cycle)
         reps[cycle] = solve_pressure(A, b, config)[1]
     v, k = reps["V"], reps["K"]
     print(f"{m:>5} {k.dof:>7} {k.nlevels:>6} {k.grid_complexity:>6.2f} "

@@ -55,7 +55,6 @@ from .assembly import (
     write_matrix_market,
 )
 from .solver import (
-    AmgConfig,
     AmgHierarchy,
     SolveReport,
     SolverConfig,

@@ -26,7 +26,7 @@ from .assembly import export_state_csv, read_matrix_market
 from .harness import _atomic_write, emit_tables, run_case
 from .model import builtin_case, case_from_text
 from .reference import profile_table, solve_constants
-from .solver import CYCLES, AmgConfig, SolveReport, SolverConfig, solve_pressure
+from .solver import CYCLES, SolveReport, SolverConfig, solve_pressure
 
 
 class _CliError(Exception):
@@ -39,13 +39,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _solver_config(args) -> SolverConfig:
-    return SolverConfig(
-        tol=args.tol,
-        maxit=args.maxit,
-        amg=AmgConfig(
-            theta=args.theta, coarse_size=args.coarse_size, cycle=args.cycle
-        ),
-    )
+    return SolverConfig(tol=args.tol, maxit=args.maxit, cycle=args.cycle)
 
 
 def _parse_meshes(text: str, require_pow2: bool):
@@ -70,10 +64,6 @@ def _add_solver_flags(p, tol):
     p.add_argument("--tol", type=float, default=tol,
                    help="relative residual tolerance (default %(default)g)")
     p.add_argument("--maxit", type=int, default=500)
-    p.add_argument("--theta", type=float, default=0.08,
-                   help="aggregation strength threshold")
-    p.add_argument("--coarse-size", type=int, default=32,
-                   help="direct-solve threshold for the coarsest level")
     p.add_argument("--cycle", default="K", choices=CYCLES,
                    help="multigrid cycle: K (default) or V, the paper's V(1,1)")
     p.add_argument("--no-timings", action="store_true",

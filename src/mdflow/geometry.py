@@ -778,10 +778,11 @@ def build_support(grid: CartesianGrid, transfers) -> SupportTable:
     `radial_cell_average` with the taper annulus [r0, r1] as its band:
     cells the kink circles cut are refined towards them to
     ``SUPPORT_SUBDIV_SPATIAL`` finest sub-cells per axis, and uncut
-    annulus cells take a 6-point Gauss rule.  Either way the coupling
-    conductance the scheme sees is resolved well below discretization
-    error.  The candidate cells are the box of cells within r1 of the
-    anchor along every radial axis; the average is computed once per
+    annulus cells take a 6-point Gauss rule.  That rule is not exact:
+    against itself at 32 subdivisions, case 2's kt is off by up to
+    4.5e-4 kT0 per cell at 1/h=8, in the cut cells.  The candidate
+    cells are the box of cells within r1 of the anchor along every
+    radial axis; the average is computed once per
     distinct radial cell and broadcast along the other axes.  The
     stored scaled coefficient is the cellwise square root of the
     average; cells where it vanishes are excluded.  The support is

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -335,9 +335,7 @@ def run_case(
                 raise ValueError(
                     f"reference resolution {resolution} does not nest mesh {m}"
                 )
-        fine_solver = SolverConfig(
-            tol=min(solver.tol, 1e-10), maxit=solver.maxit, amg=solver.amg
-        )
+        fine_solver = replace(solver, tol=min(solver.tol, 1e-10))
         fb, fstate, freport, _ = solve_case_mesh(spec, resolution, fine_solver)
         reference = FineReference(blocks=fb, state=fstate, report=freport)
         reference_report = freport

@@ -5,7 +5,7 @@ graph Laplacian), so one multigrid cycle of unsmoothed aggregation AMG
 with a single Gauss-Seidel sweep for pre- and post-smoothing makes an
 effective preconditioner.  Coarse spaces are piecewise constant over
 aggregates built by greedy pairwise matching on the strength graph
-(|a_ij| >= theta sqrt(a_ii a_jj)), two passes per level so aggregates
+(|a_ij| >= THETA sqrt(a_ii a_jj)), two passes per level so aggregates
 reach size ~4; leftovers join their strongest aggregated neighbor.
 The matching is exactly the paper's lexicographic greedy scan, computed
 by numpy: Jacobi sweeps of the greedy rule converge to it from any
@@ -27,11 +27,14 @@ its panel workspace grows with the width (see _Level).  At case 2
 1/h=64 that cuts the finest factor's memory rise from ~200 to ~60 MB
 and its time by half.
 
-The cycle is the paper's V(1,1) or, by default, the K-cycle of Notay &
-Vassilevski (Numer. Linear Algebra Appl. 15, 2008) that Notay pairs with
-this double pairwise aggregation (ETNA 37, 2010): on each coarse level
-above the dense one the coarse system is solved by up to two flexible
-CG steps, each preconditioned by the cycle on that level.  Plain
+The setup depends on the matrix alone: the strength threshold THETA
+and the dense-solve size COARSE_SIZE are constants, the values every
+study uses.  The cycle is chosen where it is applied: the paper's V(1,1) or,
+by default, the K-cycle of Notay & Vassilevski (Numer. Linear Algebra
+Appl. 15, 2008) that Notay pairs with this double pairwise aggregation
+(ETNA 37, 2010): on each coarse level above the dense one the coarse
+system is solved by up to two flexible CG steps, each preconditioned by
+the cycle on that level.  Both cycles run on the same levels.  Plain
 aggregation alone lets iteration counts grow under refinement; the
 K-cycle holds them nearly flat.
 """
@@ -39,7 +42,7 @@ K-cycle holds them nearly flat.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -49,12 +52,16 @@ from scipy.linalg import solve_triangular
 # converged: true relative residual <= CONVERGED_SLACK * tol (see SolveReport)
 CONVERGED_SLACK = 10.0
 
+# strength threshold: a_ij couples i and j if |a_ij| >= THETA sqrt(a_ii a_jj)
+THETA = 0.08
 # pairwise matching passes per level (aggregates of ~2^NPASSES unknowns)
 NPASSES = 2
 # work of the Jacobi sweeps of the greedy matching, in full sweeps over
 # the upper edges, before the scan finishes it (see _match_pass)
 MATCH_SWEEPS = 4
 MAX_LEVELS = 30
+# a level of at most COARSE_SIZE unknowns is solved by a dense factorization
+COARSE_SIZE = 32
 # K-cycle: the coarse residual reduction after the first flexible-CG
 # step that makes the second unnecessary
 KCYCLE_TOL = 0.25
@@ -62,26 +69,14 @@ CYCLES = ("V", "K")
 
 
 @dataclass
-class AmgConfig:
-    theta: float = 0.08
-    coarse_size: int = 32
+class SolverConfig:
+    tol: float = 1e-6
+    maxit: int = 500
     cycle: str = "K"  # "V": the paper's V(1,1); "K": the K-cycle
 
     def __post_init__(self):
         if self.cycle not in CYCLES:
             raise ValueError(f"unknown cycle {self.cycle!r}: expected one of {CYCLES}")
-        if not 0 <= self.theta < 1 or self.coarse_size < 1:
-            raise ValueError(f"need 0 <= theta < 1 and coarse_size >= 1, "
-                             f"got theta={self.theta}, coarse_size={self.coarse_size}")
-
-
-@dataclass
-class SolverConfig:
-    tol: float = 1e-6
-    maxit: int = 500
-    amg: AmgConfig = field(default_factory=AmgConfig)
-
-    def __post_init__(self):
         if not (np.isfinite(self.tol) and self.tol > 0) or self.maxit < 1:
             raise ValueError(f"need a finite tol > 0 and maxit >= 1, "
                              f"got tol={self.tol}, maxit={self.maxit}")
@@ -137,7 +132,6 @@ class _Level:
 @dataclass
 class AmgHierarchy:
     levels: list
-    cycle: str
 
     @property
     def nlevels(self):
@@ -154,8 +148,8 @@ class AmgHierarchy:
         return sum(l.A.nnz for l in self.levels) / self.levels[0].A.nnz
 
 
-def _strength_graph(A: sp.csr_matrix, theta: float) -> sp.csr_matrix:
-    """Off-diagonal entries passing |a_ij| >= theta sqrt(a_ii a_jj), as |a_ij|."""
+def _strength_graph(A: sp.csr_matrix) -> sp.csr_matrix:
+    """Off-diagonal entries passing |a_ij| >= THETA sqrt(a_ii a_jj), as |a_ij|."""
     S = abs(A)
     d = S.diagonal()
     rows = np.repeat(np.arange(S.shape[0], dtype=np.int32), np.diff(S.indptr))
@@ -163,7 +157,7 @@ def _strength_graph(A: sp.csr_matrix, theta: float) -> sp.csr_matrix:
     t = d[rows]
     t *= d[cols]
     np.sqrt(t, out=t)
-    t *= theta
+    t *= THETA
     weak = S.data < t
     del t
     weak |= rows == cols
@@ -344,7 +338,7 @@ def _piecewise_constant(agg: np.ndarray) -> sp.csr_matrix:
     return sp.csr_matrix((np.ones(n), (np.arange(n), agg)), shape=(n, agg.max() + 1))
 
 
-def _aggregate(A: sp.csr_matrix, config: AmgConfig):
+def _aggregate(A: sp.csr_matrix):
     """Compose pairwise passes into one level's aggregation map.
 
     Returns (agg, Ac): the fine-to-coarse map, or None if nothing
@@ -353,21 +347,21 @@ def _aggregate(A: sp.csr_matrix, config: AmgConfig):
     agg = None
     Ac = A
     for _ in range(NPASSES):
-        sub = _match_pass(_strength_graph(Ac, config.theta))
+        sub = _match_pass(_strength_graph(Ac))
         if sub is None:
             break
         agg = sub if agg is None else sub[agg]
         P = _piecewise_constant(sub)
         Ac = (P.T @ (Ac @ P)).tocsr()
-        if Ac.shape[0] <= config.coarse_size:
+        if Ac.shape[0] <= COARSE_SIZE:
             break
     return agg, Ac
 
 
-def build_hierarchy(A, config: AmgConfig | None = None) -> AmgHierarchy:
+def build_hierarchy(A) -> AmgHierarchy:
     """Set up the unsmoothed-aggregation hierarchy for a symmetric operator.
 
-    Coarsening stops at ``coarse_size`` unknowns (then solved by a dense
+    Coarsening stops at COARSE_SIZE unknowns (then solved by a dense
     kernel-aware eigendecomposition), and a matrix already that small
     is solved by the dense factorization alone.  It also stops at the
     first level whose aggregation keeps more than 95% of its unknowns
@@ -376,9 +370,7 @@ def build_hierarchy(A, config: AmgConfig | None = None) -> AmgHierarchy:
     the two smoothing sweeps alone.  A matrix with a NaN or infinite
     entry is rejected, naming the first one in row order, and so is a
     nonsymmetric one: the forward sweep relies on tril(A) = triu(A)^T.
-    The hierarchy applies the cycle ``config.cycle`` names.
     """
-    config = config or AmgConfig()
     A = sp.csr_matrix(A)
     if A.shape[0] != A.shape[1]:
         raise ValueError(f"non-square input {A.shape}")
@@ -397,9 +389,9 @@ def build_hierarchy(A, config: AmgConfig | None = None) -> AmgHierarchy:
             "needs tril(A) = triu(A)^T"
         )
     levels = [_Level(A)]
-    while levels[-1].A.shape[0] > config.coarse_size and len(levels) < MAX_LEVELS:
+    while levels[-1].A.shape[0] > COARSE_SIZE and len(levels) < MAX_LEVELS:
         fine = levels[-1]
-        agg, Ac = _aggregate(fine.A, config)
+        agg, Ac = _aggregate(fine.A)
         # nothing aggregated (Ac is A), or too little to be worth a level
         if Ac.shape[0] > 0.95 * fine.A.shape[0]:
             break
@@ -408,18 +400,20 @@ def build_hierarchy(A, config: AmgConfig | None = None) -> AmgHierarchy:
             break
         fine.aggregates = agg
         levels.append(_Level(Ac))
-    if levels[-1].A.shape[0] <= config.coarse_size:
+    if levels[-1].A.shape[0] <= COARSE_SIZE:
         levels[-1].factor_dense()
-    return AmgHierarchy(levels=levels, cycle=config.cycle)
+    return AmgHierarchy(levels=levels)
 
 
-def vcycle(hierarchy: AmgHierarchy, b: np.ndarray, x: np.ndarray | None = None):
-    """One cycle of the hierarchy's kind from x (default zero).
+def vcycle(hierarchy: AmgHierarchy, b: np.ndarray, x: np.ndarray | None = None,
+           cycle: str = "K"):
+    """One multigrid cycle of kind ``cycle`` from x (default zero).
 
-    Forward Gauss-Seidel down, backward up; on the "K" hierarchy each
-    coarse correction above the dense level is Krylov-accelerated.
+    Forward Gauss-Seidel down, backward up; in the "K"-cycle each coarse
+    correction above the dense level is Krylov-accelerated, the "V"-cycle
+    takes it as it comes.
     """
-    return _cycle(hierarchy.levels, 0, b, x, hierarchy.cycle == "K")
+    return _cycle(hierarchy.levels, 0, b, x, cycle == "K")
 
 
 def _cycle(levels, l, b, x, kcycle):
@@ -580,14 +574,20 @@ def solve_pressure(A, b, config: SolverConfig | None = None, kernel=None):
     (pure-Neumann) systems; the right-hand side must then be consistent
     (orthogonal to the kernel up to 1e-10 relative) and iterates are
     projected back to the complement each application, so the returned
-    solution has zero kernel component.
+    solution has zero kernel component.  A right-hand side with a NaN or
+    infinite entry is rejected before the setup, naming the first one.
     """
     config = config or SolverConfig()
     A = sp.csr_matrix(A)
     b = np.asarray(b, dtype=float)
     dof = b.size
+    bad = np.flatnonzero(~np.isfinite(b))
+    if bad.size:
+        raise ValueError(f"non-finite right-hand side entry {bad[0]}: b_i = {b[bad[0]]}")
+    if kernel is not None and kernel.size == 0:
+        kernel = None
 
-    if kernel is not None and kernel.size:
+    if kernel is not None:
         defect = np.linalg.norm(kernel.T @ b)
         if defect > 1e-10 * max(np.linalg.norm(b), 1e-300):
             raise ValueError(
@@ -596,19 +596,19 @@ def solve_pressure(A, b, config: SolverConfig | None = None, kernel=None):
         b = b - kernel @ (kernel.T @ b)
 
     t0 = time.perf_counter()
-    hierarchy = build_hierarchy(A, config.amg)
+    hierarchy = build_hierarchy(A)
     t1 = time.perf_counter()
 
     def prec(v):
-        z = vcycle(hierarchy, v)
-        if kernel is not None and kernel.size:
+        z = vcycle(hierarchy, v, cycle=config.cycle)
+        if kernel is not None:
             z = z - kernel @ (kernel.T @ z)
         return z
 
     x, iters, history, breakdown = fgmres(
         A, b, preconditioner=prec, tol=config.tol, maxit=config.maxit
     )
-    if kernel is not None and kernel.size:
+    if kernel is not None:
         x = x - kernel @ (kernel.T @ x)
     t2 = time.perf_counter()
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from mdflow.assembly import assemble_blocks, schur_tpfa, write_matrix_market
 from mdflow.cli import main
@@ -45,20 +46,6 @@ class TestValidation:
                      "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert "need a finite tol > 0 and maxit >= 1" in err
-        assert "Traceback" not in err
-        assert not out.exists()
-
-    @pytest.mark.parametrize(
-        "flag, value", [("--theta", "nan"), ("--theta", "-1"), ("--theta", "1"),
-                        ("--theta", "1e9"), ("--coarse-size", "0"),
-                        ("--coarse-size", "-5")],
-    )
-    def test_bad_amg_setting_exits_1(self, capsys, tmp_path, flag, value):
-        out = tmp_path / "out"
-        assert main(["case1a", "--meshes", "8,16", flag, value,
-                     "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert "need 0 <= theta < 1 and coarse_size >= 1" in err
         assert "Traceback" not in err
         assert not out.exists()
 
@@ -237,6 +224,24 @@ class TestSolveCommand:
         assert "Traceback" not in err
         assert not (tmp_path / "solution.txt").exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_rhs_exits_1(self, tmp_path, capsys, value):
+        # a 400-unknown tridiagonal system: the right-hand side is
+        # rejected before any setup, not after maxit cycles
+        n = 400
+        A = sp.diags([-np.ones(n - 1), 3 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1])
+        write_matrix_market(A.tocsr(), tmp_path / "A.mtx")
+        b = np.ones(n)
+        b[[123, 300]] = float(value)
+        np.savetxt(tmp_path / "b.txt", b)
+        rc = main(["solve", "--matrix", str(tmp_path / "A.mtx"),
+                   "--rhs", str(tmp_path / "b.txt"), "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"non-finite right-hand side entry 123: b_i = {value}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "solution.txt").exists()
+
 
 class TestCaseCommands:
     def test_case1a_small_run(self, tmp_path):
@@ -256,6 +261,21 @@ class TestCaseCommands:
             row = (tmp_path / cycle / "case1a_solver.csv").read_text().splitlines()[1]
             niter[cycle] = int(row.split(",")[4])
         assert niter == {"V": 17, "K": 14}
+        # `solve` on the exported 1/h=16 system, at its own default tol
+        spec = case1("A")
+        grid = spec.grid(16)
+        A, b = schur_tpfa(assemble_blocks(grid, spec.forest, spec.coefficients(grid)))
+        write_matrix_market(A, tmp_path / "A.mtx")
+        np.savetxt(tmp_path / "b.txt", b)
+        niter = {}
+        for cycle in ("V", "K"):
+            out = tmp_path / f"solve_{cycle}"
+            assert main(["solve", "--matrix", str(tmp_path / "A.mtx"),
+                         "--rhs", str(tmp_path / "b.txt"), "--cycle", cycle,
+                         "--no-timings", "--out", str(out)]) == 0
+            row = (out / "solve_report.csv").read_text().splitlines()[1]
+            niter[cycle] = int(row.split(",")[4])
+        assert niter == {"V": 11, "K": 9}
 
     def test_byte_identical_rerun_with_no_timings(self, tmp_path):
         args = ["case1b", "--meshes", "8,16", "--tol", "1e-8", "--no-timings"]

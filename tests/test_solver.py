@@ -28,7 +28,6 @@ from mdflow import solver as solver_module
 from mdflow.solver import (
     CONVERGED_SLACK,
     MATCH_SWEEPS,
-    AmgConfig,
     SolverConfig,
     _match_pass,
     _piecewise_constant,
@@ -66,18 +65,19 @@ class TestHierarchy:
         # greedy matching in natural order pairs (0,1)(2,3)(4,5)(6,7) on
         # the path and (0,1)(2,3) on its 4x4 Galerkin coarse operator
         A = path_laplacian(8)
-        agg = _match_pass(_strength_graph(A, 0.08))
+        agg = _match_pass(_strength_graph(A))
         assert agg.tolist() == [0, 0, 1, 1, 2, 2, 3, 3]
         P = _piecewise_constant(agg)
         Ac = (P.T @ A @ P).tocsr()
         assert Ac.shape == (4, 4)
-        assert _match_pass(_strength_graph(Ac, 0.08)).tolist() == [0, 0, 1, 1]
+        assert _match_pass(_strength_graph(Ac)).tolist() == [0, 0, 1, 1]
 
-    def test_path_graph_double_pass_quadruplets(self):
+    def test_path_graph_double_pass_quadruplets(self, monkeypatch):
         # two pairwise passes build quadruplets; the singular 2x2 coarse
         # operator cannot shrink further (a single aggregate would have a
         # zero diagonal), so coarsening stops there
-        hier = build_hierarchy(path_laplacian(8), AmgConfig(coarse_size=1))
+        monkeypatch.setattr(solver_module, "COARSE_SIZE", 1)
+        hier = build_hierarchy(path_laplacian(8))
         assert hier.levels[0].aggregates.tolist() == [0, 0, 0, 0, 1, 1, 1, 1]
         assert [l.A.shape[0] for l in hier.levels] == [8, 2]
         assert hier.grid_complexity < 2
@@ -91,9 +91,10 @@ class TestHierarchy:
         x = vcycle(hier, b)
         assert np.allclose(x, b, atol=1e-14)
 
-    def test_galerkin_identity(self):
+    def test_galerkin_identity(self, monkeypatch):
         _, A = poisson2d(12)
-        hier = build_hierarchy(A, AmgConfig(coarse_size=4))
+        monkeypatch.setattr(solver_module, "COARSE_SIZE", 4)
+        hier = build_hierarchy(A)
         for fine, coarse in zip(hier.levels, hier.levels[1:]):
             P = _piecewise_constant(fine.aggregates)
             expected = (P.T @ fine.A @ P).toarray()
@@ -306,7 +307,7 @@ class TestMatching:
         try:
             start = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            S = _strength_graph(A, 0.08)
+            S = _strength_graph(A)
             strength = tracemalloc.get_traced_memory()[1] - start
             start = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
@@ -357,11 +358,12 @@ class TestVcycle:
         assert not np.any(x)
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_energy_norm_decreases_on_random_spd(self, seed):
+    def test_energy_norm_decreases_on_random_spd(self, monkeypatch, seed):
         rng = np.random.default_rng(seed)
         B = rng.standard_normal((50, 50))
         A = sp.csr_matrix(B @ B.T + 10 * np.eye(50))
-        hier = build_hierarchy(A, AmgConfig(coarse_size=8))
+        monkeypatch.setattr(solver_module, "COARSE_SIZE", 8)
+        hier = build_hierarchy(A)
         x_star = rng.standard_normal(50)
         b = A @ x_star
         x1 = vcycle(hier, b, np.zeros(50))
@@ -388,7 +390,7 @@ class TestVcycle:
         # indexing give the bits of P^T r and P e, P the 0/1 aggregate
         # matrix; the only coarse level is the dense solve
         _, A = poisson2d(8)
-        hier = build_hierarchy(A, AmgConfig(cycle="V"))
+        hier = build_hierarchy(A)
         fine, coarse = hier.levels
         assert coarse._dense is not None
         P = _piecewise_constant(fine.aggregates)
@@ -396,25 +398,24 @@ class TestVcycle:
         x = fine.gs_forward(b)
         x = x + P @ coarse.coarse_solve(P.T @ (b - A @ x))
         expected = fine.gs_backward(b, x)
-        assert np.array_equal(vcycle(hier, b), expected)
+        assert np.array_equal(vcycle(hier, b, cycle="V"), expected)
 
 
 class TestKcycle:
     def test_unknown_cycle_rejected(self):
         with pytest.raises(ValueError, match="unknown cycle"):
-            AmgConfig(cycle="W")
+            SolverConfig(cycle="W")
 
     def test_two_levels_match_vcycle(self):
         # the only coarse level is the dense solve, so there is no K step
         _, A = poisson2d(8)
-        hk = build_hierarchy(A, AmgConfig(cycle="K"))
-        hv = build_hierarchy(A, AmgConfig(cycle="V"))
-        assert hk.nlevels == 2 and hk.levels[-1]._dense is not None
+        hier = build_hierarchy(A)
+        assert hier.nlevels == 2 and hier.levels[-1]._dense is not None
         b = np.random.default_rng(3).standard_normal(A.shape[0])
-        assert np.array_equal(vcycle(hk, b), vcycle(hv, b))
+        assert np.array_equal(vcycle(hier, b, cycle="K"), vcycle(hier, b, cycle="V"))
 
-    def test_pure_neumann_semidefinite_coarse_levels(self):
-        # coarse_size=1 coarsens the path until one more aggregate would
+    def test_pure_neumann_semidefinite_coarse_levels(self, monkeypatch):
+        # COARSE_SIZE = 1 coarsens the path until one more aggregate would
         # have a zero diagonal: levels 32, 8, 2, the last singular and
         # smoothed only, so every K step runs on a semidefinite operator.
         # Several neighbor dipoles leave an exactly zero coarse residual
@@ -422,11 +423,12 @@ class TestKcycle:
         n = 32
         A = path_laplacian(n)
         kernel = np.ones((n, 1)) / np.sqrt(n)
-        config = SolverConfig(tol=1e-12, amg=AmgConfig(cycle="K", coarse_size=1))
-        hier = build_hierarchy(A, config.amg)
+        monkeypatch.setattr(solver_module, "COARSE_SIZE", 1)
+        config = SolverConfig(tol=1e-12, cycle="K")
+        hier = build_hierarchy(A)
         assert [l.A.shape[0] for l in hier.levels] == [n, 8, 2]
         assert hier.levels[-1]._dense is None
-        assert not np.any(vcycle(hier, np.zeros(n)))
+        assert not np.any(vcycle(hier, np.zeros(n), cycle="K"))
         for i in range(n - 1):
             b = np.zeros(n)
             b[i], b[i + 1] = 1.0, -1.0
@@ -434,17 +436,18 @@ class TestKcycle:
             assert report.converged, i
             assert np.abs(x - dense_pseudo_solve(A.toarray(), b)).max() <= 1e-9, i
 
-    def test_rank_one_coarse_level_drops_second_step(self):
+    def test_rank_one_coarse_level_drops_second_step(self, monkeypatch):
         # on the path of 8 the only coarse level is [[1, -1], [-1, 1]],
         # smoothed only; a point source has a kernel component that the
         # first step leaves in the residual, and the second direction is
         # then A-parallel to the first, so rho2 = 0 in exact arithmetic
         A = path_laplacian(8)
-        hier = build_hierarchy(A, AmgConfig(cycle="K", coarse_size=1))
+        monkeypatch.setattr(solver_module, "COARSE_SIZE", 1)
+        hier = build_hierarchy(A)
         assert hier.levels[-1].A.toarray().tolist() == [[1, -1], [-1, 1]]
         assert hier.levels[-1]._dense is None
         for i in range(8):
-            z = vcycle(hier, np.eye(8)[i])
+            z = vcycle(hier, np.eye(8)[i], cycle="K")
             assert np.all(np.isfinite(z)) and np.abs(z).max() < 10, i
 
 
@@ -514,13 +517,32 @@ class TestSolvePressure:
         with pytest.raises(ValueError, match="inconsistent"):
             solve_pressure(A, np.ones(A.shape[0]), kernel=kernel)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rhs_rejected_before_setup(self, monkeypatch, value):
+        # NaN passes the kernel check (a NaN defect compares false) and
+        # would run maxit cycles before scipy rejected it
+        blocks, A = poisson2d(4)
+        b = np.ones(A.shape[0])
+        b[[5, 9]] = value
+        monkeypatch.setattr(solver_module, "build_hierarchy", None)
+        for kernel in (None, blocks.kernel()):
+            with pytest.raises(ValueError,
+                               match=f"non-finite right-hand side entry 5: b_i = {value}"):
+                solve_pressure(A, b, kernel=kernel)
+
+    def test_empty_kernel_is_no_kernel(self):
+        _, A = poisson2d(4)
+        A = A + sp.identity(A.shape[0])
+        b = np.random.default_rng(5).standard_normal(A.shape[0])
+        x, report = solve_pressure(A, b)
+        x0, report0 = solve_pressure(A, b, kernel=np.zeros((A.shape[0], 0)))
+        assert np.array_equal(x, x0) and report.residuals == report0.residuals
+
     def test_case1a_mesh32_iteration_band(self):
         spec = case1("A")
         grid = spec.grid(32)
         A, b = schur_tpfa(assemble_blocks(grid, spec.forest, spec.coefficients(grid)))
-        x, report = solve_pressure(
-            A, b, SolverConfig(tol=1e-6, amg=AmgConfig(cycle="V"))
-        )
+        x, report = solve_pressure(A, b, SolverConfig(tol=1e-6, cycle="V"))
         assert report.converged
         # iteration counts are implementation-sensitive; wide band on purpose
         assert 15 <= report.iterations <= 60
@@ -530,9 +552,7 @@ class TestSolvePressure:
         spec = case1("A")
         grid = spec.grid(32)
         A, b = schur_tpfa(assemble_blocks(grid, spec.forest, spec.coefficients(grid)))
-        x, report = solve_pressure(
-            A, b, SolverConfig(tol=1e-6, amg=AmgConfig(cycle="K"))
-        )
+        x, report = solve_pressure(A, b, SolverConfig(tol=1e-6, cycle="K"))
         assert report.converged
         assert 6 <= report.iterations <= 14
 
@@ -541,7 +561,7 @@ class TestSolvePressure:
         # reproduced paper numbers.  Each solve stops at the first
         # residual estimate at or below tol
         spec = case1("A")
-        config = SolverConfig(tol=1e-10, amg=AmgConfig(cycle="V"))
+        config = SolverConfig(tol=1e-10, cycle="V")
         reports = [solve_case_mesh(spec, m, config)[2] for m in (32, 64, 128)]
         assert [r.iterations for r in reports] == [23, 32, 45]
         for r in reports:
@@ -552,7 +572,7 @@ class TestSolvePressure:
     def test_case2_iterations_match_solver_table(self, case2_result):
         # case2_solver.csv at tol 1e-10: rounding in the smoother that
         # moves a count must show here
-        config = SolverConfig(tol=1e-10, amg=AmgConfig(cycle="V"))
+        config = SolverConfig(tol=1e-10, cycle="V")
         v_reports = [solve_case_mesh(case2(), m, config)[2] for m in (8, 16, 32)]
         assert [r.iterations for r in v_reports] == [11, 15, 19]
         assert [r.iterations for r in case2_result.reports] == [10, 10, 10]
@@ -563,7 +583,7 @@ class TestSolvePressure:
         # 1/h = 32..128 at tol 1e-10 take 15/15/15, where the V-cycle
         # needs 23/32/45
         spec = case1("A")
-        config = SolverConfig(tol=1e-10, amg=AmgConfig(cycle="K"))
+        config = SolverConfig(tol=1e-10, cycle="K")
         iters = [solve_case_mesh(spec, m, config)[2].iterations for m in (32, 64, 128)]
         assert max(iters) <= 20
         assert max(iters) - min(iters) <= 3
