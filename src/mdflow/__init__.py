@@ -49,6 +49,7 @@ from .assembly import (
     face_weight,
     graph_stokes_check,
     mixed_matrix,
+    pressure_kernel,
     read_matrix_market,
     recover_fluxes,
     schur_tpfa,

@@ -14,8 +14,9 @@ its order), then edges; columns are active cells, then free nodes.
 consumer is one expression in it: the pressure system A = G' D^{-1} G,
 b = r - G' D^{-1} lift; the fluxes q = -(G p + lift) / d; the balance
 residual -(G' q + r); the global balance (G 1)' q + sum(r), as G 1 is
-nonzero exactly on rows that reach a Dirichlet root; the components,
-via shared rows of G.
+nonzero exactly on rows that reach a Dirichlet root.  The components
+of the scheme are those of A's pattern, since two unknowns share a row
+of G exactly where A has an off-diagonal entry.
 
 Flux unknowns use the face-integrated convention: the half-cell face
 weight is d_f / (k |f|), making the two-point transmissibility across
@@ -79,9 +80,6 @@ class LumpedBlocks:
     edge_k: np.ndarray  # (n_edges,) conductivities, d_N = 1/k
     free_node_ids: tuple[int, ...]
 
-    component: np.ndarray  # component label per unknown [cells; free nodes]
-    component_singular: np.ndarray  # bool per component label
-
     @property
     def n_cells(self) -> int:
         return self.grid.n_cells
@@ -98,16 +96,6 @@ class LumpedBlocks:
     def d_D(self) -> np.ndarray:
         """Total face weights, the face rows of d."""
         return self.d[: self.grid.n_faces]
-
-    @property
-    def is_singular(self) -> bool:
-        return bool(self.component_singular.any())
-
-    def kernel(self) -> np.ndarray:
-        """Orthonormal null-space basis of A (constants on singular components)."""
-        labels = np.flatnonzero(self.component_singular)
-        K = (self.component[:, None] == labels).astype(float)
-        return K / np.linalg.norm(K, axis=0)
 
     def node_index(self, node_id: int) -> int:
         """Position of a free node in the pressure vector (after the cells)."""
@@ -179,7 +167,6 @@ def assemble_blocks(
     r = np.concatenate(
         [coeffs.rD * grid.cell_volume, [coeffs.rN.get(nid, 0.0) for nid in free_ids]]
     )
-    component, singular = _connectivity(G)
 
     return LumpedBlocks(
         grid=grid,
@@ -193,32 +180,7 @@ def assemble_blocks(
         sup_ks=sup_ks,
         edge_k=inc.edge_k,
         free_node_ids=free_ids,
-        component=component,
-        component_singular=singular,
     )
-
-
-def _connectivity(G):
-    """Component labels of the unknowns and a singularity flag per component.
-
-    Unknowns are connected when they share a row of G.  A component of
-    the pressure system is singular exactly when none of its rows
-    reaches a Dirichlet root (G 1 != 0 only there); such components are
-    permitted (the solver handles the constant null space) but flagged
-    here.
-    """
-    n_rows, n = G.shape
-    # bipartite graph: vertices [unknowns; rows], row vertex n + i linked
-    # to the columns of row i; every row has a column, so every
-    # component holds an unknown and the labels of the unknowns are 0..k-1
-    indptr = np.concatenate([np.zeros(n, G.indptr.dtype), G.indptr])
-    graph = sp.csr_matrix(
-        (np.ones(G.nnz), G.indices, indptr), shape=(n + n_rows, n + n_rows)
-    )
-    n_comp, labels = connected_components(graph, directed=False)
-    singular = np.ones(n_comp, dtype=bool)
-    singular[labels[n + np.flatnonzero(G @ np.ones(n))]] = False
-    return labels[:n], singular
 
 
 def schur_tpfa(blocks: LumpedBlocks):
@@ -237,6 +199,28 @@ def schur_tpfa(blocks: LumpedBlocks):
     A.sort_indices()
     b = blocks.r - G.T @ (blocks.lift / blocks.d)
     return A, b
+
+
+def pressure_kernel(blocks: LumpedBlocks, A):
+    """Orthonormal null-space basis of A = schur_tpfa(blocks)[0], or None.
+
+    Two unknowns share a row of G exactly where A has an off-diagonal
+    entry, so the components of A's pattern are those of the scheme.  A
+    component is singular exactly when none of its unknowns lies on a
+    row that reaches a Dirichlet root (G 1 != 0 only there); such
+    components are permitted, and the constants on each of them span
+    the kernel.  Returns None when every component is rooted.
+    """
+    G = blocks.G
+    # A is structurally symmetric, so its strong components are its
+    # components, and scipy needs no transpose to find them
+    n_comp, labels = connected_components(A, directed=True, connection="strong")
+    singular = np.ones(n_comp, dtype=bool)
+    singular[labels[G[G @ np.ones(G.shape[1]) != 0].indices]] = False
+    if not singular.any():
+        return None
+    K = (labels[:, None] == np.flatnonzero(singular)).astype(float)
+    return K / np.linalg.norm(K, axis=0)
 
 
 def recover_fluxes(blocks: LumpedBlocks, pressures: np.ndarray) -> MixedState:

@@ -689,27 +689,6 @@ def _checked_transfer(grid: CartesianGrid, t: TransferSpec):
     return tuple(axes[order].tolist()), anchor[order], compartment
 
 
-def _ragged_boxes(first, count):
-    """Multi-indices of the cells of many boxes, box after box, each in C order.
-
-    ``first`` and ``count`` (m, k) hold each box's first cell and cell
-    count per axis.  Returns each row's box, the rows' multi-indices
-    (n_rows, k) and each box's first row.  The rows are built one axis
-    at a time, every partial row repeated once per cell along the next
-    axis.
-    """
-    owner = np.arange(len(count))
-    cols = []
-    for j in range(count.shape[1]):
-        c = count[owner, j]
-        parent = np.repeat(np.arange(owner.size), c)
-        local = np.arange(parent.size) - (np.cumsum(c) - c)[parent]
-        owner = owner[parent]
-        cols = [col[parent] for col in cols] + [local + first[owner, j]]
-    sizes = count.prod(axis=1)
-    return owner, np.stack(cols, axis=1), np.cumsum(sizes) - sizes
-
-
 def _group_rows(grid, axes, r0, r1, kT0, anchors, compartments):
     """(owner, cell, kt) over the candidate boxes of transfers sharing a profile.
 
@@ -725,10 +704,15 @@ def _group_rows(grid, axes, r0, r1, kT0, anchors, compartments):
     n = np.asarray(grid.cells)[axes]
     # Candidate box: along each radial axis, the cells meeting
     # [anchor - r1, anchor + r1]; along the other axes, every cell.
+    # Every box takes the group's widest width, shifted to stay inside
+    # the grid: the extra cells lie at least r1 from their anchor, so
+    # their kt is 0 and they drop out.
     first = np.maximum(np.ceil((anchors - r1 - lo) / h) - 1, 0).astype(np.int64)
     last = np.minimum(np.floor((anchors + r1 - lo) / h), n - 1).astype(np.int64)
-    owner, multi, start = _ragged_boxes(first, last - first + 1)
-    rel = lo + (multi + 0.5) * h - anchors[owner]
+    width = (last - first + 1).max(axis=0)
+    first = np.minimum(first, n - width)
+    multi = first[:, None] + np.indices(width).reshape(axes.size, -1).T
+    rel = (lo + (multi + 0.5) * h - anchors[:, None]).reshape(-1, axes.size)
     if axes.size <= 2:
         kt = _taper_average(rel, h, r0, r1, kT0)
     else:
@@ -736,25 +720,24 @@ def _group_rows(grid, axes, r0, r1, kT0, anchors, compartments):
         kt = _box_average(rel, h, profile, ((r0, r1),), SUPPORT_SUBDIV_SPATIAL)
 
     # The average is computed once per radial cell and broadcast along
-    # the other axes of the grid.
-    if axes.size < grid.dim:
-        m = len(anchors)
-        full_first = np.zeros((m, grid.dim), dtype=np.int64)
-        full_count = np.tile(np.asarray(grid.cells, dtype=np.int64), (m, 1))
-        full_first[:, axes] = first
-        full_count[:, axes] = last - first + 1
-        owner, full, _ = _ragged_boxes(full_first, full_count)
-        local = np.zeros(owner.size, dtype=np.int64)
-        for j, a in enumerate(axes):
-            local = local * (last - first + 1)[owner, j] + full[:, a] - first[owner, j]
-        kt = kt[start[owner] + local]
-        multi = full
+    # the other axes of the grid; index arrays are (m, *box shape).
+    m = len(anchors)
+    shape = np.array(grid.cells)
+    shape[axes] = width
+    index = [i[None] for i in np.ix_(*map(np.arange, shape))]
+    ones = (1,) * grid.dim
+    for j, a in enumerate(axes):
+        index[a] = index[a] + first[:, j].reshape(-1, *ones)
+    other = [1 + a for a in range(grid.dim) if a not in axes]
+    kt = np.expand_dims(kt.reshape(m, *width), other)
     for key in {c for c in compartments if c is not None}:
-        rows = np.array([c == key for c in compartments])[owner]
-        kt[rows] *= _compartment_fraction(grid, *key)[multi[rows, key[0]]]
-    cells = grid.active_index[tuple(multi.T)]
+        rows = np.array([c == key for c in compartments]).reshape(-1, *ones)
+        frac = _compartment_fraction(grid, *key)[index[key[0]]]
+        kt = kt * np.where(rows, frac, 1.0)
+    cells = grid.active_index[tuple(index)]
     keep = (cells >= 0) & (kt > 0.0)
-    return owner[keep], cells[keep], kt[keep]
+    owner = np.repeat(np.arange(m), keep.reshape(m, -1).sum(axis=1))
+    return owner, cells[keep], np.broadcast_to(kt, cells.shape)[keep]
 
 
 def build_support(grid: CartesianGrid, transfers) -> SupportTable:

@@ -33,6 +33,7 @@ from .assembly import (
     assemble_blocks,
     conservation_residual,
     graph_stokes_check,
+    pressure_kernel,
     recover_fluxes,
     schur_tpfa,
 )
@@ -285,8 +286,7 @@ def solve_case_mesh(spec: CaseSpec, m: int, solver: SolverConfig):
     coeffs = spec.coefficients(grid)
     blocks = assemble_blocks(grid, spec.forest, coeffs)
     A, b = schur_tpfa(blocks)
-    kernel = blocks.kernel() if blocks.is_singular else None
-    x, report = solve_pressure(A, b, solver, kernel=kernel)
+    x, report = solve_pressure(A, b, solver, kernel=pressure_kernel(blocks, A))
     state = recover_fluxes(blocks, x)
     return blocks, state, report, b
 

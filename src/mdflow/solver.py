@@ -68,6 +68,11 @@ KCYCLE_TOL = 0.25
 CYCLES = ("V", "K")
 
 
+def _check_cycle(cycle):
+    if cycle not in CYCLES:
+        raise ValueError(f"unknown cycle {cycle!r}: expected one of {CYCLES}")
+
+
 @dataclass
 class SolverConfig:
     tol: float = 1e-6
@@ -75,8 +80,7 @@ class SolverConfig:
     cycle: str = "K"  # "V": the paper's V(1,1); "K": the K-cycle
 
     def __post_init__(self):
-        if self.cycle not in CYCLES:
-            raise ValueError(f"unknown cycle {self.cycle!r}: expected one of {CYCLES}")
+        _check_cycle(self.cycle)
         if not (np.isfinite(self.tol) and self.tol > 0) or self.maxit < 1:
             raise ValueError(f"need a finite tol > 0 and maxit >= 1, "
                              f"got tol={self.tol}, maxit={self.maxit}")
@@ -411,8 +415,9 @@ def vcycle(hierarchy: AmgHierarchy, b: np.ndarray, x: np.ndarray | None = None,
 
     Forward Gauss-Seidel down, backward up; in the "K"-cycle each coarse
     correction above the dense level is Krylov-accelerated, the "V"-cycle
-    takes it as it comes.
+    takes it as it comes.  Any other ``cycle`` raises ValueError.
     """
+    _check_cycle(cycle)
     return _cycle(hierarchy.levels, 0, b, x, cycle == "K")
 
 
@@ -574,13 +579,17 @@ def solve_pressure(A, b, config: SolverConfig | None = None, kernel=None):
     (pure-Neumann) systems; the right-hand side must then be consistent
     (orthogonal to the kernel up to 1e-10 relative) and iterates are
     projected back to the complement each application, so the returned
-    solution has zero kernel component.  A right-hand side with a NaN or
-    infinite entry is rejected before the setup, naming the first one.
+    solution has zero kernel component.  A right-hand side whose length
+    is not A's dimension, or with a NaN or infinite entry, is rejected
+    before the setup.
     """
     config = config or SolverConfig()
     A = sp.csr_matrix(A)
     b = np.asarray(b, dtype=float)
     dof = b.size
+    if b.shape != (A.shape[0],):
+        raise ValueError(f"right-hand side of length {dof} for a matrix of "
+                         f"dimension {A.shape[0]}")
     bad = np.flatnonzero(~np.isfinite(b))
     if bad.size:
         raise ValueError(f"non-finite right-hand side entry {bad[0]}: b_i = {b[bad[0]]}")

@@ -12,6 +12,7 @@ from mdflow.assembly import (
     face_weight,
     graph_stokes_check,
     mixed_matrix,
+    pressure_kernel,
     read_matrix_market,
     recover_fluxes,
     schur_tpfa,
@@ -155,8 +156,15 @@ class TestSchurStructure:
         mask[:, 2] = False  # two disconnected strips
         g = CartesianGrid((4, 4), extent=(1, 1), mask=mask)
         blocks = assemble_blocks(g, None, plain_coeffs(g))
-        assert blocks.is_singular
-        assert blocks.kernel().shape[1] == 2
+        K = pressure_kernel(blocks, schur_tpfa(blocks)[0])
+        assert K is not None
+        assert K.shape[1] == 2
+
+    def test_rooted_system_has_no_kernel(self):
+        spec = case1("A")
+        grid = spec.grid(8)
+        blocks = assemble_blocks(grid, spec.forest, spec.coefficients(grid))
+        assert pressure_kernel(blocks, schur_tpfa(blocks)[0]) is None
 
 
 class TestOracleEquivalence:
@@ -282,12 +290,12 @@ class TestMixedOperatorMaskedForest:
 
     def test_kernel_spans_the_neumann_component(self):
         blocks = self.blocks
-        K = blocks.kernel()
+        A, _ = schur_tpfa(blocks)
+        K = pressure_kernel(blocks, A)
         assert K.shape == (blocks.n_unknowns, 1)
         floating = [2, 5, 8, 11] + [blocks.node_index(10), blocks.node_index(11)]
         assert np.flatnonzero(K[:, 0]).tolist() == floating
         assert np.allclose(K[floating, 0], 1 / np.sqrt(len(floating)))
-        A, _ = schur_tpfa(blocks)
         assert np.abs(A @ K).max() <= 1e-14
         # the Dirichlet strip and tree are nonsingular: removing the
         # kernel leaves a definite system

@@ -162,9 +162,12 @@ class TestSolveCommand:
         write_matrix_market(A, tmp_path / "A.mtx")
         np.savetxt(tmp_path / "b.txt", np.ones(3))
         rc = main(["solve", "--matrix", str(tmp_path / "A.mtx"),
-                   "--rhs", str(tmp_path / "b.txt")])
+                   "--rhs", str(tmp_path / "b.txt"), "--out", str(tmp_path)])
         assert rc == 1
-
+        err = capsys.readouterr().err
+        assert f"length 3 for a matrix of dimension {A.shape[0]}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "solution.txt").exists()
 
     def test_nonsymmetric_matrix_exits_1(self, tmp_path, capsys):
         A = np.array([[2.0, -1.0, 0.0], [0.0, 2.0, -1.0], [0.0, -0.5, 2.0]])

@@ -1,12 +1,19 @@
 """Error norms, restriction operators, convergence tables, and CSV output."""
 
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mdflow.assembly import MixedState, assemble_blocks, recover_fluxes, schur_tpfa
+from mdflow.assembly import (
+    MixedState,
+    assemble_blocks,
+    pressure_kernel,
+    recover_fluxes,
+    schur_tpfa,
+)
 from mdflow.geometry import CartesianGrid
 from mdflow.harness import (
     ConvergenceTable,
@@ -22,6 +29,7 @@ from mdflow.harness import (
 )
 from mdflow.model import case1, case2
 from mdflow.reference import eval_solution, solve_constants
+from mdflow.solver import build_hierarchy
 
 
 class TestSeriesProjection:
@@ -272,3 +280,35 @@ class TestEmitTables:
         for p in paths:
             lines = open(p).read().splitlines()
             assert len(lines) >= 1 and lines[0].startswith(("variable", "inv_h"))
+
+
+class TestStageMemory:
+    def test_each_stage_peaks_below_three_times_the_operator(self):
+        # no stage of a solve allocates more than a small multiple of the
+        # final system: the Python-side peak above each stage's start, on
+        # case 2 at 1/h=32 (at 1/h=16 the fixed-size quadrature batches
+        # of coefficients outweigh A).  SuperLU's own allocations are not
+        # traced; TestSetupMemory bounds the setup's resident peak.
+        spec = case2()
+        peaks = {}
+
+        def stage(name, func, *args):
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            out = func(*args)
+            peaks[name] = tracemalloc.get_traced_memory()[1] - start
+            return out
+
+        tracemalloc.start()
+        try:
+            grid = stage("spec.grid", spec.grid, 32)
+            coeffs = stage("coefficients", spec.coefficients, grid)
+            blocks = stage("assemble_blocks", assemble_blocks, grid, spec.forest, coeffs)
+            A, _ = stage("schur_tpfa", schur_tpfa, blocks)
+            stage("pressure_kernel", pressure_kernel, blocks, A)
+            stage("build_hierarchy", build_hierarchy, A)
+        finally:
+            tracemalloc.stop()
+        nbytes = A.data.nbytes + A.indices.nbytes + A.indptr.nbytes
+        ratios = {name: round(peak / nbytes, 2) for name, peak in peaks.items()}
+        assert max(ratios.values()) <= 3, ratios

@@ -13,7 +13,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve_triangular
 
-from mdflow.assembly import assemble_blocks, schur_tpfa
+from mdflow.assembly import assemble_blocks, pressure_kernel, schur_tpfa
 from mdflow.geometry import (
     CartesianGrid,
     build_forest,
@@ -403,8 +403,14 @@ class TestVcycle:
 
 class TestKcycle:
     def test_unknown_cycle_rejected(self):
-        with pytest.raises(ValueError, match="unknown cycle"):
-            SolverConfig(cycle="W")
+        # by the configuration and by a direct call of the cycle alike
+        _, A = poisson2d(4)
+        hier = build_hierarchy(A)
+        for cycle in ("W", "k"):
+            with pytest.raises(ValueError, match=f"unknown cycle '{cycle}'"):
+                SolverConfig(cycle=cycle)
+            with pytest.raises(ValueError, match=f"unknown cycle '{cycle}'"):
+                vcycle(hier, np.ones(A.shape[0]), cycle=cycle)
 
     def test_two_levels_match_vcycle(self):
         # the only coarse level is the dense solve, so there is no K step
@@ -504,7 +510,7 @@ class TestSolvePressure:
         rng = np.random.default_rng(8)
         b = rng.standard_normal(A.shape[0])
         b -= b.mean()
-        kernel = blocks.kernel()
+        kernel = pressure_kernel(blocks, A)
         x, report = solve_pressure(A, b, SolverConfig(tol=1e-12), kernel=kernel)
         assert report.converged
         x_ref = dense_pseudo_solve(A.toarray(), b)
@@ -513,7 +519,7 @@ class TestSolvePressure:
 
     def test_inconsistent_singular_system_rejected(self):
         blocks, A = poisson2d(4)
-        kernel = blocks.kernel()
+        kernel = pressure_kernel(blocks, A)
         with pytest.raises(ValueError, match="inconsistent"):
             solve_pressure(A, np.ones(A.shape[0]), kernel=kernel)
 
@@ -525,10 +531,18 @@ class TestSolvePressure:
         b = np.ones(A.shape[0])
         b[[5, 9]] = value
         monkeypatch.setattr(solver_module, "build_hierarchy", None)
-        for kernel in (None, blocks.kernel()):
+        for kernel in (None, pressure_kernel(blocks, A)):
             with pytest.raises(ValueError,
                                match=f"non-finite right-hand side entry 5: b_i = {value}"):
                 solve_pressure(A, b, kernel=kernel)
+
+    def test_rhs_length_rejected_before_setup(self, monkeypatch):
+        n = 400
+        A = sp.diags([-np.ones(n - 1), 3 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1])
+        monkeypatch.setattr(solver_module, "build_hierarchy", None)
+        with pytest.raises(ValueError,
+                           match="right-hand side of length 399 for a matrix of dimension 400"):
+            solve_pressure(A, np.ones(n - 1))
 
     def test_empty_kernel_is_no_kernel(self):
         _, A = poisson2d(4)
