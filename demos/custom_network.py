@@ -53,9 +53,9 @@ fixed_cells = 0, 0
 
 [coefficients]
 kD = 1.0, 1.0
-transfer = 2; anchor: -0.2, 0.0; r0: 0.05; r1: 0.1; kT0: 1.0
-transfer = 3; anchor: 0.2, 0.15; r0: 0.05; r1: 0.1; kT0: 1.0
-transfer = 4; anchor: 0.2, -0.15; r0: 0.05; r1: 0.1; kT0: 1.0
+transfer = 2; r0: 0.05; r1: 0.1; kT0: 1.0
+transfer = 3; r0: 0.05; r1: 0.1; kT0: 1.0
+transfer = 4; r0: 0.05; r1: 0.1; kT0: 1.0
 # a ring-shaped volumetric source drives flow out through the terminals
 source = rD0: 1.0; r2: 0.3; r3: 0.45; center: 0.0, 0.0
 

@@ -288,29 +288,31 @@ def read_matrix_market(path):
 
 
 def export_state_csv(blocks: LumpedBlocks, state: MixedState, prefix):
-    """Write the state as four CSV files: cells, faces, nodes, edges."""
+    """Write the state as four CSV files: cells, faces, nodes, edges.
+
+    Every value is a Python float in repr's shortest round-trip digits,
+    so np.loadtxt reads back exactly the state's bits.
+    """
     prefix = str(prefix)
     grid = blocks.grid
-    centers = grid.cell_centers()
     with io.open(prefix + "_cells.csv", "w") as f:
         coord_names = ",".join(f"x{a+1}" for a in range(grid.dim))
         f.write(f"cell,{coord_names},pD\n")
-        for i in range(grid.n_cells):
-            coords = ",".join(repr(c) for c in centers[i])
-            f.write(f"{i},{coords},{state.pD[i]!r}\n")
+        rows = zip(grid.cell_centers().tolist(), state.pD.tolist())
+        for i, (coords, p) in enumerate(rows):
+            f.write(f"{i},{','.join(map(repr, coords))},{p!r}\n")
     with io.open(prefix + "_faces.csv", "w") as f:
         f.write("face,axis,cell_lo,cell_hi,qD\n")
-        for i in range(grid.n_faces):
-            f.write(
-                f"{i},{grid.face_axis[i]},{grid.face_lo[i]},"
-                f"{grid.face_hi[i]},{state.qD[i]!r}\n"
-            )
+        rows = zip(grid.face_axis.tolist(), grid.face_lo.tolist(),
+                   grid.face_hi.tolist(), state.qD.tolist())
+        for i, (axis, lo, hi, q) in enumerate(rows):
+            f.write(f"{i},{axis},{lo},{hi},{q!r}\n")
     with io.open(prefix + "_nodes.csv", "w") as f:
         f.write("node,pN\n")
-        for nid, val in zip(blocks.free_node_ids, state.pN):
+        for nid, val in zip(blocks.free_node_ids, state.pN.tolist()):
             f.write(f"{nid},{val!r}\n")
     with io.open(prefix + "_edges.csv", "w") as f:
         f.write("edge,tail,head,qN\n")
         if blocks.forest is not None:
-            for i, e in enumerate(blocks.forest.edges):
-                f.write(f"{i},{e.tail},{e.head},{state.qN[i]!r}\n")
+            for i, (e, q) in enumerate(zip(blocks.forest.edges, state.qN.tolist())):
+                f.write(f"{i},{e.tail},{e.head},{q!r}\n")

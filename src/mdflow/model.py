@@ -61,6 +61,13 @@ class CoefficientField:
         ids = sorted(n.id for n in terminals)
         if sorted(self.supports.terminal_ids) != ids:
             raise ValueError("need exactly one support per terminal node")
+        free = {n.id for n in forest.free_nodes} if forest is not None else set()
+        stray = sorted(set(self.rN) - free)
+        if stray:
+            raise ValueError(
+                f"rN names node {stray[0]}, which is not a non-Dirichlet "
+                "node of the forest"
+            )
         return self
 
 
@@ -269,130 +276,141 @@ def builtin_case(name: str, **kwargs) -> CaseSpec:
 
 # ---------------------------------------------------------------------------
 # Plain-text case configuration (key = value lines in [sections])
+#
+# Each value is stated once: a transfer takes its terminal's anchor from
+# the `node <id> terminal x y ...` line of [forest], and a series
+# reference takes its RadialParams from the case itself.
 # ---------------------------------------------------------------------------
 
-def _fmt_seq(seq):
-    return ", ".join(repr(x) for x in seq)
+def _seq(parse, show=repr):
+    """(write, read) of a comma-separated tuple."""
+    return (lambda v: ", ".join(show(x) for x in v),
+            lambda s: tuple(parse(x) for x in s.replace(",", " ").split()))
 
 
-def case_to_text(spec: CaseSpec) -> str:
-    """Serialize a CaseSpec to the documented key = value format."""
-    out = []
-    out.append("[case]")
-    out.append(f"name = {spec.name}")
-    out.append("")
-    out.append("[grid]")
-    out.append(f"dim = {spec.dim}")
-    out.append(f"origin = {_fmt_seq(spec.origin)}")
-    out.append(f"extent = {_fmt_seq(spec.extent)}")
-    out.append(f"refine_axes = {_fmt_seq(int(b) for b in spec.refine_axes)}")
-    out.append(f"fixed_cells = {_fmt_seq(spec.fixed_cells)}")
-    out.append("")
-    out.append("[forest]")
-    out.extend(forest_to_text(spec.forest).rstrip("\n").splitlines())
-    out.append("")
-    out.append("[coefficients]")
-    out.append(f"kD = {_fmt_seq(spec.kD)}")
-    for t in spec.transfers:
-        parts = [
-            f"transfer = {t.terminal_id}",
-            f"anchor: {_fmt_seq(t.anchor)}",
-            f"r0: {t.r0!r}",
-            f"r1: {t.r1!r}",
-            f"kT0: {t.kT0!r}",
-        ]
-        if t.radial_axes is not None:
-            parts.append(f"radial_axes: {_fmt_seq(t.radial_axes)}")
-        if t.compartment is not None:
-            parts.append(f"compartment: {t.compartment[0]}:{t.compartment[1]}")
-        out.append("; ".join(parts))
-    if spec.source is not None:
-        s = spec.source
-        out.append(
-            f"source = rD0: {s.rD0!r}; r2: {s.r2!r}; r3: {s.r3!r}; "
-            f"center: {_fmt_seq(s.center)}"
-        )
-    for nid, val in sorted(spec.rN.items()):
-        out.append(f"rN = {nid}: {val!r}")
-    out.append("")
-    out.append("[reference]")
-    kind = spec.reference[0]
-    out.append(f"kind = {kind}")
-    if kind == "series":
-        p = spec.reference[1]
-        out.append(
-            f"radial = r0: {p.r0!r}; r1: {p.r1!r}; r2: {p.r2!r}; r3: {p.r3!r}; "
-            f"kT0: {p.kT0!r}; kD: {p.kD!r}; kN: {p.kN!r}; rD0: {p.rD0!r}; "
-            f"pN0: {p.pN0!r}"
-        )
-    elif kind == "finegrid":
-        out.append(f"resolution = {spec.reference[1]}")
-    return "\n".join(out) + "\n"
+def _compartment(s: str):
+    axis, _, side = s.partition(":")
+    return int(axis), side.strip()
 
 
-def _parse_kv(line: str):
-    key, _, value = line.partition("=")
-    if not _:
-        raise ValueError(f"expected 'key = value', got {line!r}")
-    return key.strip(), value.strip()
+# (write, read) of each field of the [grid], transfer and source records
+_FORMATS = {
+    "dim": (repr, int),
+    "terminal_id": (repr, int),
+    "fixed_cells": _seq(int),
+    "radial_axes": _seq(int),
+    "refine_axes": _seq(lambda x: bool(int(x)), show=lambda b: repr(int(b))),
+    "compartment": (lambda c: f"{c[0]}:{c[1]}", _compartment),
+    **dict.fromkeys(("origin", "extent", "kD", "center"), _seq(float)),
+    **dict.fromkeys(("r0", "r1", "kT0", "rD0", "r2", "r3"), (repr, float)),
+}
+_GRID = ("dim", "origin", "extent", "refine_axes", "fixed_cells")
+_SECTIONS = ("case", "grid", "forest", "coefficients", "reference")
 
 
-def _parse_floats(value: str):
-    return tuple(float(x) for x in value.replace(",", " ").split())
+def _write_fields(obj, omit=()) -> str:
+    """'field: value; ...' over the fields of a dataclass that are set."""
+    return "; ".join(
+        f"{f.name}: {_FORMATS[f.name][0](value)}"
+        for f in fields(obj)
+        if f.name not in omit and (value := getattr(obj, f.name)) is not None
+    )
 
 
-def _require(kv: dict, where: str, *keys):
-    for key in keys:
-        if key not in kv:
-            raise ValueError(f"missing key {key!r} in {where}")
-
-
-def _parse_semicolons(value: str, where: str, spec) -> dict[str, str]:
-    """'key: value; ...' pairs whose keys name fields of the dataclass spec."""
-    out = {}
-    for part in filter(str.strip, value.split(";")):
-        key, _, val = part.partition(":")
-        out[key.strip()] = val.strip()
-    unknown = sorted(set(out) - {f.name for f in fields(spec)})
-    if unknown:
-        raise ValueError(f"unknown key {unknown[0]!r} in {where}")
-    _require(out, where, *(f.name for f in fields(spec) if f.default is MISSING))
-    return out
-
-
-def _require_dim(values, dim: int, where: str):
-    if len(values) != dim:
-        raise ValueError(f"{where} has {len(values)} entries for dim = {dim}")
-
-
-def _check_radial(params: RadialParams, dim, transfers, source, kD, forest: Forest):
-    """Reject a series reference whose radial parameters are not the case's.
+def _series_params(spec: CaseSpec) -> RadialParams:
+    """The radial parameters of the case, which its series reference takes.
 
     The closed form holds on a 2D grid for one terminal fed by one edge
     from one Dirichlet root, with isotropic kD and a ring source centred
-    on the transfer anchor; each parameter is read back from those parts.
+    on the transfer anchor.
     """
-    roots = forest.dirichlet_roots
-    if (dim != 2 or len(transfers) != 1 or source is None or len(forest.edges) != 1
-            or len(roots) != 1 or len(set(kD)) != 1):
+    roots, source = spec.forest.dirichlet_roots, spec.source
+    if (spec.dim != 2 or len(spec.transfers) != 1 or source is None
+            or len(spec.forest.edges) != 1 or len(roots) != 1 or len(set(spec.kD)) != 1):
         raise ValueError(
             "a series reference needs a 2D grid, one transfer, one edge, one "
             "Dirichlet root, a source and isotropic kD"
         )
-    (t,) = transfers
-    implied = dict(r0=t.r0, r1=t.r1, kT0=t.kT0, r2=source.r2, r3=source.r3,
-                   rD0=source.rD0, kD=kD[0], kN=forest.edges[0].k, pN0=roots[0].value)
-    bad = [f"{k} ({getattr(params, k)!r}, case has {v!r})"
-           for k, v in implied.items() if getattr(params, k) != v]
-    if bad:
-        raise ValueError(
-            f"[reference] radial disagrees with the case: {', '.join(bad)}"
-        )
+    (t,) = spec.transfers
     if source.center != t.anchor:
         raise ValueError(
             f"series reference needs the source centre {source.center} "
             f"at the transfer anchor {t.anchor}"
         )
+    return RadialParams(r0=t.r0, r1=t.r1, r2=source.r2, r3=source.r3, kT0=t.kT0,
+                        kD=spec.kD[0], kN=spec.forest.edges[0].k, rD0=source.rD0,
+                        pN0=roots[0].value)
+
+
+def case_to_text(spec: CaseSpec) -> str:
+    """Serialize a CaseSpec to the documented key = value format.
+
+    Raises ValueError on a spec that would not read back to itself: a
+    transfer anchored away from its terminal, or a series reference
+    whose parameters are not the case's own.
+    """
+    anchors = {n.id: n.anchor for n in spec.forest.terminals}
+    for t in spec.transfers:
+        if tuple(t.anchor) != anchors.get(t.terminal_id):
+            raise ValueError(
+                f"transfer {t.terminal_id} is anchored at {tuple(t.anchor)}, "
+                f"its terminal in the forest at {anchors.get(t.terminal_id)}"
+            )
+    kind = spec.reference[0]
+    if kind == "series" and (implied := _series_params(spec)) != spec.reference[1]:
+        raise ValueError(
+            f"series reference {spec.reference[1]} is not the case's own {implied}"
+        )
+    out = ["[case]", f"name = {spec.name}", "", "[grid]"]
+    out += [f"{k} = {_FORMATS[k][0](getattr(spec, k))}" for k in _GRID]
+    out += ["", "[forest]", *forest_to_text(spec.forest).rstrip("\n").splitlines()]
+    out += ["", "[coefficients]", f"kD = {_FORMATS['kD'][0](spec.kD)}"]
+    out += [
+        "transfer = " + _write_fields(t, ("anchor",)).removeprefix("terminal_id: ")
+        for t in spec.transfers
+    ]
+    if spec.source is not None:
+        out.append(f"source = {_write_fields(spec.source)}")
+    out += [f"rN = {nid}: {val!r}" for nid, val in sorted(spec.rN.items())]
+    out += ["", "[reference]", f"kind = {kind}"]
+    if kind == "finegrid":
+        out.append(f"resolution = {spec.reference[1]}")
+    return "\n".join(out) + "\n"
+
+
+def _parse_kv(line: str, sep: str = "="):
+    key, found, value = line.partition(sep)
+    if not found:
+        raise ValueError(f"expected 'key {sep} value', got {line!r}")
+    return key.strip(), value.strip()
+
+
+def _record(items, where: str, names, required=(), sep: str = "=") -> dict[str, str]:
+    """The 'key = value' items of one record; each key known and given once."""
+    out = {}
+    for key, value in (_parse_kv(item, sep) for item in items):
+        if key not in names:
+            raise ValueError(f"unknown key {key!r} in {where}")
+        if key in out:
+            raise ValueError(f"repeated key {key!r} in {where}")
+        out[key] = value
+    for key in required:
+        if key not in out:
+            raise ValueError(f"missing key {key!r} in {where}")
+    return out
+
+
+def _read_fields(value: str, where: str, cls, omit=()) -> dict:
+    """Parse 'field: value; ...' into the fields of dataclass cls, less omit."""
+    names = [f.name for f in fields(cls) if f.name not in omit]
+    required = [f.name for f in fields(cls) if f.default is MISSING and f.name in names]
+    kv = _record(filter(str.strip, value.split(";")), where, names, required, ":")
+    return {k: _FORMATS[k][1](v) for k, v in kv.items()}
+
+
+def _require_dim(values, dim: int, where: str):
+    if len(values) != dim:
+        raise ValueError(f"{where} has {len(values)} entries for dim = {dim}")
 
 
 def case_from_text(text: str) -> CaseSpec:
@@ -405,7 +423,9 @@ def case_from_text(text: str) -> CaseSpec:
             continue
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1].strip().lower()
-            sections.setdefault(current, [])
+            if current not in _SECTIONS or current in sections:
+                raise ValueError(f"unknown or repeated section [{current}]")
+            sections[current] = []
             continue
         if current is None:
             raise ValueError(f"content before first section: {raw!r}")
@@ -415,22 +435,15 @@ def case_from_text(text: str) -> CaseSpec:
         if required not in sections:
             raise ValueError(f"missing [{required}] section")
 
-    kv_case = dict(_parse_kv(l) for l in sections["case"])
-    name = kv_case.get("name", "custom")
-
-    kv_grid = dict(_parse_kv(l) for l in sections["grid"])
-    _require(kv_grid, "[grid]", "dim", "origin", "extent", "refine_axes", "fixed_cells")
-    dim = int(kv_grid["dim"])
-    origin = _parse_floats(kv_grid["origin"])
-    extent = _parse_floats(kv_grid["extent"])
-    refine = tuple(bool(int(x)) for x in _parse_floats(kv_grid["refine_axes"]))
-    fixed = tuple(int(x) for x in _parse_floats(kv_grid["fixed_cells"]))
-
-    for key, value in (("origin", origin), ("extent", extent),
-                       ("refine_axes", refine), ("fixed_cells", fixed)):
+    name = _record(sections["case"], "[case]", ("name",)).get("name", "custom")
+    kv = _record(sections["grid"], "[grid]", _GRID, _GRID)
+    grid = {k: _FORMATS[k][1](v) for k, v in kv.items()}
+    dim = grid.pop("dim")
+    for key, value in grid.items():
         _require_dim(value, dim, f"[grid] {key}")
 
     forest = forest_from_text("\n".join(sections["forest"]))
+    anchors = {n.id: n.anchor for n in forest.terminals}
 
     kD = (1.0,) * dim
     transfers = []
@@ -439,37 +452,19 @@ def case_from_text(text: str) -> CaseSpec:
     for line in sections.get("coefficients", []):
         key, value = _parse_kv(line)
         if key == "kD":
-            kD = _parse_floats(value)
+            kD = _FORMATS["kD"][1](value)
         elif key == "transfer":
-            kv = _parse_semicolons(
-                "terminal_id: " + value, "[coefficients] transfer", TransferSpec
-            )
-            comp = None
-            if "compartment" in kv:
-                axis, _, side = kv["compartment"].partition(":")
-                comp = (int(axis), side.strip())
-            axes = None
-            if "radial_axes" in kv:
-                axes = kv["radial_axes"].replace(",", " ").split()
-                axes = tuple(int(x) for x in axes)
-            transfers.append(
-                TransferSpec(
-                    terminal_id=int(kv["terminal_id"]),
-                    anchor=_parse_floats(kv["anchor"]),
-                    r0=float(kv["r0"]),
-                    r1=float(kv["r1"]),
-                    kT0=float(kv.get("kT0", 1.0)),
-                    radial_axes=axes,
-                    compartment=comp,
+            kv = _read_fields("terminal_id: " + value, "[coefficients] transfer",
+                              TransferSpec, omit=("anchor",))
+            if kv["terminal_id"] not in anchors:
+                raise ValueError(
+                    f"transfer names node {kv['terminal_id']}, which is no "
+                    "terminal of [forest]"
                 )
-            )
+            transfers.append(TransferSpec(anchor=anchors[kv["terminal_id"]], **kv))
         elif key == "source":
-            kv = _parse_semicolons(value, "[coefficients] source", RingSourceSpec)
             source = RingSourceSpec(
-                rD0=float(kv["rD0"]),
-                r2=float(kv["r2"]),
-                r3=float(kv["r3"]),
-                center=_parse_floats(kv["center"]),
+                **_read_fields(value, "[coefficients] source", RingSourceSpec)
             )
         elif key == "rN":
             nid, _, val = value.partition(":")
@@ -477,40 +472,17 @@ def case_from_text(text: str) -> CaseSpec:
         else:
             raise ValueError(f"unknown coefficients key {key!r}")
     _require_dim(kD, dim, "[coefficients] kD")
-    anchors = {n.id: n.anchor for n in forest.terminals}
-    for t in transfers:
-        if t.terminal_id in anchors and anchors[t.terminal_id] != t.anchor:
-            raise ValueError(
-                f"terminal {t.terminal_id} is anchored at {anchors[t.terminal_id]} "
-                f"in [forest] but at {t.anchor} by its transfer"
-            )
 
-    reference: tuple = ("none",)
-    ref_lines = dict(_parse_kv(l) for l in sections.get("reference", []))
-    kind = ref_lines.get("kind", "none")
-    if kind == "series":
-        _require(ref_lines, "[reference]", "radial")
-        kv = _parse_semicolons(ref_lines["radial"], "[reference] radial", RadialParams)
-        params = RadialParams(**{k: float(v) for k, v in kv.items()})
-        _check_radial(params, dim, transfers, source, kD, forest)
-        reference = ("series", params)
-    elif kind == "finegrid":
-        _require(ref_lines, "[reference]", "resolution")
-        reference = ("finegrid", int(ref_lines["resolution"]))
-    elif kind != "none":
+    spec = CaseSpec(name=name, dim=dim, **grid, forest=forest, kD=kD,
+                    transfers=tuple(transfers), source=source, rN=rN)
+    lines = sections.get("reference", [])
+    kind = _record(lines, "[reference]", ("kind", "resolution")).get("kind", "none")
+    extra = {"series": (), "finegrid": ("resolution",), "none": ()}
+    if kind not in extra:
         raise ValueError(f"unknown reference kind {kind!r}")
-
-    return CaseSpec(
-        name=name,
-        dim=dim,
-        origin=origin,
-        extent=extent,
-        refine_axes=refine,
-        fixed_cells=fixed,
-        forest=forest,
-        kD=kD,
-        transfers=tuple(transfers),
-        source=source,
-        rN=rN,
-        reference=reference,
-    )
+    ref = _record(lines, f"[reference] kind = {kind}", ("kind", *extra[kind]), extra[kind])
+    if kind == "finegrid":
+        return replace(spec, reference=("finegrid", int(ref["resolution"])))
+    if kind == "series":
+        return replace(spec, reference=("series", _series_params(spec)))
+    return spec

@@ -362,6 +362,22 @@ def _aggregate(A: sp.csr_matrix):
     return agg, Ac
 
 
+def _asymmetry(A):
+    """max |a_ij - a_ji|, the value abs(A - A.T).max() takes.
+
+    A.tocsc() holds the CSR arrays of A^T, so when those match A's
+    pattern the two data arrays are compared entry by entry, without
+    forming A.T and the difference as matrices.
+    """
+    T = A.tocsc()
+    if (A.has_canonical_format and np.array_equal(A.indptr, T.indptr)
+            and np.array_equal(A.indices, T.indices)):
+        diff = A.data - T.data
+        return np.abs(diff, out=diff).max(initial=0.0)
+    del T
+    return abs(A - A.T).max()
+
+
 def build_hierarchy(A) -> AmgHierarchy:
     """Set up the unsmoothed-aggregation hierarchy for a symmetric operator.
 
@@ -387,7 +403,7 @@ def build_hierarchy(A) -> AmgHierarchy:
             f"non-finite entry in row {rows[first]}, column "
             f"{A.indices[bad[first]]}: a_ij = {A.data[bad[first]]}"
         )
-    if abs(A - A.T).max() > 1e-12 * abs(A).max():
+    if _asymmetry(A) > 1e-12 * abs(A).max():
         raise ValueError(
             "matrix is not symmetric: the forward Gauss-Seidel sweep "
             "needs tril(A) = triu(A)^T"

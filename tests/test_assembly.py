@@ -405,3 +405,36 @@ class TestExports:
         for part in ("cells", "faces", "nodes", "edges"):
             text = (tmp_path / f"run_{part}.csv").read_text().splitlines()
             assert len(text) > 1 or part in ("nodes", "edges")
+
+    def test_state_csv_values_read_back_bitwise(self, tmp_path):
+        # every field is a plain number in shortest round-trip digits, so
+        # np.loadtxt recovers the state and the cell centres bit for bit
+        spec = case1("A")
+        grid = spec.grid(4)
+        blocks = assemble_blocks(grid, spec.forest, spec.coefficients(grid))
+        x = np.random.default_rng(0).standard_normal(blocks.n_unknowns)
+        state = recover_fluxes(blocks, x)
+        export_state_csv(blocks, state, tmp_path / "run")
+
+        def load(part):
+            return np.loadtxt(tmp_path / f"run_{part}.csv", delimiter=",",
+                              skiprows=1, ndmin=2)
+
+        def same(column, expected):
+            return column.tobytes() == np.asarray(expected, dtype=float).tobytes()
+
+        cells, faces, nodes, edges = map(load, ("cells", "faces", "nodes", "edges"))
+        assert same(cells[:, 0], np.arange(grid.n_cells))
+        assert same(cells[:, 1:3], grid.cell_centers())
+        assert same(cells[:, 3], state.pD)
+        assert same(faces[:, 0], np.arange(grid.n_faces))
+        assert same(faces[:, 1], grid.face_axis)
+        assert same(faces[:, 2], grid.face_lo)
+        assert same(faces[:, 3], grid.face_hi)
+        assert same(faces[:, 4], state.qD)
+        assert same(nodes[:, 0], blocks.free_node_ids)
+        assert same(nodes[:, 1], state.pN)
+        edge_ends = [(e.tail, e.head) for e in spec.forest.edges]
+        assert same(edges[:, 0], np.arange(len(edge_ends)))
+        assert same(edges[:, 1:3], edge_ends)
+        assert same(edges[:, 3], state.qN)

@@ -90,15 +90,11 @@ class TestValidation:
         "old, new, message",
         [
             ("dim = 2\n", "", "missing key 'dim' in [grid]"),
-            ("anchor: 0.0, 0.0; ", "", "missing key 'anchor' in [coefficients] transfer"),
             ("kind = series\n", "kind = finegrid\n", "missing key 'resolution' in [reference]"),
-            ("pN0: 0.0\n", "pN0: 0.0; bogus: 1\n", "unknown key 'bogus' in [reference] radial"),
             ("edge 0 1 1.0", "edge 0 1", "short edge line: 'edge 0 1'"),
-            ("node 1 terminal 0.0 0.0", "node 1 terminal", "terminal 1 is anchored at ()"),
+            ("node 1 terminal 0.0 0.0", "node 1 terminal", "at the transfer anchor ()"),
             ("node 1 terminal 0.0 0.0", "node 1 terminal 0.3 0.3",
-             "terminal 1 is anchored at (0.3, 0.3)"),
-            ("radial = r0: 0.1;", "radial = r0: 0.15;", "r0 (0.15, case has 0.1)"),
-            ("kD: 1.0; kN", "kD: 2.0; kN", "kD (2.0, case has 1.0)"),
+             "source centre (0.0, 0.0) at the transfer anchor (0.3, 0.3)"),
             ("center: 0.0, 0.0", "center: 0.1, 0.0", "source centre (0.1, 0.0)"),
             ("kD = 1.0, 1.0\n", "kD = 1.0, 2.0\n", "isotropic kD"),
             ("dim = 2\n", "dim = 3\n", "[grid] origin has 2 entries for dim = 3"),
@@ -119,6 +115,22 @@ class TestValidation:
                      "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
+        assert not out.exists() or not list(out.iterdir())
+
+
+    @pytest.mark.parametrize("node", [0, 99])
+    def test_rN_off_the_free_nodes_exits_1(self, capsys, tmp_path, node):
+        # node 0 is case 1A's Dirichlet root, and there is no node 99
+        text = case_to_text(case1("A")).replace(
+            "\n[reference]", f"rN = {node}: 5.0\n\n[reference]"
+        )
+        cfg = tmp_path / "case.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert main(["custom", "--config", str(cfg), "--meshes", "8,16",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"rN names node {node}" in err and "Traceback" not in err
         assert not out.exists() or not list(out.iterdir())
 
 

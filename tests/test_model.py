@@ -1,6 +1,8 @@
 """Built-in cases, coefficient fields, and the config format."""
 
+import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -109,37 +111,102 @@ class TestRadialParams:
             RadialParams(r0=0.1, r1=0.2, r2=0.4, r3=0.4)
 
 
+NEUMANN_CONFIG = """\
+[case]
+name = neumann
+
+[grid]
+dim = 2
+origin = 0.0, 0.0
+extent = 1.0, 1.0
+refine_axes = 1, 1
+fixed_cells = 0, 0
+
+[forest]
+nodes 4 trees 1
+node 0 neumann
+node 1 interior
+node 2 terminal 0.25 0.5
+node 3 terminal 0.75 0.5
+edge 0 1 1.0
+edge 1 2 1.0
+edge 1 3 1.0
+
+[coefficients]
+kD = 1.0, 1.0
+transfer = 2; r0: 0.05; r1: 0.1; kT0: 1.0
+transfer = 3; r0: 0.05; r1: 0.1; kT0: 1.0
+rN = 2: 1.0
+rN = 3: -1.0
+
+[reference]
+kind = none
+"""
+
+
 class TestCaseConfigText:
     @pytest.mark.parametrize("name", ["case1a", "case1b", "case2"])
     def test_round_trip(self, name):
         from mdflow.model import builtin_case
 
         spec = builtin_case(name)
-        text = case_to_text(spec)
-        back = case_from_text(text)
-        assert back.name == spec.name
-        assert back.dim == spec.dim
-        assert back.origin == spec.origin
-        assert back.extent == spec.extent
-        assert back.refine_axes == spec.refine_axes
-        assert back.kD == spec.kD
-        assert back.transfers == spec.transfers
-        assert back.source == spec.source
-        assert back.reference == spec.reference
-        assert [(e.tail, e.head, e.k) for e in back.forest.edges] == [
-            (e.tail, e.head, e.k) for e in spec.forest.edges
-        ]
+        assert case_from_text(case_to_text(spec)) == spec
+
+    def test_round_trip_through_a_neumann_root_and_rN(self):
+        spec = case_from_text(NEUMANN_CONFIG)
+        assert spec.rN == {2: 1.0, 3: -1.0}
+        assert [n.kind.value for n in spec.forest.nodes][:2] == ["neumann", "interior"]
+        assert case_to_text(spec) == NEUMANN_CONFIG
+        assert case_from_text(case_to_text(spec)) == spec
 
     def test_missing_section(self):
         with pytest.raises(ValueError, match="missing"):
             case_from_text("[case]\nname = x\n")
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("[reference]", "[bogus]\n[reference]", "unknown or repeated section [bogus]"),
+            ("[reference]", "[grid]\n[reference]", "unknown or repeated section [grid]"),
+            ("name = case1a\n", "name = case1a\ncolour = red\n", "unknown key 'colour' in [case]"),
+            ("dim = 2\n", "dim = 2\ncells = 8\n", "unknown key 'cells' in [grid]"),
+            ("dim = 2\n", "dim = 2\ndim = 2\n", "repeated key 'dim' in [grid]"),
+            ("fixed_cells = 0, 0", "fixed_cells = 0, 2.5", "invalid literal for int()"),
+            ("transfer = 1; ", "transfer = 1; anchor: 0.0, 0.0; ",
+             "unknown key 'anchor' in [coefficients] transfer"),
+            ("r1: 0.2;", "r1: 0.2; r1: 0.3;", "repeated key 'r1' in [coefficients] transfer"),
+            ("transfer = 1;", "transfer = 0;", "transfer names node 0, which is no terminal"),
+            ("kind = series\n", "kind = series\nradial = r0: 0.1\n",
+             "unknown key 'radial' in [reference]"),
+            ("kind = series\n", "kind = none\nresolution = 64\n",
+             "unknown key 'resolution' in [reference] kind = none"),
+            ("kind = series\n", "kind = exact\n", "unknown reference kind 'exact'"),
+        ],
+    )
+    def test_keys_and_sections_outside_the_format_rejected(self, old, new, message):
+        text = case_to_text(case1("A"))
+        assert old in text
+        with pytest.raises(ValueError) as info:
+            case_from_text(text.replace(old, new, 1))
+        assert message in str(info.value)
+
+    def test_writer_rejects_a_spec_that_would_not_read_back(self):
+        spec = case1("A")
+        (t,) = spec.transfers
+        for transfer, message in [(replace(t, anchor=(0.1, 0.0)), "anchored at (0.1, 0.0)"),
+                                  (replace(t, terminal_id=0), "its terminal in the forest at None")]:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                case_to_text(replace(spec, transfers=(transfer,)))
+        params = replace(spec.reference[1], kN=2.0)
+        with pytest.raises(ValueError, match="is not the case's own"):
+            case_to_text(replace(spec, reference=("series", params)))
 
     def test_series_reference_needs_2d_grid(self):
         # case 1A lifted to a 3D grid: every tuple has three entries
         text = case_to_text(case1("A"))
         for old, new in [("dim = 2", "dim = 3"), ("-0.5, -0.5", "-0.5, -0.5, -0.5"),
                          ("1.0, 1.0\n", "1.0, 1.0, 1.0\n"), ("1, 1\n", "1, 1, 1\n"),
-                         ("0, 0\n", "0, 0, 0\n"), ("0.0, 0.0;", "0.0, 0.0, 0.0;"),
+                         ("0, 0\n", "0, 0, 0\n"),
                          ("terminal 0.0 0.0", "terminal 0.0 0.0 0.0"),
                          ("center: 0.0, 0.0\n", "center: 0.0, 0.0, 0.0\n")]:
             text = text.replace(old, new)
@@ -147,6 +214,17 @@ class TestCaseConfigText:
             case_from_text(text)
         text = text.replace("kind = series", "kind = none")
         assert case_from_text(text).dim == 3
+
+
+class TestCoefficientField:
+    @pytest.mark.parametrize("node", [0, 99])
+    def test_rN_must_name_a_non_dirichlet_node(self, node):
+        # node 0 is case 1A's Dirichlet root, and there is no node 99
+        spec = replace(case1("A"), rN={1: 1.0, node: 5.0})
+        with pytest.raises(ValueError, match=f"rN names node {node}"):
+            spec.coefficients(spec.grid(8))
+        spec = replace(spec, rN={1: 1.0})
+        assert spec.coefficients(spec.grid(8)).rN == {1: 1.0}
 
 
 def _composite_average(centers, width, anchor, func, npts, subdiv):

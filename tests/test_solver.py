@@ -113,6 +113,18 @@ class TestHierarchy:
         S[0, 1] += 1e-15
         assert build_hierarchy(sp.csr_matrix(S)).nlevels == 1
 
+    @pytest.mark.parametrize("value, accepted", [(1e-12, True), (4e-12, False)])
+    def test_one_sided_entry_against_the_tolerance(self, value, accepted):
+        # an entry with no transposed partner makes the pattern
+        # nonsymmetric; it is held to 1e-12 of the largest entry (2 here)
+        A = sp.diags([-np.ones(3), 2 * np.ones(4), -np.ones(3)], [-1, 0, 1]).tolil()
+        A[0, 2] = value
+        if accepted:
+            assert build_hierarchy(A.tocsr()).nlevels == 1
+        else:
+            with pytest.raises(ValueError, match="not symmetric"):
+                build_hierarchy(A.tocsr())
+
     def test_backward_sweep_is_upper_gauss_seidel(self):
         # the plain solve with the triu factor is Gauss-Seidel on triu(A)
         # on every level, graph levels (case 2's coarse ones) included
