@@ -24,7 +24,10 @@ an interior face the harmonic k |f| / d form.  A support row couples
 its cell and terminal with +-ks vol against the weight vol; edge rows
 are the negated network incidence with weight 1/k.  Zero-Neumann
 boundary faces carry no unknowns, and Dirichlet root columns are
-dropped from G, their values moving into lift.
+dropped from G, their values moving into lift.  Only edge rows can
+reach a root, so lift is zero on every face and support row and only
+its edge rows are stored; the full vector is formed where a consumer
+asks for it.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from .geometry import CartesianGrid, Forest, incidence
+from .geometry import CartesianGrid, Forest, incidence, index_dtype
 from .model import CoefficientField
 
 
@@ -63,7 +66,9 @@ class LumpedBlocks:
     columns [active cells; free nodes].  Support rows are the rows of
     the coefficients' support table, in its order; row i couples cell
     ``sup_cell[i]`` to its terminal with the scaled coefficient
-    ``sup_ks[i]``.
+    ``sup_ks[i]``.  Of lift only the edge rows, ``lift_N``, are held;
+    the ``lift`` property returns the (n_flux,) vector, zero on the
+    face and support rows.
     """
 
     grid: CartesianGrid
@@ -72,7 +77,7 @@ class LumpedBlocks:
 
     G: sp.csr_matrix  # (n_flux, n_unknowns)
     d: np.ndarray  # (n_flux,) lumped flux weights [d_D; d_S; d_N]
-    lift: np.ndarray  # (n_flux,) Dirichlet term, full product G p + lift
+    lift_N: np.ndarray  # (n_edges,) Dirichlet term of the edge rows
     r: np.ndarray  # (n_unknowns,) integrated sources [cells; free nodes]
 
     sup_cell: np.ndarray  # (n_sup,)
@@ -91,6 +96,11 @@ class LumpedBlocks:
     @property
     def n_unknowns(self) -> int:
         return self.n_cells + self.n_free_nodes
+
+    @property
+    def lift(self) -> np.ndarray:
+        """(n_flux,) Dirichlet term of every row, so the full product is G p + lift."""
+        return np.concatenate([np.zeros(self.d.size - self.lift_N.size), self.lift_N])
 
     @property
     def d_D(self) -> np.ndarray:
@@ -118,23 +128,15 @@ class MixedState:
         return np.concatenate([self.qD, self.qS, self.qN])
 
 
-def _pair_rows(col_a, col_b, val_a, val_b, n_cols):
-    """CSR block whose row i holds val_a[i] at col_a[i] and val_b[i] at col_b[i]."""
-    n_rows = len(col_a)
-    return sp.csr_matrix(
-        (
-            np.column_stack([val_a, val_b]).ravel(),
-            np.column_stack([col_a, col_b]).ravel(),
-            2 * np.arange(n_rows + 1),
-        ),
-        shape=(n_rows, n_cols),
-    )
-
-
 def assemble_blocks(
     grid: CartesianGrid, forest: Forest | None, coeffs: CoefficientField
 ) -> LumpedBlocks:
-    """Build (G, d, lift) and the sources for a grid/forest/coefficient triple."""
+    """Build (G, d, lift) and the sources for a grid/forest/coefficient triple.
+
+    G's CSR arrays are filled in place: each face and support row holds
+    its two entries in ascending column order, and the edge rows are
+    those of the negated incidence, shifted past the cell columns.
+    """
     coeffs.validate(grid, forest)
     nc = grid.n_cells
     lo, hi, ax = grid.face_lo, grid.face_hi, grid.face_axis
@@ -151,19 +153,31 @@ def assemble_blocks(
     sup = coeffs.supports
     sup_cell, sup_ks = sup.cell_idx, sup.ks
     terminal_col = np.array([col[i] for i in sup.terminal_ids], dtype=np.int64)
-    sup_node = terminal_col[sup.terminal]
     m = sup_ks * grid.cell_volume
 
-    G = sp.vstack(
-        [
-            _pair_rows(lo, hi, np.full(lo.size, -1.0), np.ones(lo.size), n),
-            _pair_rows(sup_cell, nc + sup_node, m, -m, n),
-            sp.hstack([sp.csr_matrix((len(net.edges), nc)), -inc.matrix]),
-        ],
-        format="csr",
-    )
-    d = np.concatenate([d_D, np.full(m.size, grid.cell_volume), 1 / inc.edge_k])
-    lift = np.concatenate([np.zeros(lo.size + sup_cell.size), -inc.dirichlet])
+    nf, ns, E = lo.size, sup_cell.size, inc.matrix
+    n_pairs = nf + ns
+    n_flux = n_pairs + E.shape[0]
+    index = index_dtype(max(2 * n_pairs + E.nnz, n_flux, n))
+    indptr = np.empty(n_flux + 1, dtype=index)
+    indptr[: n_pairs + 1] = np.arange(0, 2 * n_pairs + 1, 2, dtype=index)
+    indptr[n_pairs + 1 :] = E.indptr[1:]
+    indptr[n_pairs + 1 :] += 2 * n_pairs
+    indices = np.empty(indptr[-1], dtype=index)
+    data = np.empty(indptr[-1])
+    pair_cols = indices[: 2 * n_pairs].reshape(-1, 2)
+    pair_vals = data[: 2 * n_pairs].reshape(-1, 2)
+    pair_cols[:nf, 0], pair_cols[:nf, 1] = lo, hi
+    pair_vals[:nf] = -1.0, 1.0
+    pair_cols[nf:, 0] = sup_cell
+    pair_cols[nf:, 1] = nc + terminal_col[sup.terminal]
+    pair_vals[nf:, 0], pair_vals[nf:, 1] = m, -m
+    indices[2 * n_pairs :] = E.indices
+    indices[2 * n_pairs :] += nc
+    data[2 * n_pairs :] = -E.data
+    G = sp.csr_matrix((data, indices, indptr), shape=(n_flux, n))
+
+    d = np.concatenate([d_D, np.full(ns, grid.cell_volume), 1 / inc.edge_k])
     r = np.concatenate(
         [coeffs.rD * grid.cell_volume, [coeffs.rN.get(nid, 0.0) for nid in free_ids]]
     )
@@ -174,7 +188,7 @@ def assemble_blocks(
         coeffs=coeffs,
         G=G,
         d=d,
-        lift=lift,
+        lift_N=-inc.dirichlet,
         r=r,
         sup_cell=sup_cell,
         sup_ks=sup_ks,

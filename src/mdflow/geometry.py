@@ -211,6 +211,11 @@ def incidence(forest: Forest) -> SignedIncidence:
     return SignedIncidence(mat, node_ids, dirichlet, k)
 
 
+def index_dtype(count: int):
+    """int32 when indices 0..count-1 (and -1) fit in it, else int64."""
+    return np.int32 if count <= np.iinfo(np.int32).max else np.int64
+
+
 class CartesianGrid:
     """Tensor-product cell grid with per-axis spacing and an active-cell mask.
 
@@ -218,6 +223,12 @@ class CartesianGrid:
     carry unknowns.  Faces exist between axis-adjacent active cells
     (interior faces, the flux unknowns) and on the boundary of the
     active region (zero-Neumann faces, eliminated from the system).
+
+    ``active_index`` (the brick's active numbering, -1 off the mask),
+    ``face_lo`` and ``face_hi`` are int32 whenever the brick's cell
+    count fits (`index_dtype`), int64 above 2^31 - 1; ``face_axis`` is
+    int8.  The active cells' multi-indices are derived from the mask
+    when asked for, not stored.
     """
 
     def __init__(self, cells, extent, origin=None, mask=None):
@@ -240,15 +251,12 @@ class CartesianGrid:
             raise ValueError("mask shape does not match cell counts")
 
         # active cell numbering (C order)
-        self.active_index = -np.ones(self.cells, dtype=np.int64)
-        flat = np.flatnonzero(self.mask.ravel())
-        self.active_index.ravel()[flat] = np.arange(flat.size)
-        self.n_cells = flat.size
+        dtype = index_dtype(self.mask.size)
+        self.n_cells = int(np.count_nonzero(self.mask))
         if self.n_cells == 0:
             raise ValueError("grid has no active cells")
-        self._active_multi = np.stack(
-            np.unravel_index(flat, self.cells), axis=-1
-        )  # (n_cells, dim)
+        self.active_index = np.full(self.cells, -1, dtype=dtype)
+        self.active_index[self.mask] = np.arange(self.n_cells, dtype=dtype)
 
         self._centers = None
         self.cell_volume = float(np.prod(self.spacing))
@@ -258,7 +266,7 @@ class CartesianGrid:
 
     def _build_faces(self):
         """Enumerate interior faces axis by axis, C order within each axis."""
-        lo_list, hi_list, axis_list = [], [], []
+        lo_list, hi_list = [], []
         idx = self.active_index
         for a in range(self.dim):
             sl_lo = [slice(None)] * self.dim
@@ -270,18 +278,16 @@ class CartesianGrid:
             keep = (lo >= 0) & (hi >= 0)
             lo_list.append(lo[keep])
             hi_list.append(hi[keep])
-            axis_list.append(np.full(keep.sum(), a, dtype=np.int64))
-        self.face_lo = np.concatenate(lo_list) if lo_list else np.zeros(0, np.int64)
-        self.face_hi = np.concatenate(hi_list) if hi_list else np.zeros(0, np.int64)
-        self.face_axis = (
-            np.concatenate(axis_list) if axis_list else np.zeros(0, np.int64)
-        )
+        self.face_lo = np.concatenate(lo_list)
+        self.face_hi = np.concatenate(hi_list)
+        counts = [lo.size for lo in lo_list]
+        self.face_axis = np.repeat(np.arange(self.dim, dtype=np.int8), counts)
         self.n_faces = self.face_lo.size
 
     @property
     def cell_multi_index(self) -> np.ndarray:
-        """(n_cells, dim) integer multi-indices of the active cells."""
-        return self._active_multi
+        """(n_cells, dim) integer multi-indices of the active cells, from the mask."""
+        return np.stack(np.unravel_index(np.flatnonzero(self.mask), self.cells), axis=-1)
 
     def cell_face_maps(self):
         """Per cell and axis, the interior face below/above it (-1 at walls)."""
@@ -294,7 +300,7 @@ class CartesianGrid:
     def cell_centers(self) -> np.ndarray:
         """(n_cells, dim) centres of the active cells, computed once, read-only."""
         if self._centers is None:
-            self._centers = self.origin + (self._active_multi + 0.5) * self.spacing
+            self._centers = self.origin + (self.cell_multi_index + 0.5) * self.spacing
             self._centers.flags.writeable = False
         return self._centers
 

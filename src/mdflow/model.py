@@ -38,7 +38,8 @@ class CoefficientField:
     """All material data and sources for one grid/forest pair.
 
     kD has shape (n_cells, dim); the entry for the last axis of a 4D
-    grid is the inter-compartment ("perfusion") coefficient.  supports
+    grid is the inter-compartment ("perfusion") coefficient.  A case's
+    constant kD is one read-only row broadcast over the cells.  supports
     is one table for all terminals, with exactly one support per
     terminal node of the forest, its rows in any order.  rD is a
     per-cell source density (quadrature average).  rN maps node ids of
@@ -146,7 +147,8 @@ class CaseSpec:
         return CartesianGrid(cells, extent=self.extent, origin=self.origin)
 
     def coefficients(self, grid: CartesianGrid) -> CoefficientField:
-        kD = np.broadcast_to(np.asarray(self.kD), (grid.n_cells, grid.dim)).copy()
+        # one row of values, read-only, seen by every cell
+        kD = np.broadcast_to(np.asarray(self.kD, dtype=float), (grid.n_cells, grid.dim))
         supports = build_support(grid, self.transfers)
         if self.source is None:
             rD = np.zeros(grid.n_cells)
@@ -445,12 +447,14 @@ def case_from_text(text: str) -> CaseSpec:
     forest = forest_from_text("\n".join(sections["forest"]))
     anchors = {n.id: n.anchor for n in forest.terminals}
 
-    kD = (1.0,) * dim
+    kD = None
     transfers = []
     source = None
     rN: dict[int, float] = {}
     for line in sections.get("coefficients", []):
         key, value = _parse_kv(line)
+        if (key == "kD" and kD is not None) or (key == "source" and source is not None):
+            raise ValueError(f"repeated key {key!r} in [coefficients]")
         if key == "kD":
             kD = _FORMATS["kD"][1](value)
         elif key == "transfer":
@@ -468,9 +472,12 @@ def case_from_text(text: str) -> CaseSpec:
             )
         elif key == "rN":
             nid, _, val = value.partition(":")
-            rN[int(nid)] = float(val)
+            if (nid := int(nid)) in rN:
+                raise ValueError(f"repeated key 'rN' for node {nid} in [coefficients]")
+            rN[nid] = float(val)
         else:
             raise ValueError(f"unknown coefficients key {key!r}")
+    kD = (1.0,) * dim if kD is None else kD
     _require_dim(kD, dim, "[coefficients] kD")
 
     spec = CaseSpec(name=name, dim=dim, **grid, forest=forest, kD=kD,

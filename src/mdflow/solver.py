@@ -86,6 +86,19 @@ class SolverConfig:
                              f"got tol={self.tol}, maxit={self.maxit}")
 
 
+def _upper_csc(A: sp.csr_matrix) -> sp.csc_matrix:
+    """triu(A) in CSC, gathered from A's rows without a COO copy of A."""
+    n = A.shape[0]
+    rows = np.repeat(np.arange(n, dtype=A.indices.dtype), np.diff(A.indptr))
+    keep = A.indices >= rows
+    indptr = np.zeros(n + 1, dtype=A.indptr.dtype)
+    np.cumsum(np.bincount(rows[keep], minlength=n), out=indptr[1:])
+    del rows
+    U = sp.csr_matrix((A.data[keep], A.indices[keep], indptr), shape=A.shape)
+    del keep
+    return U.tocsc()
+
+
 class _Level:
     """One multigrid level: operator, smoother factor, optional aggregates."""
 
@@ -109,7 +122,7 @@ class _Level:
         # studies' grid levels, where 1 moves the transposed solve's on
         # case 2's finest.
         self._upper = spla.splu(
-            sp.triu(A, 0).tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0,
+            _upper_csc(A), permc_spec="NATURAL", diag_pivot_thresh=0.0,
             panel_size=2,
         )
         self._dense = None  # (eigvals, eigvecs) kernel-aware coarse factorization

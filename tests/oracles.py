@@ -4,20 +4,25 @@ The mixed lumped system is rebuilt here from basis principles (trapezoid
 lumping of the lowest-order face-element mass matrix, divergence from
 the flux of each basis function, piecewise-constant coupling integrals)
 and reduced by dense linear algebra, without reusing any assembly code
-paths from the package.  The greedy pairwise matching is kept here as
+paths from the package.  The CSR G is also built as three blocks
+joined by sp.vstack, which the assembly's in-place fill of G's arrays
+must match bit for bit.  The greedy pairwise matching is kept here as
 the plain two-loop scan in natural order that the solver's vectorised
 matching must reproduce exactly, and the support of one terminal as the
 per-terminal evaluation that the batched support table must reproduce.
 """
 
 import numpy as np
+import scipy.sparse as sp
 
 from mdflow.geometry import (
     SUPPORT_SUBDIV_SPATIAL,
+    Forest,
     NodeKind,
     _box_average,
     _compartment_fraction,
     _taper_average,
+    incidence,
     transfer_profile,
 )
 
@@ -92,6 +97,43 @@ def lumped_mixed_dense(grid, forest, coeffs):
     }
     free_cols = [j for j in range(n_p) if j not in dirichlet]
     return D, G, r_full, free_cols, dirichlet
+
+
+def _pair_rows(col_a, col_b, val_a, val_b, n_cols):
+    """CSR block whose row i holds val_a[i] at col_a[i] and val_b[i] at col_b[i]."""
+    n_rows = len(col_a)
+    return sp.csr_matrix(
+        (
+            np.column_stack([val_a, val_b]).ravel(),
+            np.column_stack([col_a, col_b]).ravel(),
+            2 * np.arange(n_rows + 1),
+        ),
+        shape=(n_rows, n_cols),
+    )
+
+
+def stacked_pair_G(grid, forest, coeffs):
+    """G as three stacked CSR blocks.
+
+    Face pairs, support pairs, and the negated incidence beside an
+    empty cell block.
+    """
+    nc = grid.n_cells
+    lo, hi = grid.face_lo, grid.face_hi
+    inc = incidence(forest if forest is not None else Forest((), (), {}))
+    n = nc + len(inc.node_ids)
+    col = {nid: j for j, nid in enumerate(inc.node_ids)}
+    sup = coeffs.supports
+    sup_node = np.array([col[i] for i in sup.terminal_ids], dtype=np.int64)[sup.terminal]
+    m = sup.ks * grid.cell_volume
+    return sp.vstack(
+        [
+            _pair_rows(lo, hi, np.full(lo.size, -1.0), np.ones(lo.size), n),
+            _pair_rows(sup.cell_idx, nc + sup_node, m, -m, n),
+            sp.hstack([sp.csr_matrix((inc.matrix.shape[0], nc)), -inc.matrix]),
+        ],
+        format="csr",
+    )
 
 
 def lumped_rt0_schur_dense(grid, forest, coeffs):

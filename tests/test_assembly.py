@@ -29,9 +29,9 @@ from mdflow.geometry import (
     neumann_root,
     terminal,
 )
-from mdflow.model import CoefficientField, case1
+from mdflow.model import CoefficientField, case1, case2
 
-from oracles import lumped_mixed_dense, lumped_rt0_schur_dense
+from oracles import lumped_mixed_dense, lumped_rt0_schur_dense, stacked_pair_G
 
 
 def plain_coeffs(grid, rN=None):
@@ -301,6 +301,34 @@ class TestMixedOperatorMaskedForest:
         # kernel leaves a definite system
         lam = np.linalg.eigvalsh(A.toarray())
         assert lam[0] == pytest.approx(0.0, abs=1e-13) and lam[1] > 1e-6
+
+
+class TestOneAllocationG:
+    @pytest.mark.parametrize("case", ["case1a", "case1b", "case2", "masked_two_trees"])
+    def test_equals_the_stacked_blocks_bitwise(self, case):
+        if case == "masked_two_trees":
+            grid, forest, coeffs = two_tree_masked_case()
+        else:
+            spec, m = {"case1a": (case1("A"), 32), "case1b": (case1("B"), 16),
+                       "case2": (case2(), 16)}[case]
+            grid, forest = spec.grid(m), spec.forest
+            coeffs = spec.coefficients(grid)
+        G = assemble_blocks(grid, forest, coeffs).G
+        expected = stacked_pair_G(grid, forest, coeffs)
+        assert G.shape == expected.shape
+        for name in ("indptr", "indices", "data"):
+            got, want = getattr(G, name), getattr(expected, name)
+            assert got.dtype == want.dtype, name
+            assert got.tobytes() == want.tobytes(), name
+
+    def test_lift_is_zero_off_the_edge_rows(self):
+        grid, forest, coeffs = two_tree_masked_case()
+        blocks = assemble_blocks(grid, forest, coeffs)
+        assert blocks.lift.shape == blocks.d.shape
+        n_edges = len(forest.edges)
+        assert not np.any(blocks.lift[:-n_edges])
+        assert blocks.lift[-n_edges:].tobytes() == blocks.lift_N.tobytes()
+        assert np.count_nonzero(blocks.lift_N) == 1  # only the root edge row
 
 
 class TestRecoverFluxes:

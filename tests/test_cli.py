@@ -103,6 +103,8 @@ class TestValidation:
              "[coefficients] kD has 3 entries for dim = 2"),
             ("origin = -0.5, -0.5\n", "origin = -0.5, -0.5, 0.0\n",
              "[grid] origin has 3 entries for dim = 2"),
+            ("kD = 1.0, 1.0\n", "kD = 5.0, 5.0\nkD = 1.0, 1.0\n",
+             "repeated key 'kD' in [coefficients]"),
         ],
     )
     def test_malformed_config_exits_1(self, capsys, tmp_path, old, new, message):

@@ -19,6 +19,7 @@ from mdflow.geometry import (
     forest_from_text,
     forest_to_text,
     incidence,
+    index_dtype,
     interior,
     neumann_root,
     radial_cell_average,
@@ -251,6 +252,25 @@ class TestCartesianGrid:
         g = CartesianGrid((4, 4, 4, 2), extent=(1, 1, 1, 1))
         assert np.allclose(g.spacing, [0.25, 0.25, 0.25, 0.5])
         assert g.cell_volume == pytest.approx(0.25**3 * 0.5)
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_index_arrays_are_narrow(self, masked):
+        mask = np.ones((6, 5, 4), dtype=bool)
+        if masked:
+            mask[2:4, :, 1] = False
+        g = CartesianGrid(mask.shape, extent=(1, 1, 1), mask=mask)
+        assert g.active_index.dtype == np.int32
+        assert g.face_lo.dtype == g.face_hi.dtype == np.int32
+        assert g.face_axis.dtype == np.int8
+        assert g.active_index[~mask].tolist() == [-1] * int((~mask).sum())
+        assert g.active_index[mask].tolist() == list(range(g.n_cells))
+        assert np.array_equal(g.cell_multi_index, np.argwhere(mask))
+
+    def test_index_dtype_widens_past_int32(self):
+        # decided on the count alone: nothing of that size is allocated
+        limit = 2**31 - 1
+        assert index_dtype(0) == index_dtype(limit) == np.int32
+        assert index_dtype(limit + 1) == index_dtype(4096**3) == np.int64
 
     def test_dimension_limits(self):
         with pytest.raises(ValueError):

@@ -181,6 +181,14 @@ class TestCaseConfigText:
             ("kind = series\n", "kind = none\nresolution = 64\n",
              "unknown key 'resolution' in [reference] kind = none"),
             ("kind = series\n", "kind = exact\n", "unknown reference kind 'exact'"),
+            ("kD = 1.0, 1.0\n", "kD = 5.0, 5.0\nkD = 1.0, 1.0\n",
+             "repeated key 'kD' in [coefficients]"),
+            ("kD = 1.0, 1.0\n", "kD = 1.0, 1.0\nkD = 1.0, 1.0\n",
+             "repeated key 'kD' in [coefficients]"),
+            ("source = ", "source = rD0: 2.0; r2: 0.3; r3: 0.4; center: 0.0, 0.0\nsource = ",
+             "repeated key 'source' in [coefficients]"),
+            ("\n\n[reference]", "\nrN = 1: 0.5\nrN = 1: 0.25\n\n[reference]",
+             "repeated key 'rN' for node 1 in [coefficients]"),
         ],
     )
     def test_keys_and_sections_outside_the_format_rejected(self, old, new, message):

@@ -32,6 +32,7 @@ from mdflow.solver import (
     _match_pass,
     _piecewise_constant,
     _strength_graph,
+    _upper_csc,
     build_hierarchy,
     fgmres,
     solve_pressure,
@@ -154,6 +155,23 @@ class TestHierarchy:
             got = lev.gs_forward(b, x)
             assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
             assert np.array_equal(lev.gs_forward(b), lev.gs_forward(b, np.zeros(n)))
+
+    def test_upper_factor_input_is_triu_in_csc(self):
+        # the smoother's factor input, gathered from A's rows, equals
+        # sp.triu(A).tocsc() array for array on every level, and on a
+        # matrix whose rows hold their columns out of order
+        levels = build_hierarchy(schur_operator(case2(), 16)).levels
+        shuffled = sp.csr_matrix(poisson2d(6)[1])
+        for i in range(shuffled.shape[0]):
+            row = slice(shuffled.indptr[i], shuffled.indptr[i + 1])
+            shuffled.indices[row] = shuffled.indices[row][::-1].copy()
+            shuffled.data[row] = shuffled.data[row][::-1].copy()
+        shuffled.has_sorted_indices = False
+        for A in [lev.A for lev in levels] + [shuffled]:
+            got, expected = _upper_csc(A), sp.triu(A).tocsc()
+            for name in ("indptr", "indices", "data"):
+                a, b = getattr(got, name), getattr(expected, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b), name
 
     def test_zero_diagonal_rejected(self):
         A = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
