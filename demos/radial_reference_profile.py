@@ -13,15 +13,16 @@ from mdflow import case1, ode_residual_check, profile_table, solve_constants, tr
 
 params = case1("A").reference[1]
 sol = solve_constants(params)
+radii = (params.r0, params.r1, params.r2, params.r3)
 
-print("configuration radii:", params.radii)
+print("configuration radii:", radii)
 print(f"network throughput qN  = {sol.qN:+.9e}  (volume balance)")
 print(f"terminal pressure  pN1 = {sol.pN1:+.9e}")
 print(f"matching constants cI={sol.cI:.6e} cJ={sol.cJ:.6e} cY={sol.cY:.6e}")
 
 # The solution should satisfy the radial balance law pointwise ...
-samples = np.setdiff1d(np.linspace(0.02, 0.48, 60), params.radii)
-samples = samples[np.min(np.abs(samples[:, None] - np.array([params.radii])), axis=1) > 5e-3]
+samples = np.setdiff1d(np.linspace(0.02, 0.48, 60), radii)
+samples = samples[np.min(np.abs(samples[:, None] - np.array([radii])), axis=1) > 5e-3]
 print(f"max pointwise balance residual: {ode_residual_check(sol, samples):.2e}")
 
 # ... and push exactly -qN through the transfer region in total.

@@ -72,7 +72,7 @@ class LumpedBlocks:
     """
 
     grid: CartesianGrid
-    forest: Forest | None
+    forest: Forest
     coeffs: CoefficientField
 
     G: sp.csr_matrix  # (n_flux, n_unknowns)
@@ -107,10 +107,6 @@ class LumpedBlocks:
         """Total face weights, the face rows of d."""
         return self.d[: self.grid.n_faces]
 
-    def node_index(self, node_id: int) -> int:
-        """Position of a free node in the pressure vector (after the cells)."""
-        return self.n_cells + self.free_node_ids.index(node_id)
-
 
 @dataclass
 class MixedState:
@@ -129,13 +125,14 @@ class MixedState:
 
 
 def assemble_blocks(
-    grid: CartesianGrid, forest: Forest | None, coeffs: CoefficientField
+    grid: CartesianGrid, forest: Forest, coeffs: CoefficientField
 ) -> LumpedBlocks:
     """Build (G, d, lift) and the sources for a grid/forest/coefficient triple.
 
     G's CSR arrays are filled in place: each face and support row holds
     its two entries in ascending column order, and the edge rows are
-    those of the negated incidence, shifted past the cell columns.
+    those of the negated incidence, shifted past the cell columns.  A
+    grid without a network takes the empty forest, ``build_forest([], [])``.
     """
     coeffs.validate(grid, forest)
     nc = grid.n_cells
@@ -144,8 +141,7 @@ def assemble_blocks(
         grid, ax, coeffs.kD[hi, ax]
     )
 
-    net = forest if forest is not None else Forest((), (), {})
-    inc = incidence(net)
+    inc = incidence(forest)
     free_ids = inc.node_ids
     n = nc + len(free_ids)
 
@@ -327,6 +323,5 @@ def export_state_csv(blocks: LumpedBlocks, state: MixedState, prefix):
             f.write(f"{nid},{val!r}\n")
     with io.open(prefix + "_edges.csv", "w") as f:
         f.write("edge,tail,head,qN\n")
-        if blocks.forest is not None:
-            for i, (e, q) in enumerate(zip(blocks.forest.edges, state.qN.tolist())):
-                f.write(f"{i},{e.tail},{e.head},{q!r}\n")
+        for i, (e, q) in enumerate(zip(blocks.forest.edges, state.qN.tolist())):
+            f.write(f"{i},{e.tail},{e.head},{q!r}\n")

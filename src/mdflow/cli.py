@@ -7,10 +7,11 @@ Subcommands:
   custom                    run a case described by a plain-text config
 
 Outputs land in --out (or $MDFLOW_OUT, or the working directory) and
-are written atomically.  Exit codes: 0 success, 1 validation error,
-2 solver non-convergence.  Re-running a command with identical inputs
-reproduces the CSVs byte for byte except for timing columns; pass
---no-timings to zero those for golden-file comparisons.
+are written atomically.  Exit codes: 0 success, 1 validation error or
+failed allocation, 2 solver non-convergence.  Re-running a command
+with identical inputs reproduces the CSVs byte for byte except for
+timing columns; pass --no-timings to zero those for golden-file
+comparisons.
 """
 
 from __future__ import annotations
@@ -188,6 +189,12 @@ def main(argv=None) -> int:
         return 1
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except (MemoryError, RuntimeError) as exc:
+        # SuperLU reports a failed allocation as a RuntimeError
+        if isinstance(exc, RuntimeError) and "SUPERLU_MALLOC" not in str(exc):
+            raise
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

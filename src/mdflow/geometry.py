@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import breadth_first_order, connected_components
 
-from .quadrature import BASE_POINTS, cell_points, composite_rule, reference_rule
+from .quadrature import BASE_POINTS, composite_rule, reference_rule
 
 
 class NodeKind(enum.Enum):
@@ -239,11 +240,13 @@ class CartesianGrid:
         if any(c < 1 for c in self.cells):
             raise ValueError("cell counts must be positive")
         self.spacing = np.asarray(extent, dtype=float) / np.asarray(self.cells)
-        if np.any(self.spacing <= 0):
-            raise ValueError("spacings must be positive")
+        if not np.all(np.isfinite(self.spacing) & (self.spacing > 0)):
+            raise ValueError(f"spacings must be finite and positive, got {self.spacing}")
         self.origin = (
             np.zeros(self.dim) if origin is None else np.asarray(origin, dtype=float)
         )
+        if not np.all(np.isfinite(self.origin)):
+            raise ValueError(f"origin must be finite, got {self.origin}")
         if mask is None:
             mask = np.ones(self.cells, dtype=bool)
         self.mask = np.asarray(mask, dtype=bool)
@@ -289,14 +292,6 @@ class CartesianGrid:
         """(n_cells, dim) integer multi-indices of the active cells, from the mask."""
         return np.stack(np.unravel_index(np.flatnonzero(self.mask), self.cells), axis=-1)
 
-    def cell_face_maps(self):
-        """Per cell and axis, the interior face below/above it (-1 at walls)."""
-        dn = -np.ones((self.n_cells, self.dim), dtype=np.int64)
-        up = -np.ones((self.n_cells, self.dim), dtype=np.int64)
-        up[self.face_lo, self.face_axis] = np.arange(self.n_faces)
-        dn[self.face_hi, self.face_axis] = np.arange(self.n_faces)
-        return dn, up
-
     def cell_centers(self) -> np.ndarray:
         """(n_cells, dim) centres of the active cells, computed once, read-only."""
         if self._centers is None:
@@ -305,18 +300,32 @@ class CartesianGrid:
         return self._centers
 
     def quadrature(self, cells=None):
-        """Base-rule points/weights for all (or selected) active cells."""
+        """Base-rule quadrature of all (or the selected) active cells.
+
+        Returns the (n, npts, dim) physical points and the (npts,) weights,
+        which sum to 1, so ``f(points) @ weights`` is each cell's average.
+        """
         centers = self.cell_centers()
         if cells is not None:
             centers = centers[cells]
-        return cell_points(centers, self.spacing)
+        ref, w = reference_rule(self.dim, BASE_POINTS)
+        return centers[:, None, :] + ref * self.spacing, w
 
 
 def _check_profile(r0: float, r1: float, kT0: float):
-    if not 0 < r0 <= r1:
-        raise ValueError(f"need 0 < r0 <= r1, got r0={r0}, r1={r1}")
-    if not kT0 > 0:
-        raise ValueError(f"need kT0 > 0, got {kT0}")
+    """Raise ValueError unless the profile's radii and kT0 are usable.
+
+    The comparisons are written so that NaN fails them.  The taper forms
+    r1^2 and (r0 r1)^2, so neither may overflow.
+    """
+    if not 0 < r0 <= r1 < math.inf:
+        raise ValueError(f"need 0 < r0 <= r1 < inf, got r0={r0}, r1={r1}")
+    # float products, which overflow to inf where ** raises OverflowError
+    r0r1, r1r1 = float(r0) * float(r1), float(r1) * float(r1)
+    if not (r1r1 < math.inf and r0r1 * r0r1 < math.inf):
+        raise ValueError(f"r1 = {r1} is too large: r1^2 or (r0 r1)^2 overflows")
+    if not 0 < kT0 < math.inf:
+        raise ValueError(f"need kT0 > 0 and finite, got {kT0}")
 
 
 def transfer_profile(r, r0: float, r1: float, kT0: float):
@@ -453,33 +462,24 @@ def _box_average(rel, width, func, breaks, subdiv):
     return out
 
 
-def radial_cell_average(
-    grid: "CartesianGrid",
-    cells,
-    anchor,
-    axes,
-    func,
-    breaks,
-    subdiv: int,
-):
-    """Quadrature cell averages of a radial profile over selected cells.
+def radial_cell_average(grid: "CartesianGrid", anchor, func, breaks, subdiv: int):
+    """Quadrature averages of a radial profile over every active cell.
 
-    ``func`` maps the distance r to the anchor, measured over ``axes``,
-    to a value; quadrature points span the radial axes only, since the
-    profile is constant along the others.  ``breaks`` entries are either
-    a radius (a kink circle) or an (inner, outer) band whose two edges
-    are kink circles and inside which the profile is smooth but curved.
+    ``func`` maps the distance r to the anchor, over all axes of the
+    grid, to a value.  ``breaks`` entries are either a radius (a kink
+    circle) or an (inner, outer) band whose two edges are kink circles
+    and inside which the profile is smooth but curved.
 
     - A cell a kink circle crosses is refined adaptively: a box splits
       only where a circle crosses it, down to ``subdiv`` finest
-      sub-cells per radial axis (a power of two).  An uncrossed box
-      between two circles takes the ``SMOOTH_POINTS``-point Gauss rule
-      or the base rule on each of its finest sub-cells, whichever needs
-      fewer points; one inside the innermost or outside the outermost
-      circle takes the base rule.
+      sub-cells per axis (a power of two).  An uncrossed box between
+      two circles takes the ``SMOOTH_POINTS``-point Gauss rule or the
+      base rule on each of its finest sub-cells, whichever needs fewer
+      points; one inside the innermost or outside the outermost circle
+      takes the base rule.
     - An uncut cell inside a band takes the ``SMOOTH_POINTS``-point
-      Gauss rule per radial axis.
-    - Every other cell takes the 2-point Gauss base rule per radial axis.
+      Gauss rule per axis.
+    - Every other cell takes the 2-point Gauss base rule per axis.
 
     Points are evaluated in fixed-size batches, so memory stays bounded
     whatever the number of cells.  This rule serves the ring source;
@@ -487,10 +487,8 @@ def radial_cell_average(
     radial axes and the exact-in-r `_taper_average` to those with one or
     two.
     """
-    cells = np.asarray(cells, dtype=np.int64)
-    axes = list(axes)
-    rel = grid.cell_centers()[np.ix_(cells, axes)] - np.asarray(anchor, dtype=float)
-    return _box_average(rel, grid.spacing[axes], func, breaks, subdiv)
+    rel = grid.cell_centers() - np.asarray(anchor, dtype=float)
+    return _box_average(rel, grid.spacing, func, breaks, subdiv)
 
 
 def _arc(t, r):
@@ -684,7 +682,7 @@ def _checked_transfer(grid: CartesianGrid, t: TransferSpec):
         )
     lo = grid.origin[axes]
     hi = lo + np.asarray(grid.cells)[axes] * grid.spacing[axes]
-    if np.any(anchor < lo) or np.any(anchor > hi):
+    if not np.all((lo <= anchor) & (anchor <= hi)):  # NaN fails it
         raise ValueError(f"anchor {anchor.tolist()} lies outside the grid")
     _check_profile(t.r0, t.r1, t.kT0)
     compartment = None

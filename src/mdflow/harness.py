@@ -109,16 +109,18 @@ def flux_field_error(
     grid = blocks.grid
     sol = ref.solution
     center = np.asarray(ref.center, dtype=float)
-    dn, up = grid.cell_face_maps()
-    area = grid.face_area
     centers = grid.cell_centers()
     pts, w = grid.quadrature()
     r = np.linalg.norm(pts - center, axis=2)
     qr = eval_solution(sol, r.ravel())[1].reshape(r.shape)
     total = 0.0
     for a in range(grid.dim):
-        qn_dn = np.where(dn[:, a] >= 0, state.qD[dn[:, a]] / area[a], 0.0)
-        qn_up = np.where(up[:, a] >= 0, state.qD[up[:, a]] / area[a], 0.0)
+        # normal flux density on each cell's lower and upper face of axis a
+        on = grid.face_axis == a
+        qn = state.qD[on] / grid.face_area[a]
+        qn_dn, qn_up = np.zeros(grid.n_cells), np.zeros(grid.n_cells)
+        qn_dn[grid.face_hi[on]] = qn
+        qn_up[grid.face_lo[on]] = qn
         xi = (pts[:, :, a] - centers[:, None, a]) / grid.spacing[a] + 0.5
         recon = (1.0 - xi) * qn_dn[:, None] + xi * qn_up[:, None]
         with np.errstate(invalid="ignore"):

@@ -9,6 +9,7 @@ any mesh of a refinement sequence.
 
 from __future__ import annotations
 
+import math
 from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
@@ -51,19 +52,17 @@ class CoefficientField:
     rD: np.ndarray
     rN: dict[int, float] = field(default_factory=dict)
 
-    def validate(self, grid: CartesianGrid, forest: Forest | None):
+    def validate(self, grid: CartesianGrid, forest: Forest):
         if self.kD.shape != (grid.n_cells, grid.dim):
             raise ValueError("kD must have shape (n_cells, dim)")
-        if np.any(self.kD <= 0):
-            raise ValueError("kD must be positive on active cells")
+        if not np.all((self.kD > 0) & (self.kD < np.inf)):  # NaN fails it
+            raise ValueError("kD must be positive and finite on active cells")
         if self.rD.shape != (grid.n_cells,):
             raise ValueError("rD must have one value per active cell")
-        terminals = forest.terminals if forest is not None else ()
-        ids = sorted(n.id for n in terminals)
+        ids = sorted(n.id for n in forest.terminals)
         if sorted(self.supports.terminal_ids) != ids:
             raise ValueError("need exactly one support per terminal node")
-        free = {n.id for n in forest.free_nodes} if forest is not None else set()
-        stray = sorted(set(self.rN) - free)
+        stray = sorted(set(self.rN) - {n.id for n in forest.free_nodes})
         if stray:
             raise ValueError(
                 f"rN names node {stray[0]}, which is not a non-Dirichlet "
@@ -92,10 +91,13 @@ class RadialParams:
                 f"radii must satisfy 0 < r0 <= r1 <= r2 < r3, got "
                 f"({self.r0}, {self.r1}, {self.r2}, {self.r3})"
             )
-
-    @property
-    def radii(self):
-        return (self.r0, self.r1, self.r2, self.r3)
+        if not all(map(math.isfinite, (self.r3, self.rD0, self.pN0))):
+            raise ValueError(f"need finite r3, rD0 and pN0, got {self}")
+        if not all(0 < k < math.inf for k in (self.kT0, self.kD, self.kN)):
+            raise ValueError(f"need finite kT0, kD and kN > 0, got {self}")
+        square = float(self.r3) * float(self.r3)  # overflows to inf, where ** raises
+        if not square * square < math.inf:
+            raise ValueError(f"r3 = {self.r3} is too large: the closed form takes r3^4")
 
 
 def ring_profile(r, rD0: float, r2: float, r3: float):
@@ -111,10 +113,6 @@ class RingSourceSpec:
     r2: float
     r3: float
     center: tuple[float, ...]
-
-    def density(self, points: np.ndarray) -> np.ndarray:
-        r = np.sqrt(((points - np.asarray(self.center)) ** 2).sum(axis=-1))
-        return ring_profile(r, self.rD0, self.r2, self.r3)
 
 
 @dataclass(frozen=True)
@@ -162,9 +160,7 @@ class CaseSpec:
             s = self.source
             rD = radial_cell_average(
                 grid,
-                np.arange(grid.n_cells),
                 np.asarray(s.center, dtype=float),
-                range(grid.dim),
                 lambda r: ring_profile(r, s.rD0, s.r2, s.r3),
                 breaks=(s.r2, s.r3),
                 subdiv=SOURCE_SUBDIV,

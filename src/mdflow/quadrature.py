@@ -31,42 +31,17 @@ def reference_rule(dim: int, npts: int):
     return points, weights
 
 
-def composite_rule(dim: int, npts: int, subdiv=1):
-    """Reference rule applied on a per-axis subdivision of the cell.
+def composite_rule(dim: int, npts: int, subdiv: int = 1):
+    """Reference rule applied on each of subdiv^dim equal subcells of the cell.
 
-    ``subdiv`` is an int or per-axis tuple of subcell counts.  Weights
-    still sum to 1.  Used to resolve integrands with breaks (kinks,
-    cutoffs) crossing a cell, where a single fixed-order rule stalls.
+    Weights still sum to 1.  Used to resolve integrands with breaks
+    (kinks, cutoffs) crossing a cell, where a single fixed-order rule
+    stalls.
     """
-    subdiv = np.broadcast_to(np.asarray(subdiv, dtype=int), (dim,))
     base_pts, base_w = reference_rule(dim, npts)
-    axes = []
-    for a in range(dim):
-        s = subdiv[a]
-        axes.append((np.arange(s) + 0.5) / s - 0.5)
-    grids = np.meshgrid(*axes, indexing="ij")
+    centres = (np.arange(subdiv) + 0.5) / subdiv - 0.5
+    grids = np.meshgrid(*([centres] * dim), indexing="ij")
     shifts = np.stack([g.ravel() for g in grids], axis=-1)  # (nsub, dim)
-    pts = shifts[:, None, :] + base_pts[None, :, :] / subdiv[None, None, :]
+    pts = shifts[:, None, :] + base_pts[None, :, :] / subdiv
     w = np.tile(base_w, shifts.shape[0]) / shifts.shape[0]
     return pts.reshape(-1, dim), w
-
-
-def cell_points(centers: np.ndarray, spacing):
-    """Base-rule quadrature points and weights for a batch of cells.
-
-    Parameters
-    ----------
-    centers : (ncells, dim) array of cell centers
-    spacing : per-axis cell widths
-
-    Returns
-    -------
-    points : (ncells, npts, dim) physical quadrature points
-    weights : (npts,) weights summing to 1 (cell-average convention)
-    """
-    centers = np.atleast_2d(np.asarray(centers, dtype=float))
-    spacing = np.asarray(spacing, dtype=float)
-    ref, w = reference_rule(centers.shape[1], BASE_POINTS)
-    pts = centers[:, None, :] + ref[None, :, :] * spacing[None, None, :]
-    return pts, w
-

@@ -125,24 +125,23 @@ class _Level:
             _upper_csc(A), permc_spec="NATURAL", diag_pivot_thresh=0.0,
             panel_size=2,
         )
-        self._dense = None  # (eigvals, eigvecs) kernel-aware coarse factorization
+        self._dense = None  # (eigenvectors, inverse eigenvalues, 0 on the kernel)
 
-    def gs_forward(self, b, x=None):
-        """Forward sweep from x; x = None means zero (no residual product)."""
-        if x is None:
-            return self._upper.solve(b, trans="T")
-        return x + self._upper.solve(b - self.A @ x, trans="T")
+    def gs_forward(self, b):
+        """Forward sweep from zero."""
+        return self._upper.solve(b, trans="T")
 
     def gs_backward(self, b, x):
         return x + self._upper.solve(b - self.A @ x)
 
     def factor_dense(self):
-        self._dense = np.linalg.eigh(self.A.toarray())
-
-    def coarse_solve(self, b):
-        lam, V = self._dense
+        lam, V = np.linalg.eigh(self.A.toarray())
         cutoff = 1e-12 * max(lam.max(), 1.0)
         inv = np.where(lam > cutoff, 1.0 / np.where(lam > cutoff, lam, 1.0), 0.0)
+        self._dense = (V, inv)
+
+    def coarse_solve(self, b):
+        V, inv = self._dense
         return V @ (inv * (V.T @ b))
 
 
@@ -438,28 +437,27 @@ def build_hierarchy(A) -> AmgHierarchy:
     return AmgHierarchy(levels=levels)
 
 
-def vcycle(hierarchy: AmgHierarchy, b: np.ndarray, x: np.ndarray | None = None,
-           cycle: str = "K"):
-    """One multigrid cycle of kind ``cycle`` from x (default zero).
+def vcycle(hierarchy: AmgHierarchy, b: np.ndarray, *, cycle: str = "K"):
+    """One multigrid cycle of kind ``cycle`` on A x = b from x = 0.
 
     Forward Gauss-Seidel down, backward up; in the "K"-cycle each coarse
     correction above the dense level is Krylov-accelerated, the "V"-cycle
     takes it as it comes.  Any other ``cycle`` raises ValueError.
     """
     _check_cycle(cycle)
-    return _cycle(hierarchy.levels, 0, b, x, cycle == "K")
+    return _cycle(hierarchy.levels, 0, b, cycle == "K")
 
 
-def _cycle(levels, l, b, x, kcycle):
-    """Cycle on level l; the V-cycle is the K-cycle without Krylov steps."""
+def _cycle(levels, l, b, kcycle):
+    """Cycle on level l from zero; the V-cycle is the K-cycle without Krylov steps."""
     lev = levels[l]
     if lev._dense is not None:
         return lev.coarse_solve(b)
-    x = lev.gs_forward(b, x)
+    x = lev.gs_forward(b)
     if l + 1 < len(levels):
         coarse = levels[l + 1]
         rc = np.bincount(lev.aggregates, b - lev.A @ x, minlength=coarse.A.shape[0])
-        ec = _cycle(levels, l + 1, rc, None, kcycle)
+        ec = _cycle(levels, l + 1, rc, kcycle)
         if kcycle and coarse._dense is None:
             ec = _krylov_correction(levels, l + 1, rc, ec)
         x = x + ec[lev.aggregates]
@@ -485,7 +483,7 @@ def _krylov_correction(levels, l, r, c1):
     r2 = r - a1 * v1
     if np.linalg.norm(r2) <= KCYCLE_TOL * np.linalg.norm(r):
         return a1 * c1
-    c2 = _cycle(levels, l, r2, None, True)
+    c2 = _cycle(levels, l, r2, True)
     v2 = A @ c2
     gamma = c2 @ v1
     rho2 = c2 @ v2 - gamma * gamma / rho1
@@ -530,7 +528,7 @@ class SolveReport:
         )
 
 
-def fgmres(A, b, preconditioner=None, tol=1e-6, maxit=500):
+def fgmres(A, b, preconditioner, tol=1e-6, maxit=500):
     """Flexible GMRES without restart (Saad, SISC 14, 1993).
 
     The preconditioner is a callable applied to each Arnoldi vector and
@@ -556,7 +554,7 @@ def fgmres(A, b, preconditioner=None, tol=1e-6, maxit=500):
     g = [beta]
     breakdown = None
     for j in range(maxit):
-        z = preconditioner(V[j]) if preconditioner is not None else V[j].copy()
+        z = preconditioner(V[j])
         w = A @ z
         h = np.zeros(j + 2)
         for i in range(j + 1):
@@ -609,8 +607,9 @@ def solve_pressure(A, b, config: SolverConfig | None = None, kernel=None):
     (orthogonal to the kernel up to 1e-10 relative) and iterates are
     projected back to the complement each application, so the returned
     solution has zero kernel component.  A right-hand side whose length
-    is not A's dimension, or with a NaN or infinite entry, is rejected
-    before the setup.
+    is not A's dimension, with a NaN or infinite entry, or whose 2-norm
+    overflows is rejected before the setup, and a solve whose true
+    residual overflows raises ValueError after it.
     """
     config = config or SolverConfig()
     A = sp.csr_matrix(A)
@@ -622,12 +621,17 @@ def solve_pressure(A, b, config: SolverConfig | None = None, kernel=None):
     bad = np.flatnonzero(~np.isfinite(b))
     if bad.size:
         raise ValueError(f"non-finite right-hand side entry {bad[0]}: b_i = {b[bad[0]]}")
+    with np.errstate(over="ignore"):
+        b_norm = np.linalg.norm(b)
+    if not np.isfinite(b_norm):
+        # FGMRES scales by 1/|b|, which would zero every Krylov vector
+        raise ValueError(f"right-hand side 2-norm overflows: |b| = {b_norm}")
     if kernel is not None and kernel.size == 0:
         kernel = None
 
     if kernel is not None:
         defect = np.linalg.norm(kernel.T @ b)
-        if defect > 1e-10 * max(np.linalg.norm(b), 1e-300):
+        if defect > 1e-10 * max(b_norm, 1e-300):
             raise ValueError(
                 f"inconsistent singular system: kernel component {defect:.3e}"
             )
@@ -653,6 +657,9 @@ def solve_pressure(A, b, config: SolverConfig | None = None, kernel=None):
     # fgmres returns x = 0 for b = 0, which solves the system exactly
     b_norm = np.linalg.norm(b)
     true_rel = np.linalg.norm(b - A @ x) / b_norm if b_norm else 0.0
+    if not np.isfinite(true_rel):  # `converged` would mean nothing
+        raise ValueError(f"true residual {true_rel}: the solve overflows float64 "
+                         f"(largest |a_ij| = {abs(A).max():g})")
     report = SolveReport(
         iterations=iters,
         residuals=tuple(history),

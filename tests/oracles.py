@@ -17,7 +17,6 @@ import scipy.sparse as sp
 
 from mdflow.geometry import (
     SUPPORT_SUBDIV_SPATIAL,
-    Forest,
     NodeKind,
     _box_average,
     _compartment_fraction,
@@ -35,7 +34,7 @@ def lumped_mixed_dense(grid, forest, coeffs):
     caller eliminates them).
     """
     n_cells = grid.n_cells
-    nodes = list(forest.nodes) if forest is not None else []
+    nodes = list(forest.nodes)
     node_col = {n.id: n_cells + j for j, n in enumerate(nodes)}
     n_p = n_cells + len(nodes)
 
@@ -63,7 +62,7 @@ def lumped_mixed_dense(grid, forest, coeffs):
     ]
     ns = len(sup_rows)
 
-    edges = forest.edges if forest is not None else ()
+    edges = forest.edges
     ne = len(edges)
 
     nq = nf + ns + ne
@@ -120,7 +119,7 @@ def stacked_pair_G(grid, forest, coeffs):
     """
     nc = grid.n_cells
     lo, hi = grid.face_lo, grid.face_hi
-    inc = incidence(forest if forest is not None else Forest((), (), {}))
+    inc = incidence(forest)
     n = nc + len(inc.node_ids)
     col = {nid: j for j, nid in enumerate(inc.node_ids)}
     sup = coeffs.supports

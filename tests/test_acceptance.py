@@ -140,7 +140,7 @@ def test_criterion_6_oracle_equivalence():
                 transfer = TransferSpec(1, (0.0, 0.0), 0.2, 0.3, 1.0)
                 supports = build_support(g, [transfer])
             else:
-                forest, supports = None, build_support(g, ())
+                forest, supports = build_forest([], []), build_support(g, ())
             coeffs = CoefficientField(
                 kD=rng.uniform(0.5, 2.0, size=(g.n_cells, 2)),
                 supports=supports,

@@ -34,6 +34,9 @@ from mdflow.model import CoefficientField, case1, case2
 from oracles import lumped_mixed_dense, lumped_rt0_schur_dense, stacked_pair_G
 
 
+NO_NETWORK = build_forest([], [])
+
+
 def plain_coeffs(grid, rN=None):
     return CoefficientField(
         kD=np.ones((grid.n_cells, grid.dim)),
@@ -76,14 +79,14 @@ class TestFaceWeight:
         g = unit_square(3)
         # 3x3 grid: 2*3 interior faces per axis
         assert g.n_faces == 12
-        blocks = assemble_blocks(g, None, plain_coeffs(g))
+        blocks = assemble_blocks(g, NO_NETWORK, plain_coeffs(g))
         assert blocks.d_D.shape == (12,)
 
 
 class TestSchurStructure:
     def test_pure_neumann_zero_row_sums(self):
         g = unit_square(2)
-        A, b = schur_tpfa(assemble_blocks(g, None, plain_coeffs(g)))
+        A, b = schur_tpfa(assemble_blocks(g, NO_NETWORK, plain_coeffs(g)))
         assert np.abs(A @ np.ones(A.shape[0])).max() == 0.0
         assert np.all(b == 0.0)
 
@@ -155,7 +158,7 @@ class TestSchurStructure:
         mask = np.ones((4, 4), dtype=bool)
         mask[:, 2] = False  # two disconnected strips
         g = CartesianGrid((4, 4), extent=(1, 1), mask=mask)
-        blocks = assemble_blocks(g, None, plain_coeffs(g))
+        blocks = assemble_blocks(g, NO_NETWORK, plain_coeffs(g))
         K = pressure_kernel(blocks, schur_tpfa(blocks)[0])
         assert K is not None
         assert K.shape[1] == 2
@@ -180,7 +183,7 @@ class TestOracleEquivalence:
             transfer = TransferSpec(1, (0.0, 0.0), 0.2, 0.3, 1.5)
             supports = build_support(g, [transfer])
         else:
-            forest, supports = None, build_support(g, ())
+            forest, supports = NO_NETWORK, build_support(g, ())
         coeffs = CoefficientField(
             kD=rng.uniform(0.5, 2.0, size=(g.n_cells, 2)),
             supports=supports,
@@ -293,7 +296,8 @@ class TestMixedOperatorMaskedForest:
         A, _ = schur_tpfa(blocks)
         K = pressure_kernel(blocks, A)
         assert K.shape == (blocks.n_unknowns, 1)
-        floating = [2, 5, 8, 11] + [blocks.node_index(10), blocks.node_index(11)]
+        nodes = [blocks.n_cells + blocks.free_node_ids.index(i) for i in (10, 11)]
+        floating = [2, 5, 8, 11] + nodes
         assert np.flatnonzero(K[:, 0]).tolist() == floating
         assert np.allclose(K[floating, 0], 1 / np.sqrt(len(floating)))
         assert np.abs(A @ K).max() <= 1e-14
@@ -334,7 +338,7 @@ class TestOneAllocationG:
 class TestRecoverFluxes:
     def test_zero_rhs_zero_state(self):
         g = unit_square(4)
-        blocks = assemble_blocks(g, None, plain_coeffs(g))
+        blocks = assemble_blocks(g, NO_NETWORK, plain_coeffs(g))
         state = recover_fluxes(blocks, np.zeros(blocks.n_unknowns))
         assert not np.any(state.qD)
         assert not np.any(state.pD)
@@ -352,7 +356,7 @@ class TestRecoverFluxes:
         assert state.qD[i] == pytest.approx((p[lo] - p[hi]) / blocks.d_D[i])
         # edge flux reinserts the Dirichlet root value
         root_val = spec.forest.nodes[0].value
-        pN1 = p[blocks.node_index(1)]
+        pN1 = p[blocks.n_cells + blocks.free_node_ids.index(1)]
         assert state.qN[0] == pytest.approx(-1.0 * (pN1 - root_val))
 
     def test_exact_solve_conserves(self):
@@ -370,7 +374,7 @@ class TestRecoverFluxes:
 
     def test_dimension_mismatch(self):
         g = unit_square(2)
-        blocks = assemble_blocks(g, None, plain_coeffs(g))
+        blocks = assemble_blocks(g, NO_NETWORK, plain_coeffs(g))
         with pytest.raises(ValueError):
             recover_fluxes(blocks, np.zeros(3))
 
@@ -386,7 +390,7 @@ class TestGraphStokes:
 
     def test_zero_state_zero_sources(self):
         g = unit_square(4)
-        blocks = assemble_blocks(g, None, plain_coeffs(g))
+        blocks = assemble_blocks(g, NO_NETWORK, plain_coeffs(g))
         state = recover_fluxes(blocks, np.zeros(blocks.n_unknowns))
         assert graph_stokes_check(blocks, state) == 0.0
 

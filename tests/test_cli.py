@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from mdflow.assembly import assemble_blocks, schur_tpfa, write_matrix_market
+from mdflow import cli
 from mdflow.cli import main
 from mdflow.model import case1, case_to_text
 
@@ -134,6 +135,59 @@ class TestValidation:
         err = capsys.readouterr().err
         assert f"rN names node {node}" in err and "Traceback" not in err
         assert not out.exists() or not list(out.iterdir())
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("extent = 1.0, 1.0", "extent = nan, 1.0", "spacings must be finite and positive"),
+            ("origin = -0.5, -0.5", "origin = nan, -0.5", "origin must be finite"),
+            ("node 1 terminal 0.0 0.0", "node 1 terminal nan 0.0",
+             "anchor [nan, 0.0] lies outside the grid"),
+            ("r1: 0.2", "r1: 1e308", "r1 = 1e+308 is too large"),
+            ("r0: 0.1", "r0: nan", "need 0 < r0 <= r1 < inf"),
+            ("kT0: 1.0", "kT0: inf", "need kT0 > 0 and finite"),
+            ("kD = 1.0, 1.0", "kD = nan, 1.0", "kD must be positive and finite"),
+            ("kD = 1.0, 1.0", "kD = 1.0, inf", "kD must be positive and finite"),
+            ("rD0: 1.0", "rD0: 1e308", "right-hand side 2-norm overflows"),
+            ("node 0 dirichlet 0.0", "node 0 dirichlet 1e308",
+             "right-hand side 2-norm overflows"),
+        ],
+    )
+    def test_non_finite_or_overflowing_value_exits_1(self, capsys, tmp_path, old, new,
+                                                     message):
+        # in a config without a reference, so the mesh's own checks answer
+        text = case_to_text(case1("A"))
+        text = text[: text.index("[reference]")] + "[reference]\nkind = none\n"
+        assert old in text
+        cfg = tmp_path / "case.cfg"
+        cfg.write_text(text.replace(old, new, 1))
+        out = tmp_path / "out"
+        assert main(["custom", "--config", str(cfg), "--meshes", "8",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err and "Traceback" not in err, err
+        assert not out.exists() or not list(out.iterdir())
+
+    @pytest.mark.parametrize("exc", [
+        MemoryError("Unable to allocate 32.0 GiB for an array with shape (4294967296,)"),
+        RuntimeError("SUPERLU_MALLOC failed"),
+    ])
+    def test_failed_allocation_exits_1(self, capsys, monkeypatch, tmp_path, exc):
+        def run_case(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "run_case", run_case)
+        assert main(["case1a", "--meshes", "8", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: out of memory: {exc}" in err and "Traceback" not in err
+
+    def test_other_runtime_error_propagates(self, monkeypatch, tmp_path):
+        def run_case(*args, **kwargs):
+            raise RuntimeError("not an allocation")
+
+        monkeypatch.setattr(cli, "run_case", run_case)
+        with pytest.raises(RuntimeError, match="not an allocation"):
+            main(["case1a", "--meshes", "8", "--out", str(tmp_path)])
 
 
 class TestReferenceCommand:

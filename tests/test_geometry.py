@@ -13,6 +13,7 @@ from mdflow.geometry import (
     SUPPORT_SUBDIV_SPATIAL,
     CartesianGrid,
     TransferSpec,
+    _box_average,
     build_forest,
     build_support,
     dirichlet_root,
@@ -22,7 +23,6 @@ from mdflow.geometry import (
     index_dtype,
     interior,
     neumann_root,
-    radial_cell_average,
     terminal,
     transfer_profile,
 )
@@ -376,7 +376,7 @@ class TestSupportCandidates:
         """The support equals the cell averages evaluated at every cell.
 
         The brute force evaluates `taper_cell_average` (one or two radial
-        axes) or `radial_cell_average` (three) over all cells, with no
+        axes) or `radial_cell_average`'s rule (three) over all cells, with no
         candidate box and no sharing of radial cells, and applies the
         compartment by cell centre.  Its nonzero cells also all meet the
         open ball of radius r1.
@@ -384,15 +384,15 @@ class TestSupportCandidates:
         axes = list(range(grid.dim) if t.radial_axes is None else t.radial_axes)
         sup = build_support(grid, [t])
         every = np.arange(grid.n_cells)
+        centers = grid.cell_centers()
         if len(axes) <= 2:
             kt = taper_cell_average(grid, every, t.anchor, axes, (t.r0, t.r1), t.kT0)
         else:
-            kt = radial_cell_average(
-                grid, every, t.anchor, axes,
+            kt = _box_average(
+                centers[:, axes] - np.asarray(t.anchor), grid.spacing[axes],
                 lambda r: transfer_profile(r, t.r0, t.r1, t.kT0),
-                breaks=((t.r0, t.r1),), subdiv=SUPPORT_SUBDIV_SPATIAL,
+                ((t.r0, t.r1),), SUPPORT_SUBDIV_SPATIAL,
             )
-        centers = grid.cell_centers()
         if t.compartment is not None:
             axis, side = t.compartment
             x = centers[:, axis]

@@ -16,6 +16,7 @@ from mdflow.model import (
     case2,
     case_from_text,
     case_to_text,
+    ring_profile,
 )
 
 from oracles import support_rows, taper_cell_average
@@ -24,11 +25,11 @@ from oracles import support_rows, taper_cell_average
 class TestCase1:
     def test_variant_a_radii(self):
         p = case1("A").reference[1]
-        assert p.radii == (0.1, 0.2, 0.3, 0.4)
+        assert (p.r0, p.r1, p.r2, p.r3) == (0.1, 0.2, 0.3, 0.4)
 
     def test_variant_b_radii(self):
         p = case1("B").reference[1]
-        assert p.radii == (0.2, 0.2, 0.3, 0.4)
+        assert (p.r0, p.r1, p.r2, p.r3) == (0.2, 0.2, 0.3, 0.4)
 
     def test_variants_differ_only_in_r0(self):
         a, b = case1("A"), case1("B")
@@ -44,8 +45,7 @@ class TestCase1:
     def test_source_density_value(self):
         # rD(0.35) = (0.35-0.3)(0.4-0.35) = 2.5e-3
         s = case1("A").source
-        val = s.density(np.array([[0.35, 0.0]]))
-        assert val[0] == pytest.approx(2.5e-3, rel=1e-14)
+        assert ring_profile(0.35, s.rD0, s.r2, s.r3) == pytest.approx(2.5e-3, rel=1e-14)
 
     def test_grid_and_coefficients(self):
         spec = case1("A")
@@ -109,6 +109,20 @@ class TestRadialParams:
             RadialParams(r0=0.3, r1=0.2, r2=0.3, r3=0.4)
         with pytest.raises(ValueError):
             RadialParams(r0=0.1, r1=0.2, r2=0.4, r3=0.4)
+
+    @pytest.mark.parametrize("change, message", [
+        ({"kT0": 0.0}, "need finite kT0, kD and kN > 0"),
+        ({"kD": float("nan")}, "need finite kT0, kD and kN > 0"),
+        ({"kN": float("inf")}, "need finite kT0, kD and kN > 0"),
+        ({"rD0": float("inf")}, "need finite r3, rD0 and pN0"),
+        ({"pN0": float("nan")}, "need finite r3, rD0 and pN0"),
+        ({"r3": float("inf")}, "need finite r3, rD0 and pN0"),
+        # the closed form raises r3 to the fourth power
+        ({"r3": 1e100}, "r3 = 1e+100 is too large"),
+    ])
+    def test_values_the_closed_form_cannot_take_rejected(self, change, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            RadialParams(**{"r0": 0.1, "r1": 0.2, "r2": 0.3, "r3": 0.4, **change})
 
 
 NEUMANN_CONFIG = """\

@@ -57,7 +57,7 @@ def poisson2d(m):
         supports=build_support(g, ()),
         rD=np.zeros(g.n_cells),
     )
-    blocks = assemble_blocks(g, None, coeffs)
+    blocks = assemble_blocks(g, build_forest([], []), coeffs)
     return blocks, schur_tpfa(blocks)[0]
 
 
@@ -143,18 +143,16 @@ class TestHierarchy:
 
     def test_forward_sweep_is_lower_gauss_seidel(self):
         # the transposed solve with the triu factor is Gauss-Seidel on
-        # tril(A), from x or from zero without the residual product
+        # tril(A) from zero
         rng = np.random.default_rng(1)
         levels = [lev for spec, m in [(case1("A"), 16), (case2(), 16)]
                   for lev in build_hierarchy(schur_operator(spec, m)).levels]
         for lev in levels:
-            n = lev.A.shape[0]
-            b, x = rng.standard_normal(n), rng.standard_normal(n)
+            b = rng.standard_normal(lev.A.shape[0])
             lower = sp.tril(lev.A, format="csr")
-            expected = x + spsolve_triangular(lower, b - lev.A @ x, lower=True)
-            got = lev.gs_forward(b, x)
+            expected = spsolve_triangular(lower, b, lower=True)
+            got = lev.gs_forward(b)
             assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
-            assert np.array_equal(lev.gs_forward(b), lev.gs_forward(b, np.zeros(n)))
 
     def test_upper_factor_input_is_triu_in_csc(self):
         # the smoother's factor input, gathered from A's rows, equals
@@ -387,6 +385,15 @@ class TestVcycle:
         x = vcycle(hier, np.zeros(A.shape[0]))
         assert not np.any(x)
 
+    def test_start_vector_and_positional_cycle_rejected(self):
+        # every cycle starts from zero, and the cycle kind is keyword-only
+        _, A = poisson2d(4)
+        hier = build_hierarchy(A)
+        b = np.ones(A.shape[0])
+        for extra in (np.zeros(A.shape[0]), "V"):
+            with pytest.raises(TypeError):
+                vcycle(hier, b, extra)
+
     @pytest.mark.parametrize("seed", range(5))
     def test_energy_norm_decreases_on_random_spd(self, monkeypatch, seed):
         rng = np.random.default_rng(seed)
@@ -396,7 +403,7 @@ class TestVcycle:
         hier = build_hierarchy(A)
         x_star = rng.standard_normal(50)
         b = A @ x_star
-        x1 = vcycle(hier, b, np.zeros(50))
+        x1 = vcycle(hier, b)
         e0, e1 = x_star, x_star - x1
         a0 = e0 @ (A @ e0)
         a1 = e1 @ (A @ e1)
@@ -491,7 +498,7 @@ class TestFgmres:
     def test_identity_converges_in_one_iteration(self):
         A = sp.identity(20, format="csr")
         b = np.arange(1.0, 21.0)
-        x, iters, hist, breakdown = fgmres(A, b, tol=1e-10)
+        x, iters, hist, breakdown = fgmres(A, b, np.copy, tol=1e-10)
         assert iters == 1
         assert np.allclose(x, b, atol=1e-12)
 
@@ -500,20 +507,20 @@ class TestFgmres:
         A = sp.identity(20, format="csr")
         b = np.zeros(20)
         b[3] = 2.0
-        x, iters, hist, breakdown = fgmres(A, b, tol=1e-10)
+        x, iters, hist, breakdown = fgmres(A, b, np.copy, tol=1e-10)
         assert breakdown == 0
         assert np.allclose(x, b, atol=1e-14)
 
     def test_diagonal_finite_termination(self):
         A = sp.diags(np.arange(1.0, 11.0)).tocsr()
         b = np.ones(10)
-        x, iters, hist, _ = fgmres(A, b, tol=1e-12, maxit=50)
+        x, iters, hist, _ = fgmres(A, b, np.copy, tol=1e-12, maxit=50)
         assert iters <= 10
         assert np.linalg.norm(A @ x - b) <= 1e-10
 
     def test_zero_rhs(self):
         A = sp.identity(5, format="csr")
-        x, iters, hist, _ = fgmres(A, np.zeros(5))
+        x, iters, hist, _ = fgmres(A, np.zeros(5), np.copy)
         assert iters == 0 and not np.any(x)
 
     def test_history_non_increasing(self):
