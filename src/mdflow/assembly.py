@@ -28,10 +28,17 @@ dropped from G, their values moving into lift.  Only edge rows can
 reach a root, so lift is zero on every face and support row and only
 its edge rows are stored; the full vector is formed where a consumer
 asks for it.
+
+G, d and r are derived values of the blocks, built from the grid's
+faces, the coefficients' support table and kD, and the forest's
+incidence.  The pressure solve reads only A and b, so the flux-space
+arrays G and d are released before it and rebuilt, bit for bit, by
+the first consumer after it.
 """
 
 from __future__ import annotations
 
+import functools
 import io
 from dataclasses import dataclass
 
@@ -69,17 +76,18 @@ class LumpedBlocks:
     ``sup_ks[i]``.  Of lift only the edge rows, ``lift_N``, are held;
     the ``lift`` property returns the (n_flux,) vector, zero on the
     face and support rows.
+
+    G, d and the sources r are derived from the grid, the forest and the
+    coefficients, and cached on first use.  `release` drops the
+    flux-space arrays G and d, which a pressure solve does not read; the
+    next access rebuilds them bit for bit.
     """
 
     grid: CartesianGrid
     forest: Forest
     coeffs: CoefficientField
 
-    G: sp.csr_matrix  # (n_flux, n_unknowns)
-    d: np.ndarray  # (n_flux,) lumped flux weights [d_D; d_S; d_N]
     lift_N: np.ndarray  # (n_edges,) Dirichlet term of the edge rows
-    r: np.ndarray  # (n_unknowns,) integrated sources [cells; free nodes]
-
     sup_cell: np.ndarray  # (n_sup,)
     sup_ks: np.ndarray  # (n_sup,)
     edge_k: np.ndarray  # (n_edges,) conductivities, d_N = 1/k
@@ -100,12 +108,82 @@ class LumpedBlocks:
     @property
     def lift(self) -> np.ndarray:
         """(n_flux,) Dirichlet term of every row, so the full product is G p + lift."""
-        return np.concatenate([np.zeros(self.d.size - self.lift_N.size), self.lift_N])
+        n_pairs = self.grid.n_faces + self.sup_cell.size
+        return np.concatenate([np.zeros(n_pairs), self.lift_N])
 
     @property
     def d_D(self) -> np.ndarray:
         """Total face weights, the face rows of d."""
         return self.d[: self.grid.n_faces]
+
+    @functools.cached_property
+    def G(self) -> sp.csr_matrix:
+        """(n_flux, n_unknowns) coupling of flux rows to pressure columns.
+
+        The CSR arrays are filled in place: each face and support row
+        holds its two entries in ascending column order, and the edge
+        rows are those of the negated incidence, shifted past the cell
+        columns.
+        """
+        grid, sup = self.grid, self.coeffs.supports
+        nc, n = grid.n_cells, self.n_unknowns
+        col = {nid: j for j, nid in enumerate(self.free_node_ids)}
+        terminal_col = np.array([col[i] for i in sup.terminal_ids], dtype=np.int64)
+        m = self.sup_ks * grid.cell_volume
+        E = incidence(self.forest).matrix
+
+        nf, ns = grid.n_faces, self.sup_cell.size
+        n_pairs = nf + ns
+        n_flux = n_pairs + E.shape[0]
+        index = index_dtype(max(2 * n_pairs + E.nnz, n_flux, n))
+        indptr = np.empty(n_flux + 1, dtype=index)
+        indptr[: n_pairs + 1] = np.arange(0, 2 * n_pairs + 1, 2, dtype=index)
+        indptr[n_pairs + 1 :] = E.indptr[1:]
+        indptr[n_pairs + 1 :] += 2 * n_pairs
+        indices = np.empty(indptr[-1], dtype=index)
+        data = np.empty(indptr[-1])
+        pair_cols = indices[: 2 * n_pairs].reshape(-1, 2)
+        pair_vals = data[: 2 * n_pairs].reshape(-1, 2)
+        pair_cols[:nf, 0], pair_cols[:nf, 1] = grid.face_lo, grid.face_hi
+        pair_vals[:nf] = -1.0, 1.0
+        pair_cols[nf:, 0] = self.sup_cell
+        pair_cols[nf:, 1] = nc + terminal_col[sup.terminal]
+        pair_vals[nf:, 0], pair_vals[nf:, 1] = m, -m
+        indices[2 * n_pairs :] = E.indices
+        indices[2 * n_pairs :] += nc
+        data[2 * n_pairs :] = -E.data
+        return sp.csr_matrix((data, indices, indptr), shape=(n_flux, n))
+
+    @functools.cached_property
+    def d(self) -> np.ndarray:
+        """(n_flux,) lumped flux weights [d_D; d_S; d_N].
+
+        Faces come grouped by axis, so each axis's face weights are
+        computed with that axis's spacing and area as scalars.
+        """
+        grid, kD = self.grid, self.coeffs.kD
+        nf, ns = grid.n_faces, self.sup_cell.size
+        d = np.empty(nf + ns + self.edge_k.size)
+        start = 0
+        for a, count in enumerate(np.bincount(grid.face_axis, minlength=grid.dim)):
+            faces = slice(start, start + count)
+            start += count
+            d[faces] = face_weight(grid, a, kD[grid.face_lo[faces], a])
+            d[faces] += face_weight(grid, a, kD[grid.face_hi[faces], a])
+        d[nf : nf + ns] = grid.cell_volume
+        d[nf + ns :] = 1 / self.edge_k
+        return d
+
+    @functools.cached_property
+    def r(self) -> np.ndarray:
+        """(n_unknowns,) integrated sources [cells; free nodes]."""
+        rN = [self.coeffs.rN.get(nid, 0.0) for nid in self.free_node_ids]
+        return np.concatenate([self.coeffs.rD * self.grid.cell_volume, rN])
+
+    def release(self):
+        """Drop the cached G and d; the next access rebuilds them."""
+        for name in ("G", "d"):
+            self.__dict__.pop(name, None)
 
 
 @dataclass
@@ -129,68 +207,25 @@ def assemble_blocks(
 ) -> LumpedBlocks:
     """Build (G, d, lift) and the sources for a grid/forest/coefficient triple.
 
-    G's CSR arrays are filled in place: each face and support row holds
-    its two entries in ascending column order, and the edge rows are
-    those of the negated incidence, shifted past the cell columns.  A
-    grid without a network takes the empty forest, ``build_forest([], [])``.
+    A grid without a network takes the empty forest,
+    ``build_forest([], [])``.  G, d and r are built here and cached on
+    the blocks (see `LumpedBlocks.release`).
     """
     coeffs.validate(grid, forest)
-    nc = grid.n_cells
-    lo, hi, ax = grid.face_lo, grid.face_hi, grid.face_axis
-    d_D = face_weight(grid, ax, coeffs.kD[lo, ax]) + face_weight(
-        grid, ax, coeffs.kD[hi, ax]
-    )
-
     inc = incidence(forest)
-    free_ids = inc.node_ids
-    n = nc + len(free_ids)
-
-    col = {nid: j for j, nid in enumerate(free_ids)}
     sup = coeffs.supports
-    sup_cell, sup_ks = sup.cell_idx, sup.ks
-    terminal_col = np.array([col[i] for i in sup.terminal_ids], dtype=np.int64)
-    m = sup_ks * grid.cell_volume
-
-    nf, ns, E = lo.size, sup_cell.size, inc.matrix
-    n_pairs = nf + ns
-    n_flux = n_pairs + E.shape[0]
-    index = index_dtype(max(2 * n_pairs + E.nnz, n_flux, n))
-    indptr = np.empty(n_flux + 1, dtype=index)
-    indptr[: n_pairs + 1] = np.arange(0, 2 * n_pairs + 1, 2, dtype=index)
-    indptr[n_pairs + 1 :] = E.indptr[1:]
-    indptr[n_pairs + 1 :] += 2 * n_pairs
-    indices = np.empty(indptr[-1], dtype=index)
-    data = np.empty(indptr[-1])
-    pair_cols = indices[: 2 * n_pairs].reshape(-1, 2)
-    pair_vals = data[: 2 * n_pairs].reshape(-1, 2)
-    pair_cols[:nf, 0], pair_cols[:nf, 1] = lo, hi
-    pair_vals[:nf] = -1.0, 1.0
-    pair_cols[nf:, 0] = sup_cell
-    pair_cols[nf:, 1] = nc + terminal_col[sup.terminal]
-    pair_vals[nf:, 0], pair_vals[nf:, 1] = m, -m
-    indices[2 * n_pairs :] = E.indices
-    indices[2 * n_pairs :] += nc
-    data[2 * n_pairs :] = -E.data
-    G = sp.csr_matrix((data, indices, indptr), shape=(n_flux, n))
-
-    d = np.concatenate([d_D, np.full(ns, grid.cell_volume), 1 / inc.edge_k])
-    r = np.concatenate(
-        [coeffs.rD * grid.cell_volume, [coeffs.rN.get(nid, 0.0) for nid in free_ids]]
-    )
-
-    return LumpedBlocks(
+    blocks = LumpedBlocks(
         grid=grid,
         forest=forest,
         coeffs=coeffs,
-        G=G,
-        d=d,
         lift_N=-inc.dirichlet,
-        r=r,
-        sup_cell=sup_cell,
-        sup_ks=sup_ks,
+        sup_cell=sup.cell_idx,
+        sup_ks=sup.ks,
         edge_k=inc.edge_k,
-        free_node_ids=free_ids,
+        free_node_ids=inc.node_ids,
     )
+    blocks.d, blocks.G, blocks.r  # built, and checked, with the blocks
+    return blocks
 
 
 def schur_tpfa(blocks: LumpedBlocks):

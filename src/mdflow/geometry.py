@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -239,9 +240,15 @@ class CartesianGrid:
             raise ValueError(f"grid dimension must be in 2..4, got {self.dim}")
         if any(c < 1 for c in self.cells):
             raise ValueError("cell counts must be positive")
-        self.spacing = np.asarray(extent, dtype=float) / np.asarray(self.cells)
+        extent = np.asarray(extent, dtype=float)
+        self.spacing = extent / np.asarray(self.cells)
         if not np.all(np.isfinite(self.spacing) & (self.spacing > 0)):
             raise ValueError(f"spacings must be finite and positive, got {self.spacing}")
+        # distances across the grid are summed from their squares
+        if not np.all(extent < math.sqrt(sys.float_info.max / self.dim)):
+            raise ValueError(
+                f"extent {extent.tolist()} is too large: squared distances overflow"
+            )
         self.origin = (
             np.zeros(self.dim) if origin is None else np.asarray(origin, dtype=float)
         )
@@ -312,18 +319,32 @@ class CartesianGrid:
         return centers[:, None, :] + ref * self.spacing, w
 
 
+# Decimal digits of float64's ~16 that a taper's r1^2 - r0^2 must keep:
+# narrower tapers lose their mass to cancellation (one ulp above r0, the
+# support of case 1A at 1/h = 8 comes out empty).
+TAPER_DIGITS = 8
+
+
 def _check_profile(r0: float, r1: float, kT0: float):
     """Raise ValueError unless the profile's radii and kT0 are usable.
 
     The comparisons are written so that NaN fails them.  The taper forms
-    r1^2 and (r0 r1)^2, so neither may overflow.
+    r1^2 and (r0 r1)^2, so neither may overflow, and divides by
+    r1^2 - r0^2, which must keep TAPER_DIGITS of its digits.
     """
     if not 0 < r0 <= r1 < math.inf:
         raise ValueError(f"need 0 < r0 <= r1 < inf, got r0={r0}, r1={r1}")
     # float products, which overflow to inf where ** raises OverflowError
-    r0r1, r1r1 = float(r0) * float(r1), float(r1) * float(r1)
+    r0, r1 = float(r0), float(r1)
+    r0r1, r1r1 = r0 * r1, r1 * r1
     if not (r1r1 < math.inf and r0r1 * r0r1 < math.inf):
         raise ValueError(f"r1 = {r1} is too large: r1^2 or (r0 r1)^2 overflows")
+    kept = 10.0**TAPER_DIGITS * sys.float_info.epsilon * r1r1
+    if r0 < r1 and r1r1 - r0 * r0 < kept:
+        raise ValueError(
+            f"taper r0 = {r0}, r1 = {r1} is too narrow: r1^2 - r0^2 keeps fewer "
+            f"than {TAPER_DIGITS} digits; use r1 = r0 for a sharp cutoff"
+        )
     if not 0 < kT0 < math.inf:
         raise ValueError(f"need kT0 > 0 and finite, got {kT0}")
 

@@ -283,12 +283,19 @@ class CaseResult:
 
 
 def solve_case_mesh(spec: CaseSpec, m: int, solver: SolverConfig):
-    """Assemble and solve one mesh of a case; returns (blocks, state, report, b)."""
+    """Assemble and solve one mesh of a case; returns (blocks, state, report, b).
+
+    The blocks' G and d are released once A, b and the kernel exist, so
+    the solve holds no flux-space arrays; `recover_fluxes` rebuilds
+    them, bit for bit.
+    """
     grid = spec.grid(m)
     coeffs = spec.coefficients(grid)
     blocks = assemble_blocks(grid, spec.forest, coeffs)
     A, b = schur_tpfa(blocks)
-    x, report = solve_pressure(A, b, solver, kernel=pressure_kernel(blocks, A))
+    kernel = pressure_kernel(blocks, A)
+    blocks.release()
+    x, report = solve_pressure(A, b, solver, kernel=kernel)
     state = recover_fluxes(blocks, x)
     return blocks, state, report, b
 

@@ -335,6 +335,40 @@ class TestOneAllocationG:
         assert np.count_nonzero(blocks.lift_N) == 1  # only the root edge row
 
 
+class TestReleasedBlocks:
+    @pytest.mark.parametrize("case", ["case1a", "case2", "masked_two_trees"])
+    def test_rebuilt_bitwise_after_release(self, case):
+        # G, d and r are derived: release drops G and d, del drops r, and
+        # each is rebuilt, bit for bit, on access
+        if case == "masked_two_trees":
+            grid, forest, coeffs = two_tree_masked_case()
+        else:
+            spec, m = {"case1a": (case1("A"), 16), "case2": (case2(), 8)}[case]
+            grid, forest = spec.grid(m), spec.forest
+            coeffs = spec.coefficients(grid)
+        blocks = assemble_blocks(grid, forest, coeffs)
+        G, d, r = blocks.G, blocks.d, blocks.r
+        blocks.release()
+        assert not {"G", "d"} & blocks.__dict__.keys()
+        del blocks.r
+        assert blocks.G is not G and blocks.G.shape == G.shape
+        pairs = [(getattr(blocks.G, name), getattr(G, name))
+                 for name in ("indptr", "indices", "data")]
+        pairs += [(blocks.d, d), (blocks.r, r)]
+        for got, want in pairs:
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_face_weights_by_axis_equal_the_gathered_form(self):
+        # d_D is built one axis of faces at a time, with the same bits
+        spec = case2()
+        grid = spec.grid(8)
+        blocks = assemble_blocks(grid, spec.forest, spec.coefficients(grid))
+        lo, hi, ax = grid.face_lo, grid.face_hi, grid.face_axis
+        kD = blocks.coeffs.kD
+        want = face_weight(grid, ax, kD[lo, ax]) + face_weight(grid, ax, kD[hi, ax])
+        assert blocks.d_D.tobytes() == want.tobytes()
+
+
 class TestRecoverFluxes:
     def test_zero_rhs_zero_state(self):
         g = unit_square(4)

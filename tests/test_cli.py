@@ -1,5 +1,7 @@
 """Command-line interface: exit codes, outputs, determinism."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -151,21 +153,29 @@ class TestValidation:
             ("rD0: 1.0", "rD0: 1e308", "right-hand side 2-norm overflows"),
             ("node 0 dirichlet 0.0", "node 0 dirichlet 1e308",
              "right-hand side 2-norm overflows"),
+            ("extent = 1.0, 1.0", "extent = 1.0, 1e308",
+             "extent [1.0, 1e+308] is too large: squared distances overflow"),
+            ("r1: 0.2", "r1: 0.10000000000000002",
+             "taper r0 = 0.1, r1 = 0.10000000000000002 is too narrow"),
         ],
     )
     def test_non_finite_or_overflowing_value_exits_1(self, capsys, tmp_path, old, new,
                                                      message):
-        # in a config without a reference, so the mesh's own checks answer
+        # in a config without a reference, so the mesh's own checks answer;
+        # the one stderr line is the message, with no numpy warning before it
         text = case_to_text(case1("A"))
         text = text[: text.index("[reference]")] + "[reference]\nkind = none\n"
         assert old in text
         cfg = tmp_path / "case.cfg"
         cfg.write_text(text.replace(old, new, 1))
         out = tmp_path / "out"
-        assert main(["custom", "--config", str(cfg), "--meshes", "8",
-                     "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert f"error: {message}" in err and "Traceback" not in err, err
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["custom", "--config", str(cfg), "--meshes", "8",
+                         "--out", str(out)]) == 1
+        assert not caught, [str(w.message) for w in caught]
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {message}"), lines
         assert not out.exists() or not list(out.iterdir())
 
     @pytest.mark.parametrize("exc", [

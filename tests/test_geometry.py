@@ -276,6 +276,13 @@ class TestCartesianGrid:
         with pytest.raises(ValueError):
             CartesianGrid((4,), extent=(1.0,))
 
+    @pytest.mark.parametrize("extent", [(1.0, 1e308), (1e154, 1e154), (1.0, 1e200)])
+    def test_extent_whose_squares_overflow_rejected(self, extent):
+        # distances across the grid are summed from their squares
+        with pytest.raises(ValueError, match="is too large: squared distances overflow"):
+            CartesianGrid((8, 8), extent=extent)
+        CartesianGrid((8, 8), extent=(1.0, 1e150))
+
 
 class TestTransferProfile:
     def test_inner_plateau_and_cutoff(self):
@@ -297,6 +304,24 @@ class TestTransferProfile:
     def test_heaviside_variant(self):
         kt = transfer_profile(np.array([0.19, 0.2, 0.2000001]), 0.2, 0.2, 1.0)
         assert kt.tolist() == [1.0, 1.0, 0.0]
+
+    @pytest.mark.parametrize("r1", [np.nextafter(0.1, 1.0), 0.1 + 1e-14, 0.1 + 1e-12])
+    def test_taper_too_narrow_for_float64_rejected(self, r1):
+        # r1^2 - r0^2 keeps too few digits: the taper's mass would come out
+        # wrong (0.99956x the sharp cutoff's at r0 + 1e-14 on case 1A at
+        # 1/h = 8), or its support empty one ulp above r0
+        message = f"taper r0 = 0.1, r1 = {r1} is too narrow.*use r1 = r0"
+        with pytest.raises(ValueError, match=message):
+            transfer_profile(0.15, 0.1, r1, 1.0)
+        grid = CartesianGrid((8, 8), extent=(1, 1), origin=(-0.5, -0.5))
+        with pytest.raises(ValueError, match=message):
+            one_support(grid, 1, (0.0, 0.0), (0.1, r1), 1.0)
+
+    def test_narrowest_accepted_taper_keeps_the_sharp_mass(self):
+        grid = CartesianGrid((8, 8), extent=(1, 1), origin=(-0.5, -0.5))
+        sharp = one_support(grid, 1, (0.0, 0.0), (0.1, 0.1), 1.0).ks.sum()
+        narrow = one_support(grid, 1, (0.0, 0.0), (0.1, 0.1 * (1 + 1.2e-8)), 1.0)
+        assert narrow.ks.sum() == pytest.approx(sharp, rel=1e-7)
 
 
 def one_support(grid, terminal_id, anchor, radii, kT0, **kwargs):

@@ -14,6 +14,7 @@ from mdflow.assembly import (
     recover_fluxes,
     schur_tpfa,
 )
+from mdflow import harness as harness_module
 from mdflow.geometry import CartesianGrid
 from mdflow.harness import (
     ConvergenceTable,
@@ -25,11 +26,12 @@ from mdflow.harness import (
     restrict_cellwise,
     restrict_face_flux,
     run_case,
+    solve_case_mesh,
     transfer_density,
 )
 from mdflow.model import case1, case2
 from mdflow.reference import eval_solution, solve_constants
-from mdflow.solver import build_hierarchy
+from mdflow.solver import SolverConfig, build_hierarchy
 
 
 class TestSeriesProjection:
@@ -314,10 +316,48 @@ class TestStageMemory:
         ratios = {name: round(peak / nbytes, 2) for name, peak in peaks.items()}
         assert max(ratios.values()) <= 3, ratios
         # each stage's own bound: its measured multiple plus about 10%
-        # (0.68, 1.03, 1.70, 2.86, 0.40 and 2.69 with int32 grid indices,
-        # a broadcast kD and G filled in one allocation)
+        # (0.68, 1.03, 1.42, 2.86, 0.40 and 2.69 with int32 grid indices,
+        # a broadcast kD, G filled in one allocation and d in place)
         bounds = {"spec.grid": 0.75, "coefficients": 1.15, "assemble_blocks": 1.9,
                   "schur_tpfa": 3.0, "pressure_kernel": 0.45, "build_hierarchy": 2.95}
         over = {name: ratios[name] for name, bound in bounds.items()
                 if ratios[name] > bound}
         assert not over, (over, ratios)
+
+
+class TestReleaseBeforeSolve:
+    def test_solve_starts_without_the_flux_arrays(self, monkeypatch):
+        # the bytes traced when solve_case_mesh enters solve_pressure are
+        # below those held when pressure_kernel returned by at least the
+        # bytes of G and d, which are released in between (case 2, 1/h=32)
+        held, built = {}, []
+
+        class Entered(Exception):
+            pass
+
+        def assemble(*args):
+            built.append(assemble_blocks(*args))
+            return built[-1]
+
+        def kernel(*args):
+            K = pressure_kernel(*args)
+            held["kernel"] = tracemalloc.get_traced_memory()[0]
+            return K
+
+        def solve(*args, **kwargs):
+            held["solve"] = tracemalloc.get_traced_memory()[0]
+            raise Entered
+
+        monkeypatch.setattr(harness_module, "assemble_blocks", assemble)
+        monkeypatch.setattr(harness_module, "pressure_kernel", kernel)
+        monkeypatch.setattr(harness_module, "solve_pressure", solve)
+        tracemalloc.start()
+        try:
+            with pytest.raises(Entered):
+                solve_case_mesh(case2(), 32, SolverConfig())
+        finally:
+            tracemalloc.stop()
+        blocks = built[0]
+        G = blocks.G  # rebuilt, with the released sizes
+        flux_bytes = G.data.nbytes + G.indices.nbytes + G.indptr.nbytes + blocks.d.nbytes
+        assert held["kernel"] - held["solve"] >= flux_bytes, (held, flux_bytes)
