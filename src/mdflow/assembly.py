@@ -32,8 +32,8 @@ asks for it.
 G, d and r are derived values of the blocks, built from the grid's
 faces, the coefficients' support table and kD, and the forest's
 incidence.  The pressure solve reads only A and b, so the flux-space
-arrays G and d are released before it and rebuilt, bit for bit, by
-the first consumer after it.
+arrays G and d, and the grid's face arrays, are released before it
+and rebuilt, bit for bit, by the first consumer after it.
 """
 
 from __future__ import annotations
@@ -79,8 +79,9 @@ class LumpedBlocks:
 
     G, d and the sources r are derived from the grid, the forest and the
     coefficients, and cached on first use.  `release` drops the
-    flux-space arrays G and d, which a pressure solve does not read; the
-    next access rebuilds them bit for bit.
+    flux-space arrays G and d, which a pressure solve does not read,
+    with the grid's face arrays they are built from; the next access
+    rebuilds them bit for bit.
     """
 
     grid: CartesianGrid
@@ -165,7 +166,7 @@ class LumpedBlocks:
         nf, ns = grid.n_faces, self.sup_cell.size
         d = np.empty(nf + ns + self.edge_k.size)
         start = 0
-        for a, count in enumerate(np.bincount(grid.face_axis, minlength=grid.dim)):
+        for a, count in enumerate(grid.face_counts):
             faces = slice(start, start + count)
             start += count
             d[faces] = face_weight(grid, a, kD[grid.face_lo[faces], a])
@@ -181,9 +182,10 @@ class LumpedBlocks:
         return np.concatenate([self.coeffs.rD * self.grid.cell_volume, rN])
 
     def release(self):
-        """Drop the cached G and d; the next access rebuilds them."""
+        """Drop the cached G, d and grid face arrays; the next access rebuilds them."""
         for name in ("G", "d"):
             self.__dict__.pop(name, None)
+        self.grid.release_faces()
 
 
 @dataclass

@@ -229,8 +229,11 @@ class CartesianGrid:
     ``active_index`` (the brick's active numbering, -1 off the mask),
     ``face_lo`` and ``face_hi`` are int32 whenever the brick's cell
     count fits (`index_dtype`), int64 above 2^31 - 1; ``face_axis`` is
-    int8.  The active cells' multi-indices are derived from the mask
-    when asked for, not stored.
+    int8.  The face arrays are derived from the mask on first use and
+    cached; `release_faces` drops them and the next access rebuilds
+    them bit for bit.  ``n_faces`` and the per-axis ``face_counts``
+    are counted at construction.  The active cells' multi-indices are
+    derived from the mask when asked for, not stored.
     """
 
     def __init__(self, cells, extent, origin=None, mask=None):
@@ -272,27 +275,56 @@ class CartesianGrid:
         self.cell_volume = float(np.prod(self.spacing))
         self.face_area = self.cell_volume / self.spacing  # per axis
 
-        self._build_faces()
+        # interior faces per axis: pairs of axis-adjacent active cells
+        self.face_counts = tuple(
+            int(np.count_nonzero(self.mask[self._face_side(a, 0)]
+                                 & self.mask[self._face_side(a, 1)]))
+            for a in range(self.dim)
+        )
+        self.n_faces = sum(self.face_counts)
 
-    def _build_faces(self):
-        """Enumerate interior faces axis by axis, C order within each axis."""
-        lo_list, hi_list = [], []
+    def _face_side(self, axis: int, side: int):
+        """Brick slice of the cells on one side (0 lower, 1 upper) of axis faces."""
+        sl = [slice(None)] * self.dim
+        sl[axis] = slice(side, self.cells[axis] - 1 + side)
+        return tuple(sl)
+
+    @functools.cached_property
+    def _faces(self):
+        """(face_lo, face_hi, face_axis): interior faces axis by axis, C order."""
         idx = self.active_index
-        for a in range(self.dim):
-            sl_lo = [slice(None)] * self.dim
-            sl_hi = [slice(None)] * self.dim
-            sl_lo[a] = slice(0, self.cells[a] - 1)
-            sl_hi[a] = slice(1, self.cells[a])
-            lo = idx[tuple(sl_lo)].ravel()
-            hi = idx[tuple(sl_hi)].ravel()
-            keep = (lo >= 0) & (hi >= 0)
-            lo_list.append(lo[keep])
-            hi_list.append(hi[keep])
-        self.face_lo = np.concatenate(lo_list)
-        self.face_hi = np.concatenate(hi_list)
-        counts = [lo.size for lo in lo_list]
-        self.face_axis = np.repeat(np.arange(self.dim, dtype=np.int8), counts)
-        self.n_faces = self.face_lo.size
+        lo = np.empty(self.n_faces, dtype=idx.dtype)
+        hi = np.empty(self.n_faces, dtype=idx.dtype)
+        start = 0
+        for a, count in enumerate(self.face_counts):
+            a_lo, a_hi = idx[self._face_side(a, 0)], idx[self._face_side(a, 1)]
+            if count < a_lo.size:  # a masked brick: pairs of active cells only
+                keep = (a_lo >= 0) & (a_hi >= 0)
+                a_lo, a_hi = a_lo[keep], a_hi[keep]
+            lo[start : start + count].reshape(a_lo.shape)[...] = a_lo
+            hi[start : start + count].reshape(a_hi.shape)[...] = a_hi
+            start += count
+        axis = np.repeat(np.arange(self.dim, dtype=np.int8), self.face_counts)
+        return lo, hi, axis
+
+    @property
+    def face_lo(self) -> np.ndarray:
+        """(n_faces,) active index of each face's lower cell."""
+        return self._faces[0]
+
+    @property
+    def face_hi(self) -> np.ndarray:
+        """(n_faces,) active index of each face's upper cell."""
+        return self._faces[1]
+
+    @property
+    def face_axis(self) -> np.ndarray:
+        """(n_faces,) normal axis of each face."""
+        return self._faces[2]
+
+    def release_faces(self):
+        """Drop the cached face arrays; the next access rebuilds them."""
+        self.__dict__.pop("_faces", None)
 
     @property
     def cell_multi_index(self) -> np.ndarray:

@@ -346,6 +346,8 @@ def run_case(
                 )
         fine_solver = replace(solver, tol=min(solver.tol, 1e-10))
         fb, fstate, freport, _ = solve_case_mesh(spec, resolution, fine_solver)
+        # the error norms read only its grid sizes, support rows and state
+        fb.release()
         reference = FineReference(blocks=fb, state=fstate, report=freport)
         reference_report = freport
     elif kind != "none":

@@ -43,7 +43,8 @@ class CoefficientField:
     constant kD is one read-only row broadcast over the cells.  supports
     is one table for all terminals, with exactly one support per
     terminal node of the forest, its rows in any order.  rD is a
-    per-cell source density (quadrature average).  rN maps node ids of
+    per-cell source density (quadrature average); a case without a
+    source has one read-only zero broadcast over the cells.  rN maps node ids of
     non-Dirichlet nodes to point sources; missing ids mean zero.
     """
 
@@ -149,7 +150,7 @@ class CaseSpec:
         kD = np.broadcast_to(np.asarray(self.kD, dtype=float), (grid.n_cells, grid.dim))
         supports = build_support(grid, self.transfers)
         if self.source is None:
-            rD = np.zeros(grid.n_cells)
+            rD = np.broadcast_to(0.0, grid.n_cells)  # read-only, as kD
         else:
             # refine only the cells cut by the two source kink circles, and
             # there only towards the circles; every other cell keeps the

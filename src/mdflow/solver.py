@@ -5,8 +5,12 @@ graph Laplacian), so one multigrid cycle of unsmoothed aggregation AMG
 with a single Gauss-Seidel sweep for pre- and post-smoothing makes an
 effective preconditioner.  Coarse spaces are piecewise constant over
 aggregates built by greedy pairwise matching on the strength graph
-(|a_ij| >= THETA sqrt(a_ii a_jj)), two passes per level so aggregates
-reach size ~4; leftovers join their strongest aggregated neighbor.
+(|a_ij| >= THETA sqrt(a_ii a_jj)), composed over NPASSES = 2 passes
+per level, so aggregates reach size ~4, and over three on a level
+whose strength graph averages more than DENSE_DEGREE = 5 strong
+neighbours per row, so case 2's 4-D grid gets aggregates of ~8 while
+every 2-D level keeps its pairs of pairs; leftovers join their
+strongest aggregated neighbor.
 The matching is exactly the paper's lexicographic greedy scan, computed
 by numpy: Jacobi sweeps of the greedy rule converge to it from any
 start, since each decision depends only on those below it; a candidate
@@ -29,14 +33,15 @@ and its time by half.
 
 The setup depends on the matrix alone: the strength threshold THETA
 and the dense-solve size COARSE_SIZE are constants, the values every
-study uses.  The cycle is chosen where it is applied: the paper's V(1,1) or,
-by default, the K-cycle of Notay & Vassilevski (Numer. Linear Algebra
-Appl. 15, 2008) that Notay pairs with this double pairwise aggregation
-(ETNA 37, 2010): on each coarse level above the dense one the coarse
-system is solved by up to two flexible CG steps, each preconditioned by
-the cycle on that level.  Both cycles run on the same levels.  Plain
-aggregation alone lets iteration counts grow under refinement; the
-K-cycle holds them nearly flat.
+study uses, and so is the pass count's rule.  The cycle is chosen where
+it is applied: the paper's V(1,1) or, by default, the K-cycle of Notay &
+Vassilevski (Numer. Linear Algebra Appl. 15, 2008) that Notay pairs
+with this double pairwise aggregation (ETNA 37, 2010): on each coarse
+level above the dense one the coarse system is solved by up to two
+flexible CG steps, each preconditioned by the cycle on that level.
+Both cycles run on the same levels.  Plain aggregation alone lets
+iteration counts grow under refinement; the K-cycle holds them nearly
+flat.
 """
 
 from __future__ import annotations
@@ -54,8 +59,14 @@ CONVERGED_SLACK = 10.0
 
 # strength threshold: a_ij couples i and j if |a_ij| >= THETA sqrt(a_ii a_jj)
 THETA = 0.08
-# pairwise matching passes per level (aggregates of ~2^NPASSES unknowns)
+# pairwise matching passes per level, one more on a level whose strength
+# graph averages more than DENSE_DEGREE strong neighbours per row:
+# aggregates of ~4 unknowns on 2-D grids (at most 4 strong neighbours a
+# row), ~8 on case 2's 4-D grid (5.4-5.9 on its finer levels)
 NPASSES = 2
+DENSE_DEGREE = 5
+# entries of A whose strength test runs at once (see _strength_graph)
+STRENGTH_BLOCK = 1 << 18
 # work of the Jacobi sweeps of the greedy matching, in full sweeps over
 # the upper edges, before the scan finishes it (see _match_pass)
 MATCH_SWEEPS = 4
@@ -132,7 +143,12 @@ class _Level:
         return self._upper.solve(b, trans="T")
 
     def gs_backward(self, b, x):
-        return x + self._upper.solve(b - self.A @ x)
+        """Backward sweep from x: x + U^{-1} (b - A x)."""
+        r = self.A @ x
+        np.subtract(b, r, out=r)
+        e = self._upper.solve(r)
+        e += x
+        return e
 
     def factor_dense(self):
         lam, V = np.linalg.eigh(self.A.toarray())
@@ -165,22 +181,47 @@ class AmgHierarchy:
 
 
 def _strength_graph(A: sp.csr_matrix) -> sp.csr_matrix:
-    """Off-diagonal entries passing |a_ij| >= THETA sqrt(a_ii a_jj), as |a_ij|."""
-    S = abs(A)
-    d = S.diagonal()
-    rows = np.repeat(np.arange(S.shape[0], dtype=np.int32), np.diff(S.indptr))
-    cols = S.indices
-    t = d[rows]
-    t *= d[cols]
-    np.sqrt(t, out=t)
-    t *= THETA
-    weak = S.data < t
-    del t
-    weak |= rows == cols
-    del rows
-    S.data[weak] = 0.0
-    del weak
-    S.eliminate_zeros()
+    """Off-diagonal entries passing |a_ij| >= THETA sqrt(a_ii a_jj), as |a_ij|.
+
+    The test runs over blocks of rows holding about STRENGTH_BLOCK
+    entries, so of A's length only a mask of the entries kept is held;
+    the kept entries are then gathered once.  An entry whose threshold
+    overflows to inf is weak, and an entry of zero is dropped.
+    """
+    n = A.shape[0]
+    indptr, cols = A.indptr, A.indices
+    d = np.abs(A.diagonal())
+    keep = np.empty(cols.size, dtype=bool)
+    out_ptr = np.zeros(n + 1, dtype=indptr.dtype)
+    r0 = 0
+    while r0 < n:
+        r1 = int(np.searchsorted(indptr, indptr[r0] + STRENGTH_BLOCK, side="right")) - 1
+        r1 = min(max(r1, r0 + 1), n)
+        e0, e1 = indptr[r0], indptr[r1]
+        size = np.diff(indptr[r0 : r1 + 1])
+        c = cols[e0:e1]
+        t = np.repeat(d[r0:r1], size)
+        with np.errstate(over="ignore"):
+            t *= d[c]
+        np.sqrt(t, out=t)
+        t *= THETA
+        a = np.abs(A.data[e0:e1])
+        weak = np.less(a, t, out=keep[e0:e1])
+        del t
+        weak |= a == 0
+        del a
+        weak |= np.repeat(np.arange(r0, r1, dtype=c.dtype), size) == c
+        strong = np.logical_not(weak, out=weak)
+        kept = np.zeros(e1 - e0 + 1, dtype=out_ptr.dtype)
+        np.cumsum(strong, out=kept[1:])
+        out_ptr[r0 + 1 : r1 + 1] = kept[indptr[r0 + 1 : r1 + 1] - e0]
+        out_ptr[r0 + 1 : r1 + 1] += out_ptr[r0]
+        del kept
+        r0 = r1
+    data = A.data[keep]
+    np.abs(data, out=data)
+    S = sp.csr_matrix((data, cols[keep], out_ptr), shape=A.shape)
+    del keep
     S.sort_indices()
     return S
 
@@ -357,18 +398,30 @@ def _piecewise_constant(agg: np.ndarray) -> sp.csr_matrix:
 def _aggregate(A: sp.csr_matrix):
     """Compose pairwise passes into one level's aggregation map.
 
+    A level whose strength graph averages more than DENSE_DEGREE strong
+    neighbours per row takes NPASSES + 1 passes, any other NPASSES.
     Returns (agg, Ac): the fine-to-coarse map, or None if nothing
     aggregated, and the Galerkin coarse operator the passes formed.
     """
     agg = None
     Ac = A
-    for _ in range(NPASSES):
-        sub = _match_pass(_strength_graph(Ac))
+    S = _strength_graph(A)
+    passes = NPASSES + 1 if S.nnz > DENSE_DEGREE * A.shape[0] else NPASSES
+    for p in range(passes):
+        if p:
+            S = _strength_graph(Ac)
+        sub = _match_pass(S)
+        del S
         if sub is None:
             break
         agg = sub if agg is None else sub[agg]
         P = _piecewise_constant(sub)
-        Ac = (P.T @ (Ac @ P)).tocsr()
+        # P' A P as ((A P)' P)': a CSC product whose transpose is a CSR
+        # with the bits of P' (A P), each entry summed over its members in
+        # ascending order, formed without a CSC copy of A P or a CSR copy
+        # of the product
+        Ac = ((Ac @ P).T @ P).T
+        Ac.sort_indices()
         if Ac.shape[0] <= COARSE_SIZE:
             break
     return agg, Ac
@@ -427,7 +480,6 @@ def build_hierarchy(A) -> AmgHierarchy:
         # nothing aggregated (Ac is A), or too little to be worth a level
         if Ac.shape[0] > 0.95 * fine.A.shape[0]:
             break
-        Ac.sort_indices()
         if np.any(Ac.diagonal() <= 0):
             break
         fine.aggregates = agg
@@ -456,11 +508,14 @@ def _cycle(levels, l, b, kcycle):
     x = lev.gs_forward(b)
     if l + 1 < len(levels):
         coarse = levels[l + 1]
-        rc = np.bincount(lev.aggregates, b - lev.A @ x, minlength=coarse.A.shape[0])
+        r = lev.A @ x
+        np.subtract(b, r, out=r)
+        rc = np.bincount(lev.aggregates, r, minlength=coarse.A.shape[0])
+        del r
         ec = _cycle(levels, l + 1, rc, kcycle)
         if kcycle and coarse._dense is None:
             ec = _krylov_correction(levels, l + 1, rc, ec)
-        x = x + ec[lev.aggregates]
+        x += ec[lev.aggregates]
     return lev.gs_backward(b, x)
 
 
@@ -548,6 +603,7 @@ def fgmres(A, b, preconditioner, tol=1e-6, maxit=500):
         return np.zeros(n), 0, history, None
 
     V = [b / beta]
+    hv = np.empty(n)  # h_i v_i, the Gram-Schmidt update
     Z = []
     H = []  # rotated Hessenberg columns
     cs, sn = [], []
@@ -559,7 +615,7 @@ def fgmres(A, b, preconditioner, tol=1e-6, maxit=500):
         h = np.zeros(j + 2)
         for i in range(j + 1):
             h[i] = V[i] @ w
-            w = w - h[i] * V[i]
+            w -= np.multiply(h[i], V[i], out=hv)
         wnorm = float(np.linalg.norm(w))
         h[j + 1] = wnorm
 
@@ -587,7 +643,8 @@ def fgmres(A, b, preconditioner, tol=1e-6, maxit=500):
             break
         if history[-1] <= tol:
             break
-        V.append(w / wnorm)
+        w /= wnorm
+        V.append(w)
 
     m = len(Z)
     R = np.zeros((m, m))  # the upper triangle of the rotated Hessenberg

@@ -8,8 +8,11 @@ paths from the package.  The CSR G is also built as three blocks
 joined by sp.vstack, which the assembly's in-place fill of G's arrays
 must match bit for bit.  The greedy pairwise matching is kept here as
 the plain two-loop scan in natural order that the solver's vectorised
-matching must reproduce exactly, and the support of one terminal as the
-per-terminal evaluation that the batched support table must reproduce.
+matching must reproduce exactly, the strength graph as the
+whole-matrix formula that the solver's blocked test must reproduce bit
+for bit, one level's passes composed with the plain Galerkin product
+P' (A P), and the support of one terminal as the per-terminal
+evaluation that the batched support table must reproduce.
 """
 
 import numpy as np
@@ -149,6 +152,47 @@ def lumped_rt0_schur_dense(grid, forest, coeffs):
 def dense_pseudo_solve(A, b):
     """Minimum-norm least-squares solve (kernel-aware reference)."""
     return np.linalg.lstsq(A, b, rcond=None)[0]
+
+
+def strength_graph(A, theta):
+    """The strength graph as one whole-matrix formula, without blocks.
+
+    Off-diagonal entries of abs(A) with |a_ij| >= theta sqrt(a_ii a_jj),
+    weak and zero entries eliminated, indices sorted.
+    """
+    S = abs(A)
+    d = S.diagonal()
+    rows = np.repeat(np.arange(S.shape[0], dtype=np.int32), np.diff(S.indptr))
+    cols = S.indices
+    with np.errstate(over="ignore"):
+        t = d[rows] * d[cols]
+    t = theta * np.sqrt(t)
+    S.data[(S.data < t) | (rows == cols)] = 0.0
+    S.eliminate_zeros()
+    S.sort_indices()
+    return S
+
+
+def compose_passes(A, theta, passes, coarse_size):
+    """One level's aggregation by the plain scan and Galerkin formula.
+
+    Composes up to ``passes`` greedy matching passes on strength graphs
+    of threshold ``theta``, each coarse operator formed as P' (A P) in
+    CSR, stopping early when nothing pairs or at ``coarse_size``
+    unknowns.  Returns (agg, Ac) as the solver's aggregation does.
+    """
+    agg, Ac = None, A
+    for _ in range(passes):
+        sub = greedy_match_pass(strength_graph(Ac, theta))
+        if sub is None:
+            break
+        agg = sub if agg is None else sub[agg]
+        n = sub.size
+        P = sp.csr_matrix((np.ones(n), (np.arange(n), sub)), shape=(n, sub.max() + 1))
+        Ac = (P.T @ (Ac @ P)).tocsr()
+        if Ac.shape[0] <= coarse_size:
+            break
+    return agg, Ac
 
 
 def greedy_match_pass(S):

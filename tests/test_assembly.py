@@ -335,11 +335,15 @@ class TestOneAllocationG:
         assert np.count_nonzero(blocks.lift_N) == 1  # only the root edge row
 
 
+FACE_ARRAYS = ("face_lo", "face_hi", "face_axis")
+
+
 class TestReleasedBlocks:
     @pytest.mark.parametrize("case", ["case1a", "case2", "masked_two_trees"])
     def test_rebuilt_bitwise_after_release(self, case):
-        # G, d and r are derived: release drops G and d, del drops r, and
-        # each is rebuilt, bit for bit, on access
+        # G, d, r and the grid's face arrays are derived: release drops G,
+        # d and the face arrays, del drops r, and each is rebuilt, bit for
+        # bit, on access
         if case == "masked_two_trees":
             grid, forest, coeffs = two_tree_masked_case()
         else:
@@ -348,13 +352,18 @@ class TestReleasedBlocks:
             coeffs = spec.coefficients(grid)
         blocks = assemble_blocks(grid, forest, coeffs)
         G, d, r = blocks.G, blocks.d, blocks.r
+        faces = [getattr(grid, name) for name in FACE_ARRAYS]
         blocks.release()
         assert not {"G", "d"} & blocks.__dict__.keys()
+        assert "_faces" not in grid.__dict__
+        n_faces = grid.n_faces
         del blocks.r
         assert blocks.G is not G and blocks.G.shape == G.shape
         pairs = [(getattr(blocks.G, name), getattr(G, name))
                  for name in ("indptr", "indices", "data")]
         pairs += [(blocks.d, d), (blocks.r, r)]
+        pairs += [(getattr(grid, name), want) for name, want in zip(FACE_ARRAYS, faces)]
+        assert grid.face_lo is not faces[0] and grid.n_faces == n_faces
         for got, want in pairs:
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 

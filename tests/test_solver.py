@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,10 @@ from mdflow.model import CaseSpec, CoefficientField, TransferSpec, case1, case2
 from mdflow import solver as solver_module
 from mdflow.solver import (
     CONVERGED_SLACK,
+    COARSE_SIZE,
     MATCH_SWEEPS,
+    NPASSES,
+    THETA,
     SolverConfig,
     _match_pass,
     _piecewise_constant,
@@ -39,7 +43,7 @@ from mdflow.solver import (
     vcycle,
 )
 
-from oracles import dense_pseudo_solve, greedy_match_pass
+from oracles import compose_passes, dense_pseudo_solve, greedy_match_pass, strength_graph
 
 
 def path_laplacian(n):
@@ -346,6 +350,95 @@ class TestMatching:
         assert 0 < matching <= strength
 
 
+def same_csr(X, Y):
+    return X.shape == Y.shape and all(
+        getattr(X, k).dtype == getattr(Y, k).dtype
+        and getattr(X, k).tobytes() == getattr(Y, k).tobytes()
+        for k in ("data", "indices", "indptr"))
+
+
+def grid_laplacian(m, dim):
+    """The (2 dim + 1)-point Laplacian on an m^dim brick with Dirichlet walls."""
+    path = sp.diags([-np.ones(m - 1), 2 * np.ones(m), -np.ones(m - 1)], [-1, 0, 1])
+    L = path
+    for _ in range(dim - 1):
+        L = sp.kron(L, sp.identity(m)) + sp.kron(sp.identity(L.shape[0]), path)
+    return sp.csr_matrix(L)
+
+
+class TestStrengthGraph:
+    @pytest.mark.parametrize("case, m", [("case1a", 64), ("case2", 16)])
+    def test_equals_the_whole_matrix_formula(self, case, m):
+        spec = {"case1a": case1("A"), "case2": case2()}[case]
+        A = schur_operator(spec, m)
+        assert same_csr(_strength_graph(A), strength_graph(A, THETA))
+
+    @pytest.mark.parametrize("block", [1, 3, 7, 64])
+    def test_rows_straddling_blocks_and_entries_at_the_threshold(self, monkeypatch, block):
+        # rows of 0-7 entries against blocks of `block` entries: rows cross
+        # the nominal block bounds, one is longer than a block, empty rows
+        # open a block; off-diagonal entries sit exactly at, one ulp
+        # below and one ulp above THETA sqrt(a_ii a_jj), with explicit
+        # zeros, a zero diagonal and a pair whose threshold overflows
+        monkeypatch.setattr(solver_module, "STRENGTH_BLOCK", block)
+        rng = np.random.default_rng(0)
+        n = 24
+        diag = rng.choice([1.0, 2.0, 4.0, 7.5], size=n)
+        diag[[2, 3, 5]] = 0.0  # explicit zeros on the diagonal
+        diag[[17, 18]] = 1e308
+        # row 11 holds no entry at all
+        rows = [i for i in range(n) if i != 11]
+        cols, vals = list(rows), list(diag[rows])
+        strong, weak = [], []
+        for i in range(n):
+            if i in (3, 11):
+                continue  # no off-diagonal entries
+            for j in rng.choice(n, size=int(rng.integers(1, 7)), replace=False):
+                if j == i:
+                    continue
+                with np.errstate(over="ignore"):
+                    t = THETA * np.sqrt(diag[i] * diag[j])
+                kind = int(rng.integers(5))
+                if 0 < t < np.inf:
+                    (strong if kind < 3 else weak).append((i, j))
+                else:
+                    t = 1.0
+                v = (t, np.nextafter(t, np.inf), 3 * t, np.nextafter(t, 0), 0.0)[kind]
+                rows.append(i), cols.append(j), vals.append(-v)
+        A = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+        assert A.indptr[11] == A.indptr[12]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the overflowing threshold is quiet
+            S = _strength_graph(A)
+        assert same_csr(S, strength_graph(A, THETA))
+        kept = set(zip(*S.nonzero()))
+        assert strong and weak
+        assert set(strong) <= kept and not set(weak) & kept
+
+
+class TestPassesPerLevel:
+    def test_two_dimensional_levels_take_two_passes(self):
+        # a 5-point Laplacian (at most 4 strong neighbours a row): every
+        # level is the oracle's composition of NPASSES passes
+        hier = build_hierarchy(grid_laplacian(32, 2))
+        assert hier.nlevels > 2
+        for fine, coarse in zip(hier.levels, hier.levels[1:]):
+            agg, Ac = compose_passes(fine.A, THETA, NPASSES, COARSE_SIZE)
+            assert np.array_equal(fine.aggregates, agg)
+            assert same_csr(coarse.A, Ac)
+
+    def test_three_dimensional_level_takes_three(self):
+        # a 7-point Laplacian averages 6 (1 - 1/m) > DENSE_DEGREE strong
+        # neighbours a row, so its finest level composes a third pass
+        A = grid_laplacian(12, 3)
+        assert _strength_graph(A).nnz > solver_module.DENSE_DEGREE * A.shape[0]
+        hier = build_hierarchy(A)
+        agg, Ac = compose_passes(A, THETA, NPASSES + 1, COARSE_SIZE)
+        assert np.array_equal(hier.levels[0].aggregates, agg)
+        assert same_csr(hier.levels[1].A, Ac)
+        assert Ac.shape[0] < compose_passes(A, THETA, NPASSES, COARSE_SIZE)[1].shape[0]
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
 class TestSetupMemory:
     def test_hierarchy_peak_is_a_small_multiple_of_the_operator(self, tmp_path):
@@ -622,13 +715,15 @@ class TestSolvePressure:
 
     def test_case2_iterations_match_solver_table(self, case2_result):
         # case2_solver.csv at tol 1e-10: rounding in the smoother that
-        # moves a count must show here
+        # moves a count must show here.  Case 2's 4-D levels take three
+        # matching passes (see DENSE_DEGREE), hence fewer levels than
+        # the 2-D cases' two passes give
         config = SolverConfig(tol=1e-10, cycle="V")
         v_reports = [solve_case_mesh(case2(), m, config)[2] for m in (8, 16, 32)]
-        assert [r.iterations for r in v_reports] == [11, 15, 19]
-        assert [r.iterations for r in case2_result.reports] == [10, 10, 10]
+        assert [r.iterations for r in v_reports] == [11, 14, 19]
+        assert [r.iterations for r in case2_result.reports] == [11, 11, 10]
         for reports in (v_reports, case2_result.reports):
-            assert [r.nlevels for r in reports] == [4, 6, 7]
+            assert [r.nlevels for r in reports] == [4, 5, 6]
 
     def test_case1a_kcycle_iterations_stay_flat(self):
         # 1/h = 32..128 at tol 1e-10 take 15/15/15, where the V-cycle
