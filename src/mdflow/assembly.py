@@ -10,8 +10,7 @@ D = diag(d) holds the lumped flux weights, r the integrated sources and
 lift the Dirichlet root pressures as each flux row sees them.  Rows of
 G are interior faces, then support rows (the support table's rows, in
 its order), then edges; columns are active cells, then free nodes.
-(G, d, lift) is the only representation of the scheme, and each
-consumer is one expression in it: the pressure system A = G' D^{-1} G,
+(G, d, lift) defines the scheme: the pressure system is A = G' D^{-1} G,
 b = r - G' D^{-1} lift; the fluxes q = -(G p + lift) / d; the balance
 residual -(G' q + r); the global balance (G 1)' q + sum(r), as G 1 is
 nonzero exactly on rows that reach a Dirichlet root.  The components
@@ -29,11 +28,15 @@ reach a root, so lift is zero on every face and support row and only
 its edge rows are stored; the full vector is formed where a consumer
 asks for it.
 
-G, d and r are derived values of the blocks, built from the grid's
-faces, the coefficients' support table and kD, and the forest's
-incidence.  The pressure solve reads only A and b, so the flux-space
-arrays G and d, and the grid's face arrays, are released before it
-and rebuilt, bit for bit, by the first consumer after it.
+A and b are assembled straight from the transmissibilities: 1/d_f of
+each interior face, ((1/vol) m) m of each support row with m = ks vol,
+and 1/(1/k) of each edge, summed in G's row order, so they equal the
+product G' D^{-1} G bit for bit without forming it.  G, d and r are
+derived values of the blocks, built from the grid's faces, the
+coefficients' support table and kD, and the forest's incidence; they
+exist only for the consumers that run after the pressure solve (flux
+recovery, the conservation checks, `mixed_matrix`), which build them on
+first use.
 """
 
 from __future__ import annotations
@@ -65,6 +68,21 @@ def face_weight(grid: CartesianGrid, axis, k_axis):
     return d_f / (k_axis * area)
 
 
+def _face_weights_by_axis(grid: CartesianGrid, kD):
+    """(faces, d) of each axis in turn: the face rows of d, one axis at a time.
+
+    Faces come grouped by axis, so each axis's face weights are computed
+    with that axis's spacing and area as scalars.
+    """
+    start = 0
+    for a, count in enumerate(grid.face_counts):
+        faces = slice(start, start + count)
+        start += count
+        d = face_weight(grid, a, kD[grid.face_lo[faces], a])
+        d += face_weight(grid, a, kD[grid.face_hi[faces], a])
+        yield faces, d
+
+
 @dataclass
 class LumpedBlocks:
     """The mixed operator (G, d, lift) of one grid/forest/coefficient triple.
@@ -75,13 +93,15 @@ class LumpedBlocks:
     ``sup_cell[i]`` to its terminal with the scaled coefficient
     ``sup_ks[i]``.  Of lift only the edge rows, ``lift_N``, are held;
     the ``lift`` property returns the (n_flux,) vector, zero on the
-    face and support rows.
+    face and support rows.  ``E`` is the forest's signed incidence with
+    the Dirichlet columns dropped, so the edge rows of G are -E.
 
     G, d and the sources r are derived from the grid, the forest and the
-    coefficients, and cached on first use.  `release` drops the
-    flux-space arrays G and d, which a pressure solve does not read,
-    with the grid's face arrays they are built from; the next access
-    rebuilds them bit for bit.
+    coefficients, and cached on first use.  `schur_tpfa` assembles the
+    pressure system from transmissibilities without them, so G and d
+    are built only by the consumers that run after the solve.  `release`
+    drops G, d, r and the grid's face arrays they are built from; the
+    next access rebuilds them bit for bit.
     """
 
     grid: CartesianGrid
@@ -93,6 +113,7 @@ class LumpedBlocks:
     sup_ks: np.ndarray  # (n_sup,)
     edge_k: np.ndarray  # (n_edges,) conductivities, d_N = 1/k
     free_node_ids: tuple[int, ...]
+    E: sp.csr_matrix  # (n_edges, n_free_nodes) signed incidence
 
     @property
     def n_cells(self) -> int:
@@ -113,6 +134,14 @@ class LumpedBlocks:
         return np.concatenate([np.zeros(n_pairs), self.lift_N])
 
     @property
+    def sup_node(self) -> np.ndarray:
+        """(n_sup,) free-node column of each support row's terminal."""
+        sup = self.coeffs.supports
+        col = {nid: j for j, nid in enumerate(self.free_node_ids)}
+        terminal_col = np.array([col[i] for i in sup.terminal_ids], dtype=np.int64)
+        return terminal_col[sup.terminal]
+
+    @property
     def d_D(self) -> np.ndarray:
         """Total face weights, the face rows of d."""
         return self.d[: self.grid.n_faces]
@@ -126,12 +155,9 @@ class LumpedBlocks:
         rows are those of the negated incidence, shifted past the cell
         columns.
         """
-        grid, sup = self.grid, self.coeffs.supports
+        grid, E = self.grid, self.E
         nc, n = grid.n_cells, self.n_unknowns
-        col = {nid: j for j, nid in enumerate(self.free_node_ids)}
-        terminal_col = np.array([col[i] for i in sup.terminal_ids], dtype=np.int64)
         m = self.sup_ks * grid.cell_volume
-        E = incidence(self.forest).matrix
 
         nf, ns = grid.n_faces, self.sup_cell.size
         n_pairs = nf + ns
@@ -148,7 +174,7 @@ class LumpedBlocks:
         pair_cols[:nf, 0], pair_cols[:nf, 1] = grid.face_lo, grid.face_hi
         pair_vals[:nf] = -1.0, 1.0
         pair_cols[nf:, 0] = self.sup_cell
-        pair_cols[nf:, 1] = nc + terminal_col[sup.terminal]
+        pair_cols[nf:, 1] = nc + self.sup_node
         pair_vals[nf:, 0], pair_vals[nf:, 1] = m, -m
         indices[2 * n_pairs :] = E.indices
         indices[2 * n_pairs :] += nc
@@ -157,20 +183,12 @@ class LumpedBlocks:
 
     @functools.cached_property
     def d(self) -> np.ndarray:
-        """(n_flux,) lumped flux weights [d_D; d_S; d_N].
-
-        Faces come grouped by axis, so each axis's face weights are
-        computed with that axis's spacing and area as scalars.
-        """
-        grid, kD = self.grid, self.coeffs.kD
+        """(n_flux,) lumped flux weights [d_D; d_S; d_N]."""
+        grid = self.grid
         nf, ns = grid.n_faces, self.sup_cell.size
         d = np.empty(nf + ns + self.edge_k.size)
-        start = 0
-        for a, count in enumerate(grid.face_counts):
-            faces = slice(start, start + count)
-            start += count
-            d[faces] = face_weight(grid, a, kD[grid.face_lo[faces], a])
-            d[faces] += face_weight(grid, a, kD[grid.face_hi[faces], a])
+        for faces, d_axis in _face_weights_by_axis(grid, self.coeffs.kD):
+            d[faces] = d_axis
         d[nf : nf + ns] = grid.cell_volume
         d[nf + ns :] = 1 / self.edge_k
         return d
@@ -182,8 +200,8 @@ class LumpedBlocks:
         return np.concatenate([self.coeffs.rD * self.grid.cell_volume, rN])
 
     def release(self):
-        """Drop the cached G, d and grid face arrays; the next access rebuilds them."""
-        for name in ("G", "d"):
+        """Drop the cached G, d, r and grid face arrays; the next access rebuilds them."""
+        for name in ("G", "d", "r"):
             self.__dict__.pop(name, None)
         self.grid.release_faces()
 
@@ -207,11 +225,12 @@ class MixedState:
 def assemble_blocks(
     grid: CartesianGrid, forest: Forest, coeffs: CoefficientField
 ) -> LumpedBlocks:
-    """Build (G, d, lift) and the sources for a grid/forest/coefficient triple.
+    """The blocks (G, d, lift) and sources of a grid/forest/coefficient triple.
 
     A grid without a network takes the empty forest,
-    ``build_forest([], [])``.  G, d and r are built here and cached on
-    the blocks (see `LumpedBlocks.release`).
+    ``build_forest([], [])``.  Only the inputs are checked and the
+    incidence built here; G, d and r are derived on first use (see
+    `LumpedBlocks`), and `schur_tpfa` does not use G or d.
     """
     coeffs.validate(grid, forest)
     inc = incidence(forest)
@@ -225,26 +244,120 @@ def assemble_blocks(
         sup_ks=sup.ks,
         edge_k=inc.edge_k,
         free_node_ids=inc.node_ids,
+        E=inc.matrix,
     )
-    blocks.d, blocks.G, blocks.r  # built, and checked, with the blocks
     return blocks
 
 
+@np.errstate(over="ignore")
 def schur_tpfa(blocks: LumpedBlocks):
-    """Eliminate the diagonal flux block; return (A, b) over [pD; pN].
+    """Assemble the pressure system; return (A, b) over [pD; pN].
 
-    A = G' D^{-1} G is exactly symmetric: every off-diagonal entry comes
-    from a single flux row.  It is positive definite when every
-    component reaches a Dirichlet root and positive semidefinite
-    otherwise, with constants per Dirichlet-free component in the
-    kernel.
+    A = G' D^{-1} G and b = r - G' D^{-1} lift, filled straight into
+    A's CSR arrays from the transmissibility of each row of G: 1/d_f of
+    an interior face, ((1/vol) m) m of a support row with m = ks vol,
+    and 1/(1/k) of an edge.  Every off-diagonal entry comes from a
+    single row, so A is exactly symmetric.  Each diagonal entry sums its
+    rows in the order of G's rows (faces axis by axis, a cell's face as
+    upper cell before its face as lower cell, then support rows in table
+    order, then edges), and b subtracts the edge rows' lift term, so A
+    and b equal the sparse product G' D^{-1} G bit for bit; as there,
+    entries that come to exactly zero are not stored, and a term or sum
+    that overflows is inf, for the solve to reject.  Neither G nor d is
+    built.
+
+    A is positive definite when every component reaches a Dirichlet
+    root and positive semidefinite otherwise, with constants per
+    Dirichlet-free component in the kernel.
     """
-    if np.any(blocks.d <= 0):
+    grid, E = blocks.grid, blocks.E
+    nc, n = blocks.n_cells, blocks.n_unknowns
+    vol = grid.cell_volume
+    sup_cell, sup_node = blocks.sup_cell, blocks.sup_node
+    ns = sup_cell.size
+    d_N = 1 / blocks.edge_k
+    if (ns and vol <= 0) or np.any(d_N <= 0):
         raise ValueError("zero or negative diagonal flux weight")
-    G = blocks.G
-    A = (G.T @ (sp.diags(1.0 / blocks.d) @ G)).tocsr()
-    A.sort_indices()
-    b = blocks.r - G.T @ (blocks.lift / blocks.d)
+    m = blocks.sup_ks * vol
+    s = ((1.0 / vol) * m) * m
+    t_N = 1.0 / d_N
+    n_ends = np.diff(E.indptr)
+    two = n_ends == 2
+    pair = E.indptr[:-1][two]
+    tail, head = E.indices[pair], E.indices[pair + 1]
+
+    # node rows, (local row, column) pairs: support rows' cells, edges
+    # joining two free nodes, the diagonal
+    node_rows = np.concatenate([sup_node, tail, head, np.arange(n - nc)])
+    node_cols = np.concatenate([sup_cell, nc + head, nc + tail, np.arange(nc, n)])
+    node_order = np.lexsort((node_cols, node_rows))
+
+    # a cell row holds its lower neighbours, itself, its upper neighbours
+    # and its terminals, which is ascending column order
+    n_sup = np.bincount(sup_cell, minlength=nc)
+    nnz = nc + 2 * (grid.n_faces + ns + pair.size) + (n - nc)
+    index = index_dtype(max(nnz, n))
+    indptr = np.zeros(n + 1, dtype=index)
+    indptr[1 : nc + 1] = np.bincount(grid.face_lo, minlength=nc)
+    indptr[1 : nc + 1] += np.bincount(grid.face_hi, minlength=nc)
+    indptr[1 : nc + 1] += n_sup + 1
+    indptr[nc + 1 :] = np.bincount(node_rows, minlength=n - nc)
+    np.cumsum(indptr, out=indptr)
+    indices = np.empty(nnz, dtype=index)
+    data = np.empty(nnz)
+    diag = np.zeros(n)
+
+    # faces, axis by axis: lower neighbours fill from the row's start
+    # forwards and upper neighbours from its terminals backwards, so
+    # both runs come out in ascending column order
+    below = indptr[:nc].copy()
+    above = indptr[1 : nc + 1].copy()
+    above -= n_sup
+    for faces, t in _face_weights_by_axis(grid, blocks.coeffs.kD):
+        if np.any(t <= 0):
+            raise ValueError("zero or negative diagonal flux weight")
+        lo, hi = grid.face_lo[faces], grid.face_hi[faces]
+        np.divide(1.0, t, out=t)
+        diag[hi] += t
+        diag[lo] += t
+        np.negative(t, out=t)
+        at = below[hi]
+        indices[at] = lo
+        data[at] = t
+        at += 1
+        below[hi] = at
+        at = above[lo]
+        at -= 1
+        above[lo] = at
+        indices[at] = hi
+        data[at] = t
+        del at, t
+
+    np.add.at(diag, sup_cell, s)
+    np.add.at(diag, nc + sup_node, s)
+    np.add.at(diag, nc + E.indices, np.repeat(t_N, n_ends))
+    indices[below] = np.arange(nc, dtype=index)
+    data[below] = diag[:nc]
+    del below, above
+
+    order = np.lexsort((sup_node, sup_cell))
+    cells = sup_cell[order]
+    at = indptr[cells + 1] - np.cumsum(n_sup)[cells] + np.arange(ns)
+    indices[at] = nc + sup_node[order]
+    data[at] = -s[order]
+
+    node_vals = np.concatenate([-s, -t_N[two], -t_N[two], diag[nc:]])
+    indices[indptr[nc] :] = node_cols[node_order]
+    data[indptr[nc] :] = node_vals[node_order]
+
+    A = sp.csr_matrix((data, indices, indptr), shape=(n, n))
+    if not data.all():
+        A.eliminate_zeros()
+    w = blocks.lift_N / d_N
+    b = blocks.r.copy()
+    b[nc:] -= np.bincount(
+        E.indices, weights=-E.data * np.repeat(w, n_ends), minlength=n - nc
+    )
     return A, b
 
 
@@ -254,16 +367,19 @@ def pressure_kernel(blocks: LumpedBlocks, A):
     Two unknowns share a row of G exactly where A has an off-diagonal
     entry, so the components of A's pattern are those of the scheme.  A
     component is singular exactly when none of its unknowns lies on a
-    row that reaches a Dirichlet root (G 1 != 0 only there); such
-    components are permitted, and the constants on each of them span
-    the kernel.  Returns None when every component is rooted.
+    row that reaches a Dirichlet root; such components are permitted,
+    and the constants on each of them span the kernel.  Returns None
+    when every component is rooted.  The rows that reach a root, where
+    G 1 != 0, are the edge rows -E whose sum is nonzero, as face and
+    support rows sum to zero, so G itself is not needed.
     """
-    G = blocks.G
+    E = blocks.E
     # A is structurally symmetric, so its strong components are its
     # components, and scipy needs no transpose to find them
     n_comp, labels = connected_components(A, directed=True, connection="strong")
     singular = np.ones(n_comp, dtype=bool)
-    singular[labels[G[G @ np.ones(G.shape[1]) != 0].indices]] = False
+    rooted = E[E @ np.ones(E.shape[1]) != 0].indices
+    singular[labels[blocks.n_cells + rooted]] = False
     if not singular.any():
         return None
     K = (labels[:, None] == np.flatnonzero(singular)).astype(float)

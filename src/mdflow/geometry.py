@@ -746,14 +746,17 @@ def _checked_transfer(grid: CartesianGrid, t: TransferSpec):
     return tuple(axes[order].tolist()), anchor[order], compartment
 
 
-def _group_rows(grid, axes, r0, r1, kT0, anchors, compartments):
+def _group_rows(grid, axes, r0, r1, kT0, anchors, compartments, terminal_ids):
     """(owner, cell, kt) over the candidate boxes of transfers sharing a profile.
 
-    ``anchors`` (m, len(axes)) and ``compartments`` (m,) belong to the m
-    transfers whose radial ``axes`` and profile (r0, r1, kT0) agree;
-    each candidate cell's centre is taken relative to its transfer's
-    anchor once, here.  Rows run over the transfers in order, each box
-    in C order over the grid; only active cells with kt > 0 are kept.
+    ``anchors`` (m, len(axes)), ``compartments`` (m,) and
+    ``terminal_ids`` (m,) belong to the m transfers whose radial
+    ``axes`` and profile (r0, r1, kT0) agree; each candidate cell's
+    centre is taken relative to its transfer's anchor once, here.  Rows
+    run over the transfers in order, each box in C order over the grid;
+    only active cells with kt > 0 are kept.  A ValueError names the
+    first terminal whose cell average overflows, before any compartment
+    fraction multiplies it.
     """
     axes = np.asarray(axes)
     lo = grid.origin[axes]
@@ -775,6 +778,12 @@ def _group_rows(grid, axes, r0, r1, kT0, anchors, compartments):
     else:
         profile = lambda r: transfer_profile(r, r0, r1, kT0)
         kt = _box_average(rel, h, profile, ((r0, r1),), SUPPORT_SUBDIV_SPATIAL)
+    finite = np.isfinite(kt).reshape(len(anchors), -1).all(axis=1)
+    if not finite.all():
+        raise ValueError(
+            f"transfer coefficient of terminal {terminal_ids[np.argmin(finite)]} "
+            f"overflows: kT0 = {kT0!r} is too large"
+        )
 
     # The average is computed once per radial cell and broadcast along
     # the other axes of the grid; index arrays are (m, *box shape).
@@ -832,7 +841,9 @@ def build_support(grid: CartesianGrid, transfers) -> SupportTable:
     are evaluated in one batch, on box centres taken relative to each
     box's own anchor.  The table's terminals are the transfers' in the
     order given.  A ValueError names the first transfer, in that order,
-    with an invalid parameter or an empty support.
+    with an invalid parameter or an empty support.  A cell average that
+    overflows (kT0 near the float maximum) is rejected as its group is
+    evaluated, naming the group's first such terminal.
     """
     transfers = tuple(transfers)
     groups: dict[tuple, list[int]] = {}
@@ -854,6 +865,7 @@ def build_support(grid: CartesianGrid, transfers) -> SupportTable:
             grid, axes, r0, r1, kT0,
             np.array([anchors[j] for j in members]),
             [compartments[j] for j in members],
+            [transfers[j].terminal_id for j in members],
         )
         owner.append(np.asarray(members, dtype=np.int64)[o])
         cells.append(c)

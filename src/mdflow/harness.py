@@ -285,9 +285,11 @@ class CaseResult:
 def solve_case_mesh(spec: CaseSpec, m: int, solver: SolverConfig):
     """Assemble and solve one mesh of a case; returns (blocks, state, report, b).
 
-    The blocks' G and d are released once A, b and the kernel exist, so
-    the solve holds no flux-space arrays; `recover_fluxes` rebuilds
-    them, bit for bit.
+    A and b are assembled from transmissibilities, so G and d do not
+    exist before the solve; the sources r and the grid's face arrays,
+    which `schur_tpfa` reads, are released once A, b and the kernel
+    exist (`LumpedBlocks.release`).  `recover_fluxes` and the checks
+    after the solve derive G, d and r on first use, bit for bit.
     """
     grid = spec.grid(m)
     coeffs = spec.coefficients(grid)

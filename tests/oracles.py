@@ -6,7 +6,10 @@ the flux of each basis function, piecewise-constant coupling integrals)
 and reduced by dense linear algebra, without reusing any assembly code
 paths from the package.  The CSR G is also built as three blocks
 joined by sp.vstack, which the assembly's in-place fill of G's arrays
-must match bit for bit.  The greedy pairwise matching is kept here as
+must match bit for bit, and the pressure system as the sparse product
+G' D^{-1} G, which the assembly's fill from transmissibilities must
+match bit for bit, its kernel reading the rooted unknowns from G 1.
+The greedy pairwise matching is kept here as
 the plain two-loop scan in natural order that the solver's vectorised
 matching must reproduce exactly, the strength graph as the
 whole-matrix formula that the solver's blocked test must reproduce bit
@@ -17,6 +20,7 @@ evaluation that the batched support table must reproduce.
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from mdflow.geometry import (
     SUPPORT_SUBDIV_SPATIAL,
@@ -136,6 +140,27 @@ def stacked_pair_G(grid, forest, coeffs):
         ],
         format="csr",
     )
+
+
+def product_schur(blocks):
+    """(A, b) as the sparse products A = G' D^{-1} G and b = r - G' D^{-1} lift."""
+    G, d = blocks.G, blocks.d
+    A = (G.T @ (sp.diags(1.0 / d) @ G)).tocsr()
+    A.sort_indices()
+    b = blocks.r - G.T @ (blocks.lift / d)
+    return A, b
+
+
+def product_kernel(blocks, A):
+    """The pressure kernel with the rooted unknowns read off the rows where G 1 != 0."""
+    G = blocks.G
+    n_comp, labels = connected_components(A, directed=True, connection="strong")
+    singular = np.ones(n_comp, dtype=bool)
+    singular[labels[G[G @ np.ones(G.shape[1]) != 0].indices]] = False
+    if not singular.any():
+        return None
+    K = (labels[:, None] == np.flatnonzero(singular)).astype(float)
+    return K / np.linalg.norm(K, axis=0)
 
 
 def lumped_rt0_schur_dense(grid, forest, coeffs):

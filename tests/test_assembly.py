@@ -1,6 +1,8 @@
 """Block assembly, the reduced pressure system, and flux recovery."""
 
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,7 +33,16 @@ from mdflow.geometry import (
 )
 from mdflow.model import CoefficientField, case1, case2
 
-from oracles import lumped_mixed_dense, lumped_rt0_schur_dense, stacked_pair_G
+from oracles import (
+    lumped_mixed_dense,
+    lumped_rt0_schur_dense,
+    product_kernel,
+    product_schur,
+    stacked_pair_G,
+)
+
+sys.path.insert(0, str(Path(__file__).parents[1] / "perfbench"))
+import forest_gen  # noqa: E402
 
 
 NO_NETWORK = build_forest([], [])
@@ -335,15 +346,97 @@ class TestOneAllocationG:
         assert np.count_nonzero(blocks.lift_N) == 1  # only the root edge row
 
 
+def free_ends_case(root=dirichlet_root(0, 0.7)):
+    """6x6 grid under one tree whose edges keep one or two free ends.
+
+    The root edge (0, 1) keeps one free end when the root is Dirichlet;
+    the edges below node 1 keep two.  The two terminals' supports
+    overlap, so some cells couple to both.  The values are chosen so
+    the bits show which form of each term was computed: vol = 1/36 is
+    not a power of two, so ((1/vol) m) m != ks^2 vol, and the root
+    edge's k = 3.7 has 1/(1/k) != k and 0.7/(1/k) != 0.7 k.
+    """
+    g = unit_square(6)
+    forest = build_forest(
+        [root, interior(1), terminal(2, (0.0, 0.0)), terminal(3, (0.1, 0.05))],
+        [(0, 1, 3.7), (1, 2, 0.5), (1, 3, 1.5)],
+    )
+    transfers = [TransferSpec(n.id, n.anchor, 0.1, 0.3, 1.3) for n in forest.terminals]
+    rng = np.random.default_rng(5)
+    coeffs = CoefficientField(
+        kD=rng.uniform(0.5, 2.0, size=(g.n_cells, 2)),
+        supports=build_support(g, transfers),
+        rD=rng.standard_normal(g.n_cells),
+        rN={1: 0.2, 3: -0.7},
+    )
+    return g, forest, coeffs
+
+
+def spec_case(spec, m):
+    grid = spec.grid(m)
+    return grid, spec.forest, spec.coefficients(grid)
+
+
+ASSEMBLY_CASES = {
+    "case1a": lambda: spec_case(case1("A"), 32),
+    "case1b": lambda: spec_case(case1("B"), 16),
+    "case2_8": lambda: spec_case(case2(), 8),
+    "case2_16": lambda: spec_case(case2(), 16),
+    "masked_two_trees": two_tree_masked_case,
+    "forest_k6": lambda: spec_case(forest_gen.forest_case(6, 0), 128),
+    "free_ends": free_ends_case,
+    "pure_neumann": lambda: free_ends_case(neumann_root(0)),
+}
+
+
+class TestTransmissibilityAssembly:
+    @pytest.mark.parametrize("case", [
+        "case1a", "case1b", "case2_8", "case2_16", "masked_two_trees", "forest_k6",
+        "free_ends",
+    ])
+    def test_equals_the_product_form_bitwise(self, case):
+        grid, forest, coeffs = ASSEMBLY_CASES[case]()
+        blocks = assemble_blocks(grid, forest, coeffs)
+        A, b = schur_tpfa(blocks)
+        assert not {"G", "d"} & blocks.__dict__.keys()
+        A_want, b_want = product_schur(assemble_blocks(grid, forest, coeffs))
+        assert A.shape == A_want.shape
+        for name in ("indptr", "indices", "data"):
+            got, want = getattr(A, name), getattr(A_want, name)
+            assert got.dtype == want.dtype, name
+            assert got.tobytes() == want.tobytes(), name
+        assert b.dtype == b_want.dtype and b.tobytes() == b_want.tobytes()
+
+    @pytest.mark.parametrize("case", ["forest_k6", "free_ends"])
+    def test_cases_cover_shared_cells_and_both_edge_kinds(self, case):
+        # cells on several terminals' supports, and edges with one free
+        # end (at a Dirichlet root) next to edges with two
+        grid, forest, coeffs = ASSEMBLY_CASES[case]()
+        assert np.bincount(coeffs.supports.cell_idx).max() > 1
+        ends = np.diff(assemble_blocks(grid, forest, coeffs).E.indptr)
+        assert {1, 2} <= set(ends.tolist())
+
+    @pytest.mark.parametrize("case", ["masked_two_trees", "pure_neumann"])
+    def test_kernel_equals_the_G_form(self, case):
+        grid, forest, coeffs = ASSEMBLY_CASES[case]()
+        blocks = assemble_blocks(grid, forest, coeffs)
+        A, _ = schur_tpfa(blocks)
+        K = pressure_kernel(blocks, A)
+        assert "G" not in blocks.__dict__
+        want = product_kernel(blocks, A)
+        assert K is not None and K.shape == want.shape
+        assert K.tobytes() == want.tobytes()
+
+
 FACE_ARRAYS = ("face_lo", "face_hi", "face_axis")
 
 
 class TestReleasedBlocks:
     @pytest.mark.parametrize("case", ["case1a", "case2", "masked_two_trees"])
     def test_rebuilt_bitwise_after_release(self, case):
-        # G, d, r and the grid's face arrays are derived: release drops G,
-        # d and the face arrays, del drops r, and each is rebuilt, bit for
-        # bit, on access
+        # the pressure system is assembled without G and d; they, r and
+        # the grid's face arrays are derived on first use, release drops
+        # all of them, and each is rebuilt, bit for bit, on access
         if case == "masked_two_trees":
             grid, forest, coeffs = two_tree_masked_case()
         else:
@@ -351,14 +444,16 @@ class TestReleasedBlocks:
             grid, forest = spec.grid(m), spec.forest
             coeffs = spec.coefficients(grid)
         blocks = assemble_blocks(grid, forest, coeffs)
+        schur_tpfa(blocks)
+        assert not {"G", "d"} & blocks.__dict__.keys()
         G, d, r = blocks.G, blocks.d, blocks.r
         faces = [getattr(grid, name) for name in FACE_ARRAYS]
         blocks.release()
-        assert not {"G", "d"} & blocks.__dict__.keys()
+        assert not {"G", "d", "r"} & blocks.__dict__.keys()
         assert "_faces" not in grid.__dict__
         n_faces = grid.n_faces
-        del blocks.r
         assert blocks.G is not G and blocks.G.shape == G.shape
+        assert blocks.r is not r
         pairs = [(getattr(blocks.G, name), getattr(G, name))
                  for name in ("indptr", "indices", "data")]
         pairs += [(blocks.d, d), (blocks.r, r)]

@@ -9,7 +9,7 @@ import scipy.sparse as sp
 from mdflow.assembly import assemble_blocks, schur_tpfa, write_matrix_market
 from mdflow import cli
 from mdflow.cli import main
-from mdflow.model import case1, case_to_text
+from mdflow.model import case1, case2, case_to_text
 
 
 class TestValidation:
@@ -139,31 +139,47 @@ class TestValidation:
         assert not out.exists() or not list(out.iterdir())
 
     @pytest.mark.parametrize(
-        "old, new, message",
+        "case, old, new, message",
         [
-            ("extent = 1.0, 1.0", "extent = nan, 1.0", "spacings must be finite and positive"),
-            ("origin = -0.5, -0.5", "origin = nan, -0.5", "origin must be finite"),
-            ("node 1 terminal 0.0 0.0", "node 1 terminal nan 0.0",
-             "anchor [nan, 0.0] lies outside the grid"),
-            ("r1: 0.2", "r1: 1e308", "r1 = 1e+308 is too large"),
-            ("r0: 0.1", "r0: nan", "need 0 < r0 <= r1 < inf"),
-            ("kT0: 1.0", "kT0: inf", "need kT0 > 0 and finite"),
-            ("kD = 1.0, 1.0", "kD = nan, 1.0", "kD must be positive and finite"),
-            ("kD = 1.0, 1.0", "kD = 1.0, inf", "kD must be positive and finite"),
-            ("rD0: 1.0", "rD0: 1e308", "right-hand side 2-norm overflows"),
-            ("node 0 dirichlet 0.0", "node 0 dirichlet 1e308",
-             "right-hand side 2-norm overflows"),
-            ("extent = 1.0, 1.0", "extent = 1.0, 1e308",
-             "extent [1.0, 1e+308] is too large: squared distances overflow"),
-            ("r1: 0.2", "r1: 0.10000000000000002",
-             "taper r0 = 0.1, r1 = 0.10000000000000002 is too narrow"),
+            pytest.param(case, *edit, id="-".join(edit))
+            for case, edits in [
+                ("case1a", [
+                    ("extent = 1.0, 1.0", "extent = nan, 1.0",
+                     "spacings must be finite and positive"),
+                    ("origin = -0.5, -0.5", "origin = nan, -0.5", "origin must be finite"),
+                    ("node 1 terminal 0.0 0.0", "node 1 terminal nan 0.0",
+                     "anchor [nan, 0.0] lies outside the grid"),
+                    ("r1: 0.2", "r1: 1e308", "r1 = 1e+308 is too large"),
+                    ("r0: 0.1", "r0: nan", "need 0 < r0 <= r1 < inf"),
+                    ("kT0: 1.0", "kT0: inf", "need kT0 > 0 and finite"),
+                    ("kD = 1.0, 1.0", "kD = nan, 1.0", "kD must be positive and finite"),
+                    ("kD = 1.0, 1.0", "kD = 1.0, inf", "kD must be positive and finite"),
+                    # transmissibilities that overflow to inf in A, silently
+                    ("kD = 1.0, 1.0", "kD = 1e308, 1.0",
+                     "non-finite entry in row 8, column 8: a_ij = inf"),
+                    ("rD0: 1.0", "rD0: 1e308", "right-hand side 2-norm overflows"),
+                    ("node 0 dirichlet 0.0", "node 0 dirichlet 1e308",
+                     "right-hand side 2-norm overflows"),
+                    ("extent = 1.0, 1.0", "extent = 1.0, 1e308",
+                     "extent [1.0, 1e+308] is too large: squared distances overflow"),
+                    ("r1: 0.2", "r1: 0.10000000000000002",
+                     "taper r0 = 0.1, r1 = 0.10000000000000002 is too narrow"),
+                ]),
+                # the first transfer's cell averages overflow, in a
+                # compartment whose zero fractions would make them NaN
+                ("case2", [
+                    ("kT0: 1.0", "kT0: 1e308",
+                     "transfer coefficient of terminal 2 overflows"),
+                ]),
+            ]
+            for edit in edits
         ],
     )
-    def test_non_finite_or_overflowing_value_exits_1(self, capsys, tmp_path, old, new,
-                                                     message):
+    def test_non_finite_or_overflowing_value_exits_1(self, capsys, tmp_path, case, old,
+                                                     new, message):
         # in a config without a reference, so the mesh's own checks answer;
         # the one stderr line is the message, with no numpy warning before it
-        text = case_to_text(case1("A"))
+        text = case_to_text({"case1a": case1("A"), "case2": case2()}[case])
         text = text[: text.index("[reference]")] + "[reference]\nkind = none\n"
         assert old in text
         cfg = tmp_path / "case.cfg"
