@@ -25,23 +25,22 @@ are the negated network incidence with weight 1/k.  Zero-Neumann
 boundary faces carry no unknowns, and Dirichlet root columns are
 dropped from G, their values moving into lift.  Only edge rows can
 reach a root, so lift is zero on every face and support row and only
-its edge rows are stored; the full vector is formed where a consumer
-asks for it.
+its edge rows are stored.
 
-A and b are assembled straight from the transmissibilities: 1/d_f of
-each interior face, ((1/vol) m) m of each support row with m = ks vol,
-and 1/(1/k) of each edge, summed in G's row order, so they equal the
-product G' D^{-1} G bit for bit without forming it.  G, d and r are
-derived values of the blocks, built from the grid's faces, the
-coefficients' support table and kD, and the forest's incidence; they
-exist only for the consumers that run after the pressure solve (flux
-recovery, the conservation checks, `mixed_matrix`), which build them on
-first use.
+Every row of G has a closed form, so no consumer forms G: each reads
+the grid's faces axis by axis (`CartesianGrid.faces`), the support
+table's rows and the incidence E.  `schur_tpfa` sums each row's
+transmissibility (1/d_f of an interior face, ((1/vol) m) m of a support
+row with m = ks vol, 1/(1/k) of an edge) into A and b; `recover_fluxes`
+takes each row's pressure drop over its weight; the balance checks
+scatter each row's flux to its unknowns.  Each does the product form's
+floating-point operations in its order, so each equals it bit for bit.
+Only `mixed_matrix`, which returns the whole saddle-point system, forms
+G and d.
 """
 
 from __future__ import annotations
 
-import functools
 import io
 from dataclasses import dataclass
 
@@ -69,39 +68,32 @@ def face_weight(grid: CartesianGrid, axis, k_axis):
 
 
 def _face_weights_by_axis(grid: CartesianGrid, kD):
-    """(faces, d) of each axis in turn: the face rows of d, one axis at a time.
+    """(lo, hi, d) of each axis in turn: its faces' cells and total weights.
 
-    Faces come grouped by axis, so each axis's face weights are computed
-    with that axis's spacing and area as scalars.
+    The face rows of d, one axis at a time, computed with that axis's
+    spacing and area as scalars.
     """
-    start = 0
-    for a, count in enumerate(grid.face_counts):
-        faces = slice(start, start + count)
-        start += count
-        d = face_weight(grid, a, kD[grid.face_lo[faces], a])
-        d += face_weight(grid, a, kD[grid.face_hi[faces], a])
-        yield faces, d
+    for a in range(grid.dim):
+        lo, hi = grid.faces(a)
+        d = face_weight(grid, a, kD[lo, a])
+        d += face_weight(grid, a, kD[hi, a])
+        yield lo, hi, d
 
 
 @dataclass
 class LumpedBlocks:
-    """The mixed operator (G, d, lift) of one grid/forest/coefficient triple.
+    """Inputs of the mixed operator (G, d, lift) of a grid/forest/coefficient triple.
 
     Flux rows are [interior faces; support rows; edges] and pressure
     columns [active cells; free nodes].  Support rows are the rows of
     the coefficients' support table, in its order; row i couples cell
     ``sup_cell[i]`` to its terminal with the scaled coefficient
-    ``sup_ks[i]``.  Of lift only the edge rows, ``lift_N``, are held;
-    the ``lift`` property returns the (n_flux,) vector, zero on the
-    face and support rows.  ``E`` is the forest's signed incidence with
-    the Dirichlet columns dropped, so the edge rows of G are -E.
-
-    G, d and the sources r are derived from the grid, the forest and the
-    coefficients, and cached on first use.  `schur_tpfa` assembles the
-    pressure system from transmissibilities without them, so G and d
-    are built only by the consumers that run after the solve.  `release`
-    drops G, d, r and the grid's face arrays they are built from; the
-    next access rebuilds them bit for bit.
+    ``sup_ks[i]``.  Of lift only the edge rows, ``lift_N``, are held, as
+    it is zero on the face and support rows.  ``E`` is the forest's
+    signed incidence with the Dirichlet columns dropped, so the edge
+    rows of G are -E.  The fields are set once, by `assemble_blocks`;
+    everything else (the sources r, each row of G and d) is computed
+    from them where it is used.
     """
 
     grid: CartesianGrid
@@ -128,12 +120,6 @@ class LumpedBlocks:
         return self.n_cells + self.n_free_nodes
 
     @property
-    def lift(self) -> np.ndarray:
-        """(n_flux,) Dirichlet term of every row, so the full product is G p + lift."""
-        n_pairs = self.grid.n_faces + self.sup_cell.size
-        return np.concatenate([np.zeros(n_pairs), self.lift_N])
-
-    @property
     def sup_node(self) -> np.ndarray:
         """(n_sup,) free-node column of each support row's terminal."""
         sup = self.coeffs.supports
@@ -142,68 +128,10 @@ class LumpedBlocks:
         return terminal_col[sup.terminal]
 
     @property
-    def d_D(self) -> np.ndarray:
-        """Total face weights, the face rows of d."""
-        return self.d[: self.grid.n_faces]
-
-    @functools.cached_property
-    def G(self) -> sp.csr_matrix:
-        """(n_flux, n_unknowns) coupling of flux rows to pressure columns.
-
-        The CSR arrays are filled in place: each face and support row
-        holds its two entries in ascending column order, and the edge
-        rows are those of the negated incidence, shifted past the cell
-        columns.
-        """
-        grid, E = self.grid, self.E
-        nc, n = grid.n_cells, self.n_unknowns
-        m = self.sup_ks * grid.cell_volume
-
-        nf, ns = grid.n_faces, self.sup_cell.size
-        n_pairs = nf + ns
-        n_flux = n_pairs + E.shape[0]
-        index = index_dtype(max(2 * n_pairs + E.nnz, n_flux, n))
-        indptr = np.empty(n_flux + 1, dtype=index)
-        indptr[: n_pairs + 1] = np.arange(0, 2 * n_pairs + 1, 2, dtype=index)
-        indptr[n_pairs + 1 :] = E.indptr[1:]
-        indptr[n_pairs + 1 :] += 2 * n_pairs
-        indices = np.empty(indptr[-1], dtype=index)
-        data = np.empty(indptr[-1])
-        pair_cols = indices[: 2 * n_pairs].reshape(-1, 2)
-        pair_vals = data[: 2 * n_pairs].reshape(-1, 2)
-        pair_cols[:nf, 0], pair_cols[:nf, 1] = grid.face_lo, grid.face_hi
-        pair_vals[:nf] = -1.0, 1.0
-        pair_cols[nf:, 0] = self.sup_cell
-        pair_cols[nf:, 1] = nc + self.sup_node
-        pair_vals[nf:, 0], pair_vals[nf:, 1] = m, -m
-        indices[2 * n_pairs :] = E.indices
-        indices[2 * n_pairs :] += nc
-        data[2 * n_pairs :] = -E.data
-        return sp.csr_matrix((data, indices, indptr), shape=(n_flux, n))
-
-    @functools.cached_property
-    def d(self) -> np.ndarray:
-        """(n_flux,) lumped flux weights [d_D; d_S; d_N]."""
-        grid = self.grid
-        nf, ns = grid.n_faces, self.sup_cell.size
-        d = np.empty(nf + ns + self.edge_k.size)
-        for faces, d_axis in _face_weights_by_axis(grid, self.coeffs.kD):
-            d[faces] = d_axis
-        d[nf : nf + ns] = grid.cell_volume
-        d[nf + ns :] = 1 / self.edge_k
-        return d
-
-    @functools.cached_property
     def r(self) -> np.ndarray:
-        """(n_unknowns,) integrated sources [cells; free nodes]."""
+        """(n_unknowns,) integrated sources [cells; free nodes], a new array."""
         rN = [self.coeffs.rN.get(nid, 0.0) for nid in self.free_node_ids]
         return np.concatenate([self.coeffs.rD * self.grid.cell_volume, rN])
-
-    def release(self):
-        """Drop the cached G, d, r and grid face arrays; the next access rebuilds them."""
-        for name in ("G", "d", "r"):
-            self.__dict__.pop(name, None)
-        self.grid.release_faces()
 
 
 @dataclass
@@ -229,13 +157,13 @@ def assemble_blocks(
 
     A grid without a network takes the empty forest,
     ``build_forest([], [])``.  Only the inputs are checked and the
-    incidence built here; G, d and r are derived on first use (see
-    `LumpedBlocks`), and `schur_tpfa` does not use G or d.
+    incidence built here; the rows of G and d are read from the fields
+    where they are used (see `LumpedBlocks`).
     """
     coeffs.validate(grid, forest)
     inc = incidence(forest)
     sup = coeffs.supports
-    blocks = LumpedBlocks(
+    return LumpedBlocks(
         grid=grid,
         forest=forest,
         coeffs=coeffs,
@@ -246,7 +174,6 @@ def assemble_blocks(
         free_node_ids=inc.node_ids,
         E=inc.matrix,
     )
-    return blocks
 
 
 @np.errstate(over="ignore")
@@ -263,8 +190,7 @@ def schur_tpfa(blocks: LumpedBlocks):
     order, then edges), and b subtracts the edge rows' lift term, so A
     and b equal the sparse product G' D^{-1} G bit for bit; as there,
     entries that come to exactly zero are not stored, and a term or sum
-    that overflows is inf, for the solve to reject.  Neither G nor d is
-    built.
+    that overflows is inf, for the solve to reject.
 
     A is positive definite when every component reaches a Dirichlet
     root and positive semidefinite otherwise, with constants per
@@ -298,8 +224,7 @@ def schur_tpfa(blocks: LumpedBlocks):
     nnz = nc + 2 * (grid.n_faces + ns + pair.size) + (n - nc)
     index = index_dtype(max(nnz, n))
     indptr = np.zeros(n + 1, dtype=index)
-    indptr[1 : nc + 1] = np.bincount(grid.face_lo, minlength=nc)
-    indptr[1 : nc + 1] += np.bincount(grid.face_hi, minlength=nc)
+    indptr[1 : nc + 1] = grid.faces_per_cell()
     indptr[1 : nc + 1] += n_sup + 1
     indptr[nc + 1 :] = np.bincount(node_rows, minlength=n - nc)
     np.cumsum(indptr, out=indptr)
@@ -313,10 +238,9 @@ def schur_tpfa(blocks: LumpedBlocks):
     below = indptr[:nc].copy()
     above = indptr[1 : nc + 1].copy()
     above -= n_sup
-    for faces, t in _face_weights_by_axis(grid, blocks.coeffs.kD):
+    for lo, hi, t in _face_weights_by_axis(grid, blocks.coeffs.kD):
         if np.any(t <= 0):
             raise ValueError("zero or negative diagonal flux weight")
-        lo, hi = grid.face_lo[faces], grid.face_hi[faces]
         np.divide(1.0, t, out=t)
         diag[hi] += t
         diag[lo] += t
@@ -331,7 +255,7 @@ def schur_tpfa(blocks: LumpedBlocks):
         above[lo] = at
         indices[at] = hi
         data[at] = t
-        del at, t
+        del lo, hi, at, t
 
     np.add.at(diag, sup_cell, s)
     np.add.at(diag, nc + sup_node, s)
@@ -354,7 +278,7 @@ def schur_tpfa(blocks: LumpedBlocks):
     if not data.all():
         A.eliminate_zeros()
     w = blocks.lift_N / d_N
-    b = blocks.r.copy()
+    b = blocks.r
     b[nc:] -= np.bincount(
         E.indices, weights=-E.data * np.repeat(w, n_ends), minlength=n - nc
     )
@@ -387,16 +311,39 @@ def pressure_kernel(blocks: LumpedBlocks, A):
 
 
 def recover_fluxes(blocks: LumpedBlocks, pressures: np.ndarray) -> MixedState:
-    """Back-substitute a pressure vector into the eliminated flux unknowns."""
+    """Back-substitute a pressure vector into the eliminated flux unknowns.
+
+    Row by row q = -(G p + lift) / d, rounded as the product is: a face's
+    p_hi - p_lo, a support row's m p_cell - m p_node (m = ks vol) and an
+    edge's -E pN, each plus its lift (0.0 off the edges, which turns a
+    difference of -0.0 into +0.0), negated and divided by its weight.
+    """
     p = np.asarray(pressures, dtype=float)
     if p.shape != (blocks.n_unknowns,):
         raise ValueError(
             f"pressure vector has length {p.size}, expected {blocks.n_unknowns}"
         )
-    q = -(blocks.G @ p + blocks.lift) / blocks.d
-    nc, nf = blocks.n_cells, blocks.grid.n_faces
-    qD, qS, qN = np.split(q, [nf, nf + blocks.sup_cell.size])
-    return MixedState(qD=qD, qS=qS, qN=qN, pD=p[:nc], pN=p[nc:])
+    grid = blocks.grid
+    pD, pN = p[: blocks.n_cells], p[blocks.n_cells :]
+    qD = np.empty(grid.n_faces)
+    start = 0
+    for lo, hi, d in _face_weights_by_axis(grid, blocks.coeffs.kD):
+        q = qD[start : start + d.size]
+        start += d.size
+        np.subtract(pD[hi], pD[lo], out=q)
+        q += 0.0  # lift
+        np.negative(q, out=q)
+        q /= d
+    m = blocks.sup_ks * grid.cell_volume
+    qS = m * pD[blocks.sup_cell]
+    qS -= m * pN[blocks.sup_node]
+    qS += 0.0  # lift
+    qN = blocks.E @ -pN
+    qN += blocks.lift_N
+    for q, d in ((qS, grid.cell_volume), (qN, 1 / blocks.edge_k)):
+        np.negative(q, out=q)
+        q /= d
+    return MixedState(qD=qD, qS=qS, qN=qN, pD=pD, pN=pN)
 
 
 def conservation_residual(blocks: LumpedBlocks, state: MixedState):
@@ -404,9 +351,28 @@ def conservation_residual(blocks: LumpedBlocks, state: MixedState):
 
     Both vectors vanish for the exact solution of the pressure system;
     for an iterative solve they equal the solver residual up to sign.
+    G' q is summed per unknown in the order of G's rows, as the product
+    adds it: a cell's faces axis by axis (as upper cell before lower
+    cell), then its support rows; a node's support rows, then its edges.
     """
-    res = -(blocks.G.T @ state.q + blocks.r)
-    return res[: blocks.n_cells], res[blocks.n_cells :]
+    grid, E = blocks.grid, blocks.E
+    nc = blocks.n_cells
+    res = np.zeros(blocks.n_unknowns)
+    cells, nodes = res[:nc], res[nc:]
+    start = 0
+    for a in range(grid.dim):
+        lo, hi = grid.faces(a)
+        q = state.qD[start : start + lo.size]
+        start += lo.size
+        cells[hi] += q
+        cells[lo] -= q
+    mq = (blocks.sup_ks * grid.cell_volume) * state.qS
+    np.add.at(cells, blocks.sup_cell, mq)
+    np.subtract.at(nodes, blocks.sup_node, mq)
+    np.subtract.at(nodes, E.indices, E.data * np.repeat(state.qN, np.diff(E.indptr)))
+    res += blocks.r
+    np.negative(res, out=res)
+    return cells, nodes
 
 
 def graph_stokes_check(blocks: LumpedBlocks, state: MixedState) -> float:
@@ -415,10 +381,12 @@ def graph_stokes_check(blocks: LumpedBlocks, state: MixedState) -> float:
     With zero-Neumann walls the discrete counterpart of the divergence
     theorem says the flow entering the Dirichlet roots equals the total
     of all sources.  The rows of G that reach a root are those where
-    G 1 is nonzero, so (G 1)' q + sum(r) is zero.  Returns the absolute
-    defect.
+    G 1 is nonzero, so (G 1)' q + sum(r) is zero.  Face and support
+    rows sum to zero, so G 1 is read off the edge rows, -E 1.  Returns
+    the absolute defect.
     """
-    root_flow = (blocks.G @ np.ones(blocks.n_unknowns)) @ state.q
+    E = blocks.E
+    root_flow = (E @ -np.ones(E.shape[1])) @ state.qN
     return abs(float(root_flow + blocks.r.sum()))
 
 
@@ -426,11 +394,24 @@ def mixed_matrix(blocks: LumpedBlocks):
     """The full mass-lumped block system (M, rhs) before flux elimination.
 
     Unknown order: [qD; qS; qN; pD; pN].  Used for direct inspection of
-    the saddle structure, e.g. singular-value stability checks.
+    the saddle structure, e.g. singular-value stability checks.  It is
+    the only place where G and d are formed.
     """
-    G = blocks.G
-    M = sp.bmat([[sp.diags(blocks.d), G], [G.T, None]], format="csr")
-    return M, -np.concatenate([blocks.lift, blocks.r])
+    grid, E = blocks.grid, blocks.E
+    nc, n = blocks.n_cells, blocks.n_unknowns
+    faces = _face_weights_by_axis(grid, blocks.coeffs.kD)
+    lo, hi, d_D = map(np.concatenate, zip(*faces))
+    m = blocks.sup_ks * grid.cell_volume
+    cols = np.concatenate([np.column_stack([lo, hi]),
+                           np.column_stack([blocks.sup_cell, nc + blocks.sup_node])])
+    vals = np.concatenate([np.tile([-1.0, 1.0], lo.size), np.column_stack([m, -m]).ravel()])
+    pairs = sp.csr_matrix((vals, cols.ravel(), np.arange(0, cols.size + 1, 2)),
+                          shape=(len(cols), n))
+    G = sp.vstack([pairs, sp.hstack([sp.csr_matrix((E.shape[0], nc)), -E])], format="csr")
+    d = np.concatenate([d_D, np.full(m.size, grid.cell_volume), 1 / blocks.edge_k])
+    M = sp.bmat([[sp.diags(d), G], [G.T, None]], format="csr")
+    lift = np.concatenate([np.zeros(len(cols)), blocks.lift_N])
+    return M, -np.concatenate([lift, blocks.r])
 
 
 # ---------------------------------------------------------------------------
@@ -466,9 +447,9 @@ def export_state_csv(blocks: LumpedBlocks, state: MixedState, prefix):
             f.write(f"{i},{','.join(map(repr, coords))},{p!r}\n")
     with io.open(prefix + "_faces.csv", "w") as f:
         f.write("face,axis,cell_lo,cell_hi,qD\n")
-        rows = zip(grid.face_axis.tolist(), grid.face_lo.tolist(),
-                   grid.face_hi.tolist(), state.qD.tolist())
-        for i, (axis, lo, hi, q) in enumerate(rows):
+        faces = ((axis, lo, hi) for axis in range(grid.dim)
+                 for lo, hi in zip(*(cells.tolist() for cells in grid.faces(axis))))
+        for i, ((axis, lo, hi), q) in enumerate(zip(faces, state.qD.tolist())):
             f.write(f"{i},{axis},{lo},{hi},{q!r}\n")
     with io.open(prefix + "_nodes.csv", "w") as f:
         f.write("node,pN\n")

@@ -226,14 +226,13 @@ class CartesianGrid:
     (interior faces, the flux unknowns) and on the boundary of the
     active region (zero-Neumann faces, eliminated from the system).
 
-    ``active_index`` (the brick's active numbering, -1 off the mask),
-    ``face_lo`` and ``face_hi`` are int32 whenever the brick's cell
-    count fits (`index_dtype`), int64 above 2^31 - 1; ``face_axis`` is
-    int8.  The face arrays are derived from the mask on first use and
-    cached; `release_faces` drops them and the next access rebuilds
-    them bit for bit.  ``n_faces`` and the per-axis ``face_counts``
-    are counted at construction.  The active cells' multi-indices are
-    derived from the mask when asked for, not stored.
+    ``active_index`` (the brick's active numbering, -1 off the mask) is
+    int32 whenever the brick's cell count fits (`index_dtype`), int64
+    above 2^31 - 1.  The interior faces of one axis are read from it by
+    `faces`, and each cell's count of them from the mask by
+    `faces_per_cell`, on each call; ``n_faces`` and the per-axis
+    ``face_counts`` are counted at construction.  The active cells'
+    multi-indices are derived from the mask when asked for, not stored.
     """
 
     def __init__(self, cells, extent, origin=None, mask=None):
@@ -289,42 +288,33 @@ class CartesianGrid:
         sl[axis] = slice(side, self.cells[axis] - 1 + side)
         return tuple(sl)
 
-    @functools.cached_property
-    def _faces(self):
-        """(face_lo, face_hi, face_axis): interior faces axis by axis, C order."""
-        idx = self.active_index
-        lo = np.empty(self.n_faces, dtype=idx.dtype)
-        hi = np.empty(self.n_faces, dtype=idx.dtype)
-        start = 0
-        for a, count in enumerate(self.face_counts):
-            a_lo, a_hi = idx[self._face_side(a, 0)], idx[self._face_side(a, 1)]
-            if count < a_lo.size:  # a masked brick: pairs of active cells only
-                keep = (a_lo >= 0) & (a_hi >= 0)
-                a_lo, a_hi = a_lo[keep], a_hi[keep]
-            lo[start : start + count].reshape(a_lo.shape)[...] = a_lo
-            hi[start : start + count].reshape(a_hi.shape)[...] = a_hi
-            start += count
-        axis = np.repeat(np.arange(self.dim, dtype=np.int8), self.face_counts)
-        return lo, hi, axis
+    def faces(self, axis: int):
+        """(lo, hi): active indices of the two cells of each interior face of axis.
 
-    @property
-    def face_lo(self) -> np.ndarray:
-        """(n_faces,) active index of each face's lower cell."""
-        return self._faces[0]
+        Faces are in C order over the brick one cell shorter along axis,
+        in `active_index`'s dtype.  On an unmasked brick they are its two
+        slices, flattened (views of it where the slice is contiguous, so
+        both are read-only); on a masked one only pairs of active cells
+        are kept.  Nothing is stored: each call reads the slices again.
+        """
+        lo = self.active_index[self._face_side(axis, 0)]
+        hi = self.active_index[self._face_side(axis, 1)]
+        if self.face_counts[axis] < lo.size:
+            keep = (lo >= 0) & (hi >= 0)
+            lo, hi = lo[keep], hi[keep]
+        lo, hi = lo.ravel(), hi.ravel()
+        lo.flags.writeable = hi.flags.writeable = False
+        return lo, hi
 
-    @property
-    def face_hi(self) -> np.ndarray:
-        """(n_faces,) active index of each face's upper cell."""
-        return self._faces[1]
-
-    @property
-    def face_axis(self) -> np.ndarray:
-        """(n_faces,) normal axis of each face."""
-        return self._faces[2]
-
-    def release_faces(self):
-        """Drop the cached face arrays; the next access rebuilds them."""
-        self.__dict__.pop("_faces", None)
+    def faces_per_cell(self) -> np.ndarray:
+        """(n_cells,) number of interior faces of each active cell, from the mask."""
+        count = np.zeros(self.cells, dtype=self.active_index.dtype)
+        for a in range(self.dim):
+            lower, upper = self._face_side(a, 0), self._face_side(a, 1)
+            pair = self.mask[lower] & self.mask[upper]
+            count[lower] += pair
+            count[upper] += pair
+        return count[self.mask]
 
     @property
     def cell_multi_index(self) -> np.ndarray:

@@ -30,6 +30,7 @@ import numpy as np
 from .assembly import (
     LumpedBlocks,
     MixedState,
+    _face_weights_by_axis,
     assemble_blocks,
     conservation_residual,
     graph_stokes_check,
@@ -114,13 +115,15 @@ def flux_field_error(
     r = np.linalg.norm(pts - center, axis=2)
     qr = eval_solution(sol, r.ravel())[1].reshape(r.shape)
     total = 0.0
+    start = 0
     for a in range(grid.dim):
         # normal flux density on each cell's lower and upper face of axis a
-        on = grid.face_axis == a
-        qn = state.qD[on] / grid.face_area[a]
+        lo, hi = grid.faces(a)
+        qn = state.qD[start : start + lo.size] / grid.face_area[a]
+        start += lo.size
         qn_dn, qn_up = np.zeros(grid.n_cells), np.zeros(grid.n_cells)
-        qn_dn[grid.face_hi[on]] = qn
-        qn_up[grid.face_lo[on]] = qn
+        qn_dn[hi] = qn
+        qn_up[lo] = qn
         xi = (pts[:, :, a] - centers[:, None, a]) / grid.spacing[a] + 0.5
         recon = (1.0 - xi) * qn_dn[:, None] + xi * qn_up[:, None]
         with np.errstate(invalid="ignore"):
@@ -237,11 +240,13 @@ def error_norms(
         err_qP = None
     else:
         dq = state.qD - ref_qD
-        wq = blocks.d_D * dq**2
+        faces = _face_weights_by_axis(grid, blocks.coeffs.kD)
+        wq = np.concatenate([d for _, _, d in faces]) * dq**2
         if grid.dim == 4:
-            perf = grid.face_axis == 3
-            err_qD = math.sqrt(float(wq[~perf].sum()))
-            err_qP = math.sqrt(float(wq[perf].sum()))
+            # the faces of the last axis, the perfusion faces, come last
+            perf = grid.n_faces - grid.face_counts[3]
+            err_qD = math.sqrt(float(wq[:perf].sum()))
+            err_qP = math.sqrt(float(wq[perf:].sum()))
         else:
             err_qD = math.sqrt(float(wq.sum()))
             err_qP = None
@@ -285,18 +290,15 @@ class CaseResult:
 def solve_case_mesh(spec: CaseSpec, m: int, solver: SolverConfig):
     """Assemble and solve one mesh of a case; returns (blocks, state, report, b).
 
-    A and b are assembled from transmissibilities, so G and d do not
-    exist before the solve; the sources r and the grid's face arrays,
-    which `schur_tpfa` reads, are released once A, b and the kernel
-    exist (`LumpedBlocks.release`).  `recover_fluxes` and the checks
-    after the solve derive G, d and r on first use, bit for bit.
+    Every step reads the grid's faces, the support rows and the
+    incidence held by the blocks and forms G and d nowhere, so the solve
+    holds only A, b and the kernel beyond the blocks' inputs.
     """
     grid = spec.grid(m)
     coeffs = spec.coefficients(grid)
     blocks = assemble_blocks(grid, spec.forest, coeffs)
     A, b = schur_tpfa(blocks)
     kernel = pressure_kernel(blocks, A)
-    blocks.release()
     x, report = solve_pressure(A, b, solver, kernel=kernel)
     state = recover_fluxes(blocks, x)
     return blocks, state, report, b
@@ -348,8 +350,6 @@ def run_case(
                 )
         fine_solver = replace(solver, tol=min(solver.tol, 1e-10))
         fb, fstate, freport, _ = solve_case_mesh(spec, resolution, fine_solver)
-        # the error norms read only its grid sizes, support rows and state
-        fb.release()
         reference = FineReference(blocks=fb, state=fstate, report=freport)
         reference_report = freport
     elif kind != "none":

@@ -4,11 +4,14 @@ The mixed lumped system is rebuilt here from basis principles (trapezoid
 lumping of the lowest-order face-element mass matrix, divergence from
 the flux of each basis function, piecewise-constant coupling integrals)
 and reduced by dense linear algebra, without reusing any assembly code
-paths from the package.  The CSR G is also built as three blocks
-joined by sp.vstack, which the assembly's in-place fill of G's arrays
-must match bit for bit, and the pressure system as the sparse product
-G' D^{-1} G, which the assembly's fill from transmissibilities must
-match bit for bit, its kernel reading the rooted unknowns from G 1.
+paths from the package.  The interior faces are listed by a scan of
+the brick with np.take, and the CSR G is built from them as three
+blocks joined by sp.vstack.  With d in the gathered form, every
+consumer of (G, d, lift) is kept here as its sparse product: the
+pressure system G' D^{-1} G, its kernel read from the rows where
+G 1 != 0, the fluxes -(G p + lift) / d and the balances -(G' q + r) and
+(G 1)' q + sum(r), which the assembly's G-free forms must match bit
+for bit.
 The greedy pairwise matching is kept here as
 the plain two-loop scan in natural order that the solver's vectorised
 matching must reproduce exactly, the strength graph as the
@@ -50,13 +53,13 @@ def lumped_mixed_dense(grid, forest, coeffs):
     # normal component 1/|f| at its own face and 0 at the opposite one,
     # varying linearly; the two-point trapezoid rule along the normal
     # axis makes the element mass diagonal.
-    nf = grid.n_faces
+    face_lo, face_hi, face_axis = (f.tolist() for f in face_arrays(grid))
+    nf = len(face_lo)
     D_faces = np.zeros(nf)
     for i in range(nf):
-        a = grid.face_axis[i]
+        a = face_axis[i]
         area = grid.face_area[a]
-        h = grid.spacing[a]
-        for cell in (grid.face_lo[i], grid.face_hi[i]):
+        for cell in (face_lo[i], face_hi[i]):
             k = coeffs.kD[cell, a]
             phi_own, phi_opp = 1.0 / area, 0.0
             D_faces[i] += (grid.cell_volume / 2.0) / k * phi_own**2
@@ -83,8 +86,8 @@ def lumped_mixed_dense(grid, forest, coeffs):
     for i in range(nf):
         # divergence of the face basis is +-1/vol; pairing with the cell
         # indicator gives -+1 after the sign in the weak form
-        G[i, grid.face_lo[i]] = -1.0
-        G[i, grid.face_hi[i]] = 1.0
+        G[i, face_lo[i]] = -1.0
+        G[i, face_hi[i]] = 1.0
     for j, (cell, ncol, m) in enumerate(sup_rows):
         G[nf + j, cell] = m
         G[nf + j, ncol] = -m
@@ -103,6 +106,24 @@ def lumped_mixed_dense(grid, forest, coeffs):
     }
     free_cols = [j for j in range(n_p) if j not in dirichlet]
     return D, G, r_full, free_cols, dirichlet
+
+
+def face_arrays(grid):
+    """(lo, hi, axis) of every interior face, axis by axis, lower cells in C order.
+
+    Each axis's candidate pairs are the brick's cells below and above
+    along it, taken with np.take; pairs with an inactive cell are dropped.
+    """
+    idx = grid.active_index
+    lo, hi, axis = [], [], []
+    for a, n in enumerate(grid.cells):
+        below = np.take(idx, np.arange(n - 1), axis=a).ravel()
+        above = np.take(idx, np.arange(1, n), axis=a).ravel()
+        keep = (below >= 0) & (above >= 0)
+        lo.append(below[keep])
+        hi.append(above[keep])
+        axis.append(np.full(np.count_nonzero(keep), a))
+    return tuple(np.concatenate(f) for f in (lo, hi, axis))
 
 
 def _pair_rows(col_a, col_b, val_a, val_b, n_cols):
@@ -125,7 +146,7 @@ def stacked_pair_G(grid, forest, coeffs):
     empty cell block.
     """
     nc = grid.n_cells
-    lo, hi = grid.face_lo, grid.face_hi
+    lo, hi, _ = face_arrays(grid)
     inc = incidence(forest)
     n = nc + len(inc.node_ids)
     col = {nid: j for j, nid in enumerate(inc.node_ids)}
@@ -142,18 +163,40 @@ def stacked_pair_G(grid, forest, coeffs):
     )
 
 
+def product_form(blocks):
+    """(G, d, lift, r) of the blocks' grid, forest and coefficients, built here.
+
+    G is `stacked_pair_G`; d takes each face's two half-cell weights
+    d_f / (k |f|) gathered over all faces at once, vol on support rows
+    and 1/k on edges; lift is minus each edge's Dirichlet value, zero
+    on the other rows.
+    """
+    grid, forest, coeffs = blocks.grid, blocks.forest, blocks.coeffs
+    G = stacked_pair_G(grid, forest, coeffs)
+    lo, hi, ax = face_arrays(grid)
+    half, area = 0.5 * grid.spacing[ax], grid.face_area[ax]
+    d_D = half / (coeffs.kD[lo, ax] * area) + half / (coeffs.kD[hi, ax] * area)
+    inc = incidence(forest)
+    n_sup = coeffs.supports.cell_idx.size
+    d = np.concatenate([d_D, np.full(n_sup, grid.cell_volume), 1 / inc.edge_k])
+    lift = np.concatenate([np.zeros(lo.size + n_sup), -inc.dirichlet])
+    rN = [coeffs.rN.get(nid, 0.0) for nid in inc.node_ids]
+    r = np.concatenate([coeffs.rD * grid.cell_volume, rN])
+    return G, d, lift, r
+
+
 def product_schur(blocks):
     """(A, b) as the sparse products A = G' D^{-1} G and b = r - G' D^{-1} lift."""
-    G, d = blocks.G, blocks.d
+    G, d, lift, r = product_form(blocks)
     A = (G.T @ (sp.diags(1.0 / d) @ G)).tocsr()
     A.sort_indices()
-    b = blocks.r - G.T @ (blocks.lift / d)
+    b = r - G.T @ (lift / d)
     return A, b
 
 
 def product_kernel(blocks, A):
     """The pressure kernel with the rooted unknowns read off the rows where G 1 != 0."""
-    G = blocks.G
+    G = stacked_pair_G(blocks.grid, blocks.forest, blocks.coeffs)
     n_comp, labels = connected_components(A, directed=True, connection="strong")
     singular = np.ones(n_comp, dtype=bool)
     singular[labels[G[G @ np.ones(G.shape[1]) != 0].indices]] = False

@@ -6,8 +6,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from mdflow.assembly import (
+    _face_weights_by_axis,
     assemble_blocks,
     conservation_residual,
     export_state_csv,
@@ -32,13 +34,15 @@ from mdflow.geometry import (
     terminal,
 )
 from mdflow.model import CoefficientField, case1, case2
+from mdflow.solver import SolverConfig, solve_pressure
 
 from oracles import (
+    face_arrays,
     lumped_mixed_dense,
     lumped_rt0_schur_dense,
+    product_form,
     product_kernel,
     product_schur,
-    stacked_pair_G,
 )
 
 sys.path.insert(0, str(Path(__file__).parents[1] / "perfbench"))
@@ -90,8 +94,8 @@ class TestFaceWeight:
         g = unit_square(3)
         # 3x3 grid: 2*3 interior faces per axis
         assert g.n_faces == 12
-        blocks = assemble_blocks(g, NO_NETWORK, plain_coeffs(g))
-        assert blocks.d_D.shape == (12,)
+        M, _ = mixed_matrix(assemble_blocks(g, NO_NETWORK, plain_coeffs(g)))
+        assert M.shape == (12 + g.n_cells,) * 2
 
 
 class TestSchurStructure:
@@ -319,6 +323,8 @@ class TestMixedOperatorMaskedForest:
 
 
 class TestOneAllocationG:
+    # G is formed in one place, `mixed_matrix`, which must equal the
+    # saddle-point matrix of the stacked blocks and the gathered d
     @pytest.mark.parametrize("case", ["case1a", "case1b", "case2", "masked_two_trees"])
     def test_equals_the_stacked_blocks_bitwise(self, case):
         if case == "masked_two_trees":
@@ -328,21 +334,26 @@ class TestOneAllocationG:
                        "case2": (case2(), 16)}[case]
             grid, forest = spec.grid(m), spec.forest
             coeffs = spec.coefficients(grid)
-        G = assemble_blocks(grid, forest, coeffs).G
-        expected = stacked_pair_G(grid, forest, coeffs)
-        assert G.shape == expected.shape
+        blocks = assemble_blocks(grid, forest, coeffs)
+        M, rhs = mixed_matrix(blocks)
+        G, d, lift, r = product_form(blocks)
+        expected = sp.bmat([[sp.diags(d), G], [G.T, None]], format="csr")
+        assert M.shape == expected.shape
+        for A in (M, expected):
+            A.sort_indices()
         for name in ("indptr", "indices", "data"):
-            got, want = getattr(G, name), getattr(expected, name)
+            got, want = getattr(M, name), getattr(expected, name)
             assert got.dtype == want.dtype, name
             assert got.tobytes() == want.tobytes(), name
+        assert rhs.tobytes() == (-np.concatenate([lift, r])).tobytes()
 
     def test_lift_is_zero_off_the_edge_rows(self):
         grid, forest, coeffs = two_tree_masked_case()
         blocks = assemble_blocks(grid, forest, coeffs)
-        assert blocks.lift.shape == blocks.d.shape
-        n_edges = len(forest.edges)
-        assert not np.any(blocks.lift[:-n_edges])
-        assert blocks.lift[-n_edges:].tobytes() == blocks.lift_N.tobytes()
+        _, rhs = mixed_matrix(blocks)
+        n_edges, n_flux = len(forest.edges), rhs.size - blocks.n_unknowns
+        assert not np.any(rhs[: n_flux - n_edges])
+        assert rhs[n_flux - n_edges : n_flux].tobytes() == (-blocks.lift_N).tobytes()
         assert np.count_nonzero(blocks.lift_N) == 1  # only the root edge row
 
 
@@ -398,8 +409,7 @@ class TestTransmissibilityAssembly:
         grid, forest, coeffs = ASSEMBLY_CASES[case]()
         blocks = assemble_blocks(grid, forest, coeffs)
         A, b = schur_tpfa(blocks)
-        assert not {"G", "d"} & blocks.__dict__.keys()
-        A_want, b_want = product_schur(assemble_blocks(grid, forest, coeffs))
+        A_want, b_want = product_schur(blocks)
         assert A.shape == A_want.shape
         for name in ("indptr", "indices", "data"):
             got, want = getattr(A, name), getattr(A_want, name)
@@ -422,55 +432,58 @@ class TestTransmissibilityAssembly:
         blocks = assemble_blocks(grid, forest, coeffs)
         A, _ = schur_tpfa(blocks)
         K = pressure_kernel(blocks, A)
-        assert "G" not in blocks.__dict__
         want = product_kernel(blocks, A)
         assert K is not None and K.shape == want.shape
         assert K.tobytes() == want.tobytes()
 
 
-FACE_ARRAYS = ("face_lo", "face_hi", "face_axis")
-
-
-class TestReleasedBlocks:
-    @pytest.mark.parametrize("case", ["case1a", "case2", "masked_two_trees"])
-    def test_rebuilt_bitwise_after_release(self, case):
-        # the pressure system is assembled without G and d; they, r and
-        # the grid's face arrays are derived on first use, release drops
-        # all of them, and each is rebuilt, bit for bit, on access
-        if case == "masked_two_trees":
-            grid, forest, coeffs = two_tree_masked_case()
-        else:
-            spec, m = {"case1a": (case1("A"), 16), "case2": (case2(), 8)}[case]
-            grid, forest = spec.grid(m), spec.forest
-            coeffs = spec.coefficients(grid)
+class TestAfterTheSolve:
+    @pytest.mark.parametrize("pressure", ["solved", "zero", "repeated"])
+    @pytest.mark.parametrize("case", list(ASSEMBLY_CASES))
+    def test_fluxes_and_balances_equal_the_product_form_bitwise(self, case, pressure):
+        # q = -(G p + lift) / d, -(G' q + r) and (G 1)' q + sum(r) without
+        # G; repeated values and signed zeros in p make the rows' zero
+        # pressure drops, and the sign each zero takes, show in the bits
+        grid, forest, coeffs = ASSEMBLY_CASES[case]()
         blocks = assemble_blocks(grid, forest, coeffs)
-        schur_tpfa(blocks)
-        assert not {"G", "d"} & blocks.__dict__.keys()
-        G, d, r = blocks.G, blocks.d, blocks.r
-        faces = [getattr(grid, name) for name in FACE_ARRAYS]
-        blocks.release()
-        assert not {"G", "d", "r"} & blocks.__dict__.keys()
-        assert "_faces" not in grid.__dict__
-        n_faces = grid.n_faces
-        assert blocks.G is not G and blocks.G.shape == G.shape
-        assert blocks.r is not r
-        pairs = [(getattr(blocks.G, name), getattr(G, name))
-                 for name in ("indptr", "indices", "data")]
-        pairs += [(blocks.d, d), (blocks.r, r)]
-        pairs += [(getattr(grid, name), want) for name, want in zip(FACE_ARRAYS, faces)]
-        assert grid.face_lo is not faces[0] and grid.n_faces == n_faces
-        for got, want in pairs:
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        held = set(vars(blocks)), set(vars(grid))
+        n = blocks.n_unknowns
+        if pressure == "solved":
+            A, b = schur_tpfa(blocks)
+            K = pressure_kernel(blocks, A)
+            if K is not None:  # a floating component's sources need not balance
+                b -= K @ (K.T @ b)
+            p, _ = solve_pressure(A, b, SolverConfig(), kernel=K)
+        elif pressure == "zero":
+            p = np.zeros(n)
+        else:
+            p = np.random.default_rng(2).choice([-0.0, 0.0, 0.5, -1.25], size=n)
+        state = recover_fluxes(blocks, p)
+        G, d, lift, r = product_form(blocks)
+        q = -(G @ p + lift) / d
+        assert state.q.tobytes() == q.tobytes()
+        assert state.pD.tobytes() + state.pN.tobytes() == p.tobytes()
+        res_c, res_n = conservation_residual(blocks, state)
+        want = -(G.T @ q + r)
+        assert np.concatenate([res_c, res_n]).tobytes() == want.tobytes()
+        want = abs(float((G @ np.ones(n)) @ q + r.sum()))
+        assert np.float64(graph_stokes_check(blocks, state)).tobytes() == \
+            np.float64(want).tobytes()
+        # nothing is cached on the blocks or the grid along the way
+        assert (set(vars(blocks)), set(vars(grid))) == held
 
     def test_face_weights_by_axis_equal_the_gathered_form(self):
-        # d_D is built one axis of faces at a time, with the same bits
+        # d_D is built one axis of faces at a time, each read from
+        # `faces`, with the same bits as the gathered form
         spec = case2()
         grid = spec.grid(8)
-        blocks = assemble_blocks(grid, spec.forest, spec.coefficients(grid))
-        lo, hi, ax = grid.face_lo, grid.face_hi, grid.face_axis
-        kD = blocks.coeffs.kD
+        kD = spec.coefficients(grid).kD
+        lo, hi, d = map(np.concatenate, zip(*_face_weights_by_axis(grid, kD)))
+        ax = np.repeat(np.arange(grid.dim), grid.face_counts)
         want = face_weight(grid, ax, kD[lo, ax]) + face_weight(grid, ax, kD[hi, ax])
-        assert blocks.d_D.tobytes() == want.tobytes()
+        assert d.tobytes() == want.tobytes()
+        for got, want in zip((lo, hi, ax), face_arrays(grid)):
+            assert np.array_equal(got, want)
 
 
 class TestRecoverFluxes:
@@ -490,8 +503,10 @@ class TestRecoverFluxes:
         state = recover_fluxes(blocks, p)
         # face flux is transmissibility times the pressure drop
         i = 5
-        lo, hi = blocks.grid.face_lo[i], blocks.grid.face_hi[i]
-        assert state.qD[i] == pytest.approx((p[lo] - p[hi]) / blocks.d_D[i])
+        lo, hi = (int(cells[i]) for cells in grid.faces(0))
+        kD = blocks.coeffs.kD
+        d = face_weight(grid, 0, kD[lo, 0]) + face_weight(grid, 0, kD[hi, 0])
+        assert state.qD[i] == pytest.approx((p[lo] - p[hi]) / d)
         # edge flux reinserts the Dirichlet root value
         root_val = spec.forest.nodes[0].value
         pN1 = p[blocks.n_cells + blocks.free_node_ids.index(1)]
@@ -597,10 +612,11 @@ class TestExports:
         assert same(cells[:, 0], np.arange(grid.n_cells))
         assert same(cells[:, 1:3], grid.cell_centers())
         assert same(cells[:, 3], state.pD)
+        face_lo, face_hi, face_axis = face_arrays(grid)
         assert same(faces[:, 0], np.arange(grid.n_faces))
-        assert same(faces[:, 1], grid.face_axis)
-        assert same(faces[:, 2], grid.face_lo)
-        assert same(faces[:, 3], grid.face_hi)
+        assert same(faces[:, 1], face_axis)
+        assert same(faces[:, 2], face_lo)
+        assert same(faces[:, 3], face_hi)
         assert same(faces[:, 4], state.qD)
         assert same(nodes[:, 0], blocks.free_node_ids)
         assert same(nodes[:, 1], state.pN)

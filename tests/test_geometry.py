@@ -28,7 +28,7 @@ from mdflow.geometry import (
 )
 from mdflow.model import CaseSpec, case1, case2
 
-from oracles import taper_cell_average, terminal_support
+from oracles import face_arrays, taper_cell_average, terminal_support
 
 sys.path.insert(0, str(Path(__file__).parents[1] / "perfbench"))
 import forest_gen  # noqa: E402
@@ -260,11 +260,30 @@ class TestCartesianGrid:
             mask[2:4, :, 1] = False
         g = CartesianGrid(mask.shape, extent=(1, 1, 1), mask=mask)
         assert g.active_index.dtype == np.int32
-        assert g.face_lo.dtype == g.face_hi.dtype == np.int32
-        assert g.face_axis.dtype == np.int8
+        for a in range(g.dim):
+            lo, hi = g.faces(a)
+            assert lo.dtype == hi.dtype == np.int32
         assert g.active_index[~mask].tolist() == [-1] * int((~mask).sum())
         assert g.active_index[mask].tolist() == list(range(g.n_cells))
         assert np.array_equal(g.cell_multi_index, np.argwhere(mask))
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_faces_are_the_active_pairs_and_not_stored(self, masked):
+        mask = np.ones((5, 4, 3), dtype=bool)
+        if masked:
+            mask[1:3, 2, :] = False
+        g = CartesianGrid(mask.shape, extent=(1, 1, 1), mask=mask)
+        state = dict(vars(g))
+        lo, hi, axis = face_arrays(g)
+        for a in range(g.dim):
+            on = axis == a
+            got = g.faces(a)
+            assert got[0].size == g.face_counts[a]
+            assert not (got[0].flags.writeable or got[1].flags.writeable)
+            assert np.array_equal(got[0], lo[on]) and np.array_equal(got[1], hi[on])
+        count = np.bincount(np.concatenate([lo, hi]), minlength=g.n_cells)
+        assert np.array_equal(g.faces_per_cell(), count)
+        assert vars(g).keys() == state.keys()
 
     def test_index_dtype_widens_past_int32(self):
         # decided on the count alone: nothing of that size is allocated
