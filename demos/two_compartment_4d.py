@@ -26,9 +26,9 @@ for var, label in (("pD", "pressure"), ("qP", "perfusion flux")):
 # look at the perfusion pattern on one mesh: net flow crosses from the
 # arterial to the venous compartment
 blocks, state, report, _ = solve_case_mesh(spec, 8, SolverConfig(tol=1e-10))
-lower, _ = blocks.grid.faces(3)  # perfusion faces, the last axis's, come last
-q_perf = state.qD[-lower.size :]
-print(f"\nperfusion faces: {lower.size}, net arterial->venous flow "
+n_perf = blocks.grid.face_counts[3]  # perfusion faces, the last axis's, come last
+q_perf = state.qD[-n_perf:]
+print(f"\nperfusion faces: {n_perf}, net arterial->venous flow "
       f"{q_perf.sum():+.4e}")
 print(f"root-edge flows (arterial in, venous out): "
       f"{state.qN[0]:+.4e}, {state.qN[3]:+.4e}")

@@ -28,15 +28,16 @@ reach a root, so lift is zero on every face and support row and only
 its edge rows are stored.
 
 Every row of G has a closed form, so no consumer forms G: each reads
-the grid's faces axis by axis (`CartesianGrid.faces`), the support
-table's rows and the incidence E.  `schur_tpfa` sums each row's
-transmissibility (1/d_f of an interior face, ((1/vol) m) m of a support
-row with m = ks vol, 1/(1/k) of an edge) into A and b; `recover_fluxes`
-takes each row's pressure drop over its weight; the balance checks
-scatter each row's flux to its unknowns.  Each does the product form's
-floating-point operations in its order, so each equals it bit for bit.
-Only `mixed_matrix`, which returns the whole saddle-point system, forms
-G and d.
+the faces axis by axis on the grid's brick (`CartesianGrid.sides`; a
+face that touches an inactive cell, where k = 1 stands in, adds +0.0),
+the support table's rows and the incidence E.  `schur_tpfa` sums each
+row's transmissibility (1/d_f of an interior face, ((1/vol) m) m of a
+support row with m = ks vol, 1/(1/k) of an edge) into A and b;
+`recover_fluxes` takes each row's pressure drop over its weight; the
+balance checks scatter each row's flux to its unknowns.  Each does the
+product form's floating-point operations in its order, so each equals
+it bit for bit.  Only `mixed_matrix`, which returns the whole
+saddle-point system, forms G and d.
 """
 
 from __future__ import annotations
@@ -68,16 +69,16 @@ def face_weight(grid: CartesianGrid, axis, k_axis):
 
 
 def _face_weights_by_axis(grid: CartesianGrid, kD):
-    """(lo, hi, d) of each axis in turn: its faces' cells and total weights.
+    """(axis, w) of each axis in turn, w the axis's face slab of total weights.
 
-    The face rows of d, one axis at a time, computed with that axis's
-    spacing and area as scalars.
+    Computed with the axis's spacing and area as scalars from kD's brick,
+    where inactive cells take k = 1; w's interior entries are the axis's rows of d.
     """
     for a in range(grid.dim):
-        lo, hi = grid.faces(a)
-        d = face_weight(grid, a, kD[lo, a])
-        d += face_weight(grid, a, kD[hi, a])
-        yield lo, hi, d
+        lower, upper = grid.sides(grid.spread(kD[:, a], fill=1.0), a)
+        d = face_weight(grid, a, lower)
+        d += face_weight(grid, a, upper)
+        yield a, d
 
 
 @dataclass
@@ -224,7 +225,11 @@ def schur_tpfa(blocks: LumpedBlocks):
     nnz = nc + 2 * (grid.n_faces + ns + pair.size) + (n - nc)
     index = index_dtype(max(nnz, n))
     indptr = np.zeros(n + 1, dtype=index)
-    indptr[1 : nc + 1] = grid.faces_per_cell()
+    count = grid.spread(indptr[1 : nc + 1])  # interior faces, from the mask
+    for a in range(grid.dim):
+        for side in grid.sides(count, a):
+            side += grid.face_mask(a)
+    indptr[1 : nc + 1] = grid.gather(count)
     indptr[1 : nc + 1] += n_sup + 1
     indptr[nc + 1 :] = np.bincount(node_rows, minlength=n - nc)
     np.cumsum(indptr, out=indptr)
@@ -232,37 +237,43 @@ def schur_tpfa(blocks: LumpedBlocks):
     data = np.empty(nnz)
     diag = np.zeros(n)
 
-    # faces, axis by axis: lower neighbours fill from the row's start
-    # forwards and upper neighbours from its terminals backwards, so
-    # both runs come out in ascending column order
-    below = indptr[:nc].copy()
-    above = indptr[1 : nc + 1].copy()
-    above -= n_sup
-    for lo, hi, t in _face_weights_by_axis(grid, blocks.coeffs.kD):
+    # faces, axis by axis, on bricks: lower neighbours fill from the
+    # row's start forwards and upper neighbours from its terminals
+    # backwards, so both runs come out in ascending column order
+    cell_diag = grid.spread(diag[:nc])
+    below = grid.spread(indptr[:nc].copy())
+    above = grid.spread(np.subtract(indptr[1 : nc + 1], n_sup, dtype=index))
+    for a, t in _face_weights_by_axis(grid, blocks.coeffs.kD):
         if np.any(t <= 0):
             raise ValueError("zero or negative diagonal flux weight")
         np.divide(1.0, t, out=t)
-        diag[hi] += t
-        diag[lo] += t
+        inner = grid.face_mask(a)
+        t *= inner
+        for side in grid.sides(cell_diag, a)[::-1]:  # as upper cell first
+            side += t
         np.negative(t, out=t)
-        at = below[hi]
-        indices[at] = lo
+        t = grid.gather(t, a)
+        lo, hi = grid.sides(grid.active_index, a)
+        lower, upper = grid.sides(below, a)
+        at = grid.gather(upper, a)
+        indices[at] = grid.gather(lo, a)
         data[at] = t
-        at += 1
-        below[hi] = at
-        at = above[lo]
-        at -= 1
-        above[lo] = at
-        indices[at] = hi
+        upper += inner
+        lower, upper = grid.sides(above, a)
+        lower -= inner
+        at = grid.gather(lower, a)
+        indices[at] = grid.gather(hi, a)
         data[at] = t
-        del lo, hi, at, t
+        del at, t
+    diag[:nc] = grid.gather(cell_diag)
 
     np.add.at(diag, sup_cell, s)
     np.add.at(diag, nc + sup_node, s)
     np.add.at(diag, nc + E.indices, np.repeat(t_N, n_ends))
-    indices[below] = np.arange(nc, dtype=index)
-    data[below] = diag[:nc]
-    del below, above
+    at = grid.gather(below)
+    indices[at] = np.arange(nc, dtype=index)
+    data[at] = diag[:nc]
+    del below, above, at
 
     order = np.lexsort((sup_node, sup_cell))
     cells = sup_cell[order]
@@ -325,15 +336,15 @@ def recover_fluxes(blocks: LumpedBlocks, pressures: np.ndarray) -> MixedState:
         )
     grid = blocks.grid
     pD, pN = p[: blocks.n_cells], p[blocks.n_cells :]
+    brick = grid.spread(pD)
     qD = np.empty(grid.n_faces)
-    start = 0
-    for lo, hi, d in _face_weights_by_axis(grid, blocks.coeffs.kD):
-        q = qD[start : start + d.size]
-        start += d.size
-        np.subtract(pD[hi], pD[lo], out=q)
+    parts = np.split(qD, np.cumsum(grid.face_counts)[:-1])
+    for a, d in _face_weights_by_axis(grid, blocks.coeffs.kD):
+        q = np.diff(brick, axis=a)
         q += 0.0  # lift
         np.negative(q, out=q)
         q /= d
+        parts[a][:] = grid.gather(q, a)
     m = blocks.sup_ks * grid.cell_volume
     qS = m * pD[blocks.sup_cell]
     qS -= m * pN[blocks.sup_node]
@@ -359,13 +370,12 @@ def conservation_residual(blocks: LumpedBlocks, state: MixedState):
     nc = blocks.n_cells
     res = np.zeros(blocks.n_unknowns)
     cells, nodes = res[:nc], res[nc:]
-    start = 0
-    for a in range(grid.dim):
-        lo, hi = grid.faces(a)
-        q = state.qD[start : start + lo.size]
-        start += lo.size
-        cells[hi] += q
-        cells[lo] -= q
+    brick = grid.spread(cells)
+    for a, q in enumerate(grid.face_slabs(state.qD)):
+        lower, upper = grid.sides(brick, a)
+        upper += q
+        lower -= q
+    cells[:] = grid.gather(brick)
     mq = (blocks.sup_ks * grid.cell_volume) * state.qS
     np.add.at(cells, blocks.sup_cell, mq)
     np.subtract.at(nodes, blocks.sup_node, mq)
@@ -399,8 +409,9 @@ def mixed_matrix(blocks: LumpedBlocks):
     """
     grid, E = blocks.grid, blocks.E
     nc, n = blocks.n_cells, blocks.n_unknowns
+    lo, hi = map(np.concatenate, zip(*map(grid.faces, range(grid.dim))))
     faces = _face_weights_by_axis(grid, blocks.coeffs.kD)
-    lo, hi, d_D = map(np.concatenate, zip(*faces))
+    d_D = np.concatenate([grid.gather(d, a) for a, d in faces])
     m = blocks.sup_ks * grid.cell_volume
     cols = np.concatenate([np.column_stack([lo, hi]),
                            np.column_stack([blocks.sup_cell, nc + blocks.sup_node])])

@@ -226,13 +226,14 @@ class CartesianGrid:
     (interior faces, the flux unknowns) and on the boundary of the
     active region (zero-Neumann faces, eliminated from the system).
 
-    ``active_index`` (the brick's active numbering, -1 off the mask) is
-    int32 whenever the brick's cell count fits (`index_dtype`), int64
-    above 2^31 - 1.  The interior faces of one axis are read from it by
-    `faces`, and each cell's count of them from the mask by
-    `faces_per_cell`, on each call; ``n_faces`` and the per-axis
-    ``face_counts`` are counted at construction.  The active cells'
-    multi-indices are derived from the mask when asked for, not stored.
+    ``active_index`` (the brick's active numbering, -1 off the mask,
+    read-only) is int32 whenever the brick's cell count fits
+    (`index_dtype`), int64 above 2^31 - 1.  The faces of axis a are the
+    entries of its face slab, the brick one cell shorter along a, between
+    the two `sides` of a brick array; the interior ones (`face_mask`)
+    join two active cells and are counted at construction.  `spread` and
+    `gather` move cell and face values, flat in C order, to and from
+    bricks; `faces` reads the slabs of ``active_index`` on each call.
     """
 
     def __init__(self, cells, extent, origin=None, mask=None):
@@ -269,52 +270,52 @@ class CartesianGrid:
             raise ValueError("grid has no active cells")
         self.active_index = np.full(self.cells, -1, dtype=dtype)
         self.active_index[self.mask] = np.arange(self.n_cells, dtype=dtype)
+        self.active_index.flags.writeable = False
 
         self._centers = None
         self.cell_volume = float(np.prod(self.spacing))
         self.face_area = self.cell_volume / self.spacing  # per axis
 
-        # interior faces per axis: pairs of axis-adjacent active cells
         self.face_counts = tuple(
-            int(np.count_nonzero(self.mask[self._face_side(a, 0)]
-                                 & self.mask[self._face_side(a, 1)]))
-            for a in range(self.dim)
+            int(np.count_nonzero(self.face_mask(a))) for a in range(self.dim)
         )
         self.n_faces = sum(self.face_counts)
 
-    def _face_side(self, axis: int, side: int):
-        """Brick slice of the cells on one side (0 lower, 1 upper) of axis faces."""
-        sl = [slice(None)] * self.dim
-        sl[axis] = slice(side, self.cells[axis] - 1 + side)
-        return tuple(sl)
+    def sides(self, brick, axis: int):
+        """(lower, upper): views of a brick array on the two sides of axis's faces."""
+        along = brick.swapaxes(0, axis)
+        return along[:-1].swapaxes(0, axis), along[1:].swapaxes(0, axis)
+
+    def face_mask(self, axis=None) -> np.ndarray:
+        """Axis's face slab, True on interior faces; the cell mask for axis None."""
+        return self.mask if axis is None else np.logical_and(*self.sides(self.mask, axis))
+
+    def spread(self, values, axis=None, fill=0.0) -> np.ndarray:
+        """Active-cell values (axis None) or axis's interior-face values on their brick.
+
+        Entries without a value take ``fill``; where all have one, this is
+        a reshape, a view where it can be.
+        """
+        mask = self.face_mask(axis)
+        if np.size(values) == mask.size:
+            return np.reshape(values, mask.shape)
+        out = np.full(mask.shape, fill, dtype=np.result_type(values))
+        out[mask] = values
+        return out
+
+    def gather(self, brick, axis=None) -> np.ndarray:
+        """Inverse of `spread`: the active-cell or interior-face entries, flat."""
+        count = self.n_cells if axis is None else self.face_counts[axis]
+        return brick.ravel() if count == brick.size else brick[self.face_mask(axis)]
+
+    def face_slabs(self, values):
+        """Each axis's face slab of a face vector (axis by axis, as `face_counts`)."""
+        parts = np.split(values, np.cumsum(self.face_counts)[:-1])
+        return [self.spread(part, a) for a, part in enumerate(parts)]
 
     def faces(self, axis: int):
-        """(lo, hi): active indices of the two cells of each interior face of axis.
-
-        Faces are in C order over the brick one cell shorter along axis,
-        in `active_index`'s dtype.  On an unmasked brick they are its two
-        slices, flattened (views of it where the slice is contiguous, so
-        both are read-only); on a masked one only pairs of active cells
-        are kept.  Nothing is stored: each call reads the slices again.
-        """
-        lo = self.active_index[self._face_side(axis, 0)]
-        hi = self.active_index[self._face_side(axis, 1)]
-        if self.face_counts[axis] < lo.size:
-            keep = (lo >= 0) & (hi >= 0)
-            lo, hi = lo[keep], hi[keep]
-        lo, hi = lo.ravel(), hi.ravel()
-        lo.flags.writeable = hi.flags.writeable = False
-        return lo, hi
-
-    def faces_per_cell(self) -> np.ndarray:
-        """(n_cells,) number of interior faces of each active cell, from the mask."""
-        count = np.zeros(self.cells, dtype=self.active_index.dtype)
-        for a in range(self.dim):
-            lower, upper = self._face_side(a, 0), self._face_side(a, 1)
-            pair = self.mask[lower] & self.mask[upper]
-            count[lower] += pair
-            count[upper] += pair
-        return count[self.mask]
+        """(lo, hi): active indices of the cells of axis's interior faces, in its dtype."""
+        return tuple(self.gather(s, axis) for s in self.sides(self.active_index, axis))
 
     @property
     def cell_multi_index(self) -> np.ndarray:

@@ -115,15 +115,10 @@ def flux_field_error(
     r = np.linalg.norm(pts - center, axis=2)
     qr = eval_solution(sol, r.ravel())[1].reshape(r.shape)
     total = 0.0
-    start = 0
-    for a in range(grid.dim):
-        # normal flux density on each cell's lower and upper face of axis a
-        lo, hi = grid.faces(a)
-        qn = state.qD[start : start + lo.size] / grid.face_area[a]
-        start += lo.size
-        qn_dn, qn_up = np.zeros(grid.n_cells), np.zeros(grid.n_cells)
-        qn_dn[hi] = qn
-        qn_up[lo] = qn
+    for a, q in enumerate(grid.face_slabs(state.qD)):
+        # normal flux density on each cell's lower and upper face of axis a, 0 on walls
+        qn = q / grid.face_area[a]
+        qn_dn, qn_up = (grid.gather(np.insert(qn, i, 0.0, axis=a)) for i in (0, qn.shape[a]))
         xi = (pts[:, :, a] - centers[:, None, a]) / grid.spacing[a] + 0.5
         recon = (1.0 - xi) * qn_dn[:, None] + xi * qn_up[:, None]
         with np.errstate(invalid="ignore"):
@@ -171,22 +166,17 @@ def restrict_cellwise(fine: CartesianGrid, coarse: CartesianGrid, values):
 def restrict_face_flux(fine: CartesianGrid, coarse: CartesianGrid, q_fine):
     """Sum fine face-integrated fluxes across each coarse interior face.
 
-    The faces of axis a are the interior faces of an unmasked grid in C
-    order over a brick one cell shorter along a; the coarse faces are
-    every ratio[a]-th plane of them, summed in blocks along the others.
+    The fine faces of axis a fill its face slab (`CartesianGrid.face_slabs`);
+    the coarse faces are every ratio[a]-th plane of it, summed in blocks
+    along the other axes.
     """
     ratio = _grid_ratio(fine, coarse)
-    out, start = [], 0
-    for a in range(fine.dim):
-        shape = list(fine.cells)
-        shape[a] -= 1
-        q = q_fine[start : start + math.prod(shape)].reshape(shape)
-        start += q.size
-        planes = [slice(None)] * fine.dim
-        planes[a] = slice(ratio[a] - 1, None, ratio[a])
+    out = []
+    for a, q in enumerate(fine.face_slabs(q_fine)):
+        planes = q.take(np.arange(ratio[a] - 1, q.shape[a], ratio[a]), axis=a)
         across = ratio.copy()
         across[a] = 1
-        out.append(_block_sum(q[tuple(planes)], across))
+        out.append(_block_sum(planes, across))
     return np.concatenate(out)
 
 
@@ -235,21 +225,18 @@ def error_norms(
 
     err_pD = math.sqrt(float(vol * ((state.pD - ref_pD) ** 2).sum()))
     err_pN = math.sqrt(float(((state.pN - ref_pN) ** 2).sum()))
+    err_qP = None
     if ref_qD is None:
         err_qD = flux_field_error(state, blocks, reference)
-        err_qP = None
     else:
         dq = state.qD - ref_qD
         faces = _face_weights_by_axis(grid, blocks.coeffs.kD)
-        wq = np.concatenate([d for _, _, d in faces]) * dq**2
+        wq = np.concatenate([grid.gather(d, a) for a, d in faces]) * dq**2
+        # the faces of a 4D grid's last axis, the perfusion faces, come last
+        perf = grid.n_faces - (grid.face_counts[3] if grid.dim == 4 else 0)
+        err_qD = math.sqrt(float(wq[:perf].sum()))
         if grid.dim == 4:
-            # the faces of the last axis, the perfusion faces, come last
-            perf = grid.n_faces - grid.face_counts[3]
-            err_qD = math.sqrt(float(wq[:perf].sum()))
             err_qP = math.sqrt(float(wq[perf:].sum()))
-        else:
-            err_qD = math.sqrt(float(wq.sum()))
-            err_qP = None
     err_qN = math.sqrt(float(((state.qN - ref_qN) ** 2 / blocks.edge_k).sum()))
     return ErrorRecord(
         inv_h=inv_h, pD=err_pD, pN=err_pN, qD=err_qD, qS=err_qS, qN=err_qN, qP=err_qP

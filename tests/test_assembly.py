@@ -383,6 +383,37 @@ def free_ends_case(root=dirichlet_root(0, 0.7)):
     return g, forest, coeffs
 
 
+def masked_brick_case():
+    """5x4x6 brick without an interior block and a corner, under one tree.
+
+    The block (cells 1-2 along axes 0 and 1, 2-3 along axis 2) drops
+    faces on both of its sides along every axis, the corner (4, 3, 5)
+    drops the upper ends of three rows.  A cell is coupled to both
+    terminals.
+    """
+    mask = np.ones((5, 4, 6), dtype=bool)
+    mask[1:3, 1:3, 2:4] = False
+    mask[4, 3, 5] = False
+    g = CartesianGrid(mask.shape, extent=(1.0, 0.7, 1.3), mask=mask)
+    forest = build_forest(
+        [dirichlet_root(0, 0.4), interior(1), terminal(2, (0.1, 0.1, 0.1)),
+         terminal(3, (0.8, 0.5, 1.0))],
+        [(0, 1, 2.5), (1, 2, 0.75), (1, 3, 1.25)],
+    )
+    rng = np.random.default_rng(11)
+    cells = [0, 1, 7, 7, 30, 50]
+    supports = SupportTable(
+        (2, 3), np.repeat([0, 1], 3), np.array(cells), rng.uniform(0.5, 2.0, 6)
+    )
+    coeffs = CoefficientField(
+        kD=rng.uniform(0.5, 2.0, size=(g.n_cells, 3)),
+        supports=supports,
+        rD=rng.standard_normal(g.n_cells),
+        rN={1: 0.2, 3: -0.4},
+    )
+    return g, forest, coeffs
+
+
 def spec_case(spec, m):
     grid = spec.grid(m)
     return grid, spec.forest, spec.coefficients(grid)
@@ -394,6 +425,7 @@ ASSEMBLY_CASES = {
     "case2_8": lambda: spec_case(case2(), 8),
     "case2_16": lambda: spec_case(case2(), 16),
     "masked_two_trees": two_tree_masked_case,
+    "masked_brick": masked_brick_case,
     "forest_k6": lambda: spec_case(forest_gen.forest_case(6, 0), 128),
     "free_ends": free_ends_case,
     "pure_neumann": lambda: free_ends_case(neumann_root(0)),
@@ -402,8 +434,8 @@ ASSEMBLY_CASES = {
 
 class TestTransmissibilityAssembly:
     @pytest.mark.parametrize("case", [
-        "case1a", "case1b", "case2_8", "case2_16", "masked_two_trees", "forest_k6",
-        "free_ends",
+        "case1a", "case1b", "case2_8", "case2_16", "masked_two_trees", "masked_brick",
+        "forest_k6", "free_ends",
     ])
     def test_equals_the_product_form_bitwise(self, case):
         grid, forest, coeffs = ASSEMBLY_CASES[case]()
@@ -472,18 +504,16 @@ class TestAfterTheSolve:
         # nothing is cached on the blocks or the grid along the way
         assert (set(vars(blocks)), set(vars(grid))) == held
 
-    def test_face_weights_by_axis_equal_the_gathered_form(self):
-        # d_D is built one axis of faces at a time, each read from
-        # `faces`, with the same bits as the gathered form
-        spec = case2()
-        grid = spec.grid(8)
-        kD = spec.coefficients(grid).kD
-        lo, hi, d = map(np.concatenate, zip(*_face_weights_by_axis(grid, kD)))
-        ax = np.repeat(np.arange(grid.dim), grid.face_counts)
+    @pytest.mark.parametrize("case", ["case2_8", "masked_brick"])
+    def test_face_weights_by_axis_equal_the_gathered_form(self, case):
+        # d_D is built on one axis's face slab at a time, and its interior
+        # entries have the bits of the form gathered over the face pairs
+        grid, _, coeffs = ASSEMBLY_CASES[case]()
+        kD = coeffs.kD
+        d = np.concatenate([grid.gather(w, a) for a, w in _face_weights_by_axis(grid, kD)])
+        lo, hi, ax = face_arrays(grid)
         want = face_weight(grid, ax, kD[lo, ax]) + face_weight(grid, ax, kD[hi, ax])
         assert d.tobytes() == want.tobytes()
-        for got, want in zip((lo, hi, ax), face_arrays(grid)):
-            assert np.array_equal(got, want)
 
 
 class TestRecoverFluxes:
@@ -591,12 +621,14 @@ class TestExports:
             text = (tmp_path / f"run_{part}.csv").read_text().splitlines()
             assert len(text) > 1 or part in ("nodes", "edges")
 
-    def test_state_csv_values_read_back_bitwise(self, tmp_path):
+    @pytest.mark.parametrize("case", [
+        lambda: spec_case(case1("A"), 4), masked_brick_case, lambda: spec_case(case2(), 4),
+    ], ids=["case1a_4", "masked_brick", "case2_4"])
+    def test_state_csv_values_read_back_bitwise(self, tmp_path, case):
         # every field is a plain number in shortest round-trip digits, so
         # np.loadtxt recovers the state and the cell centres bit for bit
-        spec = case1("A")
-        grid = spec.grid(4)
-        blocks = assemble_blocks(grid, spec.forest, spec.coefficients(grid))
+        grid, forest, coeffs = case()
+        blocks = assemble_blocks(grid, forest, coeffs)
         x = np.random.default_rng(0).standard_normal(blocks.n_unknowns)
         state = recover_fluxes(blocks, x)
         export_state_csv(blocks, state, tmp_path / "run")
@@ -610,8 +642,8 @@ class TestExports:
 
         cells, faces, nodes, edges = map(load, ("cells", "faces", "nodes", "edges"))
         assert same(cells[:, 0], np.arange(grid.n_cells))
-        assert same(cells[:, 1:3], grid.cell_centers())
-        assert same(cells[:, 3], state.pD)
+        assert same(cells[:, 1:-1], grid.cell_centers())
+        assert same(cells[:, -1], state.pD)
         face_lo, face_hi, face_axis = face_arrays(grid)
         assert same(faces[:, 0], np.arange(grid.n_faces))
         assert same(faces[:, 1], face_axis)
@@ -620,7 +652,7 @@ class TestExports:
         assert same(faces[:, 4], state.qD)
         assert same(nodes[:, 0], blocks.free_node_ids)
         assert same(nodes[:, 1], state.pN)
-        edge_ends = [(e.tail, e.head) for e in spec.forest.edges]
+        edge_ends = [(e.tail, e.head) for e in forest.edges]
         assert same(edges[:, 0], np.arange(len(edge_ends)))
         assert same(edges[:, 1:3], edge_ends)
         assert same(edges[:, 3], state.qN)

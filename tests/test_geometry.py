@@ -278,12 +278,39 @@ class TestCartesianGrid:
         for a in range(g.dim):
             on = axis == a
             got = g.faces(a)
-            assert got[0].size == g.face_counts[a]
-            assert not (got[0].flags.writeable or got[1].flags.writeable)
+            assert got[0].size == g.face_counts[a] == np.count_nonzero(g.face_mask(a))
             assert np.array_equal(got[0], lo[on]) and np.array_equal(got[1], hi[on])
-        count = np.bincount(np.concatenate([lo, hi]), minlength=g.n_cells)
-        assert np.array_equal(g.faces_per_cell(), count)
+        # faces that are views of the numbering cannot write into it
+        assert not g.active_index.flags.writeable
         assert vars(g).keys() == state.keys()
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_spread_and_gather_move_values_between_bricks(self, masked):
+        mask = np.ones((5, 4, 3), dtype=bool)
+        if masked:
+            mask[1:3, 1:3, 1] = False
+            mask[0, 0, 0] = False
+        g = CartesianGrid(mask.shape, extent=(1, 1, 1), mask=mask)
+        x = np.arange(g.n_cells, dtype=float) + 1.0
+        brick = g.spread(x, fill=-1.0)
+        assert np.array_equal(brick[mask], x) and np.all(brick[~mask] == -1.0)
+        assert np.array_equal(g.gather(brick), x)
+        lo, hi, axis = face_arrays(g)
+        for a in range(g.dim):
+            # a face's drop is np.diff of the brick, its flux reaches its
+            # cells as two slab adds
+            drop = g.gather(np.diff(brick, axis=a), a)
+            assert np.array_equal(drop, x[hi[axis == a]] - x[lo[axis == a]])
+            q = np.arange(g.face_counts[a], dtype=float) + 1.0
+            cells = np.zeros(g.cells)
+            lower, upper = g.sides(cells, a)
+            upper += g.spread(q, a)
+            lower -= g.spread(q, a)
+            want = np.zeros(g.n_cells)
+            np.add.at(want, hi[axis == a], q)
+            np.subtract.at(want, lo[axis == a], q)
+            assert np.array_equal(g.gather(cells), want)
+            assert np.all(cells[~mask] == 0.0)
 
     def test_index_dtype_widens_past_int32(self):
         # decided on the count alone: nothing of that size is allocated
