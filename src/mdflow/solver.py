@@ -1,4 +1,4 @@
-"""Aggregation-based algebraic multigrid and a flexible GMRES driver.
+"""Aggregation-based algebraic multigrid and a flexible CG driver.
 
 The pressure systems are Poisson-like (a cell Laplacian coupled to a
 graph Laplacian), so one multigrid cycle of unsmoothed aggregation AMG
@@ -54,6 +54,10 @@ flexible CG steps, each preconditioned by the cycle on that level.
 Both cycles run on the same levels.  Plain aggregation alone lets
 iteration counts grow under refinement; the K-cycle holds them nearly
 flat.
+
+The outer iteration is truncated flexible CG, FCG(1): both cycles are
+symmetric preconditioners (forward Gauss-Seidel down, backward up), so
+it holds a fixed handful of vectors whatever its iteration count.
 """
 
 from __future__ import annotations
@@ -65,7 +69,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import solve_triangular
 
 # converged: true relative residual <= CONVERGED_SLACK * tol (see SolveReport)
 CONVERGED_SLACK = 10.0
@@ -472,6 +475,12 @@ def _asymmetry(A):
     return abs(A - A.T).max()
 
 
+def _largest_entry(A):
+    """max |a_ij|, the value abs(A).max() takes, from the extremes of
+    A.data without abs(A)'s copy of A's three arrays."""
+    return max(A.data.max(initial=0.0), -A.data.min(initial=0.0))
+
+
 def build_hierarchy(A) -> AmgHierarchy:
     """Set up the unsmoothed-aggregation hierarchy for a symmetric operator.
 
@@ -497,10 +506,7 @@ def build_hierarchy(A) -> AmgHierarchy:
             f"non-finite entry in row {rows[first]}, column "
             f"{A.indices[bad[first]]}: a_ij = {A.data[bad[first]]}"
         )
-    # max |a_ij|, the value abs(A).max() takes, from the extremes of
-    # A.data without abs(A)'s copy of A's three arrays
-    scale = max(A.data.max(initial=0.0), -A.data.min(initial=0.0))
-    if _asymmetry(A) > 1e-12 * scale:
+    if _asymmetry(A) > 1e-12 * _largest_entry(A):
         raise ValueError(
             "matrix is not symmetric: the forward Gauss-Seidel sweep "
             "needs tril(A) = triu(A)^T"
@@ -586,8 +592,9 @@ class SolveReport:
 
     ``converged`` holds when ``true_residual``, |b - A x| / |b| recomputed
     from the returned x, is at most ``CONVERGED_SLACK * tol`` (10 tol):
-    FGMRES stops when its Givens estimate reaches tol, and at the
-    float64 floor rounding can leave the true residual above tol.
+    flexible CG stops when its recursively updated residual reaches tol,
+    and at the float64 floor rounding can leave the true residual above
+    tol.
     """
 
     iterations: int
@@ -616,80 +623,68 @@ class SolveReport:
 
 
 def fgmres(A, b, preconditioner, tol=1e-6, maxit=500):
-    """Flexible GMRES without restart (Saad, SISC 14, 1993).
+    """Truncated flexible conjugate gradients, FCG(1) (Notay, SISC 22, 2000).
 
-    The preconditioner is a callable applied to each Arnoldi vector and
-    may change between iterations.  Iteration stops when the Givens
-    estimate of the relative residual |b - A x| / |b| (from x = 0)
-    reaches tol, on breakdown, or after maxit steps, and x is formed
-    once, at the stop.  At the float64 floor the estimate can drift
-    below the true residual, which `solve_pressure` recomputes.  A zero
-    Arnoldi norm is reported through the breakdown index; the happy
-    variety coincides with the residual reaching (near) zero.
-    Returns (x, iterations, relative residual history, breakdown index).
+    The name is the flexible GMRES this replaced; the perfbench tracer
+    wraps it by name until ROADMAP item 1's run record frees it.  A is a
+    symmetric sparse matrix and the preconditioner B a callable applied
+    to the residual once per iteration, returning a new array; B may
+    change between iterations but is symmetric in each.  Each direction
+    d = B r is made A-orthogonal to the previous one only, so the solve
+    holds x, r and one direction d with its image A d, whatever the
+    iteration count.  Iteration stops when the recursively updated
+    relative residual |r| / |b| (from x = 0) reaches tol, or after maxit
+    steps; at the float64 floor it can drift below the true residual,
+    which `solve_pressure` recomputes.  A direction of zero energy
+    (d . A d = 0, e.g. one in A's kernel) ends the solve before its step,
+    and its index is returned as the breakdown.  Negative energy (an
+    indefinite A, or entries so large that rounding swamps the energy)
+    and a coefficient that overflows float64 raise ValueError.  Returns
+    (x, iterations, relative residual history, breakdown index).
     """
-    n = b.size
-    beta = np.linalg.norm(b)
+    b_norm = float(np.linalg.norm(b))
+    x = np.zeros(b.size)
     history = [1.0]
-    if beta == 0.0:
-        return np.zeros(n), 0, history, None
+    if b_norm == 0.0:
+        return x, 0, history, None
 
-    V = [b / beta]
-    hv = np.empty(n)  # h_i v_i, the Gram-Schmidt update
-    Z = []
-    H = []  # rotated Hessenberg columns
-    cs, sn = [], []
-    g = [beta]
+    r = np.array(b, dtype=float)
+    d = q = None  # the previous direction, A d and its energy rho = d . A d
     breakdown = None
     for j in range(maxit):
-        z = preconditioner(V[j])
+        z = preconditioner(r)
         w = A @ z
-        h = np.zeros(j + 2)
-        for i in range(j + 1):
-            h[i] = V[i] @ w
-            w -= np.multiply(h[i], V[i], out=hv)
-        wnorm = float(np.linalg.norm(w))
-        h[j + 1] = wnorm
-
-        for i in range(j):  # stored Givens rotations
-            t = cs[i] * h[i] + sn[i] * h[i + 1]
-            h[i + 1] = -sn[i] * h[i] + cs[i] * h[i + 1]
-            h[i] = t
-        denom = np.hypot(h[j], h[j + 1])
-        if denom == 0.0:
-            # dead column: A maps the new direction into the span already
-            # used; drop it and stop
+        if d is None:
+            d, q = z, w
+        else:  # d <- z - beta d, A-orthogonal to the previous direction
+            beta = float(z @ q) / rho
+            d *= -beta
+            d += z
+            q *= -beta
+            q += w
+        del z, w  # freed before the next cycle allocates its own
+        rho = float(d @ q)
+        alpha = float(d @ r) / rho if rho > 0 else 0.0
+        if not (np.isfinite(rho) and np.isfinite(alpha)):
+            raise ValueError(f"FCG step {j}: d.Ad = {rho}, alpha = {alpha}: the solve "
+                             f"overflows float64 (largest |a_ij| = {_largest_entry(A):g})")
+        if rho < 0:
+            raise ValueError(f"FCG step {j}: d.Ad = {rho:.3e} < 0: the operator is not "
+                             "positive semidefinite to float64 precision (largest "
+                             f"|a_ij| = {_largest_entry(A):g})")
+        if rho == 0:
             breakdown = j
             break
-        c, s = h[j] / denom, h[j + 1] / denom
-        cs.append(c)
-        sn.append(s)
-        g.append(-s * g[j])
-        g[j] = c * g[j]
-        h[j] = denom
-        H.append(h)
-        Z.append(z)
-        history.append(abs(g[j + 1]) / beta)
-        if wnorm == 0.0:
-            breakdown = j
-            break
+        x += alpha * d
+        r -= alpha * q
+        history.append(float(np.linalg.norm(r)) / b_norm)
         if history[-1] <= tol:
             break
-        w /= wnorm
-        V.append(w)
-
-    m = len(Z)
-    R = np.zeros((m, m))  # the upper triangle of the rotated Hessenberg
-    for k, h in enumerate(H):
-        R[: k + 1, k] = h[: k + 1]
-    x = np.zeros(n)
-    for yk, zk in zip(solve_triangular(R, g[:m]), Z):
-        x += yk * zk
-    return x, m, history, breakdown
+    return x, len(history) - 1, history, breakdown
 
 
 def solve_pressure(A, b, config: SolverConfig | None = None, kernel=None):
-    """AMG-preconditioned FGMRES solve of the pressure system.
+    """AMG-preconditioned flexible CG solve of the pressure system.
 
     ``kernel`` is an orthonormal null-space basis for semidefinite
     (pure-Neumann) systems; the right-hand side must then be consistent
@@ -713,7 +708,7 @@ def solve_pressure(A, b, config: SolverConfig | None = None, kernel=None):
     with np.errstate(over="ignore"):
         b_norm = np.linalg.norm(b)
     if not np.isfinite(b_norm):
-        # FGMRES scales by 1/|b|, which would zero every Krylov vector
+        # the residual history divides by |b|: it would read 0 at once
         raise ValueError(f"right-hand side 2-norm overflows: |b| = {b_norm}")
     if kernel is not None and kernel.size == 0:
         kernel = None
@@ -748,7 +743,7 @@ def solve_pressure(A, b, config: SolverConfig | None = None, kernel=None):
     true_rel = np.linalg.norm(b - A @ x) / b_norm if b_norm else 0.0
     if not np.isfinite(true_rel):  # `converged` would mean nothing
         raise ValueError(f"true residual {true_rel}: the solve overflows float64 "
-                         f"(largest |a_ij| = {abs(A).max():g})")
+                         f"(largest |a_ij| = {_largest_entry(A):g})")
     report = SolveReport(
         iterations=iters,
         residuals=tuple(history),
