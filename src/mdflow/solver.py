@@ -16,7 +16,12 @@ by numpy: Jacobi sweeps of the greedy rule converge to it from any
 start, since each decision depends only on those below it; a candidate
 built from row maxima is already the answer on the studies' grids, and
 after MATCH_SWEEPS sweeps' worth of work the scan itself finishes
-whatever is left (see _match_pass).
+whatever is left (see _match_pass).  Like the strength test, the
+matching runs over blocks of rows holding about STRENGTH_BLOCK entries
+and reads them in place, so beside the strength graph it holds arrays
+of length n and one block's temporaries; the symmetry check compares
+tril(A)'s rows block by block with the finest level's triu(A) in CSC,
+the factor's input, built once.
 Levels keep only the aggregate map: restriction sums the residual over
 each aggregate and prolongation copies each coarse value to its members.
 Everything is deterministic: aggregation seeds scan unknowns in their
@@ -81,7 +86,8 @@ THETA = 0.08
 # row), ~8 on case 2's 4-D grid (5.4-5.9 on its finer levels)
 NPASSES = 2
 DENSE_DEGREE = 5
-# entries of A whose strength test runs at once (see _strength_graph)
+# entries per block of rows in the strength test, the matching and the
+# symmetry check (see _row_blocks)
 STRENGTH_BLOCK = 1 << 18
 # work of the Jacobi sweeps of the greedy matching, in full sweeps over
 # the upper edges, before the scan finishes it (see _match_pass)
@@ -142,7 +148,8 @@ def _upper_csc(A: sp.csr_matrix) -> sp.csc_matrix:
 class _Level:
     """One multigrid level: operator, smoother factor, optional aggregates."""
 
-    def __init__(self, A: sp.csr_matrix):
+    def __init__(self, A: sp.csr_matrix, upper: sp.csc_matrix | None = None):
+        # upper: triu(A) in CSC (see _upper_csc), where the caller built it
         self.A = A
         self.aggregates = None  # fine index -> coarse index (the transfer)
         d = A.diagonal()
@@ -165,8 +172,8 @@ class _Level:
         if _MALLOC_TRIM is not None:
             _MALLOC_TRIM(0)
         self._upper = spla.splu(
-            _upper_csc(A), permc_spec="NATURAL", diag_pivot_thresh=0.0,
-            panel_size=2,
+            _upper_csc(A) if upper is None else upper,
+            permc_spec="NATURAL", diag_pivot_thresh=0.0, panel_size=2,
         )
         self._dense = None  # (eigenvectors, inverse eigenvalues, 0 on the kernel)
 
@@ -212,6 +219,24 @@ class AmgHierarchy:
         return sum(l.A.nnz for l in self.levels) / self.levels[0].A.nnz
 
 
+def _row_blocks(indptr, r0, r1):
+    """Rows r0 to r1 - 1 as consecutive blocks (a, b) of whole rows.
+
+    A block holds about STRENGTH_BLOCK entries; a row longer than that
+    is a block of its own.
+    """
+    while r0 < r1:
+        b = int(np.searchsorted(indptr, indptr[r0] + STRENGTH_BLOCK, side="right")) - 1
+        b = min(max(b, r0 + 1), r1)
+        yield r0, b
+        r0 = b
+
+
+def _block_rows(indptr, r0, r1):
+    """The row of each entry of rows r0 to r1 - 1."""
+    return np.repeat(np.arange(r0, r1, dtype=np.int32), np.diff(indptr[r0 : r1 + 1]))
+
+
 def _strength_graph(A: sp.csr_matrix) -> sp.csr_matrix:
     """Off-diagonal entries passing |a_ij| >= THETA sqrt(a_ii a_jj), as |a_ij|.
 
@@ -225,10 +250,7 @@ def _strength_graph(A: sp.csr_matrix) -> sp.csr_matrix:
     d = np.abs(A.diagonal())
     keep = np.empty(cols.size, dtype=bool)
     out_ptr = np.zeros(n + 1, dtype=indptr.dtype)
-    r0 = 0
-    while r0 < n:
-        r1 = int(np.searchsorted(indptr, indptr[r0] + STRENGTH_BLOCK, side="right")) - 1
-        r1 = min(max(r1, r0 + 1), n)
+    for r0, r1 in _row_blocks(indptr, 0, n):
         e0, e1 = indptr[r0], indptr[r1]
         size = np.diff(indptr[r0 : r1 + 1])
         c = cols[e0:e1]
@@ -249,7 +271,6 @@ def _strength_graph(A: sp.csr_matrix) -> sp.csr_matrix:
         out_ptr[r0 + 1 : r1 + 1] = kept[indptr[r0 + 1 : r1 + 1] - e0]
         out_ptr[r0 + 1 : r1 + 1] += out_ptr[r0]
         del kept
-        r0 = r1
     data = A.data[keep]
     np.abs(data, out=data)
     S = sp.csr_matrix((data, cols[keep], out_ptr), shape=A.shape)
@@ -260,7 +281,10 @@ def _strength_graph(A: sp.csr_matrix) -> sp.csr_matrix:
 
 def _run_starts(r: np.ndarray) -> np.ndarray:
     """Positions where a new value starts in the grouped array r."""
-    return np.flatnonzero(np.r_[r.size > 0, r[1:] != r[:-1]])
+    new = np.empty(r.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(r[1:], r[:-1], out=new[1:])
+    return np.flatnonzero(new)
 
 
 def _at_row_max(w: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -269,7 +293,7 @@ def _at_row_max(w: np.ndarray, starts: np.ndarray) -> np.ndarray:
     Rows are nonempty and begin at ``starts``, the last one ending with
     w.  NaN is never a maximum, as in a scan testing w > best.
     """
-    hit = w == np.repeat(np.fmax.reduceat(w, starts), np.diff(np.r_[starts, w.size]))
+    hit = w == np.repeat(np.fmax.reduceat(w, starts), np.diff(starts, append=w.size))
     hit &= w > 0
     return hit
 
@@ -281,6 +305,89 @@ def _claims(choice: np.ndarray) -> np.ndarray:
     i = np.flatnonzero(choice >= 0).astype(np.int32)
     np.minimum.at(claim, choice[i], i)
     return claim
+
+
+def _candidate(S: sp.csr_matrix):
+    """Stage 1 of _match_pass, block by block.
+
+    Returns each row's first heaviest neighbor (-1 if none), the
+    candidate's choices (a seed's partner, -1 elsewhere) and the number
+    of upper edges.  Each row points to its heaviest neighbor ranked by
+    the uint32 key 2 d + parity, one per row: (d, parity) pins the
+    neighbor.
+    """
+    n = S.shape[0]
+    indptr, cols, w = S.indptr, S.indices, S.data
+    heaviest = np.full(n, -1, dtype=np.int32)
+    point = np.full(n, -1, dtype=np.int32)
+    n_upper = 0
+    for r0, r1 in _row_blocks(indptr, 0, n):
+        e0, e1 = indptr[r0], indptr[r1]
+        size = np.diff(indptr[r0 : r1 + 1])
+        top = _at_row_max(w[e0:e1], indptr[r0:r1][size > 0] - e0)
+        rows, c = _block_rows(indptr, r0, r1), cols[e0:e1]
+        n_upper += np.count_nonzero(c > rows)
+        r, k = rows[top], c[top]
+        del rows, top
+        starts = _run_starts(r)
+        rs = r[starts]
+        heaviest[rs] = k[starts]
+        parity = np.minimum(r, k).view(np.uint32)
+        r -= k  # the key takes r's place: ties hold three arrays, not four
+        key = np.abs(r, out=r).view(np.uint32)
+        del r
+        parity //= key
+        parity &= 1
+        key <<= 1
+        key |= parity
+        del parity
+        best = key == np.repeat(np.minimum.reduceat(key, starts), np.diff(starts, append=key.size))
+        del key
+        best = np.flatnonzero(best)  # one per row, more only where S repeats an entry
+        point[rs[np.searchsorted(starts, best, side="right") - 1]] = k[best]
+        del k, starts, rs, best  # before the next block's
+    seeds = np.flatnonzero(point > np.arange(n))
+    seeds = seeds[point[point[seeds]] == seeds]
+    choice = np.full(n, -1, dtype=np.int32)
+    choice[seeds] = point[seeds]
+    return heaviest, choice, n_upper
+
+
+def _sweep(S: sp.csr_matrix, choice: np.ndarray, settled: int):
+    """One Jacobi sweep (_match_pass's stage 2) over rows settled to n - 1.
+
+    choice is updated in place; every block reads the claims of the
+    choices made before the sweep.
+    Returns the first row whose choice changed (n if none) and the
+    number of upper edges swept.
+    """
+    n = S.shape[0]
+    indptr, cols, w = S.indptr, S.indices, S.data
+    claim = _claims(choice)
+    moved, swept = n, 0
+    for r0, r1 in _row_blocks(indptr, settled, n):
+        e0, e1 = indptr[r0], indptr[r1]
+        r, k = _block_rows(indptr, r0, r1), cols[e0:e1]
+        upper = k > r
+        r, k = r[upper], k[upper]
+        usable = claim[r] > r
+        usable &= claim[k] >= r
+        wt = w[e0:e1][upper]
+        del upper
+        wt[~usable] = 0.0
+        del usable
+        hit = np.flatnonzero(_at_row_max(wt, _run_starts(r)))
+        del wt
+        hit = hit[_run_starts(r[hit])]
+        new = np.full(r1 - r0, -1, dtype=np.int32)
+        new[r[hit] - r0] = k[hit]
+        if moved == n:
+            change = np.flatnonzero(new != choice[r0:r1])
+            moved = r0 + int(change[0]) if change.size else n
+        choice[r0:r1] = new
+        swept += r.size
+        del r, k, hit, new  # before the next block's
+    return moved, swept
 
 
 def _match_pass(S: sp.csr_matrix):
@@ -314,76 +421,39 @@ def _match_pass(S: sp.csr_matrix):
        unknown.  A path graded so each unknown prefers the next needs a
        sweep per unknown, grids with rows of odd length defeat the
        candidate's parity, and lexicographically first maximal matching
-       is P-complete in general (Anderson & Mayr, 1987).  The scan also takes over below the first
-       seed with an unmatched lower neighbor, which the sweeps do not
-       see and only an unsymmetric pattern produces.
+       is P-complete in general (Anderson & Mayr, 1987).  The scan also
+       takes over below the first seed with an unmatched lower
+       neighbor, which the sweeps do not see and only an unsymmetric
+       pattern produces.
     4. Leftovers: unmatched unknowns are then independent (two adjacent
        ones would have paired), so every neighbor of one is aggregated
        and it joins its row's first maximum.
+
+    Stages 1-3 run over blocks of whole rows of about STRENGTH_BLOCK
+    entries (see _row_blocks), reading each block's entries, and its
+    upper edges, from S's sorted rows in place.  Every block of a sweep
+    reads the claims made before the sweep, so blocking moves no
+    decision.  Beside S the pass holds arrays of length n and one
+    block's temporaries, none of S's length.
     """
     n = S.shape[0]
     indptr, cols, w = S.indptr, S.indices, S.data
-    size = np.diff(indptr)
-    rows = np.repeat(np.arange(n, dtype=np.int32), size)
-
-    # the candidate ranks row maxima by the uint32 key 2 d + parity
-    top = _at_row_max(w, indptr[np.flatnonzero(size)])
-    r, k = rows[top], cols[top]
-    del size, top
-    starts = _run_starts(r)
-    heaviest = np.full(n, -1, dtype=np.int32)
-    heaviest[r[starts]] = k[starts]
-    key = np.abs(r - k).view(np.uint32)
-    parity = np.minimum(r, k).view(np.uint32)
-    parity //= key
-    parity &= 1
-    key <<= 1
-    key |= parity
-    del parity
-    best = key == np.repeat(np.minimum.reduceat(key, starts), np.diff(np.r_[starts, r.size]))
-    del key
-    r, k = r[best], k[best]
-    del best
-    point = np.full(n, -1, dtype=np.int32)
-    point[r] = k  # one per row: (d, parity) pins the neighbor
-    seeds = np.flatnonzero(point > np.arange(n))
-    seeds = seeds[point[point[seeds]] == seeds]
-    choice = np.full(n, -1, dtype=np.int32)
-    choice[seeds] = point[seeds]
-    del r, k, point
-
-    upper = cols > rows
-    ur, uc, uw = rows[upper], cols[upper], w[upper]
-    del rows, upper
-    starts = _run_starts(ur)
-    srows = ur[starts]
+    # the map is allocated before any block's temporaries: freed, they
+    # join the heap's top instead of a hole under it that later
+    # allocations fit badly (case 2 1/h=32 setup peak 3.2 -> 2.9x A)
+    agg = np.full(n, -1, dtype=np.int64)
+    heaviest, choice, n_upper = _candidate(S)
     # Jacobi sweeps; choices below `settled` are final
-    settled, budget = 0, MATCH_SWEEPS * ur.size
+    settled, budget = 0, MATCH_SWEEPS * n_upper
     while True:
-        claim = _claims(choice)
-        new = choice.copy()
-        new[settled:] = -1
-        s0 = np.searchsorted(srows, settled)
-        e0 = starts[s0] if s0 < starts.size else ur.size
-        r, k = ur[e0:], uc[e0:]
-        usable = claim[r] > r
-        usable &= claim[k] >= r
-        wt = np.where(usable, uw[e0:], 0.0)
-        del usable
-        hit = np.flatnonzero(_at_row_max(wt, starts[s0:] - e0))
-        del wt
-        hit = hit[_run_starts(r[hit])]
-        new[r[hit]] = k[hit]
-        moved = np.flatnonzero(new[settled:] != choice[settled:])
-        choice = new
-        if moved.size == 0:
+        moved, swept = _sweep(S, choice, settled)
+        if moved == n:
             settled = n
             break
-        settled += int(moved[0]) + 1
-        budget -= r.size
+        settled = moved + 1
+        budget -= swept
         if budget <= 0:
             break
-    del ur, uc, uw, r, k
 
     seeds = np.flatnonzero(choice[:settled] >= 0)
     free = np.ones(n, dtype=bool)
@@ -391,13 +461,15 @@ def _match_pass(S: sp.csr_matrix):
     # a seed (unmatched, or paired by its own choice) with an unmatched
     # lower neighbor: build_hierarchy admits a_ij != a_ji up to rounding,
     # so the strength threshold can keep one of the two and not the other
-    edge = np.flatnonzero(free[cols[: indptr[settled]]])
-    row = np.searchsorted(indptr, edge, side="right") - 1
-    bad = row[(cols[edge] < row) & (free[row] | (choice[row] >= 0))]
-    if bad.size:
-        settled = int(bad[0])
-        seeds = seeds[seeds < settled]
-    agg = np.full(n, -1, dtype=np.int64)
+    for r0, r1 in _row_blocks(indptr, 0, settled):
+        e0, e1 = indptr[r0], indptr[r1]
+        row, c = _block_rows(indptr, r0, r1), cols[e0:e1]
+        bad = row[free[c] & (c < row)]
+        bad = bad[free[bad] | (choice[bad] >= 0)]
+        if bad.size:
+            settled = int(bad[0])
+            seeds = seeds[seeds < settled]
+            break
     agg[seeds] = agg[choice[seeds]] = np.arange(seeds.size)
     n_agg = seeds.size
     for i in range(settled, n):  # the scan, where the sweeps stopped
@@ -459,19 +531,33 @@ def _aggregate(A: sp.csr_matrix):
     return agg, Ac
 
 
-def _asymmetry(A):
+def _asymmetry(A, U):
     """max |a_ij - a_ji|, the value abs(A - A.T).max() takes.
 
-    A.tocsc() holds the CSR arrays of A^T, so when those match A's
-    pattern the two data arrays are compared entry by entry, without
-    forming A.T and the difference as matrices.
+    U is triu(A) in CSC, whose arrays are those of tril(A^T) in CSR.
+    When they equal tril(A)'s pattern row for row, A's pattern is
+    symmetric and each entry of tril(A) is compared with its transposed
+    partner in U, one block of rows at a time, without a transposed copy
+    of A; a pattern that differs falls back to forming A - A.T.
     """
-    T = A.tocsc()
-    if (A.has_canonical_format and np.array_equal(A.indptr, T.indptr)
-            and np.array_equal(A.indices, T.indices)):
-        diff = A.data - T.data
-        return np.abs(diff, out=diff).max(initial=0.0)
-    del T
+    if A.has_canonical_format:
+        indptr, cols = A.indptr, A.indices
+        worst = 0.0
+        for r0, r1 in _row_blocks(indptr, 0, A.shape[0]):
+            e0, e1 = indptr[r0], indptr[r1]
+            lower = cols[e0:e1] <= _block_rows(indptr, r0, r1)
+            at = np.zeros(e1 - e0 + 1, dtype=U.indptr.dtype)
+            np.cumsum(lower, out=at[1:])
+            u0, u1 = U.indptr[r0], U.indptr[r1]
+            if not (np.array_equal(at[indptr[r0 : r1 + 1] - e0], U.indptr[r0 : r1 + 1] - u0)
+                    and np.array_equal(cols[e0:e1][lower], U.indices[u0:u1])):
+                break
+            del at
+            diff = A.data[e0:e1][lower]
+            diff -= U.data[u0:u1]
+            worst = max(worst, np.abs(diff, out=diff).max(initial=0.0))
+        else:
+            return worst
     return abs(A - A.T).max()
 
 
@@ -506,12 +592,14 @@ def build_hierarchy(A) -> AmgHierarchy:
             f"non-finite entry in row {rows[first]}, column "
             f"{A.indices[bad[first]]}: a_ij = {A.data[bad[first]]}"
         )
-    if _asymmetry(A) > 1e-12 * _largest_entry(A):
+    U = _upper_csc(A)  # the finest smoother's factor input, built once
+    if _asymmetry(A, U) > 1e-12 * _largest_entry(A):
         raise ValueError(
             "matrix is not symmetric: the forward Gauss-Seidel sweep "
             "needs tril(A) = triu(A)^T"
         )
-    levels = [_Level(A)]
+    levels = [_Level(A, U)]
+    del U
     while levels[-1].A.shape[0] > COARSE_SIZE and len(levels) < MAX_LEVELS:
         fine = levels[-1]
         agg, Ac = _aggregate(fine.A)
