@@ -2,7 +2,7 @@
 
 The pressure systems are Poisson-like (a cell Laplacian coupled to a
 graph Laplacian), so one multigrid cycle of unsmoothed aggregation AMG
-with a single Gauss-Seidel sweep for pre- and post-smoothing makes an
+with a single l1-Jacobi sweep for pre- and post-smoothing makes an
 effective preconditioner.  Coarse spaces are piecewise constant over
 aggregates built by greedy pairwise matching on the strength graph
 (|a_ij| >= THETA sqrt(a_ii a_jj)), composed over NPASSES = 2 passes
@@ -19,34 +19,22 @@ after MATCH_SWEEPS sweeps' worth of work the scan itself finishes
 whatever is left (see _match_pass).  Like the strength test, the
 matching runs over blocks of rows holding about STRENGTH_BLOCK entries
 and reads them in place, so beside the strength graph it holds arrays
-of length n and one block's temporaries; the symmetry check compares
-tril(A)'s rows block by block with the finest level's triu(A) in CSC,
-the factor's input, built once.
+of length n and one block's temporaries; so do the smoother's row sums,
+and the symmetry check compares tril(A)'s rows block by block with the
+finest level's triu(A) in CSC.
 Levels keep only the aggregate map: restriction sums the residual over
 each aggregate and prolongation copies each coarse value to its members.
 Everything is deterministic: aggregation seeds scan unknowns in their
-natural (lexicographic) order and Gauss-Seidel sweeps forward in that
-order before correction and backward after it.  Each level factors
-triu(A) once: its plain solve is the backward sweep and, since the
-operator is symmetric, tril(A) = triu(A)^T and the forward sweep is the
-transposed solve with the same factor.  The factor holds a copy of
-triu(A) in U with L = I and is built with 2-column panels: SuperLU's
-default of 20 anticipates fill that a triangular matrix never has, and
-its panel workspace grows with the width (see _Level).  At case 2
-1/h=64 that cuts the finest factor's memory rise from ~200 to ~60 MB
-and its time by half.
+natural (lexicographic) order.
 
-Freed heap is handed back to the operating system (glibc's malloc_trim)
-right before each factorization.  SuperLU's gstrf mallocs workspace
-sized for fill, about ten times a coarse level's factor, that a
-triangular input never touches.  Placed in heap pages that the setup's
-freed transients left resident, it holds them for the rest of the
-process, so the peak follows the heap's layout instead of the live
-data: a second identical case 2 solve at 1/h=32 peaked 12 MB above the
-first, and case 2's 1/h=64 reference sometimes 60 MB above its usual
-peak.  The release only moves where the allocator places memory, so
-every bit is unchanged; where the C library has no malloc_trim (macOS,
-musl, Windows) nothing is released.
+The smoother is l1-Jacobi (Baker, Falgout, Kolev & Yang, SISC 33, 2011)
+with D_ii = sum_j |a_ij| on every level: the down sweep from zero is
+x = D^{-1} b and the up sweep x + D^{-1} (b - A x).  2 D - A is
+diagonally dominant, so the sweep converges for any symmetric positive
+definite A without a damping weight, and a level holds only D^{-1}, no
+factor.  Weighting the off-diagonal sum by 1/2 or 3/4 saves iterations
+but breaks the K-cycle on a rank-one coarse level: its correction
+grows, and at 3/4 a rounding-level energy passes its rho1 <= 0 guard.
 
 The setup depends on the matrix alone: the strength threshold THETA
 and the dense-solve size COARSE_SIZE are constants, the values every
@@ -61,19 +49,17 @@ iteration counts grow under refinement; the K-cycle holds them nearly
 flat.
 
 The outer iteration is truncated flexible CG, FCG(1): both cycles are
-symmetric preconditioners (forward Gauss-Seidel down, backward up), so
-it holds a fixed handful of vectors whatever its iteration count.
+symmetric preconditioners (the same D down and up), so it holds a fixed
+handful of vectors whatever its iteration count.
 """
 
 from __future__ import annotations
 
-import ctypes
 import time
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 # converged: true relative residual <= CONVERGED_SLACK * tol (see SolveReport)
 CONVERGED_SLACK = 10.0
@@ -99,19 +85,6 @@ COARSE_SIZE = 32
 # step that makes the second unnecessary
 KCYCLE_TOL = 0.25
 CYCLES = ("V", "K")
-
-
-def _find_malloc_trim():
-    """glibc's malloc_trim, or None where the C library lacks it."""
-    try:
-        trim = ctypes.CDLL(None).malloc_trim
-    except (OSError, AttributeError, TypeError):
-        return None
-    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
-    return trim
-
-
-_MALLOC_TRIM = _find_malloc_trim()
 
 
 def _check_cycle(cycle):
@@ -146,10 +119,9 @@ def _upper_csc(A: sp.csr_matrix) -> sp.csc_matrix:
 
 
 class _Level:
-    """One multigrid level: operator, smoother factor, optional aggregates."""
+    """One multigrid level: operator, l1-Jacobi smoother, optional aggregates."""
 
-    def __init__(self, A: sp.csr_matrix, upper: sp.csc_matrix | None = None):
-        # upper: triu(A) in CSC (see _upper_csc), where the caller built it
+    def __init__(self, A: sp.csr_matrix):
         self.A = A
         self.aggregates = None  # fine index -> coarse index (the transfer)
         d = A.diagonal()
@@ -158,36 +130,22 @@ class _Level:
             i = bad[0]
             raise ValueError(
                 f"non-positive diagonal in row {i}: a_ii = {d[i]:g}; "
-                "Gauss-Seidel is undefined"
+                "the l1-Jacobi smoother needs a_ii > 0"
             )
-        # SuperLU keeps triu(A) whole in U and L = I, so both solves are
-        # a single triangular pass.  Its dgstrf allocates a panel
-        # workspace of about panel_size * n doubles and
-        # (2 panel_size + 6) * n ints; the default panel_size 20 is sized
-        # for partial-pivoting fill, which a triangular input never has.
-        # 2 rather than 1: it leaves both sweeps' bits unchanged on the
-        # studies' grid levels, where 1 moves the transposed solve's on
-        # case 2's finest.  Freed heap goes back to the system first, so
-        # that workspace does not hold pages the setup left resident.
-        if _MALLOC_TRIM is not None:
-            _MALLOC_TRIM(0)
-        self._upper = spla.splu(
-            _upper_csc(A) if upper is None else upper,
-            permc_spec="NATURAL", diag_pivot_thresh=0.0, panel_size=2,
-        )
+        self._inv_l1 = 1.0 / _l1_row_sums(A)  # D^{-1}
         self._dense = None  # (eigenvectors, inverse eigenvalues, 0 on the kernel)
 
-    def gs_forward(self, b):
-        """Forward sweep from zero."""
-        return self._upper.solve(b, trans="T")
+    def smooth_down(self, b):
+        """Down sweep from zero: D^{-1} b."""
+        return b * self._inv_l1
 
-    def gs_backward(self, b, x):
-        """Backward sweep from x: x + U^{-1} (b - A x)."""
+    def smooth_up(self, b, x):
+        """Up sweep from x: x + D^{-1} (b - A x)."""
         r = self.A @ x
         np.subtract(b, r, out=r)
-        e = self._upper.solve(r)
-        e += x
-        return e
+        r *= self._inv_l1
+        r += x
+        return r
 
     def factor_dense(self):
         lam, V = np.linalg.eigh(self.A.toarray())
@@ -235,6 +193,26 @@ def _row_blocks(indptr, r0, r1):
 def _block_rows(indptr, r0, r1):
     """The row of each entry of rows r0 to r1 - 1."""
     return np.repeat(np.arange(r0, r1, dtype=np.int32), np.diff(indptr[r0 : r1 + 1]))
+
+
+def _l1_row_sums(A: sp.csr_matrix) -> np.ndarray:
+    """sum_j |a_ij| for each row, over blocks of rows (see _row_blocks).
+
+    Each row is summed in its entries' order, without abs(A)'s copy of
+    A.  A sum that overflows or is NaN raises ValueError naming its row.
+    """
+    n = A.shape[0]
+    indptr = A.indptr
+    d = np.empty(n)
+    for r0, r1 in _row_blocks(indptr, 0, n):
+        rows = _block_rows(indptr, r0, r1) - r0
+        d[r0:r1] = np.bincount(rows, np.abs(A.data[indptr[r0] : indptr[r1]]),
+                               minlength=r1 - r0)  # inf on overflow, without a warning
+    bad = np.flatnonzero(~np.isfinite(d))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"row {i} has a non-finite l1 norm: sum_j |a_ij| = {d[i]}")
+    return d
 
 
 def _strength_graph(A: sp.csr_matrix) -> sp.csr_matrix:
@@ -575,10 +553,10 @@ def build_hierarchy(A) -> AmgHierarchy:
     is solved by the dense factorization alone.  It also stops at the
     first level whose aggregation keeps more than 95% of its unknowns
     or where nothing aggregates (e.g. a diagonal matrix, for which
-    Gauss-Seidel is exact anyway): that level is the coarsest and gets
-    the two smoothing sweeps alone.  A matrix with a NaN or infinite
-    entry is rejected, naming the first one in row order, and so is a
-    nonsymmetric one: the forward sweep relies on tril(A) = triu(A)^T.
+    l1-Jacobi is exact anyway): that level is the coarsest and gets the
+    two smoothing sweeps alone.  A matrix with a NaN or infinite entry
+    is rejected, naming the first one in row order, and so is a
+    nonsymmetric one: flexible CG needs a symmetric A.
     """
     A = sp.csr_matrix(A)
     if A.shape[0] != A.shape[1]:
@@ -592,14 +570,12 @@ def build_hierarchy(A) -> AmgHierarchy:
             f"non-finite entry in row {rows[first]}, column "
             f"{A.indices[bad[first]]}: a_ij = {A.data[bad[first]]}"
         )
-    U = _upper_csc(A)  # the finest smoother's factor input, built once
-    if _asymmetry(A, U) > 1e-12 * _largest_entry(A):
+    if _asymmetry(A, _upper_csc(A)) > 1e-12 * _largest_entry(A):
         raise ValueError(
-            "matrix is not symmetric: the forward Gauss-Seidel sweep "
-            "needs tril(A) = triu(A)^T"
+            "matrix is not symmetric: flexible CG and its symmetric "
+            "multigrid preconditioner need a symmetric A"
         )
-    levels = [_Level(A, U)]
-    del U
+    levels = [_Level(A)]
     while levels[-1].A.shape[0] > COARSE_SIZE and len(levels) < MAX_LEVELS:
         fine = levels[-1]
         agg, Ac = _aggregate(fine.A)
@@ -618,7 +594,7 @@ def build_hierarchy(A) -> AmgHierarchy:
 def vcycle(hierarchy: AmgHierarchy, b: np.ndarray, *, cycle: str = "K"):
     """One multigrid cycle of kind ``cycle`` on A x = b from x = 0.
 
-    Forward Gauss-Seidel down, backward up; in the "K"-cycle each coarse
+    l1-Jacobi down and up (see _Level); in the "K"-cycle each coarse
     correction above the dense level is Krylov-accelerated, the "V"-cycle
     takes it as it comes.  Any other ``cycle`` raises ValueError.
     """
@@ -631,7 +607,7 @@ def _cycle(levels, l, b, kcycle):
     lev = levels[l]
     if lev._dense is not None:
         return lev.coarse_solve(b)
-    x = lev.gs_forward(b)
+    x = lev.smooth_down(b)
     if l + 1 < len(levels):
         coarse = levels[l + 1]
         r = lev.A @ x
@@ -642,7 +618,7 @@ def _cycle(levels, l, b, kcycle):
         if kcycle and coarse._dense is None:
             ec = _krylov_correction(levels, l + 1, rc, ec)
         x += ec[lev.aggregates]
-    return lev.gs_backward(b, x)
+    return lev.smooth_up(b, x)
 
 
 def _krylov_correction(levels, l, r, c1):

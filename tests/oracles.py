@@ -241,6 +241,11 @@ def strength_graph(A, theta):
     return S
 
 
+def l1_row_sums(A):
+    """sum_j |a_ij| of each row as one whole-matrix formula: abs(A) times ones."""
+    return abs(sp.csr_matrix(A)) @ np.ones(A.shape[1])
+
+
 def compose_passes(A, theta, passes, coarse_size):
     """One level's aggregation by the plain scan and Galerkin formula.
 

@@ -296,7 +296,7 @@ class TestStageMemory:
         # no stage of a solve allocates more than a small multiple of the
         # final system: the Python-side peak above each stage's start, on
         # case 2 at 1/h=32 (at 1/h=16 the fixed-size quadrature batches
-        # of coefficients outweigh A).  SuperLU's own allocations are not
+        # of coefficients outweigh A).  scipy's C++ allocations are not
         # traced; TestSetupMemory bounds the setup's resident peak.  The
         # steps after the solve take b for the pressures: their memory
         # does not depend on the values.
