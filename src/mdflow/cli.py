@@ -190,10 +190,7 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (MemoryError, RuntimeError) as exc:
-        # SuperLU reports a failed allocation as a RuntimeError
-        if isinstance(exc, RuntimeError) and "SUPERLU_MALLOC" not in str(exc):
-            raise
+    except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 

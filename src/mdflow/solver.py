@@ -19,9 +19,9 @@ after MATCH_SWEEPS sweeps' worth of work the scan itself finishes
 whatever is left (see _match_pass).  Like the strength test, the
 matching runs over blocks of rows holding about STRENGTH_BLOCK entries
 and reads them in place, so beside the strength graph it holds arrays
-of length n and one block's temporaries; so do the smoother's row sums,
-and the symmetry check compares tril(A)'s rows block by block with the
-finest level's triu(A) in CSC.
+of length n and one block's temporaries; so do the smoother's row sums.
+The symmetry check reads the finest A against one CSC copy of it,
+whose arrays are those of A^T in CSR.
 Levels keep only the aggregate map: restriction sums the residual over
 each aggregate and prolongation copies each coarse value to its members.
 Everything is deterministic: aggregation seeds scan unknowns in their
@@ -73,7 +73,7 @@ THETA = 0.08
 NPASSES = 2
 DENSE_DEGREE = 5
 # entries per block of rows in the strength test, the matching and the
-# symmetry check (see _row_blocks)
+# smoother's row sums (see _row_blocks)
 STRENGTH_BLOCK = 1 << 18
 # work of the Jacobi sweeps of the greedy matching, in full sweeps over
 # the upper edges, before the scan finishes it (see _match_pass)
@@ -103,19 +103,6 @@ class SolverConfig:
         if not (np.isfinite(self.tol) and self.tol > 0) or self.maxit < 1:
             raise ValueError(f"need a finite tol > 0 and maxit >= 1, "
                              f"got tol={self.tol}, maxit={self.maxit}")
-
-
-def _upper_csc(A: sp.csr_matrix) -> sp.csc_matrix:
-    """triu(A) in CSC, gathered from A's rows without a COO copy of A."""
-    n = A.shape[0]
-    rows = np.repeat(np.arange(n, dtype=A.indices.dtype), np.diff(A.indptr))
-    keep = A.indices >= rows
-    indptr = np.zeros(n + 1, dtype=A.indptr.dtype)
-    np.cumsum(np.bincount(rows[keep], minlength=n), out=indptr[1:])
-    del rows
-    U = sp.csr_matrix((A.data[keep], A.indices[keep], indptr), shape=A.shape)
-    del keep
-    return U.tocsc()
 
 
 class _Level:
@@ -509,33 +496,20 @@ def _aggregate(A: sp.csr_matrix):
     return agg, Ac
 
 
-def _asymmetry(A, U):
+def _asymmetry(A):
     """max |a_ij - a_ji|, the value abs(A - A.T).max() takes.
 
-    U is triu(A) in CSC, whose arrays are those of tril(A^T) in CSR.
-    When they equal tril(A)'s pattern row for row, A's pattern is
-    symmetric and each entry of tril(A) is compared with its transposed
-    partner in U, one block of rows at a time, without a transposed copy
-    of A; a pattern that differs falls back to forming A - A.T.
+    A's CSC arrays are those of A^T in CSR.  When A is canonical and
+    its CSC copy has A's indptr and indices, the pattern is symmetric
+    and the copy's data, less A's, are a_ji - a_ij entry for entry;
+    any other A falls back to forming A - A.T.
     """
     if A.has_canonical_format:
-        indptr, cols = A.indptr, A.indices
-        worst = 0.0
-        for r0, r1 in _row_blocks(indptr, 0, A.shape[0]):
-            e0, e1 = indptr[r0], indptr[r1]
-            lower = cols[e0:e1] <= _block_rows(indptr, r0, r1)
-            at = np.zeros(e1 - e0 + 1, dtype=U.indptr.dtype)
-            np.cumsum(lower, out=at[1:])
-            u0, u1 = U.indptr[r0], U.indptr[r1]
-            if not (np.array_equal(at[indptr[r0 : r1 + 1] - e0], U.indptr[r0 : r1 + 1] - u0)
-                    and np.array_equal(cols[e0:e1][lower], U.indices[u0:u1])):
-                break
-            del at
-            diff = A.data[e0:e1][lower]
-            diff -= U.data[u0:u1]
-            worst = max(worst, np.abs(diff, out=diff).max(initial=0.0))
-        else:
-            return worst
+        T = A.tocsc()
+        if np.array_equal(T.indptr, A.indptr) and np.array_equal(T.indices, A.indices):
+            T.data -= A.data
+            return np.abs(T.data, out=T.data).max(initial=0.0)
+        del T
     return abs(A - A.T).max()
 
 
@@ -570,7 +544,7 @@ def build_hierarchy(A) -> AmgHierarchy:
             f"non-finite entry in row {rows[first]}, column "
             f"{A.indices[bad[first]]}: a_ij = {A.data[bad[first]]}"
         )
-    if _asymmetry(A, _upper_csc(A)) > 1e-12 * _largest_entry(A):
+    if _asymmetry(A) > 1e-12 * _largest_entry(A):
         raise ValueError(
             "matrix is not symmetric: flexible CG and its symmetric "
             "multigrid preconditioner need a symmetric A"

@@ -37,7 +37,6 @@ from mdflow.solver import (
     _match_pass,
     _piecewise_constant,
     _strength_graph,
-    _upper_csc,
     build_hierarchy,
     fgmres,
     solve_pressure,
@@ -132,14 +131,15 @@ class TestHierarchy:
             with pytest.raises(ValueError, match="not symmetric"):
                 build_hierarchy(A.tocsr())
 
-    @pytest.mark.parametrize("block", [1, 5, 64])
-    def test_symmetry_measure_in_row_blocks(self, monkeypatch, block):
-        # tril(A)'s rows compared block by block with triu(A) in CSC give
-        # abs(A - A.T).max(): symmetric, rounded, one-sided and
-        # explicit-zero patterns
-        monkeypatch.setattr(solver_module, "STRENGTH_BLOCK", block)
-        rng = np.random.default_rng(block)
-        for kind in range(40):
+    def test_symmetry_measure_is_the_transposed_difference(self):
+        # the check against one CSC copy of A gives abs(A - A.T).max():
+        # symmetric, rounded, one-sided and explicit-zero patterns; every
+        # level of a study operator; rows holding their columns in reverse
+        # order; and duplicate entries, whose sums are symmetric while the
+        # entries themselves, read position by position, are not
+        rng = np.random.default_rng(0)
+        inputs = []
+        for kind in range(120):
             n = int(rng.integers(1, 40))
             R = sp.random(n, n, density=0.2, random_state=rng)
             A = sp.csr_matrix(R if kind % 4 == 2 else R + R.T)
@@ -147,7 +147,21 @@ class TestHierarchy:
                 A.data += rng.normal(0.0, 1e-14, A.nnz)
             if kind % 4 == 3 and A.nnz:
                 A.data[rng.integers(A.nnz)] = 0.0
-            assert _asymmetry(A, _upper_csc(A)) == abs(A - A.T).max()
+            inputs.append(A)
+        inputs += [lev.A for lev in build_hierarchy(schur_operator(case2(), 16)).levels]
+        shuffled = sp.csr_matrix(poisson2d(6)[1])
+        for i in range(shuffled.shape[0]):
+            row = slice(shuffled.indptr[i], shuffled.indptr[i + 1])
+            shuffled.indices[row] = shuffled.indices[row][::-1].copy()
+            shuffled.data[row] = shuffled.data[row][::-1].copy()
+        shuffled.has_sorted_indices = False
+        duplicated = sp.csr_matrix((np.array([2.0, -1.0, -3.0, -2.0, -2.0, 2.0]),
+                                    np.array([0, 1, 1, 0, 0, 1]), np.array([0, 3, 6])),
+                                   shape=(2, 2))
+        inputs += [shuffled, duplicated]
+        for A in inputs:
+            assert _asymmetry(A) == abs(A - A.T).max()
+        assert _asymmetry(duplicated) == 0.0
 
     def test_sweeps_are_l1_jacobi(self):
         # on every level, graph levels (case 2's coarse ones) included, the
@@ -190,23 +204,6 @@ class TestHierarchy:
             with pytest.raises(ValueError, match=r"row 1 has a non-finite l1 norm: "
                                                  r"sum_j \|a_ij\| = inf"):
                 build_hierarchy(A)
-
-    def test_upper_factor_input_is_triu_in_csc(self):
-        # the symmetry check's input, gathered from A's rows, equals
-        # sp.triu(A).tocsc() array for array on every level, and on a
-        # matrix whose rows hold their columns out of order
-        levels = build_hierarchy(schur_operator(case2(), 16)).levels
-        shuffled = sp.csr_matrix(poisson2d(6)[1])
-        for i in range(shuffled.shape[0]):
-            row = slice(shuffled.indptr[i], shuffled.indptr[i + 1])
-            shuffled.indices[row] = shuffled.indices[row][::-1].copy()
-            shuffled.data[row] = shuffled.data[row][::-1].copy()
-        shuffled.has_sorted_indices = False
-        for A in [lev.A for lev in levels] + [shuffled]:
-            got, expected = _upper_csc(A), sp.triu(A).tocsc()
-            for name in ("indptr", "indices", "data"):
-                a, b = getattr(got, name), getattr(expected, name)
-                assert a.dtype == b.dtype and np.array_equal(a, b), name
 
     def test_zero_diagonal_rejected(self):
         A = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
@@ -537,15 +534,15 @@ class TestSetupMemory:
         )
         rise = int(fresh_python(script, str(tmp_path / "A.npz"))) * 1024
         nbytes = A.data.nbytes + A.indices.nbytes + A.indptr.nbytes
-        # 2.12-2.14x in fresh processes with the l1-Jacobi smoother; a
-        # SuperLU factor of triu(A) on each level took it to 2.90-2.91x
+        # 2.07-2.26x in fresh processes, 2.25x in most: the symmetry
+        # check's freed CSC copy lifts glibc's mmap threshold, so later
+        # arrays of up to its size come from the heap (2.09-2.14x with
+        # MALLOC_MMAP_THRESHOLD_ fixed at 128 KiB)
         assert rise <= 2.4 * nbytes, f"{rise / nbytes:.2f} x the operator"
 
     def test_repeated_solves_keep_the_first_peak(self):
         # a later solve reuses the heap an earlier one freed: four case 2
-        # 1/h=32 solves peak 0.0-0.05 MB above the first.  A SuperLU
-        # smoother factor once peaked 12 MB higher on the second solve, as
-        # its untouched workspace held pages the first had left resident
+        # 1/h=32 solves peak 0.02-0.27 MB above the first
         script = (
             "from mdflow.harness import solve_case_mesh\n"
             "from mdflow.model import case2\n"
