@@ -194,9 +194,13 @@ class TestValidation:
         assert len(lines) == 1 and lines[0].startswith(f"error: {message}"), lines
         assert not out.exists() or not list(out.iterdir())
 
-    def test_failed_allocation_exits_1(self, capsys, monkeypatch, tmp_path):
-        exc = MemoryError("Unable to allocate 32.0 GiB for an array with shape (4294967296,)")
-
+    @pytest.mark.parametrize("exc", [
+        MemoryError("Unable to allocate 32.0 GiB for an array with shape (4294967296,)"),
+        MemoryError(),
+    ])
+    def test_failed_allocation_exits_1(self, capsys, monkeypatch, tmp_path, exc):
+        # numpy's message for an array it could not allocate, and the bare
+        # MemoryError the interpreter raises for its own objects
         def run_case(*args, **kwargs):
             raise exc
 

@@ -163,6 +163,47 @@ class TestHierarchy:
             assert _asymmetry(A) == abs(A - A.T).max()
         assert _asymmetry(duplicated) == 0.0
 
+    @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+    def test_symmetry_measure_leaves_A_as_it_was(self, index_dtype):
+        # the measure subtracts in its CSC copy, never in A: A's arrays,
+        # their dtypes and its format flags are unchanged, for int32 and
+        # int64 indices, on the symmetric-pattern path and the fallback
+        rng = np.random.default_rng(1)
+        R = sp.random(30, 30, density=0.2, random_state=rng)
+        inputs = [sp.csr_matrix(R + R.T), sp.csr_matrix(R), poisson2d(6)[1]]
+        rounded = sp.csr_matrix(R + R.T)
+        rounded.data += rng.normal(0.0, 1e-14, rounded.nnz)
+        inputs.append(rounded)
+        for A in inputs:
+            A = sp.csr_matrix(A)
+            A.indices = A.indices.astype(index_dtype)
+            A.indptr = A.indptr.astype(index_dtype)
+            before = {name: getattr(A, name).copy() for name in ("indptr", "indices", "data")}
+            canonical = A.has_canonical_format
+            assert _asymmetry(A) == abs(A - A.T).max()
+            for name, array in before.items():
+                got = getattr(A, name)
+                assert got.dtype == array.dtype and np.array_equal(got, array), name
+            assert A.has_canonical_format == canonical
+
+    def test_symmetric_pattern_forms_no_difference_matrix(self):
+        # on every level of a study operator, and on a rounded copy of the
+        # finest, the pattern is symmetric and the measure is taken in the
+        # CSC copy alone: forming A - A.T would fail here
+        class NoDifference(sp.csr_matrix):
+            def __sub__(self, other):
+                raise AssertionError("A - A.T formed")
+
+        levels = build_hierarchy(schur_operator(case2(), 16)).levels
+        rounded = levels[0].A.copy()
+        rounded.data *= 1.0 + np.random.default_rng(2).normal(0.0, 1e-15, rounded.nnz)
+        for A in [lev.A for lev in levels] + [rounded]:
+            expected = abs(A - A.T).max()
+            guarded = NoDifference(A)
+            assert guarded.has_canonical_format
+            assert _asymmetry(guarded) == expected
+        assert _asymmetry(NoDifference(rounded)) > 0.0
+
     def test_sweeps_are_l1_jacobi(self):
         # on every level, graph levels (case 2's coarse ones) included, the
         # down sweep is D^{-1} b and the up sweep x + D^{-1} (b - A x),
