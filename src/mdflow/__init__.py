@@ -48,7 +48,6 @@ from .assembly import (
     export_state_csv,
     face_weight,
     graph_stokes_check,
-    mixed_matrix,
     pressure_kernel,
     read_matrix_market,
     recover_fluxes,

@@ -36,8 +36,7 @@ support row with m = ks vol, 1/(1/k) of an edge) into A and b;
 `recover_fluxes` takes each row's pressure drop over its weight; the
 balance checks scatter each row's flux to its unknowns.  Each does the
 product form's floating-point operations in its order, so each equals
-it bit for bit.  Only `mixed_matrix`, which returns the whole
-saddle-point system, forms G and d.
+it bit for bit.  Nothing in the package forms G or d.
 """
 
 from __future__ import annotations
@@ -398,31 +397,6 @@ def graph_stokes_check(blocks: LumpedBlocks, state: MixedState) -> float:
     E = blocks.E
     root_flow = (E @ -np.ones(E.shape[1])) @ state.qN
     return abs(float(root_flow + blocks.r.sum()))
-
-
-def mixed_matrix(blocks: LumpedBlocks):
-    """The full mass-lumped block system (M, rhs) before flux elimination.
-
-    Unknown order: [qD; qS; qN; pD; pN].  Used for direct inspection of
-    the saddle structure, e.g. singular-value stability checks.  It is
-    the only place where G and d are formed.
-    """
-    grid, E = blocks.grid, blocks.E
-    nc, n = blocks.n_cells, blocks.n_unknowns
-    lo, hi = map(np.concatenate, zip(*map(grid.faces, range(grid.dim))))
-    faces = _face_weights_by_axis(grid, blocks.coeffs.kD)
-    d_D = np.concatenate([grid.gather(d, a) for a, d in faces])
-    m = blocks.sup_ks * grid.cell_volume
-    cols = np.concatenate([np.column_stack([lo, hi]),
-                           np.column_stack([blocks.sup_cell, nc + blocks.sup_node])])
-    vals = np.concatenate([np.tile([-1.0, 1.0], lo.size), np.column_stack([m, -m]).ravel()])
-    pairs = sp.csr_matrix((vals, cols.ravel(), np.arange(0, cols.size + 1, 2)),
-                          shape=(len(cols), n))
-    G = sp.vstack([pairs, sp.hstack([sp.csr_matrix((E.shape[0], nc)), -E])], format="csr")
-    d = np.concatenate([d_D, np.full(m.size, grid.cell_volume), 1 / blocks.edge_k])
-    M = sp.bmat([[sp.diags(d), G], [G.T, None]], format="csr")
-    lift = np.concatenate([np.zeros(len(cols)), blocks.lift_N])
-    return M, -np.concatenate([lift, blocks.r])
 
 
 # ---------------------------------------------------------------------------

@@ -399,8 +399,9 @@ def emit_tables(result: CaseResult, outdir, no_timings: bool = False):
 
     The convergence table mirrors the two-row-group layout (pressure
     variables, then flux variables); 4D cases get extra transfer and
-    perfusion columns, and each unconverged mesh a trailing comment
-    line.  A case without a reference gets the solver table alone.
+    perfusion columns, and each unconverged mesh, and an unconverged
+    fine reference, a trailing comment line.  A case without a reference
+    gets the solver table alone.
     """
     os.makedirs(outdir, exist_ok=True)
     name = result.spec.name
@@ -425,6 +426,8 @@ def emit_tables(result: CaseResult, outdir, no_timings: bool = False):
     for rec, rep in zip(table.records, result.reports):
         if not rep.converged:
             lines.append(f"# mesh {rec.inv_h}: solver did not converge")
+    if result.reference_report is not None and not result.reference_report.converged:
+        lines.append(f"# reference {result.spec.reference[1]}: solver did not converge")
     paths = []
     if result.spec.reference[0] != "none":
         paths.append(os.path.join(outdir, f"{name}_convergence.csv"))

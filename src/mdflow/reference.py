@@ -209,6 +209,8 @@ def eval_solution(sol: RadialSolution, r):
     r_arr = np.atleast_1d(r_arr).copy()
     if np.any(r_arr < 0):
         raise ValueError("negative radius")
+    if not np.all(r_arr < np.inf):  # false for nan as well as inf
+        raise ValueError("non-finite radius")
     pD = np.empty_like(r_arr)
     q = np.empty_like(r_arr)
 

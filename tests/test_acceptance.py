@@ -5,12 +5,12 @@ line per criterion alongside the measured numbers.
 """
 
 import numpy as np
+import scipy.sparse as sp
 
 from mdflow.assembly import (
     assemble_blocks,
     conservation_residual,
     graph_stokes_check,
-    mixed_matrix,
     schur_tpfa,
 )
 from mdflow.geometry import (
@@ -32,7 +32,7 @@ from mdflow.reference import (
 )
 from mdflow.solver import SolverConfig
 
-from oracles import lumped_rt0_schur_dense
+from oracles import lumped_rt0_schur_dense, product_form
 
 
 def _verdict(criterion, ok, detail):
@@ -235,9 +235,9 @@ def test_criterion_9_stability_proxy():
     for m in (4, 8, 16):
         grid = spec.grid(m)
         blocks = assemble_blocks(grid, spec.forest, spec.coefficients(grid))
-        M, _ = mixed_matrix(blocks)
-        Md = M.toarray()
-        nq = grid.n_faces + blocks.sup_cell.size + blocks.edge_k.size
+        G, dq, _, _ = product_form(blocks)
+        Md = sp.bmat([[sp.diags(dq), G], [G.T, None]]).toarray()
+        nq = G.shape[0]
         d = np.abs(np.diag(Md)).copy()
         d[nq : nq + blocks.n_cells] = grid.cell_volume  # pressure mass weights
         d[nq + blocks.n_cells :] = 1.0

@@ -15,7 +15,6 @@ from mdflow.assembly import (
     export_state_csv,
     face_weight,
     graph_stokes_check,
-    mixed_matrix,
     pressure_kernel,
     read_matrix_market,
     recover_fluxes,
@@ -94,8 +93,9 @@ class TestFaceWeight:
         g = unit_square(3)
         # 3x3 grid: 2*3 interior faces per axis
         assert g.n_faces == 12
-        M, _ = mixed_matrix(assemble_blocks(g, NO_NETWORK, plain_coeffs(g)))
-        assert M.shape == (12 + g.n_cells,) * 2
+        # one off-diagonal pair of A per interior face, none per boundary face
+        A, _ = schur_tpfa(assemble_blocks(g, NO_NETWORK, plain_coeffs(g)))
+        assert A.nnz == g.n_cells + 2 * 12
 
 
 class TestSchurStructure:
@@ -250,7 +250,11 @@ def two_tree_masked_case():
 
 
 def check_mixed_matrix(grid, forest, coeffs):
-    """The assembled mixed matrix equals the dense oracle; returns the lift."""
+    """The product form's saddle system equals the dense oracle; returns the lift.
+
+    This ties the oracle that pins every G-free consumer bit for bit to
+    the brute-force dense assembly.
+    """
     D, G, r_full, free_cols, dirichlet = lumped_mixed_dense(grid, forest, coeffs)
     nq = D.size
     G_free = G[:, free_cols]
@@ -262,7 +266,9 @@ def check_mixed_matrix(grid, forest, coeffs):
     lifted = G[:, dir_cols] @ np.array([dirichlet[c] for c in dir_cols])
     expected_rhs = np.concatenate([-lifted, -r_full[free_cols]])
 
-    M, rhs = mixed_matrix(assemble_blocks(grid, forest, coeffs))
+    G_sp, d, lift, r = product_form(assemble_blocks(grid, forest, coeffs))
+    M = sp.bmat([[sp.diags(d), G_sp], [G_sp.T, None]])
+    rhs = -np.concatenate([lift, r])
     assert M.shape == expected.shape
     assert np.abs(M.toarray() - expected).max() <= 1e-13
     assert np.abs(rhs - expected_rhs).max() <= 1e-13
@@ -320,41 +326,6 @@ class TestMixedOperatorMaskedForest:
         # kernel leaves a definite system
         lam = np.linalg.eigvalsh(A.toarray())
         assert lam[0] == pytest.approx(0.0, abs=1e-13) and lam[1] > 1e-6
-
-
-class TestOneAllocationG:
-    # G is formed in one place, `mixed_matrix`, which must equal the
-    # saddle-point matrix of the stacked blocks and the gathered d
-    @pytest.mark.parametrize("case", ["case1a", "case1b", "case2", "masked_two_trees"])
-    def test_equals_the_stacked_blocks_bitwise(self, case):
-        if case == "masked_two_trees":
-            grid, forest, coeffs = two_tree_masked_case()
-        else:
-            spec, m = {"case1a": (case1("A"), 32), "case1b": (case1("B"), 16),
-                       "case2": (case2(), 16)}[case]
-            grid, forest = spec.grid(m), spec.forest
-            coeffs = spec.coefficients(grid)
-        blocks = assemble_blocks(grid, forest, coeffs)
-        M, rhs = mixed_matrix(blocks)
-        G, d, lift, r = product_form(blocks)
-        expected = sp.bmat([[sp.diags(d), G], [G.T, None]], format="csr")
-        assert M.shape == expected.shape
-        for A in (M, expected):
-            A.sort_indices()
-        for name in ("indptr", "indices", "data"):
-            got, want = getattr(M, name), getattr(expected, name)
-            assert got.dtype == want.dtype, name
-            assert got.tobytes() == want.tobytes(), name
-        assert rhs.tobytes() == (-np.concatenate([lift, r])).tobytes()
-
-    def test_lift_is_zero_off_the_edge_rows(self):
-        grid, forest, coeffs = two_tree_masked_case()
-        blocks = assemble_blocks(grid, forest, coeffs)
-        _, rhs = mixed_matrix(blocks)
-        n_edges, n_flux = len(forest.edges), rhs.size - blocks.n_unknowns
-        assert not np.any(rhs[: n_flux - n_edges])
-        assert rhs[n_flux - n_edges : n_flux].tobytes() == (-blocks.lift_N).tobytes()
-        assert np.count_nonzero(blocks.lift_N) == 1  # only the root edge row
 
 
 def free_ends_case(root=dirichlet_root(0, 0.7)):
@@ -576,29 +547,6 @@ class TestGraphStokes:
         blocks = assemble_blocks(g, NO_NETWORK, plain_coeffs(g))
         state = recover_fluxes(blocks, np.zeros(blocks.n_unknowns))
         assert graph_stokes_check(blocks, state) == 0.0
-
-
-class TestMixedMatrix:
-    def test_block_symmetry_and_shape(self):
-        spec = case1("A")
-        grid = spec.grid(4)
-        blocks = assemble_blocks(grid, spec.forest, spec.coefficients(grid))
-        M, rhs = mixed_matrix(blocks)
-        n = grid.n_faces + blocks.sup_cell.size + 1 + grid.n_cells + 1
-        assert M.shape == (n, n)
-        assert np.abs((M - M.T).toarray()).max() == 0.0
-
-    def test_schur_of_mixed_matches_reduced(self):
-        spec = case1("A")
-        grid = spec.grid(4)
-        blocks = assemble_blocks(grid, spec.forest, spec.coefficients(grid))
-        M, rhs = mixed_matrix(blocks)
-        nq = grid.n_faces + blocks.sup_cell.size + blocks.edge_k.size
-        Md = M.toarray()
-        D, G = Md[:nq, :nq], Md[:nq, nq:]
-        A_mixed = G.T @ np.linalg.inv(D) @ G
-        A, _ = schur_tpfa(blocks)
-        assert np.abs(A_mixed - A.toarray()).max() <= 1e-12
 
 
 class TestExports:

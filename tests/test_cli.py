@@ -232,6 +232,15 @@ class TestReferenceCommand:
         assert main(["reference", "--case", "1b", "--samples", "10"]) == 0
         assert (tmp_path / "case1b_reference.csv").exists()
 
+    @pytest.mark.parametrize("rmax", ["nan", "inf"])
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_non_finite_rmax_exits_1(self, capsys, tmp_path, rmax):
+        # linspace(0, rmax) holds nan in either case
+        assert main(["reference", "--rmax", rmax, "--samples", "4",
+                     "--out", str(tmp_path)]) == 1
+        assert "error: non-finite radius" in capsys.readouterr().err
+        assert not (tmp_path / "case1a_reference.csv").exists()
+
 
 class TestSolveCommand:
     def test_round_trip(self, tmp_path):
@@ -375,6 +384,15 @@ class TestCaseCommands:
             row = (out / "solve_report.csv").read_text().splitlines()[1]
             niter[cycle] = int(row.split(",")[4])
         assert niter == {"V": 13, "K": 12}
+
+    def test_unconverged_reference_is_flagged(self, tmp_path):
+        # at maxit 11 the 1/h=4 mesh converges and its 1/h=16 reference does not
+        assert main(["case2", "--meshes", "4", "--reference-resolution", "16",
+                     "--maxit", "11", "--no-timings", "--out", str(tmp_path)]) == 2
+        lines = (tmp_path / "case2_convergence.csv").read_text().splitlines()
+        assert [line for line in lines if line.startswith("#")] == [
+            "# reference 16: solver did not converge"
+        ]
 
     def test_byte_identical_rerun_with_no_timings(self, tmp_path):
         args = ["case1b", "--meshes", "8,16", "--tol", "1e-8", "--no-timings"]

@@ -219,6 +219,13 @@ class TestEvalSolution:
             ps, qs = eval_solution(sol, float(r))
             assert ps == pv[i] and qs == qv[i]
 
+    @pytest.mark.parametrize("r", [np.nan, np.inf, [0.1, np.nan], [np.inf, 0.1]],
+                             ids=["nan", "inf", "nan_in_array", "inf_in_array"])
+    def test_non_finite_radius_rejected(self, sol, r):
+        # a nan radius lies in no region, so nothing would write its values
+        with pytest.raises(ValueError, match="non-finite radius"):
+            eval_solution(sol, r)
+
 
 class TestSelfConsistency:
     @pytest.mark.parametrize("variant", ["A", "B"])
