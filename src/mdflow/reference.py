@@ -324,10 +324,18 @@ def transfer_balance(sol: RadialSolution) -> float:
 
 
 def profile_table(sol: RadialSolution, n_samples: int = 500, r_max: float | None = None):
-    """(r, pD, q_r) samples over a radius grid for export and plotting."""
+    """(r, pD, q_r) samples over a radius grid for export and plotting.
+
+    n_samples radii from 0 to r_max (1.25 r3 by default); fewer than one
+    sample or an r_max that is NaN or infinite raises ValueError.
+    """
     p = sol.params
     if r_max is None:
         r_max = 1.25 * p.r3
+    if n_samples < 1:
+        raise ValueError(f"need at least one sample, got {n_samples}")
+    if not abs(r_max) < np.inf:  # false for nan as well as inf
+        raise ValueError(f"non-finite radius: r_max = {r_max}")
     r = np.linspace(0.0, r_max, n_samples)
     pD, q = eval_solution(sol, r)
     return np.column_stack([r, pD, q])

@@ -15,11 +15,13 @@ The matching is exactly the paper's lexicographic greedy scan, computed
 by numpy: Jacobi sweeps of the greedy rule converge to it from any
 start, since each decision depends only on those below it; a candidate
 built from row maxima is already the answer on the studies' grids, and
-after MATCH_SWEEPS sweeps' worth of work the scan itself finishes
-whatever is left (see _match_pass).  Like the strength test, the
-matching runs over blocks of rows holding about STRENGTH_BLOCK entries
-and reads them in place, so beside the strength graph it holds arrays
-of length n and one block's temporaries; so do the smoother's row sums.
+once the sweeps have read MATCH_SWEEPS times the strength graph's
+entries the scan itself finishes whatever is left (see _match_pass).
+The strength test, the matching and the smoother's row sums read the
+operator through one walker, _row_blocks, in blocks of whole rows
+holding about STRENGTH_BLOCK entries, each block's columns and values
+in place, so beside the strength graph they hold arrays of length n
+and one block's temporaries.
 The symmetry check reads the finest A against one CSC copy of it,
 whose arrays are those of A^T in CSR.
 Levels keep only the aggregate map: restriction sums the residual over
@@ -72,11 +74,12 @@ THETA = 0.08
 # row), ~8 on case 2's 4-D grid (5.4-5.9 on its finer levels)
 NPASSES = 2
 DENSE_DEGREE = 5
-# entries per block of rows in the strength test, the matching and the
-# smoother's row sums (see _row_blocks)
+# entries per block of rows that _row_blocks yields to the strength
+# test, the matching and the smoother's row sums
 STRENGTH_BLOCK = 1 << 18
-# work of the Jacobi sweeps of the greedy matching, in full sweeps over
-# the upper edges, before the scan finishes it (see _match_pass)
+# work of the Jacobi sweeps of the greedy matching, in multiples of the
+# strength graph's entries read, before the scan finishes it (see
+# _match_pass)
 MATCH_SWEEPS = 4
 MAX_LEVELS = 30
 # a level of at most COARSE_SIZE unknowns is solved by a dense factorization
@@ -164,22 +167,25 @@ class AmgHierarchy:
         return sum(l.A.nnz for l in self.levels) / self.levels[0].A.nnz
 
 
-def _row_blocks(indptr, r0, r1):
-    """Rows r0 to r1 - 1 as consecutive blocks (a, b) of whole rows.
+def _row_blocks(M: sp.csr_matrix, r0=0, r1=None):
+    """M's rows r0 to r1 - 1 (to the last by default) in blocks of whole rows.
 
-    A block holds about STRENGTH_BLOCK entries; a row longer than that
-    is a block of its own.
+    Yields (a, b, rows, cols, vals) for each block of rows a to b - 1:
+    the row of each of its entries (int32), and their columns and values
+    as views of M.indices and M.data.  A block holds about
+    STRENGTH_BLOCK entries; a row longer than that is a block of its
+    own.  The generator keeps no reference to what it yielded, so a
+    caller can free a block's arrays before it asks for the next.
     """
+    indptr = M.indptr
+    r1 = M.shape[0] if r1 is None else r1
     while r0 < r1:
         b = int(np.searchsorted(indptr, indptr[r0] + STRENGTH_BLOCK, side="right")) - 1
         b = min(max(b, r0 + 1), r1)
-        yield r0, b
+        e0, e1 = indptr[r0], indptr[b]
+        yield (r0, b, np.repeat(np.arange(r0, b, dtype=np.int32), np.diff(indptr[r0 : b + 1])),
+               M.indices[e0:e1], M.data[e0:e1])
         r0 = b
-
-
-def _block_rows(indptr, r0, r1):
-    """The row of each entry of rows r0 to r1 - 1."""
-    return np.repeat(np.arange(r0, r1, dtype=np.int32), np.diff(indptr[r0 : r1 + 1]))
 
 
 def _l1_row_sums(A: sp.csr_matrix) -> np.ndarray:
@@ -188,12 +194,9 @@ def _l1_row_sums(A: sp.csr_matrix) -> np.ndarray:
     Each row is summed in its entries' order, without abs(A)'s copy of
     A.  A sum that overflows or is NaN raises ValueError naming its row.
     """
-    n = A.shape[0]
-    indptr = A.indptr
-    d = np.empty(n)
-    for r0, r1 in _row_blocks(indptr, 0, n):
-        rows = _block_rows(indptr, r0, r1) - r0
-        d[r0:r1] = np.bincount(rows, np.abs(A.data[indptr[r0] : indptr[r1]]),
+    d = np.empty(A.shape[0])
+    for r0, r1, rows, _, vals in _row_blocks(A):
+        d[r0:r1] = np.bincount(rows - r0, np.abs(vals),
                                minlength=r1 - r0)  # inf on overflow, without a warning
     bad = np.flatnonzero(~np.isfinite(d))
     if bad.size:
@@ -205,40 +208,34 @@ def _l1_row_sums(A: sp.csr_matrix) -> np.ndarray:
 def _strength_graph(A: sp.csr_matrix) -> sp.csr_matrix:
     """Off-diagonal entries passing |a_ij| >= THETA sqrt(a_ii a_jj), as |a_ij|.
 
-    The test runs over blocks of rows holding about STRENGTH_BLOCK
-    entries, so of A's length only a mask of the entries kept is held;
-    the kept entries are then gathered once.  An entry whose threshold
+    The test runs over blocks of rows (see _row_blocks), so of A's
+    length only a mask of the entries kept is held; the kept entries
+    are then gathered once, and each row's count of them is made into
+    the row pointer by one cumulative sum.  An entry whose threshold
     overflows to inf is weak, and an entry of zero is dropped.
     """
-    n = A.shape[0]
-    indptr, cols = A.indptr, A.indices
+    indptr = A.indptr
     d = np.abs(A.diagonal())
-    keep = np.empty(cols.size, dtype=bool)
-    out_ptr = np.zeros(n + 1, dtype=indptr.dtype)
-    for r0, r1 in _row_blocks(indptr, 0, n):
-        e0, e1 = indptr[r0], indptr[r1]
-        size = np.diff(indptr[r0 : r1 + 1])
-        c = cols[e0:e1]
-        t = np.repeat(d[r0:r1], size)
+    keep = np.empty(A.nnz, dtype=bool)
+    out_ptr = np.zeros(A.shape[0] + 1, dtype=indptr.dtype)
+    for r0, r1, rows, cols, vals in _row_blocks(A):
+        t = np.repeat(d[r0:r1], np.diff(indptr[r0 : r1 + 1]))
         with np.errstate(over="ignore"):
-            t *= d[c]
+            t *= d[cols]
         np.sqrt(t, out=t)
         t *= THETA
-        a = np.abs(A.data[e0:e1])
-        weak = np.less(a, t, out=keep[e0:e1])
+        a = np.abs(vals)
+        weak = np.less(a, t, out=keep[indptr[r0] : indptr[r1]])
         del t
         weak |= a == 0
         del a
-        weak |= np.repeat(np.arange(r0, r1, dtype=c.dtype), size) == c
+        weak |= rows == cols
         strong = np.logical_not(weak, out=weak)
-        kept = np.zeros(e1 - e0 + 1, dtype=out_ptr.dtype)
-        np.cumsum(strong, out=kept[1:])
-        out_ptr[r0 + 1 : r1 + 1] = kept[indptr[r0 + 1 : r1 + 1] - e0]
-        out_ptr[r0 + 1 : r1 + 1] += out_ptr[r0]
-        del kept
+        out_ptr[r0 + 1 : r1 + 1] = np.bincount(rows[strong] - r0, minlength=r1 - r0)
+    np.cumsum(out_ptr, out=out_ptr)
     data = A.data[keep]
     np.abs(data, out=data)
-    S = sp.csr_matrix((data, cols[keep], out_ptr), shape=A.shape)
+    S = sp.csr_matrix((data, A.indices[keep], out_ptr), shape=A.shape)
     del keep
     S.sort_indices()
     return S
@@ -252,12 +249,13 @@ def _run_starts(r: np.ndarray) -> np.ndarray:
     return np.flatnonzero(new)
 
 
-def _at_row_max(w: np.ndarray, starts: np.ndarray) -> np.ndarray:
+def _at_row_max(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Mask of the positive entries of w equal to their row's maximum.
 
-    Rows are nonempty and begin at ``starts``, the last one ending with
-    w.  NaN is never a maximum, as in a scan testing w > best.
+    rows, grouped, holds the row of each entry of w.  NaN is never a
+    maximum, as in a scan testing w > best.
     """
+    starts = _run_starts(rows)
     hit = w == np.repeat(np.fmax.reduceat(w, starts), np.diff(starts, append=w.size))
     hit &= w > 0
     return hit
@@ -275,23 +273,16 @@ def _claims(choice: np.ndarray) -> np.ndarray:
 def _candidate(S: sp.csr_matrix):
     """Stage 1 of _match_pass, block by block.
 
-    Returns each row's first heaviest neighbor (-1 if none), the
-    candidate's choices (a seed's partner, -1 elsewhere) and the number
-    of upper edges.  Each row points to its heaviest neighbor ranked by
-    the uint32 key 2 d + parity, one per row: (d, parity) pins the
-    neighbor.
+    Returns each row's first heaviest neighbor (-1 if none) and the
+    candidate's choices (a seed's partner, -1 elsewhere).  Each row
+    points to its heaviest neighbor ranked by the uint32 key
+    2 d + parity, one per row: (d, parity) pins the neighbor.
     """
     n = S.shape[0]
-    indptr, cols, w = S.indptr, S.indices, S.data
     heaviest = np.full(n, -1, dtype=np.int32)
     point = np.full(n, -1, dtype=np.int32)
-    n_upper = 0
-    for r0, r1 in _row_blocks(indptr, 0, n):
-        e0, e1 = indptr[r0], indptr[r1]
-        size = np.diff(indptr[r0 : r1 + 1])
-        top = _at_row_max(w[e0:e1], indptr[r0:r1][size > 0] - e0)
-        rows, c = _block_rows(indptr, r0, r1), cols[e0:e1]
-        n_upper += np.count_nonzero(c > rows)
+    for _, _, rows, c, w in _row_blocks(S):
+        top = _at_row_max(w, rows)
         r, k = rows[top], c[top]
         del rows, top
         starts = _run_starts(r)
@@ -315,7 +306,7 @@ def _candidate(S: sp.csr_matrix):
     seeds = seeds[point[point[seeds]] == seeds]
     choice = np.full(n, -1, dtype=np.int32)
     choice[seeds] = point[seeds]
-    return heaviest, choice, n_upper
+    return heaviest, choice
 
 
 def _sweep(S: sp.csr_matrix, choice: np.ndarray, settled: int):
@@ -323,25 +314,20 @@ def _sweep(S: sp.csr_matrix, choice: np.ndarray, settled: int):
 
     choice is updated in place; every block reads the claims of the
     choices made before the sweep.
-    Returns the first row whose choice changed (n if none) and the
-    number of upper edges swept.
+    Returns the first row whose choice changed (n if none).
     """
     n = S.shape[0]
-    indptr, cols, w = S.indptr, S.indices, S.data
     claim = _claims(choice)
-    moved, swept = n, 0
-    for r0, r1 in _row_blocks(indptr, settled, n):
-        e0, e1 = indptr[r0], indptr[r1]
-        r, k = _block_rows(indptr, r0, r1), cols[e0:e1]
+    moved = n
+    for r0, r1, r, k, wt in _row_blocks(S, settled):
         upper = k > r
-        r, k = r[upper], k[upper]
+        r, k, wt = r[upper], k[upper], wt[upper]
+        del upper
         usable = claim[r] > r
         usable &= claim[k] >= r
-        wt = w[e0:e1][upper]
-        del upper
         wt[~usable] = 0.0
         del usable
-        hit = np.flatnonzero(_at_row_max(wt, _run_starts(r)))
+        hit = np.flatnonzero(_at_row_max(wt, r))
         del wt
         hit = hit[_run_starts(r[hit])]
         new = np.full(r1 - r0, -1, dtype=np.int32)
@@ -350,9 +336,8 @@ def _sweep(S: sp.csr_matrix, choice: np.ndarray, settled: int):
             change = np.flatnonzero(new != choice[r0:r1])
             moved = r0 + int(change[0]) if change.size else n
         choice[r0:r1] = new
-        swept += r.size
         del r, k, hit, new  # before the next block's
-    return moved, swept
+    return moved
 
 
 def _match_pass(S: sp.csr_matrix):
@@ -381,12 +366,13 @@ def _match_pass(S: sp.csr_matrix):
        matching is the unique fixpoint whatever the start, the unknowns
        up to the first one a sweep changes are final, and later sweeps
        skip them.
-    3. Fallback.  Once the sweeps have covered MATCH_SWEEPS times the
-       upper edges, the scan itself finishes from the first unsettled
-       unknown.  A path graded so each unknown prefers the next needs a
-       sweep per unknown, grids with rows of odd length defeat the
-       candidate's parity, and lexicographically first maximal matching
-       is P-complete in general (Anderson & Mayr, 1987).  The scan also
+    3. Fallback.  Once the sweeps have read MATCH_SWEEPS times S's
+       entries (a sweep reads every entry of the rows it sweeps), the
+       scan itself finishes from the first unsettled unknown.  A path
+       graded so each unknown prefers the next needs a sweep per
+       unknown, grids with rows of odd length defeat the candidate's
+       parity, and lexicographically first maximal matching is
+       P-complete in general (Anderson & Mayr, 1987).  The scan also
        takes over below the first seed with an unmatched lower
        neighbor, which the sweeps do not see and only an unsymmetric
        pattern produces.
@@ -394,11 +380,10 @@ def _match_pass(S: sp.csr_matrix):
        ones would have paired), so every neighbor of one is aggregated
        and it joins its row's first maximum.
 
-    Stages 1-3 run over blocks of whole rows of about STRENGTH_BLOCK
-    entries (see _row_blocks), reading each block's entries, and its
-    upper edges, from S's sorted rows in place.  Every block of a sweep
-    reads the claims made before the sweep, so blocking moves no
-    decision.  Beside S the pass holds arrays of length n and one
+    Stages 1-3 read S's sorted rows in place through _row_blocks, in
+    blocks of whole rows of about STRENGTH_BLOCK entries.  Every block
+    of a sweep reads the claims made before the sweep, so blocking moves
+    no decision.  Beside S the pass holds arrays of length n and one
     block's temporaries, none of S's length.
     """
     n = S.shape[0]
@@ -407,16 +392,16 @@ def _match_pass(S: sp.csr_matrix):
     # join the heap's top instead of a hole under it that later
     # allocations fit badly (case 2 1/h=32 setup peak 3.2 -> 2.9x A)
     agg = np.full(n, -1, dtype=np.int64)
-    heaviest, choice, n_upper = _candidate(S)
+    heaviest, choice = _candidate(S)
     # Jacobi sweeps; choices below `settled` are final
-    settled, budget = 0, MATCH_SWEEPS * n_upper
+    settled, budget = 0, MATCH_SWEEPS * S.nnz
     while True:
-        moved, swept = _sweep(S, choice, settled)
+        moved = _sweep(S, choice, settled)
         if moved == n:
             settled = n
             break
+        budget -= S.nnz - int(indptr[settled])
         settled = moved + 1
-        budget -= swept
         if budget <= 0:
             break
 
@@ -426,9 +411,7 @@ def _match_pass(S: sp.csr_matrix):
     # a seed (unmatched, or paired by its own choice) with an unmatched
     # lower neighbor: build_hierarchy admits a_ij != a_ji up to rounding,
     # so the strength threshold can keep one of the two and not the other
-    for r0, r1 in _row_blocks(indptr, 0, settled):
-        e0, e1 = indptr[r0], indptr[r1]
-        row, c = _block_rows(indptr, r0, r1), cols[e0:e1]
+    for _, _, row, c, _ in _row_blocks(S, 0, settled):
         bad = row[free[c] & (c < row)]
         bad = bad[free[bad] | (choice[bad] >= 0)]
         if bad.size:

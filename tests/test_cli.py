@@ -233,12 +233,19 @@ class TestReferenceCommand:
         assert (tmp_path / "case1b_reference.csv").exists()
 
     @pytest.mark.parametrize("rmax", ["nan", "inf"])
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_non_finite_rmax_exits_1(self, capsys, tmp_path, rmax):
-        # linspace(0, rmax) holds nan in either case
-        assert main(["reference", "--rmax", rmax, "--samples", "4",
-                     "--out", str(tmp_path)]) == 1
+        # rejected before linspace(0, rmax), which warns and holds nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["reference", "--rmax", rmax, "--samples", "4",
+                         "--out", str(tmp_path)]) == 1
         assert "error: non-finite radius" in capsys.readouterr().err
+        assert not (tmp_path / "case1a_reference.csv").exists()
+
+    def test_no_samples_exits_1(self, capsys, tmp_path):
+        # a header-only CSV would report success with no profile
+        assert main(["reference", "--samples", "0", "--out", str(tmp_path)]) == 1
+        assert "error: need at least one sample, got 0" in capsys.readouterr().err
         assert not (tmp_path / "case1a_reference.csv").exists()
 
 

@@ -36,6 +36,7 @@ from mdflow.solver import (
     _l1_row_sums,
     _match_pass,
     _piecewise_constant,
+    _row_blocks,
     _strength_graph,
     build_hierarchy,
     fgmres,
@@ -235,6 +236,42 @@ class TestHierarchy:
         for lev in build_hierarchy(schur_operator(case2(), 8)).levels:
             assert np.array_equal(_l1_row_sums(lev.A), l1_row_sums(lev.A))
 
+    @pytest.mark.parametrize("block", [None, 1, 3, 7], ids=["default", "1", "3", "7"])
+    def test_row_blocks_cover_each_entry_once(self, monkeypatch, block):
+        # random CSR matrices with an empty row and a full row (longer
+        # than a block of a few entries), over the whole matrix and over
+        # sub-ranges, an empty one included: consecutive blocks of whole
+        # rows whose entries, read in place, are the range's in order
+        if block is not None:
+            monkeypatch.setattr(solver_module, "STRENGTH_BLOCK", block)
+        limit = solver_module.STRENGTH_BLOCK
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            n = int(rng.integers(10, 40))
+            D = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.2)
+            empty, full = rng.choice(n, size=2, replace=False)
+            D[empty], D[full] = 0.0, rng.uniform(1.0, 2.0, n)
+            M = sp.csr_matrix(D)
+            lo, hi = sorted(rng.integers(0, n + 1, size=2))
+            mid = int(rng.integers(0, n + 1))
+            for r0, r1 in [(0, None), (0, n), (lo, hi), (mid, mid)]:
+                stop = n if r1 is None else r1
+                blocks = list(_row_blocks(M) if r1 is None else _row_blocks(M, r0, r1))
+                ends = [r0] + [b for _, b, *_ in blocks]
+                assert [a for a, *_ in blocks] == ends[:-1] and ends[-1] == stop
+                for a, b, rows, cols, vals in blocks:
+                    assert a < b and rows.dtype == np.int32
+                    lengths = np.diff(M.indptr[a : b + 1])
+                    assert np.array_equal(rows, np.repeat(np.arange(a, b), lengths))
+                    assert rows.size <= limit or b == a + 1
+                    assert rows.size == 0 or (np.shares_memory(cols, M.indices)
+                                              and np.shares_memory(vals, M.data))
+                want = [(i, j, v) for i in range(r0, stop)
+                        for j, v in zip(M[i].indices, M[i].data)]
+                got = [(a, b, c) for _, _, rows, cols, vals in blocks
+                       for a, b, c in zip(rows, cols, vals)]
+                assert got == want
+
     def test_overflowing_row_sum_rejected_with_its_row(self):
         # each entry is finite; rows 1 and 2 sum past float64, quietly
         A = sp.csr_matrix(np.array([[2.0, 0.0, 0.0],
@@ -427,6 +464,17 @@ class TestMatching:
         assert MATCH_SWEEPS <= len(sweeps) <= 2 * MATCH_SWEEPS
         assert np.array_equal(agg, greedy_match_pass(S))
         assert np.array_equal(agg, np.arange(n) // 2)
+
+    @pytest.mark.parametrize("sweeps", [0, 1, 10**6])
+    def test_output_does_not_depend_on_the_sweep_budget(self, monkeypatch, sweeps):
+        # the sweeps and the scan compute the same matching, so the work
+        # split between them moves no decision: no sweep's worth, one, or
+        # sweeps until the fixpoint; the 63^2 grid defeats the candidate
+        monkeypatch.setattr(solver_module, "MATCH_SWEEPS", sweeps)
+        for S in itertools.chain(symmetric_graphs(False, 30), symmetric_graphs(True, 30),
+                                 unsymmetric_graphs(30),
+                                 [_strength_graph(grid_laplacian(63, 2))]):
+            assert_same_matching(S)
 
     def test_edgeless_graph(self):
         assert _match_pass(sp.csr_matrix((5, 5))) is None
