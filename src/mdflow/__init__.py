@@ -3,7 +3,7 @@
 A finite-volume (two-point flux) discretization of pressure-driven flow
 in an n-dimensional porous domain exchanging mass with rooted-tree
 networks through distributed terminal supports, together with an
-aggregation-based algebraic multigrid solver and a Bessel-series
+aggregation-based algebraic multigrid solver and a closed-form Bessel
 radial reference solution for verification.
 """
 
@@ -65,8 +65,6 @@ from .solver import (
 )
 from .reference import (
     RadialSolution,
-    bessel,
-    bessel_deriv,
     eval_solution,
     ode_residual_check,
     profile_table,

@@ -41,7 +41,8 @@ it bit for bit.  Nothing in the package forms G or d.
 
 from __future__ import annotations
 
-import io
+import contextlib
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -416,31 +417,43 @@ def read_matrix_market(path):
     return sp.csr_matrix(scipy.io.mmread(str(path)))
 
 
+def _atomic_write(path, text: str):
+    """Write text to path: a reader sees the whole file or none of it.
+
+    The text goes to a temporary file beside path, which takes the final
+    name only through os.replace once complete; on failure it is removed.
+    """
+    tmp = f"{path}.tmp{os.getpid()}"
+    try:
+        with open(tmp, "w") as f:
+            f.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
 def export_state_csv(blocks: LumpedBlocks, state: MixedState, prefix):
     """Write the state as four CSV files: cells, faces, nodes, edges.
 
     Every value is a Python float in repr's shortest round-trip digits,
-    so np.loadtxt reads back exactly the state's bits.
+    so np.loadtxt reads back exactly the state's bits.  Each file is
+    written atomically (see `_atomic_write`).
     """
     prefix = str(prefix)
     grid = blocks.grid
-    with io.open(prefix + "_cells.csv", "w") as f:
-        coord_names = ",".join(f"x{a+1}" for a in range(grid.dim))
-        f.write(f"cell,{coord_names},pD\n")
-        rows = zip(grid.cell_centers().tolist(), state.pD.tolist())
-        for i, (coords, p) in enumerate(rows):
-            f.write(f"{i},{','.join(map(repr, coords))},{p!r}\n")
-    with io.open(prefix + "_faces.csv", "w") as f:
-        f.write("face,axis,cell_lo,cell_hi,qD\n")
-        faces = ((axis, lo, hi) for axis in range(grid.dim)
-                 for lo, hi in zip(*(cells.tolist() for cells in grid.faces(axis))))
-        for i, ((axis, lo, hi), q) in enumerate(zip(faces, state.qD.tolist())):
-            f.write(f"{i},{axis},{lo},{hi},{q!r}\n")
-    with io.open(prefix + "_nodes.csv", "w") as f:
-        f.write("node,pN\n")
-        for nid, val in zip(blocks.free_node_ids, state.pN.tolist()):
-            f.write(f"{nid},{val!r}\n")
-    with io.open(prefix + "_edges.csv", "w") as f:
-        f.write("edge,tail,head,qN\n")
-        for i, (e, q) in enumerate(zip(blocks.forest.edges, state.qN.tolist())):
-            f.write(f"{i},{e.tail},{e.head},{q!r}\n")
+    coord_names = ",".join(f"x{a+1}" for a in range(grid.dim))
+    rows = zip(grid.cell_centers().tolist(), state.pD.tolist())
+    _atomic_write(prefix + "_cells.csv", f"cell,{coord_names},pD\n" + "".join(
+        f"{i},{','.join(map(repr, coords))},{p!r}\n" for i, (coords, p) in enumerate(rows)))
+    faces = ((axis, lo, hi) for axis in range(grid.dim)
+             for lo, hi in zip(*(cells.tolist() for cells in grid.faces(axis))))
+    _atomic_write(prefix + "_faces.csv", "face,axis,cell_lo,cell_hi,qD\n" + "".join(
+        f"{i},{axis},{lo},{hi},{q!r}\n"
+        for i, ((axis, lo, hi), q) in enumerate(zip(faces, state.qD.tolist()))))
+    _atomic_write(prefix + "_nodes.csv", "node,pN\n" + "".join(
+        f"{nid},{val!r}\n" for nid, val in zip(blocks.free_node_ids, state.pN.tolist())))
+    _atomic_write(prefix + "_edges.csv", "edge,tail,head,qN\n" + "".join(
+        f"{i},{e.tail},{e.head},{q!r}\n"
+        for i, (e, q) in enumerate(zip(blocks.forest.edges, state.qN.tolist()))))

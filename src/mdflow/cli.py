@@ -23,8 +23,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .assembly import export_state_csv, read_matrix_market
-from .harness import _atomic_write, emit_tables, run_case
+from .assembly import _atomic_write, export_state_csv, read_matrix_market
+from .harness import emit_tables, run_case
 from .model import builtin_case, case_from_text
 from .reference import profile_table, solve_constants
 from .solver import CYCLES, SolveReport, SolverConfig, solve_pressure

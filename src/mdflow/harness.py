@@ -30,6 +30,7 @@ import numpy as np
 from .assembly import (
     LumpedBlocks,
     MixedState,
+    _atomic_write,
     _face_weights_by_axis,
     assemble_blocks,
     conservation_residual,
@@ -378,13 +379,6 @@ def run_case(
 # ---------------------------------------------------------------------------
 # CSV emission
 # ---------------------------------------------------------------------------
-
-def _atomic_write(path, text: str):
-    tmp = f"{path}.tmp{os.getpid()}"
-    with open(tmp, "w") as f:
-        f.write(text)
-    os.replace(tmp, path)
-
 
 def _fmt_err(e):
     return "" if e is None else f"{e:.6e}"

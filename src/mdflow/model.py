@@ -287,6 +287,12 @@ def _seq(parse, show=repr):
             lambda s: tuple(parse(x) for x in s.replace(",", " ").split()))
 
 
+def _refine_flag(s: str) -> bool:
+    if s not in ("0", "1"):
+        raise ValueError(f"[grid] refine_axes entries are 0 or 1, got {s!r}")
+    return s == "1"
+
+
 def _compartment(s: str):
     axis, _, side = s.partition(":")
     return int(axis), side.strip()
@@ -298,7 +304,7 @@ _FORMATS = {
     "terminal_id": (repr, int),
     "fixed_cells": _seq(int),
     "radial_axes": _seq(int),
-    "refine_axes": _seq(lambda x: bool(int(x)), show=lambda b: repr(int(b))),
+    "refine_axes": _seq(_refine_flag, show=lambda b: repr(int(b))),
     "compartment": (lambda c: f"{c[0]}:{c[1]}", _compartment),
     **dict.fromkeys(("origin", "extent", "kD", "center"), _seq(float)),
     **dict.fromkeys(("r0", "r1", "kT0", "rD0", "r2", "r3"), (repr, float)),

@@ -14,8 +14,10 @@ five concentric regions:
 Region membership at an interface radius goes to the lower region.  The
 free constants are fixed by pressure continuity at r0 and flux
 continuity at r0 and r1; everything else chains analytically.  The
-Bessel functions come from scipy.special, which holds its accuracy for
-the large arguments and orders a large kT0 produces (see `bessel`).
+Bessel functions I0, I1, J_nu, Y_nu and the derivatives J'_nu, Y'_nu
+come from scipy.special (iv, jv, yv, jvp, yvp: D. E. Amos, ACM TOMS
+Algorithm 644), which holds its accuracy for the large arguments and
+orders a large kT0 produces.
 """
 
 from __future__ import annotations
@@ -31,32 +33,6 @@ from .model import RadialParams, ring_profile
 
 ODE_CHECK_STEP = 1e-4  # finite-difference step of `ode_residual_check`
 BALANCE_QUAD_POINTS = 2000  # Gauss-Legendre points per `transfer_balance` region
-
-_SCIPY_NAMES = {"J": ("jv", "jvp"), "Y": ("yv", "yvp"), "I": ("iv", "ivp")}
-
-
-def _cylinder(kind: str, nu: float, x, derivative: bool):
-    if kind not in _SCIPY_NAMES:
-        raise ValueError(f"kind must be 'J', 'Y' or 'I', got {kind!r}")
-    import scipy.special  # deferred: keeps `import mdflow` light
-
-    out = getattr(scipy.special, _SCIPY_NAMES[kind][derivative])(nu, x)
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def bessel(kind: str, nu: float, x):
-    """Bessel function J, Y or I of real order nu at x >= 0.
-
-    Evaluated by scipy.special (jv, yv, iv: D. E. Amos, ACM TOMS
-    Algorithm 644), with no cap on the argument or the order; Y is -inf
-    at x = 0.  Returns a float for scalar x, an array otherwise.
-    """
-    return _cylinder(kind, nu, x, derivative=False)
-
-
-def bessel_deriv(kind: str, nu: float, x):
-    """d/dx of the cylinder function C_nu at x (scipy's jvp, yvp, ivp)."""
-    return _cylinder(kind, nu, x, derivative=True)
 
 
 def volume_balance_qN(params: RadialParams) -> float:
@@ -101,9 +77,12 @@ def solve_constants(params: RadialParams) -> RadialSolution:
     r0, flux continuity at r0 and at r1) form a 3x3 linear system for
     (cI, cJ, cY).  For r0 == r1 the middle region is empty and cI
     follows from flux continuity alone.  A kT0 so large that the
-    modified Bessel terms at kappa0*r0 overflow double precision (above
-    about 1.2e7 for case 1) raises ValueError.
+    modified Bessel terms at kappa0*r0 overflow double precision raises
+    ValueError: for case 1 above about 4.97e7 with a taper band (1A) and
+    above about 1.24e7 without one (1B).
     """
+    from scipy.special import iv, jv, jvp, yv, yvp  # deferred: keeps `import mdflow` light
+
     p = params
     kD, kN, rD0 = p.kD, p.kN, p.rD0
     qN = volume_balance_qN(p)
@@ -115,49 +94,42 @@ def solve_constants(params: RadialParams) -> RadialSolution:
         kappa1 = a0 * kappa0
         nu = kappa1 * p.r1
         x0, x1 = kappa1 * p.r0, kappa1 * p.r1
-        mat = np.array(
-            [
+        with np.errstate(over="ignore"):  # an overflow is refused below
+            mat = np.array(
                 [
-                    bessel("I", 0, kappa0 * p.r0),
-                    -bessel("J", nu, x0),
-                    -bessel("Y", nu, x0),
-                ],
-                [
-                    kappa0 * bessel("I", 1, kappa0 * p.r0),
-                    -kappa1 * bessel_deriv("J", nu, x0),
-                    -kappa1 * bessel_deriv("Y", nu, x0),
-                ],
-                [
-                    0.0,
-                    kD * kappa1 * bessel_deriv("J", nu, x1),
-                    kD * kappa1 * bessel_deriv("Y", nu, x1),
-                ],
-            ]
-        )
+                    [iv(0, kappa0 * p.r0), -jv(nu, x0), -yv(nu, x0)],
+                    [
+                        kappa0 * iv(1, kappa0 * p.r0),
+                        -kappa1 * jvp(nu, x0),
+                        -kappa1 * yvp(nu, x0),
+                    ],
+                    [0.0, kD * kappa1 * jvp(nu, x1), kD * kappa1 * yvp(nu, x1)],
+                ]
+            )
         rhs = np.array([0.0, 0.0, -qN / (2.0 * math.pi * p.r1)])
         # The Bessel columns span tens of decades at large kT0: equilibrate
-        # them before judging the conditioning.  Past the double range the
-        # column norms overflow, and the system is refused.
-        with np.errstate(over="ignore"):
-            scale = np.linalg.norm(mat, axis=0)
+        # each by its largest entry before judging the conditioning.  An
+        # entry past the double range refuses the system.
+        scale = np.abs(mat).max(axis=0)
         if not np.all(np.isfinite(scale)):
             raise _overflow_error(p, kappa0)
         cond = np.linalg.cond(mat / scale)
         if not np.isfinite(cond) or cond > 1e14:
             raise ValueError(f"singular matching system (condition number {cond:.3e})")
         cI, cJ, cY = np.linalg.solve(mat / scale, rhs) / scale
-        p_r1 = pN1 + cJ * bessel("J", nu, x1) + cY * bessel("Y", nu, x1)
+        p_r1 = float(pN1 + cJ * jv(nu, x1) + cY * yv(nu, x1))
     else:
         a0 = 0.0
         kappa1 = 0.0
         nu = 0.0
         cJ = cY = 0.0
-        flux = 2.0 * math.pi * p.r1 * kD * kappa0 * bessel("I", 1, kappa0 * p.r1)
-        i0 = bessel("I", 0, kappa0 * p.r1)
+        with np.errstate(over="ignore"):  # an overflow is refused below
+            flux = 2.0 * math.pi * p.r1 * kD * kappa0 * iv(1, kappa0 * p.r1)
+        i0 = iv(0, kappa0 * p.r1)
         if not (math.isfinite(flux) and math.isfinite(i0)):
             raise _overflow_error(p, kappa0)
         cI = -qN / flux
-        p_r1 = pN1 + cI * i0
+        p_r1 = float(pN1 + cI * i0)
 
     c4 = (rD0 / kD) * (p.r3**4 / 12.0 - p.r2 * p.r3**3 / 6.0)
     p_r2 = p_r1 - qN / (2.0 * math.pi * kD) * math.log(p.r2 / p.r1)
@@ -203,6 +175,8 @@ def eval_solution(sol: RadialSolution, r):
     Each interface radius belongs to the region below it; flux is zero
     at and beyond r3 by the outer zero-flux condition.
     """
+    from scipy.special import iv, jv, jvp, yv, yvp  # deferred: keeps `import mdflow` light
+
     p = sol.params
     r_arr = np.asarray(r, dtype=float)
     scalar = r_arr.ndim == 0
@@ -217,21 +191,15 @@ def eval_solution(sol: RadialSolution, r):
     m1 = r_arr <= p.r0
     if np.any(m1):
         x = sol.kappa0 * r_arr[m1]
-        pD[m1] = sol.pN1 + sol.cI * bessel("I", 0, x)
-        q[m1] = -p.kD * sol.cI * sol.kappa0 * bessel("I", 1, x)
+        pD[m1] = sol.pN1 + sol.cI * iv(0, x)
+        q[m1] = -p.kD * sol.cI * sol.kappa0 * iv(1, x)
 
     m2 = (r_arr > p.r0) & (r_arr <= p.r1)
     if np.any(m2):
         rr = r_arr[m2]
         x = sol.kappa1 * rr
-        pD[m2] = (
-            sol.pN1
-            + sol.cJ * bessel("J", sol.nu, x)
-            + sol.cY * bessel("Y", sol.nu, x)
-        )
-        dJ = bessel_deriv("J", sol.nu, x)
-        dY = bessel_deriv("Y", sol.nu, x)
-        q[m2] = -p.kD * sol.kappa1 * (sol.cJ * dJ + sol.cY * dY)
+        pD[m2] = sol.pN1 + sol.cJ * jv(sol.nu, x) + sol.cY * yv(sol.nu, x)
+        q[m2] = -p.kD * sol.kappa1 * (sol.cJ * jvp(sol.nu, x) + sol.cY * yvp(sol.nu, x))
 
     m3 = (r_arr > p.r1) & (r_arr <= p.r2)
     if np.any(m3):

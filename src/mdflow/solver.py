@@ -139,7 +139,9 @@ class _Level:
 
     def factor_dense(self):
         lam, V = np.linalg.eigh(self.A.toarray())
-        cutoff = 1e-12 * max(lam.max(), 1.0)
+        # relative to the largest: A > 0 on the diagonal makes it positive,
+        # and the kept modes must not depend on the operator's scale
+        cutoff = 1e-12 * lam.max()
         inv = np.where(lam > cutoff, 1.0 / np.where(lam > cutoff, lam, 1.0), 0.0)
         self._dense = (V, inv)
 

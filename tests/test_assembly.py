@@ -1,5 +1,6 @@
 """Block assembly, the reduced pressure system, and flux recovery."""
 
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -568,6 +569,27 @@ class TestExports:
         for part in ("cells", "faces", "nodes", "edges"):
             text = (tmp_path / f"run_{part}.csv").read_text().splitlines()
             assert len(text) > 1 or part in ("nodes", "edges")
+
+    def test_state_csv_files_are_written_atomically(self, tmp_path, monkeypatch):
+        # a file takes its final name only through os.replace of a complete
+        # temporary file, which is removed if the replace fails
+        spec = case1("A")
+        grid = spec.grid(4)
+        blocks = assemble_blocks(grid, spec.forest, spec.coefficients(grid))
+        state = recover_fluxes(blocks, np.zeros(blocks.n_unknowns))
+        names = sorted(f"run_{part}.csv" for part in ("cells", "faces", "nodes", "edges"))
+        export_state_csv(blocks, state, tmp_path / "run")
+        assert sorted(p.name for p in tmp_path.iterdir()) == names
+
+        def refuse(src, dst):
+            raise OSError("replace refused")
+
+        failed = tmp_path / "failed"
+        failed.mkdir()
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="replace refused"):
+            export_state_csv(blocks, state, failed / "run")
+        assert not list(failed.iterdir())
 
     @pytest.mark.parametrize("case", [
         lambda: spec_case(case1("A"), 4), masked_brick_case, lambda: spec_case(case2(), 4),

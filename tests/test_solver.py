@@ -968,6 +968,22 @@ class TestSolvePressure:
         report = solve_case_mesh(case1("A"), 256, config)[2]
         assert report.converged, report.true_residual / config.tol
 
+    @pytest.mark.parametrize("case,m", [("case1a", 64), ("case2", 16)])
+    @pytest.mark.parametrize("cycle", ["K", "V"])
+    def test_solve_does_not_depend_on_the_operator_scale(self, case, m, cycle):
+        # a case stated in SI units (kD near 1e-12 m^2) scales the whole
+        # operator; a power of two scales every level exactly, so only an
+        # absolute cutoff in the coarsest solve could change a count
+        spec = case1("A") if case == "case1a" else case2()
+        grid = spec.grid(m)
+        A, b = schur_tpfa(assemble_blocks(grid, spec.forest, spec.coefficients(grid)))
+        config = SolverConfig(tol=1e-10, cycle=cycle)
+        base = solve_pressure(A, b, config)[1]
+        for scale in (2.0**-80, 2.0**-40, 2.0**40):
+            report = solve_pressure(scale * A, b, config)[1]
+            assert report.iterations == base.iterations, scale
+            np.testing.assert_allclose(report.residuals, base.residuals, rtol=1e-12)
+
     def test_true_residual_reported(self):
         spec = case1("A")
         grid = spec.grid(16)
