@@ -120,6 +120,73 @@ class TestKT0Sweep:
         assert abs(transfer_balance(sol) + sol.qN) <= 1e-9 * scale
 
 
+class TestHalfOrder:
+    """At half-integer order the taper band's Bessel functions are elementary.
+
+    J and Y of order 1/2 and 3/2 are sin and cos times powers of x, and I0,
+    I1 at kappa0*r0 <= 1.3 follow from their power series, so the matching
+    system and the band's closed form can be built without scipy.special.
+    """
+
+    @staticmethod
+    def _params(nu):
+        # nu = kappa1 r1 = kappa0 r0 r1 / sqrt(r1^2 - r0^2)
+        p = CASE_A
+        return replace(p, kT0=p.kD * (nu * math.sqrt(p.r1**2 - p.r0**2) / (p.r0 * p.r1)) ** 2)
+
+    @staticmethod
+    def _jy(nu, x):
+        # (J, Y, J', Y') of order 1/2 or 3/2 from sqrt(2/(pi x)) g(x)
+        s, c, amp = math.sin(x), math.cos(x), math.sqrt(2 / (math.pi * x))
+        if nu == 0.5:
+            g, dg = (s, -c), (c, s)
+        else:
+            g = (s / x - c, -(c / x + s))
+            dg = (c / x - s / x**2 + s, s / x + c / x**2 - c)
+        values = tuple(amp * gi for gi in g)
+        slopes = tuple(amp * (dgi - 0.5 * gi / x) for gi, dgi in zip(g, dg))
+        return values + slopes
+
+    @staticmethod
+    def _i0_i1(x):
+        terms = range(30)
+        i0 = math.fsum((x / 2) ** (2 * k) / math.factorial(k) ** 2 for k in terms)
+        i1 = math.fsum(
+            (x / 2) ** (2 * k + 1) / (math.factorial(k) * math.factorial(k + 1)) for k in terms
+        )
+        return i0, i1
+
+    @pytest.mark.parametrize("nu", [0.5, 1.5])
+    def test_constants_match_elementary_solve(self, nu):
+        p = self._params(nu)
+        sol = solve_constants(p)
+        assert sol.nu == pytest.approx(nu, rel=1e-14)
+        i0, i1 = self._i0_i1(sol.kappa0 * p.r0)
+        j0, y0, dj0, dy0 = self._jy(nu, sol.kappa1 * p.r0)
+        j1, y1, dj1, dy1 = self._jy(nu, sol.kappa1 * p.r1)
+        k1 = sol.kappa1
+        mat = np.array([
+            [i0, -j0, -y0],
+            [sol.kappa0 * i1, -k1 * dj0, -k1 * dy0],
+            [0.0, p.kD * k1 * dj1, p.kD * k1 * dy1],
+        ])
+        rhs = np.array([0.0, 0.0, -sol.qN / (2 * math.pi * p.r1)])
+        cI, cJ, cY = np.linalg.solve(mat, rhs)
+        assert sol.cI == pytest.approx(cI, rel=1e-12)
+        assert sol.cJ == pytest.approx(cJ, rel=1e-12)
+        assert sol.cY == pytest.approx(cY, rel=1e-12)
+
+    @pytest.mark.parametrize("nu", [0.5, 1.5])
+    def test_taper_band_matches_closed_form(self, nu):
+        p = self._params(nu)
+        sol = solve_constants(p)
+        for r in np.linspace(p.r0, p.r1, 7)[1:]:
+            j, y, dj, dy = self._jy(nu, sol.kappa1 * r)
+            pD, q = eval_solution(sol, r)
+            assert pD - sol.pN1 == pytest.approx(sol.cJ * j + sol.cY * y, rel=1e-12)
+            assert q == pytest.approx(-p.kD * sol.kappa1 * (sol.cJ * dj + sol.cY * dy), rel=1e-12)
+
+
 class TestKT0Overflow:
     """Past the double range of the Bessel terms the reference refuses loudly.
 
@@ -186,6 +253,23 @@ class TestEvalSolution:
             ps, qs = eval_solution(sol, float(r))
             assert ps == pv[i] and qs == qv[i]
 
+    def test_origin(self, sol):
+        # I0(0) = 1 and I1(0) = 0: the core's pressure peaks at pN1 + cI with no flux
+        pD, q = eval_solution(sol, 0.0)
+        assert pD == sol.pN1 + sol.cI
+        assert q == 0.0
+
+    @pytest.mark.parametrize("kT0", [1.0, 1e3])
+    @pytest.mark.parametrize("r", [0.05, 0.15, 0.25, 0.35, 0.45])
+    def test_flux_is_minus_kD_times_pressure_slope(self, sol, kT0, r):
+        # each region's flux formula against a 5-point slope of its pressure
+        sol = solve_constants(replace(sol.params, kT0=kT0))
+        h = 1e-4
+        pm2, pm1, pp1, pp2 = (eval_solution(sol, r + k * h)[0] for k in (-2, -1, 1, 2))
+        slope = (pm2 - 8 * pm1 + 8 * pp1 - pp2) / (12 * h)
+        q = eval_solution(sol, r)[1]
+        assert abs(q + sol.params.kD * slope) <= 1e-9 * abs(sol.qN)
+
     @pytest.mark.parametrize("r", [np.nan, np.inf, [0.1, np.nan], [np.inf, 0.1]],
                              ids=["nan", "inf", "nan_in_array", "inf_in_array"])
     def test_non_finite_radius_rejected(self, sol, r):
@@ -208,6 +292,16 @@ class TestSelfConsistency:
         )
         samples = samples[keep][:50]
         assert len(samples) == 50
+        assert ode_residual_check(sol, samples) <= 1e-6
+
+    @pytest.mark.parametrize("variant,kT0", [("A", 2e7), ("A", 4e7), ("B", 1.2e7)])
+    def test_ode_residual_at_largest_kT0(self, variant, kT0):
+        # the pressure is steep only within a few 1/kappa0 < 3e-4 of r0;
+        # the samples keep 2e-3 from every interface, as in test_ode_residual
+        p = replace(CASE_A if variant == "A" else CASE_B, kT0=kT0)
+        sol = solve_constants(p)
+        samples = np.array([0.05, 0.097, 0.103, 0.15, 0.197, 0.203, 0.25, 0.35, 0.45])
+        samples = samples[np.min(np.abs(samples[:, None] - [p.r0, p.r1, p.r2, p.r3]), axis=1) > 2e-3]
         assert ode_residual_check(sol, samples) <= 1e-6
 
     def test_ode_residual_zero_outside(self):
