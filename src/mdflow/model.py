@@ -289,7 +289,7 @@ def _seq(parse, show=repr):
 
 def _refine_flag(s: str) -> bool:
     if s not in ("0", "1"):
-        raise ValueError(f"[grid] refine_axes entries are 0 or 1, got {s!r}")
+        raise ValueError(f"entries are 0 or 1, got {s!r}")
     return s == "1"
 
 
@@ -311,6 +311,14 @@ _FORMATS = {
 }
 _GRID = ("dim", "origin", "extent", "refine_axes", "fixed_cells")
 _SECTIONS = ("case", "grid", "forest", "coefficients", "reference")
+
+
+def _read(key: str, value: str, where: str):
+    """_FORMATS' reading of one value, an error naming its section and key."""
+    try:
+        return _FORMATS[key][1](value)
+    except ValueError as e:
+        raise ValueError(f"{where} {key}: {e}") from None
 
 
 def _write_fields(obj, omit=()) -> str:
@@ -410,7 +418,7 @@ def _read_fields(value: str, where: str, cls, omit=()) -> dict:
     names = [f.name for f in fields(cls) if f.name not in omit]
     required = [f.name for f in fields(cls) if f.default is MISSING and f.name in names]
     kv = _record(filter(str.strip, value.split(";")), where, names, required, ":")
-    return {k: _FORMATS[k][1](v) for k, v in kv.items()}
+    return {k: _read(k, v, where) for k, v in kv.items()}
 
 
 def _require_dim(values, dim: int, where: str):
@@ -442,7 +450,7 @@ def case_from_text(text: str) -> CaseSpec:
 
     name = _record(sections["case"], "[case]", ("name",)).get("name", "custom")
     kv = _record(sections["grid"], "[grid]", _GRID, _GRID)
-    grid = {k: _FORMATS[k][1](v) for k, v in kv.items()}
+    grid = {k: _read(k, v, "[grid]") for k, v in kv.items()}
     dim = grid.pop("dim")
     for key, value in grid.items():
         _require_dim(value, dim, f"[grid] {key}")
@@ -459,7 +467,7 @@ def case_from_text(text: str) -> CaseSpec:
         if (key == "kD" and kD is not None) or (key == "source" and source is not None):
             raise ValueError(f"repeated key {key!r} in [coefficients]")
         if key == "kD":
-            kD = _FORMATS["kD"][1](value)
+            kD = _read("kD", value, "[coefficients]")
         elif key == "transfer":
             kv = _read_fields("terminal_id: " + value, "[coefficients] transfer",
                               TransferSpec, omit=("anchor",))

@@ -16,8 +16,10 @@ The greedy pairwise matching is kept here as
 the plain two-loop scan in natural order that the solver's vectorised
 matching must reproduce exactly, the strength graph as the
 whole-matrix formula that the solver's blocked test must reproduce bit
-for bit, one level's passes composed with the plain Galerkin product
-P' (A P), and the support of one terminal as the per-terminal
+for bit, the 0/1 prolongation P of an aggregate map, whose whole
+product ((A P)' P)' the solver's blocked Galerkin product must
+reproduce bit for bit, one level's passes composed with the plain
+Galerkin product P' (A P), and the support of one terminal as the per-terminal
 evaluation that the batched support table must reproduce.
 """
 
@@ -246,6 +248,12 @@ def l1_row_sums(A):
     return abs(sp.csr_matrix(A)) @ np.ones(A.shape[1])
 
 
+def piecewise_constant(agg):
+    """The 0/1 prolongation P of an aggregate map: p_ij = 1 iff agg[i] = j."""
+    n = agg.size
+    return sp.csr_matrix((np.ones(n), (np.arange(n), agg)), shape=(n, agg.max() + 1))
+
+
 def compose_passes(A, theta, passes, coarse_size):
     """One level's aggregation by the plain scan and Galerkin formula.
 
@@ -260,8 +268,7 @@ def compose_passes(A, theta, passes, coarse_size):
         if sub is None:
             break
         agg = sub if agg is None else sub[agg]
-        n = sub.size
-        P = sp.csr_matrix((np.ones(n), (np.arange(n), sub)), shape=(n, sub.max() + 1))
+        P = piecewise_constant(sub)
         Ac = (P.T @ (Ac @ P)).tocsr()
         if Ac.shape[0] <= coarse_size:
             break

@@ -109,7 +109,7 @@ class TestValidation:
             ("kD = 1.0, 1.0\n", "kD = 5.0, 5.0\nkD = 1.0, 1.0\n",
              "repeated key 'kD' in [coefficients]"),
             ("refine_axes = 1, 1\n", "refine_axes = 2, -7\n",
-             "[grid] refine_axes entries are 0 or 1, got '2'"),
+             "[grid] refine_axes: entries are 0 or 1, got '2'"),
         ],
     )
     def test_malformed_config_exits_1(self, capsys, tmp_path, old, new, message):

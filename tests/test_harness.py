@@ -327,13 +327,14 @@ class TestStageMemory:
         ratios = {name: round(peak / nbytes, 2) for name, peak in peaks.items()}
         assert max(ratios.values()) <= 2.5, ratios
         # each stage's own bound: its measured multiple plus about 10%
-        # (0.09, 1.03, 0.09, 1.53, 0.12, 2.23, 0.66, 0.25 and 0.16: A is
+        # (0.09, 1.03, 0.09, 1.53, 0.12, 1.74, 0.66, 0.25 and 0.16: A is
         # filled from transmissibilities and the steps after the solve
         # read each row of G from the faces, support rows and edges, each
         # axis's faces computed on slabs of a brick; the strength graph
-        # is tested in row blocks)
+        # is tested in row blocks and the Galerkin products summed in
+        # blocks of coarse rows)
         bounds = {"spec.grid": 0.1, "coefficients": 1.13, "assemble_blocks": 0.1,
-                  "schur_tpfa": 1.68, "pressure_kernel": 0.13, "build_hierarchy": 2.45,
+                  "schur_tpfa": 1.68, "pressure_kernel": 0.13, "build_hierarchy": 1.91,
                   "recover_fluxes": 0.73, "conservation_residual": 0.27,
                   "graph_stokes_check": 0.18}
         over = {name: ratios[name] for name, bound in bounds.items()

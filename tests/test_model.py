@@ -185,11 +185,14 @@ class TestCaseConfigText:
             ("name = case1a\n", "name = case1a\ncolour = red\n", "unknown key 'colour' in [case]"),
             ("dim = 2\n", "dim = 2\ncells = 8\n", "unknown key 'cells' in [grid]"),
             ("dim = 2\n", "dim = 2\ndim = 2\n", "repeated key 'dim' in [grid]"),
-            ("fixed_cells = 0, 0", "fixed_cells = 0, 2.5", "invalid literal for int()"),
+            ("fixed_cells = 0, 0", "fixed_cells = 0, 2.5",
+             "[grid] fixed_cells: invalid literal for int() with base 10: '2.5'"),
             ("refine_axes = 1, 1", "refine_axes = 2, -7",
-             "[grid] refine_axes entries are 0 or 1, got '2'"),
+             "[grid] refine_axes: entries are 0 or 1, got '2'"),
             ("refine_axes = 1, 1", "refine_axes = 1, -1",
-             "[grid] refine_axes entries are 0 or 1, got '-1'"),
+             "[grid] refine_axes: entries are 0 or 1, got '-1'"),
+            ("kT0: 1.0", "kT0: abc",
+             "[coefficients] transfer kT0: could not convert string to float: 'abc'"),
             ("transfer = 1; ", "transfer = 1; anchor: 0.0, 0.0; ",
              "unknown key 'anchor' in [coefficients] transfer"),
             ("r1: 0.2;", "r1: 0.2; r1: 0.3;", "repeated key 'r1' in [coefficients] transfer"),

@@ -33,9 +33,11 @@ from mdflow.solver import (
     THETA,
     SolverConfig,
     _asymmetry,
+    _galerkin,
+    _krylov_correction,
     _l1_row_sums,
+    _Level,
     _match_pass,
-    _piecewise_constant,
     _row_blocks,
     _strength_graph,
     build_hierarchy,
@@ -45,7 +47,7 @@ from mdflow.solver import (
 )
 
 from oracles import (compose_passes, dense_pseudo_solve, greedy_match_pass, l1_row_sums,
-                     strength_graph)
+                     piecewise_constant, strength_graph)
 
 
 def path_laplacian(n):
@@ -74,7 +76,7 @@ class TestHierarchy:
         A = path_laplacian(8)
         agg = _match_pass(_strength_graph(A))
         assert agg.tolist() == [0, 0, 1, 1, 2, 2, 3, 3]
-        P = _piecewise_constant(agg)
+        P = piecewise_constant(agg)
         Ac = (P.T @ A @ P).tocsr()
         assert Ac.shape == (4, 4)
         assert _match_pass(_strength_graph(Ac)).tolist() == [0, 0, 1, 1]
@@ -103,7 +105,7 @@ class TestHierarchy:
         monkeypatch.setattr(solver_module, "COARSE_SIZE", 4)
         hier = build_hierarchy(A)
         for fine, coarse in zip(hier.levels, hier.levels[1:]):
-            P = _piecewise_constant(fine.aggregates)
+            P = piecewise_constant(fine.aggregates)
             expected = (P.T @ fine.A @ P).toarray()
             assert np.abs(coarse.A.toarray() - expected).max() <= 1e-13
 
@@ -590,6 +592,99 @@ class TestPassesPerLevel:
         assert Ac.shape[0] < compose_passes(A, THETA, NPASSES, COARSE_SIZE)[1].shape[0]
 
 
+def whole_galerkin(A, agg):
+    """P' A P as the whole product ((A P)' P)', indices sorted."""
+    P = piecewise_constant(agg)
+    Ac = ((A @ P).T @ P).T
+    Ac.sort_indices()
+    return Ac
+
+
+def spd_with_a_long_row(n=60, seed=0):
+    """A random sparse SPD matrix whose row 0 couples to every unknown,
+    as a terminal's row couples to its support."""
+    rng = np.random.default_rng(seed)
+    B = sp.random(n, n, density=0.06, random_state=rng, data_rvs=rng.standard_normal)
+    B = B.tolil()
+    B[0, 1:] = rng.uniform(-1, 0, size=n - 1)
+    B = sp.csr_matrix(B + B.T)
+    return sp.csr_matrix(B + sp.diags(abs(B).sum(axis=1).A1 + 1.0))
+
+
+class TestGalerkin:
+    BLOCKS = [1, 7, 64, None]  # None: the default STRENGTH_BLOCK
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    @pytest.mark.parametrize("name", ["path8", "poisson2d", "grid3d", "case1a64", "case2_16"])
+    def test_passes_equal_the_whole_product(self, monkeypatch, block, name):
+        # each pass of a level's aggregation, and the next two on its
+        # coarse operator, against ((A P)' P)' bit for bit
+        A = {"path8": lambda: path_laplacian(8),
+             "poisson2d": lambda: poisson2d(12)[1],
+             "grid3d": lambda: grid_laplacian(8, 3),
+             "case1a64": lambda: schur_operator(case1("A"), 64),
+             "case2_16": lambda: schur_operator(case2(), 16)}[name]()
+        A = sp.csr_matrix(A)
+        if block is not None:
+            monkeypatch.setattr(solver_module, "STRENGTH_BLOCK", block)
+        for _ in range(3):
+            agg = _match_pass(_strength_graph(A))
+            if agg is None:
+                break
+            Ac = _galerkin(A, agg)
+            assert same_csr(Ac, whole_galerkin(A, agg))
+            A = Ac
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    def test_long_row_and_scattered_members(self, monkeypatch, block):
+        # row 0 holds more entries than a block of 1, 7 or 64; the
+        # matching's aggregates, then ones whose members are spread over
+        # the whole index range, so every block gathers rows from across
+        # A, and a block of 1 entry holds one aggregate however many
+        # entries its members have
+        A = spd_with_a_long_row()
+        assert A.indptr[1] - A.indptr[0] == A.shape[0]
+        if block is not None:
+            monkeypatch.setattr(solver_module, "STRENGTH_BLOCK", block)
+        rng = np.random.default_rng(1)
+        n = A.shape[0]
+        for agg in (_match_pass(_strength_graph(A)), rng.permutation(n) % 9,
+                    np.arange(n) % 5, np.zeros(n, dtype=np.int64)):
+            assert same_csr(_galerkin(A, agg), whole_galerkin(A, agg))
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    def test_entry_cancelling_to_zero_is_dropped(self, monkeypatch, block):
+        # aggregates {0, 1} and {2, 3} couple by a_02 = 1 and a_13 = -1,
+        # which sum to an exact 0.0 that the product does not store
+        A = sp.csr_matrix(np.array([[3.0, -1.0, 1.0, 0.0],
+                                    [-1.0, 3.0, 0.0, -1.0],
+                                    [1.0, 0.0, 3.0, -1.0],
+                                    [0.0, -1.0, -1.0, 3.0]]))
+        if block is not None:
+            monkeypatch.setattr(solver_module, "STRENGTH_BLOCK", block)
+        agg = np.array([0, 0, 1, 1])
+        Ac = _galerkin(A, agg)
+        assert same_csr(Ac, whole_galerkin(A, agg))
+        assert Ac.nnz == 2 and Ac.toarray().tolist() == [[4.0, 0.0], [0.0, 4.0]]
+
+    def test_product_peak_is_near_the_operator(self, monkeypatch):
+        # the traced peak of one pass's product on the case 2 1/h=32
+        # operator, in blocks of 2^14 entries: 1.00 x A, where the whole
+        # product ((A P)' P)' reads 1.67 x A
+        A = sp.csr_matrix(schur_operator(case2(), 32))
+        agg = _match_pass(_strength_graph(A))
+        monkeypatch.setattr(solver_module, "STRENGTH_BLOCK", 1 << 14)
+        nbytes = A.data.nbytes + A.indices.nbytes + A.indptr.nbytes
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            _galerkin(A, agg)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * nbytes, f"{peak / nbytes:.2f} x the operator"
+
+
 def fresh_python(script, *args):
     """stdout of ``script`` run in a new interpreter that imports this mdflow."""
     src = str(Path(solver_module.__file__).parents[1])
@@ -623,10 +718,9 @@ class TestSetupMemory:
         )
         rise = int(fresh_python(script, str(tmp_path / "A.npz"))) * 1024
         nbytes = A.data.nbytes + A.indices.nbytes + A.indptr.nbytes
-        # 2.07-2.26x in fresh processes, 2.25x in most: the symmetry
-        # check's freed CSC copy lifts glibc's mmap threshold, so later
-        # arrays of up to its size come from the heap (2.09-2.14x with
-        # MALLOC_MMAP_THRESHOLD_ fixed at 128 KiB)
+        # 2.11-2.13x in fresh processes: the symmetry check's freed CSC
+        # copy lifts glibc's mmap threshold, so later arrays of up to its
+        # size come from the heap
         assert rise <= 2.4 * nbytes, f"{rise / nbytes:.2f} x the operator"
 
     def test_repeated_solves_keep_the_first_peak(self):
@@ -720,7 +814,7 @@ class TestVcycle:
         hier = build_hierarchy(A)
         fine, coarse = hier.levels
         assert coarse._dense is not None
-        P = _piecewise_constant(fine.aggregates)
+        P = piecewise_constant(fine.aggregates)
         b = np.random.default_rng(4).standard_normal(A.shape[0])
         x = fine.smooth_down(b)
         x = x + P @ coarse.coarse_solve(P.T @ (b - A @ x))
@@ -782,6 +876,15 @@ class TestKcycle:
         for i in range(8):
             z = vcycle(hier, np.eye(8)[i], cycle="K")
             assert np.all(np.isfinite(z)) and np.abs(z).max() < 10, i
+
+    def test_rounding_level_energy_returns_the_first_correction(self):
+        # a kernel vector of [[1, -1], [-1, 1]] with 1e-17 of noise has
+        # c1 . A c1 > 0 at rounding level: the first step would divide by
+        # it, so the correction comes back as it went in
+        lev = _Level(sp.csr_matrix([[1.0, -1.0], [-1.0, 1.0]]))
+        c1 = np.array([1e-3, 1e-3 + 1e-17])
+        assert 0 < c1 @ (lev.A @ c1) <= 1e-12 * 2.0 * (c1 @ c1)
+        assert _krylov_correction([lev], 0, np.array([1.0, -1.0]), c1) is c1
 
 
 class TestFgmres:
