@@ -47,9 +47,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
-from .geometry import CartesianGrid, Forest, incidence, index_dtype
+from .geometry import CartesianGrid, Forest, components, incidence, index_dtype
 from .model import CoefficientField
 
 
@@ -309,9 +308,9 @@ def pressure_kernel(blocks: LumpedBlocks, A):
     support rows sum to zero, so G itself is not needed.
     """
     E = blocks.E
-    # A is structurally symmetric, so its strong components are its
-    # components, and scipy needs no transpose to find them
-    n_comp, labels = connected_components(A, directed=True, connection="strong")
+    # A is structurally symmetric, so a walk of its rows alone finds its
+    # components, numbered by their smallest unknown
+    n_comp, labels = components(A)
     singular = np.ones(n_comp, dtype=bool)
     rooted = E[E @ np.ones(E.shape[1]) != 0].indices
     singular[labels[blocks.n_cells + rooted]] = False

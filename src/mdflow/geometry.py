@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from .quadrature import BASE_POINTS, composite_rule, reference_rule
 
@@ -100,6 +99,57 @@ class Forest:
         return tuple(n for n in self.nodes if n.kind != NodeKind.DIRICHLET_ROOT)
 
 
+# entries of a pattern's rows that `components` reads at once: small next
+# to the pressure system, whose components `pressure_kernel` finds
+COMPONENT_BLOCK = 1 << 14
+
+
+def components(A) -> tuple[int, np.ndarray]:
+    """Connected components of a structurally symmetric square CSR pattern.
+
+    Returns (count, labels), the components numbered in the order of
+    their smallest index, as scipy.sparse.csgraph numbers those of a
+    symmetric pattern.  Every node points at a node no larger than
+    itself, at first itself.  Each pass over the rows, in blocks of about
+    COMPONENT_BLOCK entries, hangs the root of each entry's row under
+    the root of its column where that is smaller, and pointer jumping
+    then points every node at its root.  Once a pass hangs nothing, the
+    two ends of every entry share a root, so each component is one tree
+    whose root is its smallest node.  Only arrays of length n and blocks
+    of entries are held, none of A's length.
+    """
+    n = A.shape[0]
+    indptr, indices = A.indptr, A.indices
+    root = np.arange(n, dtype=index_dtype(n))
+    blocks = [root[a : a + COMPONENT_BLOCK] for a in range(0, n, COMPONENT_BLOCK)]
+    hung = True
+    while hung:
+        hung = False
+        r0 = 0
+        while r0 < n:
+            r1 = int(np.searchsorted(indptr, indptr[r0] + COMPONENT_BLOCK, side="right")) - 1
+            r1 = min(max(r1, r0 + 1), n)
+            at_row = np.repeat(root[r0:r1], np.diff(indptr[r0 : r1 + 1]))
+            at_col = np.take(root, indices[indptr[r0] : indptr[r1]])
+            lower = at_col < at_row
+            if lower.any():
+                np.minimum.at(root, at_row[lower], at_col[lower])
+                hung = True
+            r0 = r1
+        jumped = True
+        while jumped:
+            jumped = False
+            for block in blocks:
+                up = np.take(root, block)
+                if not np.array_equal(up, block):
+                    block[:] = up
+                    jumped = True
+    roots = np.flatnonzero(root == np.arange(n, dtype=root.dtype))
+    for block in blocks:
+        block[:] = np.searchsorted(roots, block)
+    return roots.size, root
+
+
 def build_forest(nodes, edges) -> Forest:
     """Validate node/edge specs and return a Forest.
 
@@ -128,22 +178,18 @@ def build_forest(nodes, edges) -> Forest:
         ks.append(float(k))
     ends = np.array(ends, dtype=np.int64).reshape(-1, 2)
 
-    # adjacency of the nodes plus a virtual node n joined to every root
-    is_root = np.array([nd.is_root for nd in nodes], dtype=bool)
-    roots = np.flatnonzero(is_root)
-    a = np.concatenate([ends[:, 0], np.full(roots.size, n)])
-    b = np.concatenate([ends[:, 1], roots])
-    graph = sp.csr_matrix((np.ones(a.size), (a, b)), shape=(n + 1, n + 1))
-
-    n_trees, label = connected_components(graph[:n, :n], directed=False)
-    # number the trees by their first node in node order
-    first = np.unique(label, return_index=True)[1]
-    tree = np.unique(first[label], return_inverse=True)[1]
+    # the nodes' adjacency, each edge both ways; trees are numbered by
+    # their first node in node order
+    a = np.concatenate([ends[:, 0], ends[:, 1]])
+    b = np.concatenate([ends[:, 1], ends[:, 0]])
+    graph = sp.csr_matrix((np.ones(a.size), (a, b)), shape=(n, n))
+    n_trees, tree = components(graph)
     if len(ends) != n - n_trees:
         raise ValueError(
             f"cycle detected: {len(ends)} edges for {n} nodes in {n_trees} trees"
         )
 
+    is_root = np.array([nd.is_root for nd in nodes], dtype=bool)
     roots_per_tree = np.bincount(tree[is_root], minlength=n_trees)
     bad = np.flatnonzero(roots_per_tree != 1)
     if bad.size:
@@ -163,9 +209,23 @@ def build_forest(nodes, edges) -> Forest:
             f"{nodes[j].kind.value} node {ids[j]} has degree {degree[j]}, expected 1"
         )
 
-    # Orient every edge away from its tree's root: a breadth-first search
-    # from the virtual node yields each node's parent.
-    parent = breadth_first_order(graph, n, directed=False, return_predecessors=True)[1]
+    # Orient every edge away from its tree's root: a breadth-first walk
+    # out of a virtual node n joined to every root, whose first frontier
+    # is the roots, gives each node its parent.  In a tree each node is
+    # reached once, from its parent.
+    frontier = np.flatnonzero(is_root)
+    parent = np.full(n, -1)
+    parent[frontier] = n
+    indptr, indices = graph.indptr, graph.indices
+    while frontier.size:
+        lengths = indptr[frontier + 1] - indptr[frontier]
+        # each entry's position in indices: its row's start plus its rank
+        # among the frontier's entries, less the entries of earlier rows
+        pos = np.repeat(indptr[frontier] - (np.cumsum(lengths) - lengths), lengths)
+        cols = indices[pos + np.arange(pos.size)]
+        new = parent[cols] < 0
+        parent[cols[new]] = np.repeat(frontier, lengths)[new]
+        frontier = cols[new]
     flip = parent[ends[:, 0]] == ends[:, 1]
     tails = np.where(flip, ends[:, 1], ends[:, 0]).tolist()
     heads = np.where(flip, ends[:, 0], ends[:, 1]).tolist()

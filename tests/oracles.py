@@ -20,12 +20,15 @@ for bit, the 0/1 prolongation P of an aggregate map, whose whole
 product ((A P)' P)' the solver's blocked Galerkin product must
 reproduce bit for bit, one level's passes composed with the plain
 Galerkin product P' (A P), and the support of one terminal as the per-terminal
-evaluation that the batched support table must reproduce.
+evaluation that the batched support table must reproduce.  The graph
+facts come from scipy.sparse.csgraph, which the package does not
+import: the components of a pattern, whose labels the package's numpy
+walk must reproduce, and a forest's orientation by breadth-first order.
 """
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from mdflow.geometry import (
     SUPPORT_SUBDIV_SPATIAL,
@@ -196,10 +199,40 @@ def product_schur(blocks):
     return A, b
 
 
+def scipy_components(A):
+    """(count, labels) of the strong components of A's pattern, by scipy.
+
+    For a structurally symmetric pattern these are its components,
+    numbered by their smallest index.
+    """
+    return connected_components(A, directed=True, connection="strong")
+
+
+def bfs_orientation(nodes, edges):
+    """(oriented edges, tree_of) of a valid forest, by scipy's breadth-first order.
+
+    Each edge runs from the node that scipy's breadth-first order out of
+    a virtual node joined to every root reaches first; trees are
+    numbered by their first node in node order.
+    """
+    index = {nd.id: j for j, nd in enumerate(nodes)}
+    n = len(nodes)
+    a = [index[e[0]] for e in edges] + [n] * sum(nd.is_root for nd in nodes)
+    b = [index[e[1]] for e in edges] + [j for j, nd in enumerate(nodes) if nd.is_root]
+    graph = sp.csr_matrix((np.ones(len(a)), (a, b)), shape=(n + 1, n + 1))
+    parent = breadth_first_order(graph, n, directed=False, return_predecessors=True)[1]
+    oriented = [(t, h, k) if parent[index[h]] == index[t] else (h, t, k) for t, h, k in edges]
+    label = connected_components(graph[:n, :n], directed=False)[1]
+    first = {}
+    for j, lab in enumerate(label.tolist()):
+        first.setdefault(lab, len(first))
+    return oriented, {nd.id: first[label[j]] for j, nd in enumerate(nodes)}
+
+
 def product_kernel(blocks, A):
     """The pressure kernel with the rooted unknowns read off the rows where G 1 != 0."""
     G = stacked_pair_G(blocks.grid, blocks.forest, blocks.coeffs)
-    n_comp, labels = connected_components(A, directed=True, connection="strong")
+    n_comp, labels = scipy_components(A)
     singular = np.ones(n_comp, dtype=bool)
     singular[labels[G[G @ np.ones(G.shape[1]) != 0].indices]] = False
     if not singular.any():

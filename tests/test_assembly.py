@@ -22,11 +22,13 @@ from mdflow.assembly import (
     schur_tpfa,
     write_matrix_market,
 )
+import mdflow.geometry as geometry
 from mdflow.geometry import (
     CartesianGrid,
     SupportTable,
     TransferSpec,
     build_forest,
+    components,
     build_support,
     dirichlet_root,
     interior,
@@ -43,6 +45,7 @@ from oracles import (
     product_form,
     product_kernel,
     product_schur,
+    scipy_components,
 )
 
 sys.path.insert(0, str(Path(__file__).parents[1] / "perfbench"))
@@ -391,6 +394,45 @@ def spec_case(spec, m):
     return grid, spec.forest, spec.coefficients(grid)
 
 
+def islands_case():
+    """Masked 8x8 grid in four pieces and an isolated cell, under four trees.
+
+    The Dirichlet tree meets the left block (columns 0-3).  One Neumann
+    tree meets the right block's top rows, another joins two strips of
+    its lower rows, and the third has no support, so its two nodes float
+    alone.  Cell (7, 7) has no active neighbour and no support, so its
+    row of A is empty.  Of the five components four float.
+    """
+    mask = np.ones((8, 8), dtype=bool)
+    mask[:, 4] = False
+    mask[3, 5:] = mask[5, 5:] = False
+    mask[7, 6] = mask[6, 7] = False
+    g = CartesianGrid((8, 8), extent=(1, 1), mask=mask)
+    forest = build_forest(
+        [dirichlet_root(0, 0.7), interior(1), terminal(2, (0.1, 0.1)),
+         terminal(3, (0.9, 0.3)), neumann_root(10), terminal(11, (0.1, 0.8)),
+         neumann_root(20), interior(21), terminal(22, (0.5, 0.7)),
+         terminal(23, (0.85, 0.7)), neumann_root(30), terminal(31, (0.5, 0.5))],
+        [(1, 0, 2.0), (1, 2, 0.5), (3, 1, 1.5), (11, 10, 3.0), (20, 21, 1.0),
+         (22, 21, 0.5), (21, 23, 2.0), (31, 30, 1.0)],
+    )
+    cells = {2: [(0, 0), (1, 1)], 3: [(6, 3)], 11: [(0, 5), (1, 6)], 22: [(4, 5)],
+             23: [(6, 6)], 31: []}
+    rng = np.random.default_rng(3)
+    supports = SupportTable(
+        tuple(cells),
+        np.repeat(np.arange(len(cells)), [len(c) for c in cells.values()]),
+        np.array([g.active_index[ij] for c in cells.values() for ij in c], dtype=int),
+        rng.uniform(0.5, 2.0, sum(len(c) for c in cells.values())),
+    )
+    coeffs = CoefficientField(
+        kD=rng.uniform(0.5, 2.0, size=(g.n_cells, 2)),
+        supports=supports,
+        rD=rng.standard_normal(g.n_cells),
+    )
+    return g, forest, coeffs
+
+
 ASSEMBLY_CASES = {
     "case1a": lambda: spec_case(case1("A"), 32),
     "case1b": lambda: spec_case(case1("B"), 16),
@@ -430,15 +472,66 @@ class TestTransmissibilityAssembly:
         ends = np.diff(assemble_blocks(grid, forest, coeffs).E.indptr)
         assert {1, 2} <= set(ends.tolist())
 
-    @pytest.mark.parametrize("case", ["masked_two_trees", "pure_neumann"])
+    @pytest.mark.parametrize("case", ["masked_two_trees", "pure_neumann", "islands"])
     def test_kernel_equals_the_G_form(self, case):
-        grid, forest, coeffs = ASSEMBLY_CASES[case]()
+        grid, forest, coeffs = {**ASSEMBLY_CASES, "islands": islands_case}[case]()
         blocks = assemble_blocks(grid, forest, coeffs)
         A, _ = schur_tpfa(blocks)
         K = pressure_kernel(blocks, A)
         want = product_kernel(blocks, A)
         assert K is not None and K.shape == want.shape
         assert K.tobytes() == want.tobytes()
+
+
+def assert_labels_equal_scipys(A):
+    count, labels = components(A)
+    want_count, want = scipy_components(A)
+    assert count == want_count
+    assert labels.dtype == np.int32 and np.array_equal(labels, want)
+    return count
+
+
+class TestComponents:
+    # `components` must give scipy's labels, not only its partition:
+    # the kernel's columns follow them
+
+    @pytest.mark.parametrize("case", [*ASSEMBLY_CASES, "islands"])
+    def test_operator_labels_equal_scipys(self, case):
+        grid, forest, coeffs = {**ASSEMBLY_CASES, "islands": islands_case}[case]()
+        A, _ = schur_tpfa(assemble_blocks(grid, forest, coeffs))
+        count = assert_labels_equal_scipys(A)
+        assert count == {"masked_two_trees": 2, "pure_neumann": 1, "islands": 5}.get(case, 1)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_permuted_operator(self, seed):
+        grid, forest, coeffs = islands_case()
+        A, _ = schur_tpfa(assemble_blocks(grid, forest, coeffs))
+        p = np.random.default_rng(seed).permutation(A.shape[0])
+        assert assert_labels_equal_scipys(A[p][:, p].tocsr()) == 5
+
+    def test_rows_without_off_diagonal_entries(self):
+        # a path of 5 among isolated rows: some hold only the diagonal,
+        # some nothing at all
+        n, i = 12, np.array([2, 3, 4, 5])
+        M = sp.csr_matrix((np.ones(4), (i, i + 1)), shape=(n, n))
+        diagonal = sp.diags(np.arange(n) % 3 != 0, dtype=float)
+        assert assert_labels_equal_scipys((M + M.T + diagonal).tocsr()) == 8
+
+    def test_empty_matrix(self):
+        assert assert_labels_equal_scipys(sp.csr_matrix((0, 0))) == 0
+
+    @pytest.mark.parametrize("block", [1, 3, 64])
+    def test_random_patterns_in_small_blocks(self, monkeypatch, block):
+        # blocks of a few entries: each pass hangs roots over many blocks
+        # of rows, some roots already hung earlier in the same pass
+        monkeypatch.setattr(geometry, "COMPONENT_BLOCK", block)
+        rng = np.random.default_rng(block)
+        for _ in range(100):
+            n = int(rng.integers(1, 120))
+            i, j = rng.integers(0, n, (2, int(rng.integers(0, 2 * n))))
+            M = sp.csr_matrix((np.ones(i.size), (i, j)), shape=(n, n))
+            diagonal = sp.identity(n) if rng.random() < 0.5 else 0
+            assert_labels_equal_scipys((M + M.T + diagonal).tocsr())
 
 
 class TestAfterTheSolve:

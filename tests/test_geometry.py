@@ -28,7 +28,7 @@ from mdflow.geometry import (
 )
 from mdflow.model import CaseSpec, case1, case2
 
-from oracles import face_arrays, taper_cell_average, terminal_support
+from oracles import bfs_orientation, face_arrays, taper_cell_average, terminal_support
 
 sys.path.insert(0, str(Path(__file__).parents[1] / "perfbench"))
 import forest_gen  # noqa: E402
@@ -199,6 +199,38 @@ class TestBuildForest:
         assert [(e.tail, e.head, e.k) for e in f.edges] == oriented
         assert f.tree_of == tree_of
         assert f.n_trees == n_trees
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_scipys_breadth_first_order(self, seed):
+        # a few hundred trees whose edges are all listed leaf to root, in
+        # shuffled order
+        rng = np.random.default_rng(seed)
+        nodes, edges = random_forest_spec(rng, 300, 8)
+        edges = [(h, t, k) for t, h, k in bfs_orientation(nodes, edges)[0]]
+        edges = [edges[i] for i in rng.permutation(len(edges))]
+        oriented, tree_of = bfs_orientation(nodes, edges)
+        assert all((t, h) == (e[1], e[0]) for (t, h, _), e in zip(oriented, edges))
+        f = build_forest(nodes, edges)
+        assert [(e.tail, e.head, e.k) for e in f.edges] == oriented
+        assert f.tree_of == tree_of
+        assert f.n_trees == 300
+
+    def test_deep_chain_matches_scipys_breadth_first_order(self):
+        # one walk level per node, the edges leaf to root and shuffled
+        rng = np.random.default_rng(5)
+        ids = rng.permutation(500).tolist()
+        nodes = [neumann_root(ids[0])] + [interior(i) for i in ids[1:-1]]
+        nodes.append(terminal(ids[-1], (0.0, 0.0)))
+        edges = [(ids[j + 1], ids[j], 1.0) for j in rng.permutation(499)]
+        oriented, tree_of = bfs_orientation(nodes, edges)
+        f = build_forest(nodes, edges)
+        assert [(e.tail, e.head, e.k) for e in f.edges] == oriented
+        assert f.tree_of == tree_of
+
+    def test_empty_forest(self):
+        f = build_forest([], [])
+        assert f.edges == () and f.tree_of == {} and f.n_trees == 0
+        assert bfs_orientation([], []) == ([], {})
 
 
 class TestIncidence:

@@ -3,6 +3,7 @@
 import math
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +36,28 @@ def test_import_leaves_scipy_special_unloaded():
         "print('scipy.special' in sys.modules)\n"
     )
     assert fresh_python(script).split() == ["False", "True"]
+
+
+def test_import_and_solves_leave_scipy_graph_and_dense_linalg_unloaded():
+    # the components of A and the forest's trees are found with numpy, so
+    # neither `import mdflow` nor a solve of case 1A and of a forest loads
+    # scipy.sparse.csgraph, or scipy.sparse.linalg and scipy.linalg,
+    # which it imports
+    script = (
+        "import sys\n"
+        "import mdflow\n"
+        "unloaded = lambda names: all(m not in sys.modules for m in names)\n"
+        "heavy = ('scipy.sparse.csgraph', 'scipy.sparse.linalg', 'scipy.linalg')\n"
+        "print(unloaded(heavy + ('scipy.special',)))\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from forest_gen import forest_case\n"
+        "config = mdflow.SolverConfig()\n"
+        "mdflow.solve_case_mesh(mdflow.case1('A'), 16, config)\n"
+        "mdflow.solve_case_mesh(forest_case(6, 0), 32, config)\n"
+        "print(unloaded(heavy))\n"
+    )
+    perfbench = str(Path(__file__).parents[1] / "perfbench")
+    assert fresh_python(script, perfbench).split() == ["True", "True"]
 
 
 class TestVolumeBalance:
