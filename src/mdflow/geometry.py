@@ -595,14 +595,23 @@ def radial_cell_average(grid: "CartesianGrid", anchor, func, breaks, subdiv: int
     return _box_average(rel, grid.spacing, func, breaks, subdiv)
 
 
-def _arc(t, r):
-    """Integral of sqrt(r^2 - s^2) over s in [0, t], for |t| <= r."""
-    root = np.sqrt(np.maximum(r * r - t * t, 0.0))
-    return 0.5 * (t * root + r * r * np.arcsin(t / r))
+def _quadrant_measure(x0, x1, y0, y1, r):
+    """Measure of the disc of radius r about 0 within [x0, x1] x [y0, y1], 0 <= x0, y0.
 
-
-# Inclusion-exclusion signs of the box corners, indexed (upper y, upper x).
-_CORNER_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])[:, :, None, None]
+    Along x the disc's chord spans all of [y0, y1] up to xa, where the
+    circle leaves y = y1, and ends at the circle up to xb, where it meets
+    y = y0; both are clipped to [x0, x1] and (xa, ya), (xb, yb) lie on
+    the circle.  The arc between them integrates to half the chord's
+    triangle terms plus r^2 times the angle it subtends, which is one
+    arctangent.
+    """
+    rr = r * r
+    xa = np.clip(np.sqrt(np.maximum(rr - y1 * y1, 0.0)), x0, x1)
+    xb = np.clip(np.sqrt(np.maximum(rr - y0 * y0, 0.0)), x0, x1)
+    ya = np.sqrt(np.maximum(rr - xa * xa, 0.0))
+    yb = np.sqrt(np.maximum(rr - xb * xb, 0.0))
+    angle = np.arctan2(xb * ya - xa * yb, xa * xb + ya * yb)
+    return (y1 - y0) * (xa - x0) + 0.5 * (xb * yb - xa * ya + rr * angle) - y0 * (xb - xa)
 
 
 def _ball_measure(lo, hi, r):
@@ -610,24 +619,27 @@ def _ball_measure(lo, hi, r):
 
     ``lo`` and ``hi`` have shape (p, 1, dim) and ``r`` shape (p, q): q
     radii per box.  With one axis this is the clipped overlap length.
-    With two it is the inclusion-exclusion sum over the box corners
-    (X, Y) of the disc area within [0, X] x [0, Y], which is odd in X
-    and in Y: with x = min(|X|, r) and m = min(sqrt(r^2 - Y^2), x), that
-    area is sign(XY) (|Y| m + arc(x) - arc(m)).  The arc(x) terms cancel
-    unless the box straddles Y = 0.  Round-off below 0 is clamped.
+    With two the disc is symmetric in each axis, so a box folds onto
+    the first quadrant: along an axis it covers [near, far] of |x|, and
+    a box that straddles 0 also covers [0, min(-lo, hi)] a second time.
+    The measure is the sum of `_quadrant_measure` over those two or four
+    pieces, which only the straddling boxes evaluate.  Round-off below 0
+    is clamped.
     """
     if lo.shape[-1] == 1:
         return np.clip(hi[..., 0], -r, r) - np.clip(lo[..., 0], -r, r)
-    X = np.stack([lo[..., 0], hi[..., 0]])
-    Y = np.stack([lo[..., 1], hi[..., 1]])
-    x = np.clip(X, -r, r)
-    m = np.minimum(np.abs(x), np.sqrt(np.maximum(r * r - Y * Y, 0.0))[:, None])
-    sy = np.sign(Y)
-    sign = sy[:, None] * np.sign(X) * _CORNER_SIGNS
-    area = (sign * (np.abs(Y)[:, None] * m - _arc(m, r))).sum(axis=(0, 1))
-    k = np.flatnonzero(sy[0] != sy[1])
-    ends = _arc(x[:, k], r[k])
-    area[k] += (ends[1] - ends[0]) * (sy[1, k] - sy[0, k])
+    near = np.maximum(np.maximum(lo, -hi), 0.0)
+    far = np.maximum(-lo, hi)
+    fold = np.minimum(-lo, hi)  # > 0 where the box straddles 0
+    (nx, ny), (fx, fy), (mx, my) = (np.moveaxis(v, -1, 0) for v in (near, far, fold))
+    area = _quadrant_measure(nx, fx, ny, fy, r)
+    sx, sy = mx[:, 0] > 0.0, my[:, 0] > 0.0
+    k = np.flatnonzero(sx)
+    area[k] += _quadrant_measure(0.0, mx[k], ny[k], fy[k], r[k])
+    k = np.flatnonzero(sy)
+    area[k] += _quadrant_measure(nx[k], fx[k], 0.0, my[k], r[k])
+    k = np.flatnonzero(sx & sy)
+    area[k] += _quadrant_measure(0.0, mx[k], 0.0, my[k], r[k])
     return np.maximum(area, 0.0)
 
 
@@ -686,7 +698,7 @@ def _taper_average(rel, width, r0: float, r1: float, kT0: float):
     u, du = _piece_rule()
     out = np.empty(n)
     # a box has at most 9 pieces between its breakpoints, and each point
-    # is evaluated at the box's 4 corners
+    # is evaluated on at most 4 quadrant pieces of the box
     step = max(1, _TAPER_POINTS // (9 * 4 * PIECE_POINTS))
     for s in range(0, n, step):
         lo = rel[s : s + step] - 0.5 * width
@@ -763,12 +775,9 @@ def _compartment_fraction(grid: CartesianGrid, axis: int, side: str):
     return below if side == "lower" else 1.0 - below
 
 
-def _checked_transfer(grid: CartesianGrid, t: TransferSpec):
-    """Sorted radial axes, the anchor along them and the compartment of a transfer.
-
-    Raises ValueError on the first invalid parameter.
-    """
-    axes = np.arange(grid.dim) if t.radial_axes is None else np.asarray(t.radial_axes)
+def _radial_axes(grid: CartesianGrid, radial_axes) -> np.ndarray:
+    """A transfer's radial axes as given; ValueError unless distinct axes of the grid."""
+    axes = np.arange(grid.dim) if radial_axes is None else np.asarray(radial_axes)
     if not (
         axes.dtype.kind in "iu"
         and axes.ndim == 1
@@ -777,24 +786,113 @@ def _checked_transfer(grid: CartesianGrid, t: TransferSpec):
         and axes.max() < grid.dim
     ):
         raise ValueError(
-            f"radial_axes {t.radial_axes!r} must be distinct axes in 0..{grid.dim - 1}"
+            f"radial_axes {radial_axes!r} must be distinct axes in 0..{grid.dim - 1}"
         )
-    anchor = np.asarray(t.anchor, dtype=float)
+    return axes
+
+
+def _grid_bounds(grid: CartesianGrid, axes):
+    """The grid's lower and upper corners along `axes`."""
+    lo = grid.origin[axes]
+    return lo, lo + np.asarray(grid.cells)[axes] * grid.spacing[axes]
+
+
+def _anchor(grid: CartesianGrid, axes, anchor) -> np.ndarray:
+    """A transfer's anchor along `axes`; ValueError unless one coordinate per axis, in the grid."""
+    anchor = np.asarray(anchor, dtype=float)
     if anchor.shape != (axes.size,):
         raise ValueError(
             f"anchor has {anchor.size} coordinates for {axes.size} radial axes"
         )
-    lo = grid.origin[axes]
-    hi = lo + np.asarray(grid.cells)[axes] * grid.spacing[axes]
+    lo, hi = _grid_bounds(grid, axes)
     if not np.all((lo <= anchor) & (anchor <= hi)):  # NaN fails it
         raise ValueError(f"anchor {anchor.tolist()} lies outside the grid")
-    _check_profile(t.r0, t.r1, t.kT0)
-    compartment = None
-    if t.compartment is not None:
-        axis, side = compartment = tuple(t.compartment)
-        _compartment_fraction(grid, axis, side)  # validates the compartment
-    order = np.argsort(axes)
-    return tuple(axes[order].tolist()), anchor[order], compartment
+    return anchor
+
+
+def _compartment(grid: CartesianGrid, compartment):
+    """A transfer's compartment as an (axis, side) tuple, or None; ValueError if invalid."""
+    if compartment is None:
+        return None
+    axis, side = compartment = tuple(compartment)
+    _compartment_fraction(grid, axis, side)  # validates the compartment
+    return compartment
+
+
+def _checked_transfers(grid: CartesianGrid, transfers):
+    """Sorted radial axes, anchors along them and compartments of the valid transfers.
+
+    Returns (axes, anchors, compartments, failure).  A transfer is
+    checked for its radial axes, anchor, profile (`_check_profile`) and
+    compartment, in that order, and the first transfer to fail a check
+    is the offender: the lists hold the transfers before it, and failure
+    is the ValueError of its first failing check (None if all pass).
+    Each distinct radial_axes value, profile and compartment is checked
+    once, radial axes and compartments keyed by their repr, since equal
+    values of other types (1 and 1.0) differ in validity there.  The
+    anchors that share a radial_axes value are checked as one array, and
+    one at a time only where that array fails.
+    """
+    limit, failure = len(transfers), None
+
+    def offend(j, exc):
+        nonlocal limit, failure
+        limit, failure = j, exc
+
+    def each_distinct(keys, check):
+        """{key: check(j)} over the transfers j before the offender, one j per key."""
+        seen = {}
+        for j, key in enumerate(keys[:limit]):
+            if key not in seen:
+                try:
+                    seen[key] = check(j)
+                except ValueError as exc:
+                    offend(j, exc)
+                    break
+        return seen
+
+    axes_keys = [repr(t.radial_axes) for t in transfers]
+    axes_of = each_distinct(axes_keys, lambda j: _radial_axes(grid, transfers[j].radial_axes))
+    groups: dict[str, list[int]] = {}
+    for j, key in enumerate(axes_keys[:limit]):
+        groups.setdefault(key, []).append(j)
+    anchors = [None] * limit
+    for key, group in groups.items():
+        axes = axes_of[key]
+        order = np.argsort(axes)
+        try:
+            coords = np.array([transfers[j].anchor for j in group], dtype=float)
+        except ValueError:  # ragged, or not numbers
+            coords = None
+        if coords is not None and coords.shape == (len(group), axes.size):
+            lo, hi = _grid_bounds(grid, axes)
+            if np.all((lo <= coords) & (coords <= hi)):  # NaN fails it
+                for j, row in zip(group, coords[:, order]):
+                    anchors[j] = row
+                continue
+        for j in group:  # one at a time, until one raises its message
+            if j >= limit:
+                break
+            try:
+                anchors[j] = _anchor(grid, axes, transfers[j].anchor)[order]
+            except ValueError as exc:
+                offend(j, exc)
+                break
+    each_distinct(
+        [(t.r0, t.r1, t.kT0) for t in transfers],
+        lambda j: _check_profile(transfers[j].r0, transfers[j].r1, transfers[j].kT0),
+    )
+    compartment_keys = [repr(t.compartment) for t in transfers]
+    compartment_of = each_distinct(
+        compartment_keys, lambda j: _compartment(grid, transfers[j].compartment)
+    )
+    sorted_axes = {key: tuple(np.sort(axes).tolist()) for key, axes in axes_of.items()}
+    return (
+        [sorted_axes[key] for key in axes_keys[:limit]],
+        anchors[:limit],
+        [compartment_of[key] for key in compartment_keys[:limit]],
+        failure,
+    )
 
 
 def _group_rows(grid, axes, r0, r1, kT0, anchors, compartments, terminal_ids):
@@ -892,23 +990,18 @@ def build_support(grid: CartesianGrid, transfers) -> SupportTable:
     are evaluated in one batch, on box centres taken relative to each
     box's own anchor.  The table's terminals are the transfers' in the
     order given.  A ValueError names the first transfer, in that order,
-    with an invalid parameter or an empty support.  A cell average that
+    with an invalid parameter or an empty support; the parameters are
+    checked in one pass over all transfers (`_checked_transfers`), and
+    only the transfers before an invalid one are evaluated, so an empty
+    support among them is reported first.  A cell average that
     overflows (kT0 near the float maximum) is rejected as its group is
     evaluated, naming the group's first such terminal.
     """
     transfers = tuple(transfers)
+    radial, anchors, compartments, failure = _checked_transfers(grid, transfers)
     groups: dict[tuple, list[int]] = {}
-    anchors, compartments = [], []
-    failure = None
-    for j, t in enumerate(transfers):
-        try:
-            axes, anchor, compartment = _checked_transfer(grid, t)
-        except ValueError as exc:
-            failure = exc
-            break
+    for j, (t, axes) in enumerate(zip(transfers, radial)):
         groups.setdefault((axes, t.r0, t.r1, t.kT0), []).append(j)
-        anchors.append(anchor)
-        compartments.append(compartment)
 
     owner, cells, kt = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], [np.zeros(0)]
     for (axes, r0, r1, kT0), members in groups.items():

@@ -768,7 +768,11 @@ def solve_pressure(A, b, config: SolverConfig | None = None, kernel=None):
     solution has zero kernel component.  A right-hand side whose length
     is not A's dimension, with a NaN or infinite entry, or whose 2-norm
     overflows is rejected before the setup, and a solve whose true
-    residual overflows raises ValueError after it.
+    residual overflows raises ValueError after it.  A row of A with no
+    stored entries, whose column is empty too (an isolated cell), is a
+    component of its own: its b_i must be 0, or a ValueError names the
+    row, and the other rows are solved alone, dropping the kernel
+    columns that vanish on them, with x_i = 0 returned for it.
     """
     config = config or SolverConfig()
     A = sp.csr_matrix(A)
@@ -795,6 +799,27 @@ def solve_pressure(A, b, config: SolverConfig | None = None, kernel=None):
                 f"inconsistent singular system: kernel component {defect:.3e}"
             )
         b = b - kernel @ (kernel.T @ b)
+
+    # the rows of a square A with no stored entries, their columns empty too
+    n = A.shape[0]
+    lone = np.flatnonzero(np.diff(A.indptr) == 0)
+    if lone.size and A.shape[1] == n:
+        lone = lone[np.bincount(A.indices, minlength=n)[lone] == 0]
+        if 0 < lone.size < n:
+            bad = lone[b[lone] != 0.0]
+            if bad.size:
+                i = bad[0]
+                raise ValueError(f"inconsistent system: row {i} of A is empty, "
+                                 f"but b_{i} = {b[i]:g}")
+            keep = np.ones(n, dtype=bool)
+            keep[lone] = False
+            if kernel is not None:
+                kernel = kernel[keep]
+                kernel = kernel[:, np.any(kernel != 0.0, axis=0)]
+            x = np.zeros(dof)
+            x[keep], report = solve_pressure(A[keep][:, keep], b[keep], config, kernel)
+            report.dof = dof
+            return x, report
 
     t0 = time.perf_counter()
     hierarchy = build_hierarchy(A)

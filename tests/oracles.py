@@ -19,22 +19,30 @@ whole-matrix formula that the solver's blocked test must reproduce bit
 for bit, the 0/1 prolongation P of an aggregate map, whose whole
 product ((A P)' P)' the solver's blocked Galerkin product must
 reproduce bit for bit, one level's passes composed with the plain
-Galerkin product P' (A P), and the support of one terminal as the per-terminal
-evaluation that the batched support table must reproduce.  The graph
-facts come from scipy.sparse.csgraph, which the package does not
+Galerkin product P' (A P), the support of one terminal as the
+per-terminal evaluation that the batched support table must reproduce,
+the transfers' checks run one transfer at a time, which the one-pass
+validation must match offender for offender, and the measure of a disc
+in a box by adaptive quadrature of its chord length.  The graph facts
+come from scipy.sparse.csgraph, which the package does not
 import: the components of a pattern, whose labels the package's numpy
 walk must reproduce, and a forest's orientation by breadth-first order.
 """
 
 import numpy as np
+import scipy.integrate as si
 import scipy.sparse as sp
 from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from mdflow.geometry import (
     SUPPORT_SUBDIV_SPATIAL,
     NodeKind,
+    _anchor,
     _box_average,
+    _check_profile,
+    _compartment,
     _compartment_fraction,
+    _radial_axes,
     _taper_average,
     incidence,
     transfer_profile,
@@ -404,6 +412,28 @@ def terminal_support(grid, t):
     return cells[keep], np.sqrt(kt[keep])
 
 
+def first_transfer_failure(grid, transfers):
+    """(terminal id, message): what `build_support` reports, found one transfer at a time.
+
+    Each transfer in turn is checked for its radial axes, anchor,
+    profile and compartment until one raises; the message is that
+    ValueError's (None if all pass), and the terminal id is that of the
+    first transfer before it whose `terminal_support` is empty (None if
+    there is none), which is reported first.
+    """
+    message, checked = None, len(transfers)
+    for j, t in enumerate(transfers):
+        try:
+            _anchor(grid, _radial_axes(grid, t.radial_axes), t.anchor)
+            _check_profile(t.r0, t.r1, t.kT0)
+            _compartment(grid, t.compartment)
+        except ValueError as exc:
+            message, checked = str(exc), j
+            break
+    empty = (t.terminal_id for t in transfers[:checked] if not terminal_support(grid, t)[0].size)
+    return next(empty, None), message
+
+
 def taper_cell_average(grid, cells, anchor, axes, radii, kT0):
     """Exact-in-r averages of `transfer_profile` over selected cells.
 
@@ -413,3 +443,29 @@ def taper_cell_average(grid, cells, anchor, axes, radii, kT0):
     axes = list(axes)
     rel = grid.cell_centers()[np.ix_(cells, axes)] - np.asarray(anchor, dtype=float)
     return _taper_average(rel, grid.spacing[axes], *radii, kT0)
+
+
+def disc_box_area(box, r):
+    """Area of the disc of radius r about 0 within box ((x0, x1), (y0, y1)).
+
+    scipy.integrate.quad of the disc's chord length within [y0, y1] over
+    x in [x0, x1] clipped to [-r, r], split where the circle meets the
+    lines y = y0 and y = y1 and at x = 0, the kinks of the chord length.
+    The absolute tolerance is 1e-16 of the smaller of r^2 and the box's
+    area; the relative one, 5e-14, sits above the 50 ulps that QUADPACK's
+    error estimate cannot go below.
+    """
+    (x0, x1), (y0, y1) = box
+    scale = min(r * r, (x1 - x0) * (y1 - y0))
+    a, b = max(x0, -r), min(x1, r)
+    if not a < b:
+        return 0.0
+
+    def chord(x):
+        s = np.sqrt(max(r * r - x * x, 0.0))
+        return max(0.0, min(y1, s) - max(y0, -s))
+
+    kinks = {sign * np.sqrt(r * r - y * y) for y in (y0, y1) if abs(y) < r for sign in (-1, 1)}
+    kinks = sorted(x for x in kinks | {0.0} if a < x < b)
+    return si.quad(chord, a, b, points=kinks or None,
+                   epsabs=1e-16 * scale, epsrel=5e-14, limit=200)[0]

@@ -22,6 +22,7 @@ from mdflow.assembly import (
     schur_tpfa,
     write_matrix_market,
 )
+from mdflow.cli import main
 import mdflow.geometry as geometry
 from mdflow.geometry import (
     CartesianGrid,
@@ -532,6 +533,71 @@ class TestComponents:
             M = sp.csr_matrix((np.ones(i.size), (i, j)), shape=(n, n))
             diagonal = sp.identity(n) if rng.random() < 0.5 else 0
             assert_labels_equal_scipys((M + M.T + diagonal).tocsr())
+
+
+def consistent_islands():
+    """`islands_case`'s blocks with the sources made consistent.
+
+    On a floating component b is r, so taking b's kernel part off r
+    leaves a consistent system, and the empty row 47's source is 0.
+    """
+    grid, forest, coeffs = islands_case()
+    blocks = assemble_blocks(grid, forest, coeffs)
+    A, b = schur_tpfa(blocks)
+    K = pressure_kernel(blocks, A)
+    r = blocks.r - K @ (K.T @ b)
+    nc = grid.n_cells
+    coeffs = replace(coeffs, rD=r[:nc] / grid.cell_volume,
+                     rN=dict(zip(blocks.free_node_ids, r[nc:].tolist())))
+    return assemble_blocks(grid, forest, coeffs)
+
+
+class TestEmptyRows:
+    """An empty row of A is a component of its own, solved as x_i = 0."""
+
+    def test_islands_solve_conserves(self):
+        blocks = consistent_islands()
+        A, b = schur_tpfa(blocks)
+        assert A.indptr[47] == A.indptr[48] and b[47] == 0.0
+        tol = 1e-12
+        x, report = solve_pressure(A, b, SolverConfig(tol=tol), kernel=pressure_kernel(blocks, A))
+        assert report.converged and report.dof == A.shape[0]
+        assert x[47] == 0.0
+        # criterion 8's bounds
+        state = recover_fluxes(blocks, x)
+        rc, rn = conservation_residual(blocks, state)
+        assert max(np.abs(rc).max(), np.abs(rn).max()) <= 10 * tol * np.linalg.norm(b)
+        assert graph_stokes_check(blocks, state) <= 1e-10 * np.abs(b).sum()
+
+    def test_source_in_an_empty_row_is_named(self):
+        A, b = schur_tpfa(consistent_islands())
+        b[47] = 0.5
+        with pytest.raises(ValueError, match="row 47 of A is empty, but b_47 = 0.5"):
+            solve_pressure(A, b)
+
+    def test_cli_solves_the_exported_system(self, tmp_path):
+        A, b = schur_tpfa(consistent_islands())
+        write_matrix_market(A, tmp_path / "A.mtx")
+        np.savetxt(tmp_path / "b.txt", b)
+        rc = main(["solve", "--matrix", str(tmp_path / "A.mtx"),
+                   "--rhs", str(tmp_path / "b.txt"), "--out", str(tmp_path)])
+        assert rc == 0
+        assert np.loadtxt(tmp_path / "solution.txt")[47] == 0.0
+
+    def test_other_rows_solved_as_without_the_empty_ones(self):
+        # case 1A's system with empty rows put in: the rest keeps its bits
+        spec = case1("A")
+        grid = spec.grid(16)
+        A, b = schur_tpfa(assemble_blocks(grid, spec.forest, spec.coefficients(grid)))
+        n = A.shape[0] + 3
+        keep = np.ones(n, dtype=bool)
+        keep[[0, 100, n - 1]] = False
+        P = sp.csr_matrix((np.ones(A.shape[0]), (np.flatnonzero(keep), np.arange(A.shape[0]))),
+                          shape=(n, A.shape[0]))
+        x, report = solve_pressure(P @ A @ P.T, P @ b)
+        want, want_report = solve_pressure(A, b)
+        assert np.all(x[~keep] == 0.0) and x[keep].tobytes() == want.tobytes()
+        assert report.residuals == want_report.residuals and report.dof == n
 
 
 class TestAfterTheSolve:

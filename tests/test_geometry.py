@@ -3,6 +3,7 @@
 import collections
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from mdflow.geometry import (
     SUPPORT_SUBDIV_SPATIAL,
     CartesianGrid,
     TransferSpec,
+    _ball_measure,
     _box_average,
     build_forest,
     build_support,
@@ -28,7 +30,14 @@ from mdflow.geometry import (
 )
 from mdflow.model import CaseSpec, case1, case2
 
-from oracles import bfs_orientation, face_arrays, taper_cell_average, terminal_support
+from oracles import (
+    bfs_orientation,
+    disc_box_area,
+    face_arrays,
+    first_transfer_failure,
+    taper_cell_average,
+    terminal_support,
+)
 
 sys.path.insert(0, str(Path(__file__).parents[1] / "perfbench"))
 import forest_gen  # noqa: E402
@@ -688,6 +697,70 @@ class TestSupportTable:
         with pytest.raises(ValueError, match=match):
             build_support(self.masked_grid(), transfers)
 
+    @staticmethod
+    def many_transfers():
+        """1,000 valid transfers on an 8x8x2 grid whose lower-left quarter is inactive.
+
+        Their radial axes are (0, 1) or (1, 0), they take two profiles,
+        and their compartments are None, a tuple or a list.
+        """
+        mask = np.ones((8, 8, 2), dtype=bool)
+        mask[:4, :4] = False
+        grid = CartesianGrid((8, 8, 2), extent=(1, 1, 1), origin=(-0.5, -0.5, 0.0), mask=mask)
+        rng = np.random.default_rng(0)
+        anchors = np.column_stack([rng.uniform(0.05, 0.45, 1000), rng.uniform(-0.45, 0.45, 1000)])
+        transfers = []
+        for j, (x, y) in enumerate(anchors.tolist()):
+            axes = (0, 1) if j % 3 else (1, 0)
+            transfers.append(TransferSpec(
+                j, (x, y) if axes == (0, 1) else (y, x),
+                *((0.1, 0.2) if j % 2 else (0.05, 0.15)),
+                radial_axes=axes, compartment=(None, (2, "lower"), [2, "upper"])[j % 5 % 3],
+            ))
+        return grid, transfers
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            dict(radial_axes=(0, 0)),
+            dict(radial_axes=(0.0, 1.0)),  # equals (0, 1), but not integers
+            dict(anchor=(0.3, 0.3, 0.3)),
+            dict(anchor=(0.3, 0.7)),
+            dict(anchor=(0.3, float("nan"))),
+            dict(anchor=((0.3,), 0.2)),
+            dict(r0=0.3),
+            dict(kT0=0.0),
+            dict(r1=0.1 * (1 + 1e-12)),
+            dict(compartment=(3, "lower")),
+            dict(compartment=(2, "middle")),
+            dict(compartment=(2,)),
+        ],
+        ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()),
+    )
+    @pytest.mark.parametrize("empty_before", [False, True])
+    def test_one_pass_names_the_offender_of_the_per_transfer_checks(self, bad, empty_before):
+        # one bad entry at 537, and later ones of the axes and profile checks; an
+        # empty support earlier is reported first
+        grid, transfers = self.many_transfers()
+        transfers[537] = replace(transfers[537], **{**dict(r0=0.1, r1=0.2), **bad})
+        transfers[700] = replace(transfers[700], r0=0.4, radial_axes=(0, 1))
+        transfers[900] = replace(transfers[900], radial_axes=(5,))
+        if empty_before:
+            transfers[100] = replace(transfers[100], anchor=(-0.3, -0.3), radial_axes=(0, 1))
+        empty, message = first_transfer_failure(grid, transfers)
+        assert message is not None and (empty is not None) == empty_before
+        if empty_before:
+            message = f"empty support for terminal {empty}: "
+        with pytest.raises(ValueError) as info:
+            build_support(grid, transfers)
+        assert str(info.value).startswith(message)
+
+    def test_one_pass_accepts_valid_transfers(self):
+        grid, transfers = self.many_transfers()
+        assert first_transfer_failure(grid, transfers) == (None, None)
+        table = build_support(grid, transfers)
+        assert np.array_equal(np.unique(table.terminal), np.arange(1000))
+
 
 def _taper(r, r0, r1, kT0):
     """transfer_profile at one radius, written out independently."""
@@ -836,6 +909,102 @@ class TestDiscOverlap:
         frac = taper_cell_average(g, cells, (0.013, -0.007), (0, 1), (0.2, 0.2), 1.0)
         area = frac.sum() * g.cell_volume
         assert area == pytest.approx(np.pi * 0.04, rel=1e-12)
+
+
+def _distances(boxes):
+    """Least and greatest distance from 0 to each box ((x0, x1), (y0, y1))."""
+    near = np.maximum(np.maximum(boxes[:, :, 0], -boxes[:, :, 1]), 0.0)
+    far = np.abs(boxes).max(axis=2)
+    return np.hypot(*near.T), np.hypot(*far.T)
+
+
+def _mirrored(box):
+    """A box in the first quadrant and its mirror images in the other three."""
+    box = np.asarray(box, dtype=float)
+    flip = lambda b, a: np.concatenate([b[:a], -b[a : a + 1, ::-1], b[a + 1 :]])
+    return [box, flip(box, 0), flip(box, 1), flip(flip(box, 0), 1)]
+
+
+class TestBallMeasure:
+    """The planar `_ball_measure` against `disc_box_area`, to 1e-14 r^2."""
+
+    @staticmethod
+    def check(boxes, radii=None):
+        """Compare at `radii` (p, q), by default 17 across each box's distances."""
+        boxes = np.asarray(boxes, dtype=float)  # (p, 2, 2)
+        if radii is None:
+            near, far = _distances(boxes)
+            radii = np.linspace(0.5 * near, 1.2 * far + 0.01, 17, axis=1)
+        radii = np.asarray(radii, dtype=float)
+        got = _ball_measure(boxes[:, None, :, 0], boxes[:, None, :, 1], radii)
+        want = [[disc_box_area(box, r) for r in rs] for box, rs in zip(boxes, radii)]
+        assert np.all(np.abs(got - want) <= 1e-14 * radii**2)
+        return got
+
+    def test_boxes_inside_one_quadrant(self):
+        boxes = [*_mirrored([[0.1, 0.4], [0.2, 0.7]]), *_mirrored([[0.0, 0.3], [0.05, 0.06]])]
+        got = self.check(boxes + _mirrored([[2.9, 3.0], [0.001, 0.5]]))
+        # mirror images hold the same area
+        assert np.allclose(got.reshape(-1, 4, got.shape[1]), got[::4, None], rtol=0,
+                           atol=1e-14 * 3.2**2)
+
+    @pytest.mark.parametrize(
+        "box", [[[-0.2, 0.5], [0.1, 0.4]], [[0.1, 0.4], [-0.3, 0.2]], [[-0.2, 0.5], [-0.6, 0.1]]],
+        ids=["x=0", "y=0", "both"],
+    )
+    def test_boxes_straddling_an_axis(self, box):
+        self.check(_mirrored(box))
+
+    def test_box_containing_the_anchor(self):
+        box = [[-0.3, 0.5], [-0.2, 0.4]]
+        radii = [[0.05, 0.1, 0.199, 0.2, 0.25, 0.3, 0.4, 0.5, 0.6, 0.64, 0.7]]
+        got = self.check([box], radii)
+        inside = np.array(radii) <= 0.2  # the disc lies in the box
+        assert np.allclose(got[inside], np.pi * np.array(radii)[inside] ** 2, rtol=1e-14)
+
+    def test_corner_on_the_circle(self):
+        boxes = [
+            *_mirrored([[0.1, 0.4], [0.2, 0.7]]),
+            [[-0.2, 0.5], [0.1, 0.4]],
+            [[-0.2, 0.5], [-0.6, 0.1]],
+            [[0.375, 0.5], [0.25, 0.375]],
+        ]
+        corners = np.array([np.hypot(*np.meshgrid(*box)).ravel() for box in boxes])
+        self.check(boxes, corners)
+
+    def test_radius_below_nearest_and_above_farthest_point(self):
+        boxes = np.array([
+            *_mirrored([[0.1, 0.4], [0.2, 0.7]]),
+            [[-0.2, 0.5], [0.1, 0.4]],
+            [[0.1, 0.4], [-0.3, 0.2]],
+            [[-0.3, 0.5], [-0.2, 0.4]],
+        ])
+        near, far = _distances(boxes)
+        radii = np.column_stack([0.5 * near, (1 - 1e-9) * near, (1 + 1e-9) * far, 2 * far])
+        got = self.check(boxes, radii)
+        volume = np.prod(boxes[:, :, 1] - boxes[:, :, 0], axis=1)
+        assert np.all(got[:, :2] == 0.0)
+        assert np.allclose(got[:, 2:], volume[:, None], rtol=0, atol=1e-14 * radii[:, 2:] ** 2)
+
+    def test_cells_where_the_circle_runs_along_an_edge(self):
+        # cells of 1/h = 1024 about (r, 0) and (0, r), where the circle is
+        # nearly tangent to their edges, to 1e-12 of a cell's area: there
+        # an arcsin(x / r) corner term, with x / r near 1, is off by 3e-10
+        h, r = 2.0**-10, 0.2
+        across = (np.arange(201, 207)[:, None] + [0, 1]) * h
+        along = (np.arange(-3, 3)[:, None] + [0, 1]) * h
+        boxes = np.array([[a, b] for a in across for b in along])
+        boxes = np.concatenate([boxes, boxes[:, ::-1]])
+        got = self.check(boxes, np.full((len(boxes), 1), r))[:, 0]
+        want = [disc_box_area(box, r) for box in boxes]
+        assert np.all(np.abs(got - want) <= 1e-12 * h * h)
+
+    def test_random_boxes(self):
+        rng = np.random.default_rng(0)
+        centre = rng.uniform(-1.0, 1.0, (200, 2))
+        half = 0.5 * rng.uniform(0.01, 1.0, (200, 2))
+        boxes = np.stack([centre - half, centre + half], axis=2)
+        self.check(boxes, rng.uniform(0.0, 2.0, (200, 5)))
 
 
 class TestForestText:
