@@ -504,13 +504,14 @@ def _rule_table(dim: int, subdiv: int):
 
     The rule for an uncrossed box between the kink circles, ``span``
     finest sub-cells wide, is the base rule on every finest sub-cell or
-    the smooth rule, whichever needs fewer points.
+    the smooth rule, whichever needs fewer points.  Spans run subdiv,
+    subdiv/2, ..., 2; a box one finest sub-cell wide takes the base rule.
     """
     base = reference_rule(dim, BASE_POINTS)
     smooth = reference_rule(dim, SMOOTH_POINTS)
     by_span = {}
     span = subdiv
-    while span >= 1:
+    while span >= 2:
         fewer = BASE_POINTS * span <= SMOOTH_POINTS
         by_span[span] = composite_rule(dim, BASE_POINTS, span) if fewer else smooth
         span //= 2
@@ -822,77 +823,43 @@ def _compartment(grid: CartesianGrid, compartment):
 def _checked_transfers(grid: CartesianGrid, transfers):
     """Sorted radial axes, anchors along them and compartments of the valid transfers.
 
-    Returns (axes, anchors, compartments, failure).  A transfer is
-    checked for its radial axes, anchor, profile (`_check_profile`) and
-    compartment, in that order, and the first transfer to fail a check
-    is the offender: the lists hold the transfers before it, and failure
-    is the ValueError of its first failing check (None if all pass).
-    Each distinct radial_axes value, profile and compartment is checked
-    once, radial axes and compartments keyed by their repr, since equal
-    values of other types (1 and 1.0) differ in validity there.  The
-    anchors that share a radial_axes value are checked as one array, and
-    one at a time only where that array fails.
+    Returns (axes, anchors, compartments, failure).  The transfers are
+    checked in order, each for its radial axes, anchor, profile
+    (`_check_profile`) and compartment, and the first check to fail
+    ends the pass: the lists hold the transfers before it, and failure
+    is its ValueError (None if all pass).  Each distinct radial_axes
+    value, profile and compartment is checked once, radial axes and
+    compartments keyed by their repr, since equal values of other types
+    (1 and 1.0) differ in validity there.  An anchor is tested against
+    the grid bounds cached with its axes, and `_anchor` runs only where
+    that test fails, to raise its message.
     """
-    limit, failure = len(transfers), None
-
-    def offend(j, exc):
-        nonlocal limit, failure
-        limit, failure = j, exc
-
-    def each_distinct(keys, check):
-        """{key: check(j)} over the transfers j before the offender, one j per key."""
-        seen = {}
-        for j, key in enumerate(keys[:limit]):
-            if key not in seen:
-                try:
-                    seen[key] = check(j)
-                except ValueError as exc:
-                    offend(j, exc)
-                    break
-        return seen
-
-    axes_keys = [repr(t.radial_axes) for t in transfers]
-    axes_of = each_distinct(axes_keys, lambda j: _radial_axes(grid, transfers[j].radial_axes))
-    groups: dict[str, list[int]] = {}
-    for j, key in enumerate(axes_keys[:limit]):
-        groups.setdefault(key, []).append(j)
-    anchors = [None] * limit
-    for key, group in groups.items():
-        axes = axes_of[key]
-        order = np.argsort(axes)
+    axes_of, profiles, compartment_of = {}, set(), {}
+    radial, anchors, compartments = [], [], []
+    for t in transfers:
         try:
-            coords = np.array([transfers[j].anchor for j in group], dtype=float)
-        except ValueError:  # ragged, or not numbers
-            coords = None
-        if coords is not None and coords.shape == (len(group), axes.size):
-            lo, hi = _grid_bounds(grid, axes)
-            if np.all((lo <= coords) & (coords <= hi)):  # NaN fails it
-                for j, row in zip(group, coords[:, order]):
-                    anchors[j] = row
-                continue
-        for j in group:  # one at a time, until one raises its message
-            if j >= limit:
-                break
-            try:
-                anchors[j] = _anchor(grid, axes, transfers[j].anchor)[order]
-            except ValueError as exc:
-                offend(j, exc)
-                break
-    each_distinct(
-        [(t.r0, t.r1, t.kT0) for t in transfers],
-        lambda j: _check_profile(transfers[j].r0, transfers[j].r1, transfers[j].kT0),
-    )
-    compartment_keys = [repr(t.compartment) for t in transfers]
-    compartment_of = each_distinct(
-        compartment_keys, lambda j: _compartment(grid, transfers[j].compartment)
-    )
-    sorted_axes = {key: tuple(np.sort(axes).tolist()) for key, axes in axes_of.items()}
-    return (
-        [sorted_axes[key] for key in axes_keys[:limit]],
-        anchors[:limit],
-        [compartment_of[key] for key in compartment_keys[:limit]],
-        failure,
-    )
+            key = repr(t.radial_axes)
+            if key not in axes_of:
+                axes = _radial_axes(grid, t.radial_axes)
+                order = np.argsort(axes)
+                lo, hi = _grid_bounds(grid, axes)
+                axes_of[key] = axes, order, tuple(axes[order].tolist()), lo.tolist(), hi.tolist()
+            axes, order, sorted_axes, lo, hi = axes_of[key]
+            anchor = np.asarray(t.anchor, dtype=float)  # `_anchor`'s conversion
+            if not (anchor.shape == axes.shape
+                    and all(a <= x <= b for a, x, b in zip(lo, anchor.tolist(), hi))):
+                _anchor(grid, axes, t.anchor)  # raises its message; NaN fails the test
+            if (profile := (t.r0, t.r1, t.kT0)) not in profiles:
+                _check_profile(*profile)
+                profiles.add(profile)
+            if (where := repr(t.compartment)) not in compartment_of:
+                compartment_of[where] = _compartment(grid, t.compartment)
+        except ValueError as exc:
+            return radial, anchors, compartments, exc
+        radial.append(sorted_axes)
+        anchors.append(anchor[order])
+        compartments.append(compartment_of[where])
+    return radial, anchors, compartments, None
 
 
 def _group_rows(grid, axes, r0, r1, kT0, anchors, compartments, terminal_ids):
@@ -990,10 +957,11 @@ def build_support(grid: CartesianGrid, transfers) -> SupportTable:
     are evaluated in one batch, on box centres taken relative to each
     box's own anchor.  The table's terminals are the transfers' in the
     order given.  A ValueError names the first transfer, in that order,
-    with an invalid parameter or an empty support; the parameters are
-    checked in one pass over all transfers (`_checked_transfers`), and
-    only the transfers before an invalid one are evaluated, so an empty
-    support among them is reported first.  A cell average that
+    with an invalid parameter or an empty support; `_checked_transfers`
+    checks the transfers in order up to the first invalid one, each
+    distinct radial axes, profile and compartment once, and only the
+    transfers before it are evaluated, so an empty support among them
+    is reported first.  A cell average that
     overflows (kT0 near the float maximum) is rejected as its group is
     evaluated, naming the group's first such terminal.
     """

@@ -298,10 +298,18 @@ def _compartment(s: str):
     return int(axis), side.strip()
 
 
-# (write, read) of each field of the [grid], transfer and source records
+def _node_value(s: str):
+    node, found, value = s.partition(":")
+    if not found:
+        raise ValueError(f"expected 'node: value', got {s!r}")
+    return int(node), float(value)
+
+
+# (write, read) of each field of the [grid], transfer and source records,
+# of an rN entry and of a finegrid reference's resolution
 _FORMATS = {
-    "dim": (repr, int),
-    "terminal_id": (repr, int),
+    **dict.fromkeys(("dim", "terminal_id", "resolution"), (repr, int)),
+    "rN": (lambda nv: f"{nv[0]}: {nv[1]!r}", _node_value),
     "fixed_cells": _seq(int),
     "radial_axes": _seq(int),
     "refine_axes": _seq(_refine_flag, show=lambda b: repr(int(b))),
@@ -384,10 +392,10 @@ def case_to_text(spec: CaseSpec) -> str:
     ]
     if spec.source is not None:
         out.append(f"source = {_write_fields(spec.source)}")
-    out += [f"rN = {nid}: {val!r}" for nid, val in sorted(spec.rN.items())]
+    out += [f"rN = {_FORMATS['rN'][0](item)}" for item in sorted(spec.rN.items())]
     out += ["", "[reference]", f"kind = {kind}"]
     if kind == "finegrid":
-        out.append(f"resolution = {spec.reference[1]}")
+        out.append(f"resolution = {_FORMATS['resolution'][0](spec.reference[1])}")
     return "\n".join(out) + "\n"
 
 
@@ -482,10 +490,10 @@ def case_from_text(text: str) -> CaseSpec:
                 **_read_fields(value, "[coefficients] source", RingSourceSpec)
             )
         elif key == "rN":
-            nid, _, val = value.partition(":")
-            if (nid := int(nid)) in rN:
+            nid, val = _read("rN", value, "[coefficients]")
+            if nid in rN:
                 raise ValueError(f"repeated key 'rN' for node {nid} in [coefficients]")
-            rN[nid] = float(val)
+            rN[nid] = val
         else:
             raise ValueError(f"unknown coefficients key {key!r}")
     kD = (1.0,) * dim if kD is None else kD
@@ -500,7 +508,8 @@ def case_from_text(text: str) -> CaseSpec:
         raise ValueError(f"unknown reference kind {kind!r}")
     ref = _record(lines, f"[reference] kind = {kind}", ("kind", *extra[kind]), extra[kind])
     if kind == "finegrid":
-        return replace(spec, reference=("finegrid", int(ref["resolution"])))
+        resolution = _read("resolution", ref["resolution"], "[reference]")
+        return replace(spec, reference=("finegrid", resolution))
     if kind == "series":
         return replace(spec, reference=("series", _series_params(spec)))
     return spec

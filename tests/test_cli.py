@@ -110,6 +110,14 @@ class TestValidation:
              "repeated key 'kD' in [coefficients]"),
             ("refine_axes = 1, 1\n", "refine_axes = 2, -7\n",
              "[grid] refine_axes: entries are 0 or 1, got '2'"),
+            ("\n\n[reference]", "\nrN = x: 1.0\n\n[reference]",
+             "[coefficients] rN: invalid literal for int() with base 10: 'x'"),
+            ("\n\n[reference]", "\nrN = 1\n\n[reference]",
+             "[coefficients] rN: expected 'node: value', got '1'"),
+            ("\n\n[reference]", "\nrN = 1:\n\n[reference]",
+             "[coefficients] rN: could not convert string to float: ''"),
+            ("kind = series\n", "kind = finegrid\nresolution = 2.5\n",
+             "[reference] resolution: invalid literal for int() with base 10: '2.5'"),
         ],
     )
     def test_malformed_config_exits_1(self, capsys, tmp_path, old, new, message):

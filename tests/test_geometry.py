@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 import scipy.integrate as si
 
+from mdflow import geometry
 from mdflow.geometry import (
     SUPPORT_SUBDIV_SPATIAL,
     CartesianGrid,
@@ -760,6 +761,77 @@ class TestSupportTable:
         assert first_transfer_failure(grid, transfers) == (None, None)
         table = build_support(grid, transfers)
         assert np.array_equal(np.unique(table.terminal), np.arange(1000))
+
+    # replacements that make a transfer of `many_transfers` invalid, empty or
+    # (the numeric strings and equal axes given in the other order) neither;
+    # one transfer may take several, to test the order of the checks
+    OFFENDERS = [
+        dict(radial_axes=(0.0, 1.0)),
+        dict(radial_axes=(5,)),
+        dict(radial_axes=(0, 0)),
+        dict(radial_axes=(1, 0), anchor=(0.2, 0.3)),
+        dict(anchor=(0.3, float("nan"))),
+        dict(anchor=(0.3, 0.7)),
+        dict(anchor=(0.3, 0.3, 0.3)),
+        dict(anchor=((0.5,), 0.5)),
+        dict(anchor=("a", "0.3")),
+        dict(anchor=("0.3", "0.2")),
+        dict(r0=0.3),
+        dict(kT0=0.0),
+        dict(r1=float("nan")),
+        dict(r0=0.1, r1=0.1 * (1 + 1e-12)),
+        dict(compartment=None),
+        dict(compartment=(2, "lower")),
+        dict(compartment=[2, "upper"]),
+        dict(compartment=(3, "lower")),
+        dict(compartment=(2,)),
+        dict(anchor=(-0.3, -0.3), radial_axes=(0, 1)),  # an empty support
+    ]
+
+    def test_one_pass_matches_the_per_transfer_checks_on_random_lists(self):
+        grid, transfers = self.many_transfers()
+        rng = np.random.default_rng(1)
+        for _ in range(300):
+            picked = [transfers[j] for j in rng.choice(1000, size=12, replace=False)]
+            for j in rng.integers(12, size=rng.integers(0, 5)):
+                picked[j] = replace(picked[j], **self.OFFENDERS[rng.integers(len(self.OFFENDERS))])
+            empty, message = first_transfer_failure(grid, picked)
+            if empty is None and message is None:
+                table = build_support(grid, picked)
+                assert table.terminal_ids == tuple(t.terminal_id for t in picked)
+                continue
+            with pytest.raises(ValueError) as info:
+                build_support(grid, picked)
+            if empty is None:
+                assert str(info.value) == message
+            else:
+                assert str(info.value).startswith(f"empty support for terminal {empty}: ")
+
+    def test_one_pass_checks_each_distinct_value_once(self, monkeypatch):
+        # two radial_axes values, two profiles and three compartment values
+        # (None, a tuple and a list), and no anchor checked one at a time
+        grid, transfers = self.many_transfers()
+        calls = collections.defaultdict(list)
+
+        def spy(name, check):
+            def counted(*args):
+                calls[name].append(args)
+                return check(*args)
+            return counted
+
+        for name in ("_radial_axes", "_check_profile", "_compartment", "_anchor"):
+            monkeypatch.setattr(geometry, name, spy(name, getattr(geometry, name)))
+        *_, failure = geometry._checked_transfers(grid, transfers)
+        assert failure is None
+        keys = {
+            "_radial_axes": [repr(axes) for _, axes in calls["_radial_axes"]],
+            "_check_profile": calls["_check_profile"],
+            "_compartment": [repr(c) for _, c in calls["_compartment"]],
+        }
+        assert sorted(keys["_radial_axes"]) == ["(0, 1)", "(1, 0)"]
+        assert sorted(keys["_check_profile"]) == [(0.05, 0.15, 1.0), (0.1, 0.2, 1.0)]
+        assert sorted(keys["_compartment"]) == ["(2, 'lower')", "None", "[2, 'upper']"]
+        assert not calls["_anchor"]
 
 
 def _taper(r, r0, r1, kT0):

@@ -210,6 +210,14 @@ class TestCaseConfigText:
              "repeated key 'source' in [coefficients]"),
             ("\n\n[reference]", "\nrN = 1: 0.5\nrN = 1: 0.25\n\n[reference]",
              "repeated key 'rN' for node 1 in [coefficients]"),
+            ("\n\n[reference]", "\nrN = x: 1.0\n\n[reference]",
+             "[coefficients] rN: invalid literal for int() with base 10: 'x'"),
+            ("\n\n[reference]", "\nrN = 1\n\n[reference]",
+             "[coefficients] rN: expected 'node: value', got '1'"),
+            ("\n\n[reference]", "\nrN = 1:\n\n[reference]",
+             "[coefficients] rN: could not convert string to float: ''"),
+            ("kind = series\n", "kind = finegrid\nresolution = 2.5\n",
+             "[reference] resolution: invalid literal for int() with base 10: '2.5'"),
         ],
     )
     def test_keys_and_sections_outside_the_format_rejected(self, old, new, message):
