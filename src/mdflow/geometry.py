@@ -522,9 +522,15 @@ def _rule_table(dim: int, subdiv: int):
 
 
 def _box_average(rel, width, func, breaks, subdiv):
-    """`radial_cell_average` on boxes centred at `rel` from the anchor."""
+    """`radial_cell_average` on boxes centred at `rel` from the anchor.
+
+    Each box is evaluated at its reflection into the first orthant,
+    ``np.abs(rel)``, so boxes that mirror each other about the anchor
+    along any axes get the same bits.
+    """
     if subdiv < 1 or subdiv & (subdiv - 1):
         raise ValueError(f"subdiv must be a power of two, got {subdiv}")
+    rel = np.abs(rel)
     n, dim = rel.shape
     radii = sorted({float(x) for rb in breaks for x in np.atleast_1d(rb)})
     base, smooth, by_span = _rule_table(dim, subdiv)
@@ -591,9 +597,21 @@ def radial_cell_average(grid: "CartesianGrid", anchor, func, breaks, subdiv: int
     `build_support` applies the same rule to supports with three or more
     radial axes and the exact-in-r `_taper_average` to those with one or
     two.
+
+    The average is a function of each cell's mirror class: cells whose
+    centres are reflections of each other about the anchor along any
+    axes, |x - anchor| equal in every coordinate, get the same bits, and
+    one cell per class is evaluated.  Each column of |x - anchor| is
+    coded by a 1-D `np.unique`, and the codes of a cell, combined into
+    one integer, name its class.  Swapping axes is not a symmetry of
+    the rule's bits, so a grid symmetric under x <-> y still evaluates
+    both cells of such a pair.
     """
     rel = grid.cell_centers() - np.asarray(anchor, dtype=float)
-    return _box_average(rel, grid.spacing, func, breaks, subdiv)
+    columns = [np.unique(np.abs(col), return_inverse=True) for col in rel.T]
+    key = np.ravel_multi_index([code for _, code in columns], [v.size for v, _ in columns])
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    return _box_average(rel[first], grid.spacing, func, breaks, subdiv)[inverse]
 
 
 def _quadrant_measure(x0, x1, y0, y1, r):
@@ -692,8 +710,12 @@ def _taper_average(rel, width, r0: float, r1: float, kT0: float):
     smooth (`_breakpoints`) and each piece takes a ``PIECE_POINTS``-point
     Gauss rule in log r under a substitution that flattens both ends.
     The sharp cutoff (r0 == r1) is kT0 A(r0) / |box|.  Boxes are
-    evaluated in fixed-size batches, so memory stays bounded.
+    evaluated in fixed-size batches, so memory stays bounded.  Each box
+    is evaluated at its reflection into the first quadrant,
+    ``np.abs(rel)``, so boxes that mirror each other about the anchor
+    along either axis get the same bits.
     """
+    rel = np.abs(rel)
     n, dim = rel.shape
     vol = float(np.prod(width))
     u, du = _piece_rule()
@@ -765,8 +787,12 @@ def _compartment_fraction(grid: CartesianGrid, axis: int, side: str):
     """Per-cell fraction along `axis` on one side of the axis midpoint.
 
     Index arithmetic: the midpoint lies at cells[axis]/2 in cell units,
-    so on a uniform axis every fraction is exactly 0, 1/2 or 1.
+    so on a uniform axis every fraction is exactly 0, 1/2 or 1.  An axis
+    that is not an integer (2.0, "2", True) is refused, as `_radial_axes`
+    refuses one.
     """
+    if isinstance(axis, bool) or not isinstance(axis, (int, np.integer)):
+        raise ValueError(f"compartment axis {axis!r} is not an integer")
     if not 0 <= axis < grid.dim:
         raise ValueError(f"compartment axis {axis} outside 0..{grid.dim - 1}")
     if side not in ("lower", "upper"):
@@ -887,14 +913,44 @@ def _group_rows(grid, axes, r0, r1, kT0, anchors, compartments, terminal_ids):
     last = np.minimum(np.floor((anchors + r1 - lo) / h), n - 1).astype(np.int64)
     width = (last - first + 1).max(axis=0)
     first = np.minimum(first, n - width)
-    multi = first[:, None] + np.indices(width).reshape(axes.size, -1).T
-    rel = (lo + (multi + 0.5) * h - anchors[:, None]).reshape(-1, axes.size)
+    m = len(anchors)
+    # along axis j, the offsets (m, width[j]) of the box's cell centres
+    # from their anchor, and the box's entries along it
+    offsets = [
+        lo[j] + (first[:, j, None] + np.arange(width[j]) + 0.5) * h[j] - anchors[:, j, None]
+        for j in range(axes.size)
+    ]
+    along = lambda j, v: v.reshape(m, *(w if k == j else 1 for k, w in enumerate(width)))
+
+    # Mirror classes.  An anchor's offsets along an axis increase, so
+    # offset t has at most one offset of equal magnitude before it, its
+    # reflection s = S - t, where S is the nearest integer to
+    # -2 offsets[0] / h, twice the anchor's distance in cells from the
+    # box's first centre.  Offset t is coded by s where the magnitudes
+    # agree and by t otherwise; `rep` is the flat index of the box its
+    # codes name, and a box is its class's representative (`own`) when
+    # no offset of it pairs.  The kernels average |rel|, so only the
+    # representatives are evaluated and the rest copy their bits.
+    rep = np.arange(m).reshape(-1, *(1,) * axes.size) * int(np.prod(width))
+    own = True
+    for j, (o, step) in enumerate(zip(offsets, h)):
+        t = np.arange(width[j])
+        s = np.rint(-2.0 * o[:, :1] / step).astype(np.int64) - t
+        mag = np.abs(o)
+        pair = (0 <= s) & (s < t)
+        pair &= np.take_along_axis(mag, np.clip(s, 0, t.size - 1), axis=1) == mag
+        rep = rep + along(j, np.where(pair, s, t)) * int(np.prod(width[j + 1:]))
+        own = own & along(j, ~pair)
+    rel = [np.broadcast_to(along(j, o), own.shape)[own] for j, o in enumerate(offsets)]
+    rel = np.stack(rel, axis=-1)
+    kt = np.empty(own.shape)
     if axes.size <= 2:
-        kt = _taper_average(rel, h, r0, r1, kT0)
+        kt[own] = _taper_average(rel, h, r0, r1, kT0)
     else:
         profile = lambda r: transfer_profile(r, r0, r1, kT0)
-        kt = _box_average(rel, h, profile, ((r0, r1),), SUPPORT_SUBDIV_SPATIAL)
-    finite = np.isfinite(kt).reshape(len(anchors), -1).all(axis=1)
+        kt[own] = _box_average(rel, h, profile, ((r0, r1),), SUPPORT_SUBDIV_SPATIAL)
+    kt = kt.ravel()[rep]
+    finite = np.isfinite(kt).reshape(m, -1).all(axis=1)
     if not finite.all():
         raise ValueError(
             f"transfer coefficient of terminal {terminal_ids[np.argmin(finite)]} "
@@ -903,7 +959,6 @@ def _group_rows(grid, axes, r0, r1, kT0, anchors, compartments, terminal_ids):
 
     # The average is computed once per radial cell and broadcast along
     # the other axes of the grid; index arrays are (m, *box shape).
-    m = len(anchors)
     shape = np.array(grid.cells)
     shape[axes] = width
     index = [i[None] for i in np.ix_(*map(np.arange, shape))]
@@ -948,7 +1003,13 @@ def build_support(grid: CartesianGrid, transfers) -> SupportTable:
     4.5e-4 kT0 per cell at 1/h=8, in the cut cells.  The candidate
     cells are the box of cells within r1 of the anchor along every
     radial axis; the average is computed once per
-    distinct radial cell and broadcast along the other axes.  The
+    distinct radial cell and broadcast along the other axes.  It is a
+    function of the radial cell's mirror class: both kernels average
+    the box at |x - anchor|, so boxes that are reflections of each
+    other about the anchor along any radial axes get the same bits,
+    and each class is evaluated once.  On a grid symmetric about the
+    anchor, the support is bitwise symmetric under each reflection;
+    swapping two axes is not a symmetry of the kernels' bits.  The
     stored scaled coefficient is the cellwise square root of the
     average; cells where it vanishes are excluded.  The support is
     truncated at the domain boundary without renormalization.

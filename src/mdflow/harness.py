@@ -114,7 +114,7 @@ def flux_field_error(
     centers = grid.cell_centers()
     pts, w = grid.quadrature()
     r = np.linalg.norm(pts - center, axis=2)
-    qr = eval_solution(sol, r.ravel())[1].reshape(r.shape)
+    qr = eval_solution(sol, r)[1]
     total = 0.0
     for a, q in enumerate(grid.face_slabs(state.qD)):
         # normal flux density on each cell's lower and upper face of axis a, 0 on walls
@@ -207,7 +207,7 @@ def error_norms(
         ref_qD = None  # flux scored as a field error below
         pts, w = grid.quadrature(cells=blocks.sup_cell)
         r = np.linalg.norm(pts - center, axis=2)
-        p_exact = eval_solution(sol, r.ravel())[0].reshape(r.shape)
+        p_exact = eval_solution(sol, r)[0]
         ref_qS = -blocks.sup_ks * ((p_exact - sol.pN1) @ w)
         err_qS = math.sqrt(float(vol * ((state.qS - ref_qS) ** 2).sum()))
         ref_pN, ref_qN = sol.pN1, sol.qN

@@ -170,21 +170,24 @@ def _quartic(p: RadialParams, r):
 
 
 def eval_solution(sol: RadialSolution, r):
-    """Pressure and radial flux at radius r (scalar or array).
+    """Pressure and radial flux at radius r (scalar or array of any shape).
 
     Each interface radius belongs to the region below it; flux is zero
-    at and beyond r3 by the outer zero-flux condition.
+    at and beyond r3 by the outer zero-flux condition.  Each distinct
+    radius is evaluated once and its values are copied to every entry
+    that holds it, so an array gives the bits of per-entry scalar calls
+    in r's shape.  On a grid symmetric about the centre, as case 1's,
+    that is one evaluation for up to eight cells.
     """
     from scipy.special import iv, jv, jvp, yv, yvp  # deferred: keeps `import mdflow` light
 
     p = sol.params
-    r_arr = np.asarray(r, dtype=float)
-    scalar = r_arr.ndim == 0
-    r_arr = np.atleast_1d(r_arr).copy()
-    if np.any(r_arr < 0):
+    r = np.asarray(r, dtype=float)
+    if np.any(r < 0):
         raise ValueError("negative radius")
-    if not np.all(r_arr < np.inf):  # false for nan as well as inf
+    if not np.all(r < np.inf):  # false for nan as well as inf
         raise ValueError("non-finite radius")
+    r_arr, inverse = np.unique(r.ravel(), return_inverse=True)
     pD = np.empty_like(r_arr)
     q = np.empty_like(r_arr)
 
@@ -223,9 +226,9 @@ def eval_solution(sol: RadialSolution, r):
     pD[m5] = sol.p_r3
     q[m5] = 0.0
 
-    if scalar:
+    if r.ndim == 0:
         return float(pD[0]), float(q[0])
-    return pD, q
+    return pD[inverse].reshape(r.shape), q[inverse].reshape(r.shape)
 
 
 def ode_residual_check(sol: RadialSolution, radii) -> float:
@@ -247,7 +250,7 @@ def ode_residual_check(sol: RadialSolution, radii) -> float:
 
     offsets = np.arange(-4, 5)
     grid = radii[:, None] + step * offsets[None, :]  # (ns, 9)
-    pvals = eval_solution(sol, grid.ravel())[0].reshape(grid.shape)
+    pvals = eval_solution(sol, grid)[0]
 
     def d5(values, s):
         # 5-point first derivative at the middle of a length-5 window

@@ -17,6 +17,7 @@ from mdflow.geometry import (
     TransferSpec,
     _ball_measure,
     _box_average,
+    _taper_average,
     build_forest,
     build_support,
     dirichlet_root,
@@ -26,10 +27,11 @@ from mdflow.geometry import (
     index_dtype,
     interior,
     neumann_root,
+    radial_cell_average,
     terminal,
     transfer_profile,
 )
-from mdflow.model import CaseSpec, case1, case2
+from mdflow.model import SOURCE_SUBDIV, CaseSpec, case1, case2, ring_profile
 
 from oracles import (
     bfs_orientation,
@@ -547,7 +549,11 @@ class TestSupportCandidates:
 
     @pytest.mark.parametrize(
         "compartment, match",
-        [((2, "middle"), "compartment side"), ((3, "lower"), "compartment axis")],
+        [
+            ((2, "middle"), "compartment side"),
+            ((3, "lower"), "compartment axis"),
+            ((2.0, "lower"), r"compartment axis 2\.0 is not an integer"),
+        ],
     )
     def test_bad_compartment(self, compartment, match):
         grid = CartesianGrid((8, 8, 2), extent=(1.0, 1.0, 1.0))
@@ -832,6 +838,101 @@ class TestSupportTable:
         assert sorted(keys["_check_profile"]) == [(0.05, 0.15, 1.0), (0.1, 0.2, 1.0)]
         assert sorted(keys["_compartment"]) == ["(2, 'lower')", "None", "[2, 'upper']"]
         assert not calls["_anchor"]
+
+
+class TestMirrorClasses:
+    """Averages are functions of a box's mirror class, evaluated once per class.
+
+    Boxes whose centres reflect into each other about the anchor, along
+    any axes, get the same bits, and evaluating one box per class gives
+    the kernel's values on every box, to rounding.  The forest's supports,
+    where no box has a mirror, are checked against `terminal_support` in
+    `TestSupportTable`.
+    """
+
+    @staticmethod
+    def flipped(rng, rel):
+        return rel * rng.choice([-1.0, 1.0], size=rel.shape)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("radii", [(0.1, 0.2), (0.15, 0.15)], ids=["taper", "sharp"])
+    def test_taper_average_of_reflected_boxes(self, dim, radii):
+        rng = np.random.default_rng(dim)
+        width = rng.uniform(0.01, 0.05, dim)
+        rel = rng.uniform(-0.25, 0.25, (3000, dim))
+        kt = _taper_average(rel, width, *radii, 1.3)
+        assert np.array_equal(_taper_average(self.flipped(rng, rel), width, *radii, 1.3), kt)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_box_average_of_reflected_boxes(self, dim):
+        rng = np.random.default_rng(dim)
+        width = rng.uniform(0.02, 0.05, dim)
+        rel = rng.uniform(-0.3, 0.3, (800, dim))
+        for func, breaks in [
+            (lambda r: transfer_profile(r, 0.1, 0.2, 1.3), ((0.1, 0.2),)),
+            (lambda r: ring_profile(r, 1.0, 0.15, 0.25), (0.15, 0.25)),
+        ]:
+            avg = _box_average(rel, width, func, breaks, 4)
+            assert np.array_equal(_box_average(self.flipped(rng, rel), width, func, breaks, 4), avg)
+
+    @pytest.mark.parametrize("variant", ["A", "B"])
+    @pytest.mark.parametrize("m", [16, 64, 256])
+    def test_case1_fields_are_mirror_symmetric(self, variant, m):
+        # the grid and the anchor are symmetric in x and in y, so rD and
+        # ks are too, to the bit
+        spec = case1(variant)
+        grid = spec.grid(m)
+        coeffs = spec.coefficients(grid)
+        ks = np.zeros(grid.n_cells)
+        ks[coeffs.supports.cell_idx] = coeffs.supports.ks
+        for field in (coeffs.rD, ks):
+            brick = grid.spread(field)
+            for axis in (0, 1):
+                assert np.array_equal(np.flip(brick, axis), brick)
+
+    @pytest.mark.parametrize("m", [16, 64, 256, 1024])
+    def test_ring_source_equals_the_rule_on_every_cell(self, m):
+        # to rounding only: OpenBLAS rounds the last (rows mod 4) rows of a
+        # matrix-vector product in another order, and a class's
+        # representative sits at another row of the batch than in the
+        # whole grid (13 cells of 1,048,576 differ by an ulp at 1/h = 1024)
+        spec = case1("A")
+        grid, s = spec.grid(m), spec.source
+        func = lambda r: ring_profile(r, s.rD0, s.r2, s.r3)
+        every = _box_average(
+            grid.cell_centers() - np.asarray(s.center), grid.spacing, func,
+            (s.r2, s.r3), SOURCE_SUBDIV,
+        )
+        rD = radial_cell_average(grid, s.center, func, (s.r2, s.r3), SOURCE_SUBDIV)
+        assert np.allclose(rD, every, rtol=1e-15, atol=0.0)
+
+    @staticmethod
+    def one_axis_case():
+        """Supports radial along x, anchored on a face and on a cell centre."""
+        transfers = [
+            TransferSpec(1, (0.5,), 0.05, 0.15, radial_axes=(0,)),
+            TransferSpec(2, (16.5 / 32,), 0.05, 0.15, radial_axes=(0,)),
+        ]
+        return star_case((32, 8), transfers, (1, 2))
+
+    @pytest.mark.parametrize(
+        "case", ["case1a_m16", "case1a_m64", "case1a_m256", "case1a_m1024", "case2_m8", "one_axis_m0"]
+    )
+    def test_support_equals_the_kernel_on_every_box(self, case):
+        # `terminal_support` applies the kernel to every box of one
+        # terminal's candidate box; the cells agree exactly and ks to
+        # rounding, for the batch-position reason above (case 1A: 1 cell
+        # of 8,452 at 1/h = 256 and 6 of 132,572 at 1024 differ by an ulp)
+        name, m = case.split("_m")
+        spec = {"case1a": lambda: case1("A"), "case2": case2, "one_axis": self.one_axis_case}
+        spec = spec[name]()
+        grid = spec.grid(int(m))
+        table = build_support(grid, spec.transfers)
+        for j, t in enumerate(spec.transfers):
+            cells, ks = terminal_support(grid, t)
+            rows = table.terminal == j
+            assert np.array_equal(table.cell_idx[rows], cells)
+            assert np.allclose(table.ks[rows], ks, rtol=1e-15, atol=0.0)
 
 
 def _taper(r, r0, r1, kT0):

@@ -276,6 +276,19 @@ class TestEvalSolution:
             ps, qs = eval_solution(sol, float(r))
             assert ps == pv[i] and qs == qv[i]
 
+    def test_repeated_radii_keep_the_scalar_bits_and_the_shape(self, sol):
+        # each distinct radius is evaluated once: an unsorted 2-D array with
+        # repeats, 0 and every interface radius gives the per-entry scalar bits
+        p = sol.params
+        rng = np.random.default_rng(3)
+        radii = np.concatenate([[0.0, p.r0, p.r1, p.r2, p.r3], rng.uniform(0.0, 0.5, 25)])
+        r = rng.permutation(np.tile(radii, 4)).reshape(8, 15)
+        pD, q = eval_solution(sol, r)
+        assert pD.shape == q.shape == r.shape
+        for idx in np.ndindex(r.shape):
+            ps, qs = eval_solution(sol, float(r[idx]))
+            assert ps == pD[idx] and qs == q[idx]
+
     def test_origin(self, sol):
         # I0(0) = 1 and I1(0) = 0: the core's pressure peaks at pN1 + cI with no flux
         pD, q = eval_solution(sol, 0.0)
